@@ -9,7 +9,7 @@ import numpy as np
 
 from . import control_math, exp_harness, lti_env, theory_probe
 from .data_gen import SeedTree
-from .errors import MtilError, ParseError, ValidationError
+from .errors import MtilError
 from .eval_metrics import task_diversity_constants
 
 EXIT_OK = 0
@@ -96,23 +96,17 @@ def run_probe_battery(names, seed: int) -> list:
 
 
 def _cmd_run(args) -> int:
-    try:
-        if args.config is not None:
-            cfg = exp_harness.load_config(args.config)
-        else:
-            cfg = exp_harness.config_from_dict({})
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.parallelism is not None:
-            overrides["parallelism"] = args.parallelism
-        if overrides:
-            from dataclasses import replace
-
-            cfg = replace(cfg, **overrides)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    raw = {} if args.config is None else exp_harness.read_config(args.config)
+    overrides = {
+        key: getattr(args, key)
+        for key in ("seed", "parallelism")
+        if getattr(args, key) is not None
+    }
+    # Merged before validation, so an override is checked like a file value.
+    # A malformed file is left as it is for config_from_dict to reject.
+    if overrides and isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
+        raw = {**raw, "run": {**raw.get("run", {}), **overrides}}
+    cfg = exp_harness.config_from_dict(raw)
     rows = exp_harness.run_sweep(cfg)
     paths = exp_harness.write_results(rows, args.out, cfg)
     if args.emit_plot_script:
@@ -159,7 +153,7 @@ def _cmd_synth(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     H = 9
-    alphas = control_math.logspace(-2.0, 2.0, H + 1)
+    alphas = np.logspace(-2.0, 2.0, H + 1)
     gains = lti_env.synthesize_expert_family(base, alphas, np.eye(base.n_u))
     ensemble = lti_env.build_ensemble(base, gains)
     if args.lift_dim is not None:
@@ -219,9 +213,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except MtilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,8 +1,8 @@
 """Core matrix and control-theoretic computations.
 
-Spectral radius, transient-gain profile (J(A), tau(A, nu)), discrete Lyapunov
-and Riccati solvers, Moore-Penrose pseudo-inverse, and log-spaced grids.
-All functions are pure and operate on float64 NumPy arrays.
+Spectral radius, transient-gain profile (J(A), tau(A, nu)), and discrete
+Lyapunov and Riccati solvers. All functions are pure and operate on float64
+NumPy arrays.
 """
 
 from __future__ import annotations
@@ -56,40 +56,6 @@ def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def spectral_norm(A: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000) -> float:
-    """Largest singular value via power iteration on A'A.
-
-    Uses a deterministic start vector so results are reproducible. The
-    iteration tracks the Rayleigh estimate of lambda_max(A'A) and stops when
-    its relative change drops below tol.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        return 0.0
-    M = A.T @ A
-    n = M.shape[0]
-    # Deterministic, generically non-orthogonal start direction.
-    v = np.cos(np.arange(1, n + 1, dtype=float))
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        v = np.ones(n)
-        nrm = np.sqrt(float(n))
-    v = v / nrm
-    lam = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        wn = np.linalg.norm(w)
-        if wn == 0.0:
-            return 0.0
-        v = w / wn
-        lam_new = float(v @ (M @ v))
-        if abs(lam_new - lam) <= tol * max(lam_new, 1.0):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
-
-
 def stability_profile(
     A: np.ndarray,
     nu: float | None = None,
@@ -128,7 +94,7 @@ def stability_profile(
     M = np.eye(A.shape[0])
     nu_k = 1.0
     for _ in range(max_terms):
-        nrm = spectral_norm(M)
+        nrm = float(np.linalg.norm(M, 2))
         j_gain += nrm
         tau = max(tau, nrm / nu_k)
         if nrm == 0.0 or tau * nu_k * nu / (1.0 - nu) < tol:
@@ -214,26 +180,3 @@ def solve_dare(
     if rho_closed >= 1.0:
         raise NotStabilizing(f"closed-loop spectral radius {rho_closed} >= 1")
     return RiccatiSolution(P=P, K=K, rho_closed=rho_closed)
-
-
-def pseudo_inverse(M: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
-
-    Singular values below rel_tol * sigma_max * max(rows, cols) are zeroed.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.size == 0 or not np.any(M):
-        return np.zeros((M.shape[1], M.shape[0]))
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    cutoff = rel_tol * s[0] * max(M.shape)
-    s_inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (Vt.T * s_inv) @ U.T
-
-
-def logspace(lo_exp: float, hi_exp: float, n: int) -> np.ndarray:
-    """n values 10^e for e linearly spaced from lo_exp to hi_exp inclusive."""
-    if n < 1:
-        raise ValueError("logspace requires n >= 1")
-    if n == 1:
-        return np.array([10.0**lo_exp])
-    return 10.0 ** np.linspace(lo_exp, hi_exp, n)

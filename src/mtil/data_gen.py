@@ -8,7 +8,6 @@ bit-identically from its seed path, independent of scheduling.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass, field
 
@@ -44,11 +43,6 @@ class SeedTree:
             key.append(index)
         seq = np.random.SeedSequence(entropy=self.root, spawn_key=tuple(key))
         return np.random.Generator(np.random.PCG64(seq))
-
-
-def derive_stream(tree: SeedTree, label: str, index: int = 0) -> np.random.Generator:
-    """Child stream of `tree` at (label, index)."""
-    return tree.child(label, index).stream()
 
 
 @dataclass(frozen=True)
@@ -176,17 +170,6 @@ def stack_data(batch: TrajectoryBatch) -> StackedData:
     )
 
 
-def unstack_data(data: StackedData, N: int, T: int) -> TrajectoryBatch:
-    """Inverse of stack_data given the batch shape."""
-    if data.X.shape[0] != N * T:
-        raise ValueError("row count does not match N * T")
-    return TrajectoryBatch(
-        task_id=-1,
-        states=data.X.reshape(N, T, data.X.shape[1]),
-        inputs=data.U.reshape(N, T, data.U.shape[1]),
-    )
-
-
 def coupled_rollout(
     system: LinearSystem,
     K_expert: np.ndarray,
@@ -220,23 +203,3 @@ def coupled_rollout(
                 nonfinite = True
                 break
     return xs[: steps + 1], xh[: steps + 1], nonfinite
-
-
-def batch_to_csv(batch: TrajectoryBatch, path: str) -> None:
-    """Write a batch as CSV (columns: task, traj, t, x_0.., u_0..)."""
-    N, T, n = batch.states.shape
-    n_u = batch.inputs.shape[2]
-    header = (
-        ["task", "traj", "t"]
-        + [f"x_{j}" for j in range(n)]
-        + [f"u_{j}" for j in range(n_u)]
-    )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(N):
-            for t in range(T):
-                row = [batch.task_id, i, t]
-                row += [repr(float(v)) for v in batch.states[i, t]]
-                row += [repr(float(v)) for v in batch.inputs[i, t]]
-                writer.writerow(row)

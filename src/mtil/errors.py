@@ -60,6 +60,3 @@ class ParseError(MtilError):
 class ValidationError(MtilError):
     """A configuration value is invalid; message carries the field path."""
 
-
-class IoError(MtilError):
-    """A result file could not be written."""

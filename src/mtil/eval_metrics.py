@@ -136,12 +136,12 @@ def lqr_cost_gap(
     gap_estimate = float(abs(h_hat.mean() - h_star.mean()))
 
     profile = control_math.stability_profile(system.A + system.B @ K_star)
-    b_norm = control_math.spectral_norm(system.B)
+    b_norm = np.linalg.norm(system.B, 2)
     eig_x = np.linalg.eigvalsh(target_task.sigma_x)
     const = float(
         np.sqrt(max(np.linalg.eigvalsh(Q).max(), 0.0)) * profile.j_gain * b_norm
         + np.sqrt(max(np.linalg.eigvalsh(R).max(), 0.0))
-        * (control_math.spectral_norm(K_star) + np.sqrt(eig_x.sum() / eig_x.min()))
+        * (np.linalg.norm(K_star, 2) + np.sqrt(eig_x.sum() / eig_x.min()))
     )
     er = excess_risk(K_hat, K_star, target_task.sigma_x)
     bound_value = const * float(np.sqrt(max(np.log(T), 0.0) * er))
@@ -170,7 +170,7 @@ def task_diversity_constants(
     stack = np.vstack(f_sources)
     if np.linalg.matrix_rank(stack) < truth.k:
         raise RankDeficient("stacked source F matrices have column rank below k")
-    nu = control_math.spectral_norm(f_target @ control_math.pseudo_inverse(stack)) ** 2
+    nu = np.linalg.norm(f_target @ np.linalg.pinv(stack), 2) ** 2
     lambdas = [np.linalg.eigvalsh(task.sigma_x) for task in ensemble.sources]
     return DiversityReport(
         c=c,

@@ -14,13 +14,12 @@ import concurrent.futures
 import csv
 import json
 import os
-import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import yaml
 
-from . import control_math, lti_env, mtil_learn
+from . import lti_env, mtil_learn
 from .data_gen import SeedTree, StackedData, rollout_expert, stack_data
 from .errors import ParseError, ValidationError
 from .eval_metrics import evaluate_controller, summarize_quantiles
@@ -75,23 +74,6 @@ class ResultRow:
     excess_risk: float
     underdetermined: bool
     nonfinite: bool
-    wall_time_ms: float = 0.0
-
-
-_SCHEMA = {
-    "system": {"preset", "a", "b", "lift_dim", "sigma_z"},
-    "tasks": {"h", "k", "alphas", "r_scale"},
-    "sweep": {
-        "n1",
-        "n2",
-        "t",
-        "t_test",
-        "trials_system",
-        "trials_noise",
-        "methods",
-    },
-    "run": {"seed", "parallelism", "restarts", "reuse_source_data", "eval_task"},
-}
 
 
 def _require(cond: bool, path: str, message: str) -> None:
@@ -99,63 +81,96 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ValidationError(f"{path}: {message}")
 
 
+def _convert(path: str, value, convert):
+    """convert(value); a TypeError or ValueError from it names the field path."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _n2_grid(value) -> tuple:
+    """An int n expands to the grid 1..n; a list is taken as given."""
+    if isinstance(value, int):
+        value = range(1, value + 1)
+    elif not isinstance(value, list):
+        raise TypeError("must be a list of counts or a single count")
+    return tuple(int(v) for v in value)
+
+
+def _square_matrix(value) -> np.ndarray:
+    A = np.array(value, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("must be a square matrix")
+    return A
+
+
+def _strict_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _unchanged(value):
+    return value
+
+
+# Config field path -> (ExperimentConfig attribute, conversion of the raw
+# value). An absent key keeps the ExperimentConfig default. a and b stay as
+# given so the manifest records them as written; _base_system converts them.
+_FIELDS = {
+    "system.preset": ("preset", str),
+    "system.a": ("A", _unchanged),
+    "system.b": ("B", _unchanged),
+    "system.lift_dim": ("lift_dim", lambda v: None if v is None else int(v)),
+    "system.sigma_z": ("sigma_z", float),
+    "tasks.h": ("H", int),
+    "tasks.k": ("k", int),
+    "tasks.alphas": ("alphas", lambda v: tuple(float(e) for e in v)),
+    "tasks.r_scale": ("r_scale", float),
+    "sweep.n1": ("N1", int),
+    "sweep.n2": ("N2", _n2_grid),
+    "sweep.t": ("T", int),
+    "sweep.t_test": ("T_test", int),
+    "sweep.trials_system": ("trials_system", int),
+    "sweep.trials_noise": ("trials_noise", int),
+    "sweep.methods": ("methods", tuple),
+    "run.seed": ("seed", int),
+    "run.parallelism": ("parallelism", int),
+    "run.restarts": ("restarts", int),
+    "run.reuse_source_data": ("reuse_source_data", _strict_bool),
+    "run.eval_task": ("eval_task", _unchanged),
+}
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate a config from a nested {section: {key: value}} dict."""
     if raw is None:
         raw = {}
     _require(isinstance(raw, dict), "<root>", "config must be a mapping")
+    values = {}
     for section, keys in raw.items():
-        _require(section in _SCHEMA, section, "unknown section")
+        known = any(path.startswith(f"{section}.") for path in _FIELDS)
+        _require(known, section, "unknown section")
         _require(isinstance(keys, dict), section, "section must be a mapping")
-        for key in keys:
-            _require(key in _SCHEMA[section], f"{section}.{key}", "unknown key")
+        for key, value in keys.items():
+            path = f"{section}.{key}"
+            _require(path in _FIELDS, path, "unknown key")
+            name, convert = _FIELDS[path]
+            values[name] = _convert(path, value, convert)
+    cfg = ExperimentConfig(**values)
 
-    system = raw.get("system", {})
-    tasks = raw.get("tasks", {})
-    sweep = raw.get("sweep", {})
-    run = raw.get("run", {})
-
-    n2 = sweep.get("n2", list(range(1, 21)))
-    if isinstance(n2, int):
-        n2 = list(range(1, n2 + 1))
     _require(
-        isinstance(n2, list) and len(n2) > 0 and all(int(v) >= 1 for v in n2),
+        len(cfg.N2) > 0 and min(cfg.N2) >= 1,
         "sweep.n2",
         "must be a nonempty list of counts >= 1",
     )
-    methods = tuple(sweep.get("methods", list(VALID_METHODS)))
     _require(
-        len(methods) > 0 and all(m in VALID_METHODS for m in methods),
+        len(cfg.methods) > 0 and all(m in VALID_METHODS for m in cfg.methods),
         "sweep.methods",
         f"must be a nonempty subset of {VALID_METHODS}",
     )
-    alphas = tuple(float(v) for v in tasks.get("alphas", (-2.0, 2.0)))
-    _require(len(alphas) == 2, "tasks.alphas", "must be (lo_exp, hi_exp)")
-
-    cfg = ExperimentConfig(
-        preset=system.get("preset", "hong2021"),
-        A=system.get("a"),
-        B=system.get("b"),
-        lift_dim=system.get("lift_dim", 50),
-        sigma_z=float(system.get("sigma_z", 1.0)),
-        H=int(tasks.get("h", 9)),
-        k=int(tasks.get("k", 4)),
-        alphas=alphas,
-        r_scale=float(tasks.get("r_scale", 1.0)),
-        T=int(sweep.get("t", 20)),
-        T_test=int(sweep.get("t_test", 100)),
-        N1=int(sweep.get("n1", 10)),
-        N2=tuple(int(v) for v in n2),
-        trials_system=int(sweep.get("trials_system", 10)),
-        trials_noise=int(sweep.get("trials_noise", 10)),
-        methods=methods,
-        eval_task=run.get("eval_task", "target"),
-        seed=int(run.get("seed", 0)),
-        parallelism=int(run.get("parallelism", 1)),
-        restarts=int(run.get("restarts", 1)),
-        reuse_source_data=bool(run.get("reuse_source_data", False)),
-    )
-
+    _require(len(cfg.alphas) == 2, "tasks.alphas", "must be (lo_exp, hi_exp)")
     base = _base_system(cfg)
     state_dim = cfg.lift_dim if cfg.lift_dim is not None else base.n_x
     _require(cfg.H >= 1, "tasks.h", "must be >= 1")
@@ -175,21 +190,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         ("run.restarts", cfg.restarts),
     ):
         _require(value >= 1, name, "must be >= 1")
+    _require(cfg.seed >= 0, "run.seed", "must be >= 0")
     if cfg.eval_task != "target":
         _require(
-            isinstance(cfg.eval_task, int) and 0 <= cfg.eval_task < cfg.H,
+            type(cfg.eval_task) is int and 0 <= cfg.eval_task < cfg.H,
             "run.eval_task",
             "must be 'target' or a source index in [0, H)",
         )
     return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse a YAML config file; an empty file yields the full defaults.
+def read_config(path: str) -> dict:
+    """Parse a YAML config file into its raw mapping; an empty file gives {}.
 
     Raises:
         ParseError: unreadable or malformed file.
-        ValidationError: invalid value, message carries the field path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -198,7 +213,17 @@ def load_config(path: str) -> ExperimentConfig:
         raise ParseError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ParseError(f"cannot parse config: {exc}") from exc
-    return config_from_dict(raw)
+    return {} if raw is None else raw
+
+
+def load_config(path: str) -> ExperimentConfig:
+    """Parse and validate a YAML config file; an empty file yields the defaults.
+
+    Raises:
+        ParseError: unreadable or malformed file.
+        ValidationError: invalid value, message carries the field path.
+    """
+    return config_from_dict(read_config(path))
 
 
 def _base_system(cfg: ExperimentConfig) -> lti_env.LinearSystem:
@@ -208,7 +233,10 @@ def _base_system(cfg: ExperimentConfig) -> lti_env.LinearSystem:
             "system.a",
             "inline systems need both a and b",
         )
-        return lti_env.LinearSystem(A=np.array(cfg.A), B=np.array(cfg.B))
+        A = _convert("system.a", cfg.A, _square_matrix)
+        return _convert(
+            "system.b", cfg.B, lambda B: lti_env.LinearSystem(A=A, B=np.array(B))
+        )
     try:
         return lti_env.get_preset(cfg.preset)
     except KeyError as exc:
@@ -220,7 +248,7 @@ def _build_ensemble(
 ) -> lti_env.TaskEnsemble:
     """Deterministic ensemble for one system trial (one lift realization)."""
     base = _base_system(cfg)
-    alphas = control_math.logspace(cfg.alphas[0], cfg.alphas[1], cfg.H + 1)
+    alphas = np.logspace(cfg.alphas[0], cfg.alphas[1], cfg.H + 1)
     gains = lti_env.synthesize_expert_family(
         base, alphas, cfg.r_scale * np.eye(base.n_u)
     )
@@ -240,7 +268,6 @@ def _prefix(data: StackedData, n_traj: int, T: int) -> StackedData:
 
 def _run_cell(cfg: ExperimentConfig, system_trial: int, noise_trial: int) -> list:
     """All rows for one (system trial, noise trial) cell."""
-    t_start = time.perf_counter()
     tree = SeedTree(root=cfg.seed)
     ensemble = _build_ensemble(cfg, system_trial, tree)
     system = ensemble.system
@@ -317,14 +344,9 @@ def _run_cell(cfg: ExperimentConfig, system_trial: int, noise_trial: int) -> lis
                     excess_risk=record.excess_risk,
                     underdetermined=record.underdetermined,
                     nonfinite=record.nonfinite,
-                    wall_time_ms=0.0,
                 )
             )
-    # Timing is informational only; it stays out of the deterministic CSV
-    # schema, so identical (config, seed) runs produce identical files.
-    elapsed_ms = 1000.0 * (time.perf_counter() - t_start)
-    per_row = elapsed_ms / max(len(rows), 1)
-    return [replace(row, wall_time_ms=per_row) for row in rows]
+    return rows
 
 
 def _cell_worker(args) -> list:

@@ -179,10 +179,11 @@ def lift_ensemble(
         RankDeficientLift: if G is not full column rank.
     """
     G = np.asarray(G, dtype=float)
-    s = np.linalg.svd(G, compute_uv=False)
+    U, s, Vt = np.linalg.svd(G, full_matrices=False)
     if s[-1] <= 1e-10 * s[0]:
         raise RankDeficientLift("lift map G is not injective")
-    G_pinv = control_math.pseudo_inverse(G)
+    # Not np.linalg.pinv(G): that rounds differently and changes results.csv.
+    G_pinv = (Vt.T * (1.0 / s)) @ U.T
     system = ensemble.system
     lifted_system = LinearSystem(A=G @ system.A @ G_pinv, B=G @ system.B)
     if sigma_w is None:

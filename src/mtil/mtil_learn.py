@@ -19,18 +19,6 @@ from .errors import DegenerateRank, RankDeficient, SingularBlock
 
 
 @dataclass(frozen=True)
-class FactoredController:
-    """Controller K = F Phi with a k-dimensional representation."""
-
-    F: np.ndarray
-    Phi: np.ndarray
-
-    @property
-    def gain(self) -> np.ndarray:
-        return self.F @ self.Phi
-
-
-@dataclass(frozen=True)
 class PretrainResult:
     """Output of the alternating least-squares pre-training stage.
 

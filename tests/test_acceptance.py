@@ -100,7 +100,7 @@ def test_criterion_2_noiseless_identifiability():
     tree = SeedTree(root=1)
     base = lti_env.get_preset("hong2021")
     gains = lti_env.synthesize_expert_family(
-        base, cm.logspace(-2.0, 2.0, 10), np.eye(2)
+        base, np.logspace(-2.0, 2.0, 10), np.eye(2)
     )
     ens = lti_env.build_ensemble(base, gains)
     G = lti_env.sample_lift_map(4, 50, tree.child("lift").stream())
@@ -173,7 +173,7 @@ def test_criterion_4_excess_risk_rate():
     tree = SeedTree(root=7)
     base = lti_env.get_preset("hong2021")
     gains = lti_env.synthesize_expert_family(
-        base, cm.logspace(-2.0, 2.0, 10), np.eye(2)
+        base, np.logspace(-2.0, 2.0, 10), np.eye(2)
     )
     ens = lti_env.lift_ensemble(
         lti_env.build_ensemble(base, gains),

@@ -22,17 +22,6 @@ class TestSpectralBasics:
     def test_spectral_radius_diag(self):
         assert cm.spectral_radius(np.diag([0.3, -0.8])) == pytest.approx(0.8)
 
-    def test_spectral_norm_matches_svd(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            M = rng.standard_normal((5, 4))
-            assert cm.spectral_norm(M) == pytest.approx(
-                np.linalg.norm(M, 2), rel=1e-9
-            )
-
-    def test_spectral_norm_zero(self):
-        assert cm.spectral_norm(np.zeros((3, 3))) == 0.0
-
 
 class TestStabilityProfile:
     def test_zero_matrix(self):
@@ -76,13 +65,22 @@ class TestStabilityProfile:
 
     def test_tau_envelope(self):
         rng = np.random.default_rng(5)
-        A = rng.standard_normal((4, 4))
-        A *= 0.8 / cm.spectral_radius(A)
-        prof = cm.stability_profile(A)
-        M = np.eye(4)
-        for k in range(30):
-            assert cm.spectral_norm(M) <= prof.tau * prof.nu**k * (1 + 1e-9)
-            M = M @ A
+        generic = rng.standard_normal((4, 4))
+        # Top two singular values about 1e-4 apart, where power iteration
+        # under-estimates the spectral norm.
+        rng = np.random.default_rng(159)
+        U = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        V = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        s = np.sort(rng.uniform(0.1, 1.0, 5))[::-1]
+        s[1] = s[0] - 1e-4
+        near_degenerate = U @ np.diag(s) @ V.T
+        for A, rho in ((generic, 0.8), (near_degenerate, 0.9)):
+            A = A * (rho / cm.spectral_radius(A))
+            prof = cm.stability_profile(A)
+            M = np.eye(A.shape[0])
+            for k in range(30):
+                assert np.linalg.norm(M, 2) <= prof.tau * prof.nu**k * (1 + 1e-9)
+                M = M @ A
 
 
 class TestLyapunov:
@@ -168,55 +166,3 @@ class TestDare:
             )
             assert resid <= 1e-8 * max(1.0, np.linalg.norm(sol.P, "fro"))
             assert sol.rho_closed < 1.0
-
-
-class TestPseudoInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(cm.pseudo_inverse(np.eye(3)), np.eye(3))
-
-    def test_diag_with_zero(self):
-        np.testing.assert_allclose(
-            cm.pseudo_inverse(np.diag([2.0, 0.0])), np.diag([0.5, 0.0])
-        )
-
-    def test_tall_full_rank(self):
-        G = np.random.default_rng(0).standard_normal((50, 4))
-        np.testing.assert_allclose(
-            cm.pseudo_inverse(G) @ G, np.eye(4), atol=1e-8
-        )
-
-    def test_penrose_identities_all_ranks(self):
-        rng = np.random.default_rng(9)
-        cases = []
-        for _ in range(10):
-            cases.append(rng.standard_normal((6, 4)))
-            low = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
-            cases.append(low)
-        cases.append(np.zeros((3, 5)))
-        for M in cases:
-            P = cm.pseudo_inverse(M)
-            scale = max(np.linalg.norm(M, "fro"), 1e-30)
-            assert np.linalg.norm(M @ P @ M - M, "fro") <= 1e-8 * scale
-            assert np.linalg.norm(P @ M @ P - P, "fro") <= 1e-8 * max(
-                np.linalg.norm(P, "fro"), 1e-30
-            )
-            np.testing.assert_allclose(M @ P, (M @ P).T, atol=1e-8)
-            np.testing.assert_allclose(P @ M, (P @ M).T, atol=1e-8)
-
-
-class TestLogspace:
-    def test_basic_grid(self):
-        np.testing.assert_allclose(
-            cm.logspace(-2, 2, 5), [0.01, 0.1, 1.0, 10.0, 100.0]
-        )
-
-    def test_degenerate_range(self):
-        np.testing.assert_allclose(cm.logspace(0, 0, 3), [1.0, 1.0, 1.0])
-
-    def test_single_point(self):
-        np.testing.assert_allclose(cm.logspace(-2, 2, 1), [0.01])
-
-    def test_constant_ratio(self):
-        vals = cm.logspace(-2, 2, 10)
-        ratios = vals[1:] / vals[:-1]
-        np.testing.assert_allclose(ratios, 10 ** (4 / 9), rtol=1e-12)

@@ -7,14 +7,11 @@ from mtil import lti_env
 from mtil.data_gen import (
     NoiseRealization,
     SeedTree,
-    batch_to_csv,
     cholesky_factor,
     coupled_rollout,
-    derive_stream,
     rollout_expert,
     sample_noise,
     stack_data,
-    unstack_data,
 )
 from mtil.errors import CholeskyFailure
 
@@ -30,24 +27,24 @@ def scalar_setup(a=0.8, k=-0.3, sigma_w=1.0, sigma_z=0.0):
 class TestSeedTree:
     def test_same_path_identical(self):
         tree = SeedTree(root=123)
-        a = derive_stream(tree, "traj", 0).standard_normal(100)
-        b = derive_stream(tree, "traj", 0).standard_normal(100)
+        a = tree.child("traj", 0).stream().standard_normal(100)
+        b = tree.child("traj", 0).stream().standard_normal(100)
         assert np.array_equal(a, b)
 
     def test_distinct_paths_differ(self):
         tree = SeedTree(root=123)
-        a = derive_stream(tree, "traj", 0).standard_normal(1)
-        b = derive_stream(tree, "traj", 1).standard_normal(1)
+        a = tree.child("traj", 0).stream().standard_normal(1)
+        b = tree.child("traj", 1).stream().standard_normal(1)
         assert a[0] != b[0]
 
     def test_clt_mean(self):
-        draws = derive_stream(SeedTree(root=9), "x").standard_normal(1_000_000)
+        draws = SeedTree(root=9).child("x").stream().standard_normal(1_000_000)
         assert abs(draws.mean()) < 4 / np.sqrt(1_000_000)
 
     def test_cross_correlation_smoke(self):
         tree = SeedTree(root=77)
-        a = derive_stream(tree, "s", 0).standard_normal(100_000)
-        b = derive_stream(tree, "s", 1).standard_normal(100_000)
+        a = tree.child("s", 0).stream().standard_normal(100_000)
+        b = tree.child("s", 1).stream().standard_normal(100_000)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 0.01
 
@@ -188,14 +185,6 @@ class TestStacking:
         np.testing.assert_array_equal(stacked.X[0], batch.states[0, 0])
         np.testing.assert_array_equal(stacked.X[1], batch.states[1, 0])
 
-    def test_round_trip(self):
-        batch = rollout_expert(
-            *scalar_setup(sigma_z=0.5), 3, 4, np.random.default_rng(0)
-        )
-        back = unstack_data(stack_data(batch), 4, 3)
-        assert np.array_equal(back.states, batch.states)
-        assert np.array_equal(back.inputs, batch.inputs)
-
 
 class TestCoupledRollout:
     def test_identical_gains_identical_paths(self):
@@ -235,15 +224,3 @@ class TestCoupledRollout:
         assert nonfinite
         assert xs.shape == xh.shape
         assert np.all(np.isfinite(xh))
-
-
-class TestCsvExport:
-    def test_batch_csv(self, tmp_path):
-        batch = rollout_expert(
-            *scalar_setup(sigma_z=0.5), 2, 2, np.random.default_rng(0)
-        )
-        path = tmp_path / "batch.csv"
-        batch_to_csv(batch, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "task,traj,t,x_0,u_0"
-        assert len(lines) == 1 + 2 * 2

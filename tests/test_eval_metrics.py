@@ -113,7 +113,7 @@ class TestEvaluateController:
         system, task = scalar_setup(sigma_w=1.0, sigma_z=0.2)
         K_hat = task.K + 0.02
         profile = cm.stability_profile(system.A + system.B @ task.K)
-        jb = profile.j_gain * cm.spectral_norm(system.B)
+        jb = profile.j_gain * np.linalg.norm(system.B, 2)
         rng = SeedTree(root=3).child("b").stream()
         from mtil.data_gen import sample_noise
 

@@ -178,6 +178,35 @@ class TestCli:
         rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "text, extra, path",
+        [
+            ("tasks:\n  h: abc\n", [], "tasks.h"),
+            ("sweep:\n  n2: [x]\n", [], "sweep.n2"),
+            ("system:\n  lift_dim: x\n", [], "system.lift_dim"),
+            ("tasks:\n  alphas: 5\n", [], "tasks.alphas"),
+            ("system:\n  a: [[1, 2]]\n  b: [[1]]\n", [], "system.a"),
+            ("run:\n  eval_task: true\n", [], "run.eval_task"),
+            ("run:\n  reuse_source_data: 'no'\n", [], "run.reuse_source_data"),
+            ("run:\n  seed: -1\n", [], "run.seed"),
+            ("", ["--seed", "-1"], "run.seed"),
+            ("", ["--parallelism", "0"], "run.parallelism"),
+        ],
+    )
+    def test_bad_input_exits_2_with_field_path(
+        self, tmp_path, capsys, text, extra, path
+    ):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(text)
+        rc = cli.main(
+            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+            + extra
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_verify_single_probe(self, tmp_path):
         rc = cli.main(["verify", "--probe", "sandwich", "--out", str(tmp_path)])
         assert rc == 0
