@@ -9,7 +9,7 @@ import numpy as np
 
 from . import control_math, exp_harness, lti_env, theory_probe
 from .data_gen import SeedTree
-from .errors import MtilError
+from .errors import MtilError, ValidationError
 from .eval_metrics import task_diversity_constants
 
 EXIT_OK = 0
@@ -32,6 +32,12 @@ def _scalar_task(a_cl: float, sigma_z: float = 0.0):
     return system, lti_env.make_task(
         system, np.array([[-0.3]]), sigma_w=np.eye(1), sigma_z=sigma_z
     )
+
+
+def _require_seed(seed: int) -> None:
+    """`mtil run` checks its seed as run.seed; verify and synth check it here."""
+    if seed < 0:
+        raise ValidationError(f"--seed: must be >= 0, got {seed}")
 
 
 def run_probe_battery(names, seed: int) -> list:
@@ -128,6 +134,7 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
+    _require_seed(args.seed)
     reports = run_probe_battery(names, args.seed)
     import os
 
@@ -147,6 +154,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _require_seed(args.seed)
     try:
         base = lti_env.get_preset(args.preset)
     except KeyError as exc:

@@ -191,15 +191,14 @@ def coupled_rollout(
     xh = np.empty((T + 1, system.n_x))
     xs[0] = noise.x0
     xh[0] = noise.x0
-    steps = T
-    nonfinite = False
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
             drive = system.B @ noise.z[t] + noise.w[t]
             xs[t + 1] = A_star @ xs[t] + drive
             xh[t + 1] = A_hat @ xh[t] + drive
-            if not (np.all(np.isfinite(xs[t + 1])) and np.all(np.isfinite(xh[t + 1]))):
-                steps = t
-                nonfinite = True
-                break
+    # Rows past the first non-finite one are cut, so running on through them
+    # changes nothing. Row 0 is the given x0 and is not checked.
+    bad = ~(np.isfinite(xs[1:]).all(axis=1) & np.isfinite(xh[1:]).all(axis=1))
+    nonfinite = bool(bad.any())
+    steps = int(np.argmax(bad)) if nonfinite else T
     return xs[: steps + 1], xh[: steps + 1], nonfinite

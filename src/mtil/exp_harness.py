@@ -243,21 +243,28 @@ def _base_system(cfg: ExperimentConfig) -> lti_env.LinearSystem:
         raise ValidationError(f"system.preset: {exc}") from exc
 
 
-def _build_ensemble(
-    cfg: ExperimentConfig, system_trial: int, tree: SeedTree
-) -> lti_env.TaskEnsemble:
-    """Deterministic ensemble for one system trial (one lift realization)."""
+def _cells(cfg: ExperimentConfig):
+    """Yield the arguments (cfg, ensemble, system trial, noise trial) of each cell.
+
+    The expert family is the same in every cell, so it is synthesized once;
+    it is lifted once per system trial. A serial sweep holds one lifted
+    ensemble at a time.
+    """
     base = _base_system(cfg)
     alphas = np.logspace(cfg.alphas[0], cfg.alphas[1], cfg.H + 1)
     gains = lti_env.synthesize_expert_family(
         base, alphas, cfg.r_scale * np.eye(base.n_u)
     )
-    ensemble = lti_env.build_ensemble(base, gains, sigma_z=cfg.sigma_z)
-    if cfg.lift_dim is None:
-        return ensemble
-    rng = tree.child("lift", system_trial).stream()
-    G = lti_env.sample_lift_map(base.n_x, cfg.lift_dim, rng)
-    return lti_env.lift_ensemble(ensemble, G)
+    family = lti_env.build_ensemble(base, gains, sigma_z=cfg.sigma_z)
+    tree = SeedTree(root=cfg.seed)
+    for s in range(cfg.trials_system):
+        ensemble = family  # drops the last trial's lift before the next one
+        if cfg.lift_dim is not None:
+            rng = tree.child("lift", s).stream()
+            G = lti_env.sample_lift_map(base.n_x, cfg.lift_dim, rng)
+            ensemble = lti_env.lift_ensemble(family, G)
+        for j in range(cfg.trials_noise):
+            yield cfg, ensemble, s, j
 
 
 def _prefix(data: StackedData, n_traj: int, T: int) -> StackedData:
@@ -266,10 +273,14 @@ def _prefix(data: StackedData, n_traj: int, T: int) -> StackedData:
     return StackedData(X=data.X[:rows], U=data.U[:rows])
 
 
-def _run_cell(cfg: ExperimentConfig, system_trial: int, noise_trial: int) -> list:
-    """All rows for one (system trial, noise trial) cell."""
+def _run_cell(
+    cfg: ExperimentConfig,
+    ensemble: lti_env.TaskEnsemble,
+    system_trial: int,
+    noise_trial: int,
+) -> list:
+    """All rows for one (system trial, noise trial) cell of the given ensemble."""
     tree = SeedTree(root=cfg.seed)
-    ensemble = _build_ensemble(cfg, system_trial, tree)
     system = ensemble.system
     task_index = ensemble.H if cfg.eval_task == "target" else int(cfg.eval_task)
     target_task = ensemble.tasks[task_index]
@@ -350,25 +361,22 @@ def _run_cell(cfg: ExperimentConfig, system_trial: int, noise_trial: int) -> lis
 
 
 def _cell_worker(args) -> list:
-    cfg, s, j = args
-    return _run_cell(cfg, s, j)
+    return _run_cell(*args)
 
 
 def run_sweep(cfg: ExperimentConfig) -> list:
-    """Execute the full sweep; output is deterministic given (config, seed)."""
-    cells = [
-        (cfg, s, j)
-        for s in range(cfg.trials_system)
-        for j in range(cfg.trials_noise)
-    ]
+    """Execute the full sweep; output is deterministic given (config, seed).
+
+    Ensembles are built in this process and sent to the cells that use them.
+    """
     rows = []
-    if cfg.parallelism <= 1 or len(cells) <= 1:
-        outputs = [_cell_worker(c) for c in cells]
+    if cfg.parallelism <= 1 or cfg.trials_system * cfg.trials_noise <= 1:
+        outputs = map(_cell_worker, _cells(cfg))
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=cfg.parallelism
         ) as pool:
-            outputs = list(pool.map(_cell_worker, cells))
+            outputs = list(pool.map(_cell_worker, _cells(cfg)))
     for cell_rows in outputs:
         rows.extend(cell_rows)
     rows.sort(

@@ -176,9 +176,10 @@ def lift_ensemble(
     ground truth records Phi = G+ and F^(h) equal to the original gains.
 
     Raises:
-        RankDeficientLift: if G is not full column rank.
+        RankDeficientLift: if G is wide or not full column rank.
     """
     G = np.asarray(G, dtype=float)
+    _require_tall(*G.shape)
     U, s, Vt = np.linalg.svd(G, full_matrices=False)
     if s[-1] <= 1e-10 * s[0]:
         raise RankDeficientLift("lift map G is not injective")
@@ -202,11 +203,21 @@ def lift_ensemble(
     )
 
 
+def _require_tall(m: int, n_x: int) -> None:
+    """An m x n_x map with m < n_x has a null space: it cannot be injective."""
+    if m < n_x:
+        raise RankDeficientLift(f"lift dimension {m} is below n_x = {n_x}")
+
+
 def sample_lift_map(n_x: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an m x n_x lift map with i.i.d. standard-normal entries.
 
     Injectivity is asserted; one resample is attempted before failing.
+
+    Raises:
+        RankDeficientLift: if m < n_x or both draws are rank deficient.
     """
+    _require_tall(m, n_x)
     for _ in range(2):
         G = rng.standard_normal((m, n_x))
         s = np.linalg.svd(G, compute_uv=False)

@@ -84,6 +84,21 @@ def _objective(grams: list, phi: np.ndarray, f_hats: list) -> float:
     return total
 
 
+def _phi_step_normal(grams: list, f_hats: list) -> np.ndarray:
+    """sum_h kron(Gx^h, F^h' F^h), the Phi-step normal matrix in vec(Phi).
+
+    Summed as outer products and reordered once: the same products added in
+    the same order as with np.kron, so bit-identical. A GEMM or einsum over h
+    would add in another order and change results.csv.
+    """
+    k = f_hats[0].shape[1]
+    n = grams[0][0].shape[0]
+    outer = np.zeros((k, k, n, n))
+    for (Gx, _, _), F in zip(grams, f_hats):
+        outer += np.multiply.outer(F.T @ F, Gx)
+    return outer.transpose(2, 0, 3, 1).reshape(k * n, k * n)
+
+
 def _als_once(
     grams: list,
     k: int,
@@ -107,13 +122,11 @@ def _als_once(
             f_hats.append(_solve_with_ridge_repair(M, C).T)
         # Phi-step: joint least squares in vec(Phi) given all F.
         rhs = np.zeros((k, n))
-        normal = np.zeros((k * n, k * n))
-        for (Gx, Cxu, _), F in zip(grams, f_hats):
-            normal += np.kron(Gx, F.T @ F)
+        for (_, Cxu, _), F in zip(grams, f_hats):
             rhs += F.T @ Cxu.T
         b = rhs.ravel(order="F")
         if np.any(b):
-            sol = _solve_with_ridge_repair(normal, b)
+            sol = _solve_with_ridge_repair(_phi_step_normal(grams, f_hats), b)
             phi = sol.reshape((k, n), order="F")
         obj = _objective(grams, phi, f_hats)
         trace.append(obj)

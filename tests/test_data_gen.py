@@ -224,3 +224,36 @@ class TestCoupledRollout:
         assert nonfinite
         assert xs.shape == xh.shape
         assert np.all(np.isfinite(xh))
+
+    def test_overflow_truncates_before_first_nonfinite_row(self):
+        # Closed loop 1e200: x[1] = 1e200 is finite, x[2] overflows.
+        system, task = scalar_setup()
+        noise = NoiseRealization(
+            x0=np.array([1.0]), w=np.zeros((50, 1)), z=np.zeros((50, 1))
+        )
+        xs, xh, nonfinite = coupled_rollout(
+            system, task.K, np.array([[1e200 - 0.8]]), noise, 50
+        )
+        assert nonfinite
+        assert xs.shape == xh.shape == (2, 1)
+        assert xh[1, 0] == pytest.approx(1e200)
+
+    def test_nonfinite_noise_truncates_at_its_step(self):
+        system, task = scalar_setup()
+        w = np.zeros((20, 1))
+        w[3, 0] = np.nan  # drives x[4]
+        noise = NoiseRealization(x0=np.array([1.0]), w=w, z=np.zeros((20, 1)))
+        xs, xh, nonfinite = coupled_rollout(system, task.K, task.K, noise, 20)
+        assert nonfinite
+        assert xs.shape == xh.shape == (4, 1)
+        assert np.all(np.isfinite(xs)) and np.all(np.isfinite(xh))
+
+    def test_nonfinite_x0_keeps_only_row_0(self):
+        system, task = scalar_setup()
+        noise = NoiseRealization(
+            x0=np.array([np.inf]), w=np.zeros((10, 1)), z=np.zeros((10, 1))
+        )
+        xs, xh, nonfinite = coupled_rollout(system, task.K, task.K, noise, 10)
+        assert nonfinite
+        assert xs.shape == xh.shape == (1, 1)
+        assert xs[0, 0] == xh[0, 0] == np.inf

@@ -1,11 +1,12 @@
 """Tests for config loading, sweep execution, persistence, and the CLI."""
 
 import filecmp
+import hashlib
 
 import numpy as np
 import pytest
 
-from mtil import cli, exp_harness as eh
+from mtil import cli, exp_harness as eh, lti_env
 from mtil.errors import ParseError, ValidationError
 
 
@@ -120,6 +121,54 @@ class TestRunSweep:
         assert fresh[1].tracking_err != reused[1].tracking_err
 
 
+class TestSweepReuse:
+    def test_golden_results_digest(self, tmp_path):
+        # results.csv of this sweep at RESULTS_VERSION "1": a speed-up must
+        # keep these bytes, a change of them needs a RESULTS_VERSION bump.
+        cfg = eh.config_from_dict(
+            {"sweep": {"trials_system": 2, "trials_noise": 1, "n2": [1, 2, 5]}}
+        )
+        paths = eh.write_results(eh.run_sweep(cfg), str(tmp_path), cfg)
+        with open(paths["results"], "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert eh.RESULTS_VERSION == "1"
+        assert digest == (
+            "104bd2ce0ef1cd6c4061220cc6d98d0ef24ee1be5ed3686e8828337b3902281d"
+        )
+
+    @pytest.mark.parametrize(
+        "parallelism, lift_dim, lifts", [(1, 50, 3), (2, 50, 3), (1, None, 0)]
+    )
+    def test_family_once_and_lift_once_per_system_trial(
+        self, tmp_path, monkeypatch, parallelism, lift_dim, lifts
+    ):
+        log = tmp_path / "calls.log"
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                # Appended to a file so calls in forked workers count too.
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(name + "\n")
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("synthesize_expert_family", "lift_ensemble"):
+            monkeypatch.setattr(lti_env, name, counted(name, getattr(lti_env, name)))
+        cfg = eh.config_from_dict(
+            {
+                "system": {"lift_dim": lift_dim},
+                "sweep": {"trials_system": 3, "trials_noise": 2, "n2": [1],
+                          "methods": ["direct"]},
+                "run": {"parallelism": parallelism},
+            }
+        )
+        assert len(eh.run_sweep(cfg)) == 3 * 2
+        calls = log.read_text(encoding="utf-8").split()
+        assert calls.count("synthesize_expert_family") == 1
+        assert calls.count("lift_ensemble") == lifts
+
+
 class TestWriteResults:
     def test_empty_rows_header_only(self, tmp_path):
         paths = eh.write_results([], str(tmp_path), None)
@@ -206,6 +255,34 @@ class TestCli:
         assert rc == 2
         assert err.startswith(f"error: {path}: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--probe", "sandwich", "--seed", "-1"],
+            ["verify", "--seed", "-1"],
+            ["synth", "--seed", "-1"],
+            ["synth", "--lift-dim", "50", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        if argv[0] == "verify":
+            argv = argv + ["--out", str(out)]
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: --seed: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lift_dim", ["3", "2", "0"])
+    def test_synth_wide_lift_exits_2(self, capsys, lift_dim):
+        rc = cli.main(["synth", "--lift-dim", lift_dim])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: lift dimension {lift_dim} ")
+        assert captured.out == ""
 
     def test_verify_single_probe(self, tmp_path):
         rc = cli.main(["verify", "--probe", "sandwich", "--out", str(tmp_path)])

@@ -121,6 +121,20 @@ class TestLiftEnsemble:
         with pytest.raises(RankDeficientLift):
             lti_env.lift_ensemble(ens, G)
 
+    @pytest.mark.parametrize("m", [3, 1, 0])
+    def test_rejects_wide_map(self, m):
+        # A wide map has a null space even when its m singular values are
+        # well separated from zero.
+        ens = small_ensemble()
+        G = np.eye(4)[:m]
+        with pytest.raises(RankDeficientLift, match=f"lift dimension {m}"):
+            lti_env.lift_ensemble(ens, G)
+
+    @pytest.mark.parametrize("m", [2, 0, -1])
+    def test_sample_rejects_wide_map(self, m):
+        with pytest.raises(RankDeficientLift, match=f"lift dimension {m}"):
+            lti_env.sample_lift_map(4, m, np.random.default_rng(0))
+
 
 class TestGroundTruth:
     def test_lifted_factors(self):

@@ -6,7 +6,7 @@ import pytest
 from mtil import mtil_learn
 from mtil.data_gen import StackedData
 from mtil.errors import DegenerateRank, RankDeficient
-from mtil.mtil_learn import _orthonormalize
+from mtil.mtil_learn import _orthonormalize, _phi_step_normal
 
 
 def synthetic_tasks(rng, H=3, n=10, k=2, n_u=2, rows=100, noise=0.0):
@@ -102,6 +102,21 @@ class TestPretrainAlternating:
             tasks, k=2, rng=np.random.default_rng(11), restarts=4
         )
         assert multi.objective_trace[-1] <= single.objective_trace[-1] + 1e-12
+
+
+class TestPhiStepNormal:
+    @pytest.mark.parametrize("n, k, H", [(1, 1, 1), (5, 2, 3), (50, 4, 9), (7, 7, 2)])
+    def test_bit_identical_to_kron_sum(self, n, k, H):
+        rng = np.random.default_rng(n * 100 + k * 10 + H)
+        grams, f_hats = [], []
+        for _ in range(H):
+            X = rng.standard_normal((3 * n, n))
+            grams.append((X.T @ X, None, None))
+            f_hats.append(rng.standard_normal((2, k)))
+        expected = np.zeros((k * n, k * n))
+        for (Gx, _, _), F in zip(grams, f_hats):
+            expected += np.kron(Gx, F.T @ F)
+        assert np.array_equal(_phi_step_normal(grams, f_hats), expected)
 
 
 class TestFinetuneTarget:
