@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -136,8 +137,6 @@ def _cmd_verify(args) -> int:
         return EXIT_VALIDATION
     _require_seed(args.seed)
     reports = run_probe_battery(names, args.seed)
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "verify.csv")
     theory_probe.write_probe_csv(reports, path)
@@ -220,10 +219,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except MtilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. `| head`). Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1  # the status Python itself exits with on EPIPE
 
 
 if __name__ == "__main__":

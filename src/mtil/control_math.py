@@ -115,7 +115,8 @@ def solve_discrete_lyapunov(
 
     Raises:
         UnstableMatrix: if rho(A) >= 1.
-        NotConverged: if the residual tolerance is not met within the cap.
+        NotConverged: if the residual exceeds 1e-10 (||A||^2 ||S|| + ||Q||)
+            (Frobenius norms, spectral for A) within the cap.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -134,8 +135,13 @@ def solve_discrete_lyapunov(
             break
         S = S_new
         M = M @ M
+    # Rounding in A S A' scales with ||A||^2 ||S||, so the residual is judged
+    # against that backward-error scale rather than ||S|| alone.
     residual = np.linalg.norm(S - (A @ S @ A.T + Q), "fro")
-    if residual > 1e-10 * max(1.0, np.linalg.norm(S, "fro")):
+    scale = np.linalg.norm(A, 2) ** 2 * np.linalg.norm(S, "fro") + np.linalg.norm(
+        Q, "fro"
+    )
+    if residual > 1e-10 * scale:
         raise NotConverged(f"Lyapunov residual {residual} above tolerance")
     return S
 

@@ -56,14 +56,6 @@ def excess_risk(K_hat: np.ndarray, K_star: np.ndarray, sigma_x: np.ndarray) -> f
     return 0.5 * float(np.sum((delta @ sigma_x) * delta))
 
 
-def _tracking_error(xs: np.ndarray, xh: np.ndarray) -> float:
-    """max_{1 <= t} ||x_hat[t] - x_star[t]||^2 over the recorded steps."""
-    if xs.shape[0] < 2:
-        return float("inf")
-    diff = xh[1:] - xs[1:]
-    return float(np.max(np.sum(diff * diff, axis=1)))
-
-
 def evaluate_controller(
     system: LinearSystem,
     target_task: ExpertTask,
@@ -86,13 +78,16 @@ def evaluate_controller(
         control_math.spectral_radius(system.A + system.B @ K_hat) < 1.0
     )
     er = excess_risk(K_hat, target_task.K, target_task.sigma_x)
+    noise = sample_noise(system, target_task, T_test, rng, trials=trials)
+    xs, xh, steps = coupled_rollout(system, target_task.K, K_hat, noise, T_test)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = xh[:, 1:] - xs[:, 1:]
+        sq = np.sum(diff * diff, axis=2)
     records = []
-    for _ in range(trials):
-        noise = sample_noise(system, target_task, T_test, rng)
-        xs, xh, nonfinite = coupled_rollout(
-            system, target_task.K, K_hat, noise, T_test
-        )
-        tracking = float("inf") if nonfinite else _tracking_error(xs, xh)
+    for i in range(trials):
+        nonfinite = bool(steps[i] < T_test)
+        # max_{1 <= t} ||x_hat[t] - x_star[t]||^2; inf with no finite step 1.
+        tracking = float("inf") if nonfinite or T_test < 1 else float(np.max(sq[i]))
         records.append(
             MetricsRecord(
                 tracking_err=tracking,
@@ -126,13 +121,18 @@ def lqr_cost_gap(
     K_star = target_task.K
     W_hat = Q + K_hat.T @ R @ K_hat
     W_star = Q + K_star.T @ R @ K_star
-    h_hat = np.empty(trials)
-    h_star = np.empty(trials)
-    for i in range(trials):
-        noise = sample_noise(system, target_task, T, rng)
-        xs, xh, _ = coupled_rollout(system, K_star, K_hat, noise, T)
-        h_star[i] = np.sqrt(np.maximum(np.sum((xs @ W_star) * xs, axis=1), 0.0)).max()
-        h_hat[i] = np.sqrt(np.maximum(np.sum((xh @ W_hat) * xh, axis=1), 0.0)).max()
+    noise = sample_noise(system, target_task, T, rng, trials=trials)
+    xs, xh, steps = coupled_rollout(system, K_star, K_hat, noise, T)
+    # Rows past a trial's last finite step are left out of its maximum.
+    kept = np.arange(T + 1) <= steps[:, None]
+
+    def peak_cost(x, W):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cost = np.sqrt(np.maximum(np.sum((x @ W) * x, axis=2), 0.0))
+        return np.where(kept, cost, 0.0).max(axis=1)
+
+    h_star = peak_cost(xs, W_star)
+    h_hat = peak_cost(xh, W_hat)
     gap_estimate = float(abs(h_hat.mean() - h_star.mean()))
 
     profile = control_math.stability_profile(system.A + system.B @ K_star)

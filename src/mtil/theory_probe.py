@@ -233,10 +233,11 @@ def verify_self_normalized(
         x = _simulate_regressors(regressor_kind, trials, H, T, d, eta, rng)
 
     V = np.stack(regs)  # (H, d, d)
-    Vbar = V[None, :, :, :] + np.einsum("bhti,bhtj->bhij", x, x)
-    S = np.einsum("bhti,bhtj->bhij", x, eta)  # (trials, H, d, m)
+    x_t = np.swapaxes(x, -1, -2)  # (trials, H, d, T)
+    Vbar = V[None, :, :, :] + x_t @ x
+    S = x_t @ eta  # (trials, H, d, m)
     solved = np.linalg.solve(Vbar, S)
-    stat = np.einsum("bhim,bhim->b", S, solved)
+    stat = np.sum(S * solved, axis=(1, 2, 3))
     _, logdet_vbar = np.linalg.slogdet(Vbar)
     _, logdet_v = np.linalg.slogdet(V)
     logdet_term = 0.5 * m * (logdet_vbar - logdet_v[None, :])  # (trials, H)
@@ -275,18 +276,26 @@ def verify_maximal_inequality(
 
     x_t are i.i.d. N(0, sigma_x). Fails when the Monte-Carlo estimate
     exceeds the bound by more than 3 standard errors of the estimate.
+
+    Only D x_t enters the statistic, and D x_t ~ N(0, D sigma_x D'), so the
+    probe draws y_t = F' h_t with h_t ~ N(0, I_r) and F'F = D sigma_x D':
+    F is the triangular factor of a thin QR of (D L)' (L the Cholesky factor
+    of sigma_x), so r = min(rows of D, dim x). QR, unlike a Cholesky factor
+    of D sigma_x D', also serves a rank-deficient D.
     """
     D = np.asarray(delta_gain, dtype=float)
     L = cholesky_factor(np.asarray(sigma_x, dtype=float))
     DL = D @ L
     bound = 3.0 * (1.0 + np.log(T)) * float(np.sum(DL * DL))
+    F = np.linalg.qr(DL.T, mode="r")
     stats = np.empty(trials)
-    chunk = max(1, 10_000_000 // max(T * D.shape[1], 1))
+    # About a million normals per block keeps the peak memory small.
+    chunk = max(1, 1_000_000 // max(T * F.shape[0], 1))
     done = 0
     while done < trials:
         mtr = min(chunk, trials - done)
-        g = rng.standard_normal((mtr, T, D.shape[1]))
-        vals = np.sum((g @ DL.T) ** 2, axis=2)
+        h = rng.standard_normal((mtr, T, F.shape[0]))
+        vals = np.sum((h @ F) ** 2, axis=2)
         stats[done : done + mtr] = vals.max(axis=1)
         done += mtr
     estimate = float(stats.mean())
@@ -347,25 +356,21 @@ def verify_tracking_and_siss(
     er = excess_risk(K_hat, K_star, target_task.sigma_x)
     jb = profile.j_gain * b_norm
     bound_hp = 4.0 * jb * jb * (1.0 + 4.0 * np.log(T / delta_prime)) * er
-    delta_k = K_hat - K_star
-    det_violations = 0
-    hp_failures = 0
-    margin = 0.0
-    for _ in range(trials):
-        noise = sample_noise(system, target_task, T, rng)
-        xs, xh, _ = coupled_rollout(system, K_star, K_hat, noise, T)
-        diffs = np.linalg.norm(xh[1:] - xs[1:], axis=1)
-        deltas = np.linalg.norm(xs[:-1] @ delta_k.T, axis=1)
-        running = np.maximum.accumulate(deltas)
-        det_rhs = 2.0 * jb * running
-        slack = 1e-9 * max(1.0, float(det_rhs.max()))
-        if np.any(diffs > det_rhs + slack):
-            det_violations += 1
-        max_sq = float(np.max(diffs) ** 2)
-        if bound_hp > 0:
-            margin = max(margin, max_sq / bound_hp)
-        if max_sq > bound_hp:
-            hp_failures += 1
+    noise = sample_noise(system, target_task, T, rng, trials=trials)
+    xs, xh, steps = coupled_rollout(system, K_star, K_hat, noise, T)
+    # Per trial, only the steps a one-trial rollout keeps are checked.
+    kept = np.arange(T) < steps[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = np.linalg.norm(xh[:, 1:] - xs[:, 1:], axis=2)
+        deltas = np.linalg.norm(xs[:, :-1] @ (K_hat - K_star).T, axis=2)
+    det_rhs = 2.0 * jb * np.maximum.accumulate(deltas, axis=1)
+    slack = 1e-9 * np.maximum(1.0, np.where(kept, det_rhs, 0.0).max(axis=1))
+    violated = kept & (diffs > det_rhs + slack[:, None])
+    det_violations = int(np.count_nonzero(violated.any(axis=1)))
+    # A trial with no finite step has max_sq = inf and counts as a failure.
+    max_sq = np.where(kept, diffs, -np.inf).max(axis=1) ** 2
+    margin = float(np.max(max_sq / bound_hp)) if bound_hp > 0 else 0.0
+    hp_failures = int(np.count_nonzero(max_sq > bound_hp))
     rate = hp_failures / trials
     passed = det_violations == 0 and rate <= delta_prime + 3.0 * _binomial_se(
         delta_prime, trials

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mtil import control_math as cm
-from mtil.errors import UnstableMatrix
+from mtil.errors import NotConverged, UnstableMatrix
 
 
 def scalar_dare_oracle(a, b, q, r, tol=1e-14):
@@ -124,6 +124,26 @@ class TestLyapunov:
             assert resid <= 1e-10 * max(1.0, np.linalg.norm(S, "fro"))
             assert np.abs(S - S.T).max() <= 1e-12 * max(1.0, np.abs(S).max())
 
+    def test_truncated_solve_raises(self):
+        # One doubling step from a slowly decaying A is far from the fixed
+        # point; the backward-error check must still catch it.
+        with pytest.raises(NotConverged):
+            cm.solve_discrete_lyapunov(np.array([[0.999]]), np.eye(1), max_iter=1)
+
+    def test_ill_conditioned_similarity_accepted(self):
+        # A = G diag(lam) G^-1 with cond(G) = 1e3 has ||A|| ~ 670. Rounding in
+        # A S A' scales with ||A||^2 ||S||, so the residual is far above
+        # 1e-10 ||S|| yet tiny on the backward-error scale.
+        rng = np.random.default_rng(0)
+        U = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        V = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        G = U @ np.diag([1.0, 1e-1, 1e-2, 1e-3]) @ V.T
+        A = G @ np.diag([0.95, 0.9, -0.8, 0.5]) @ np.linalg.inv(G)
+        S = cm.solve_discrete_lyapunov(A, np.eye(4))
+        resid = np.linalg.norm(S - (A @ S @ A.T + np.eye(4)), "fro")
+        scale = np.linalg.norm(A, 2) ** 2 * np.linalg.norm(S, "fro") + 2.0
+        assert resid > 1e-10 * np.linalg.norm(S, "fro")
+        assert resid <= 1e-12 * scale
 
 class TestDare:
     def test_scalar_oracle(self):

@@ -101,6 +101,21 @@ class TestSampleNoise:
             target, "fro"
         )
 
+    @pytest.mark.parametrize("n_x", [1, 4])
+    def test_batched_draws_match_successive_calls(self, n_x):
+        system = lti_env.LinearSystem(A=0.5 * np.eye(n_x), B=np.ones((n_x, 2)))
+        task = lti_env.make_task(system, np.zeros((2, n_x)), sigma_z=0.7)
+        batch = sample_noise(system, task, 12, np.random.default_rng(7), trials=3)
+        rng = np.random.default_rng(7)
+        singles = [sample_noise(system, task, 12, rng) for _ in range(3)]
+        assert batch.x0.shape == (3, n_x)
+        assert batch.w.shape == (3, 12, n_x)
+        assert batch.z.shape == (3, 12, 2)
+        for i, one in enumerate(singles):
+            assert np.array_equal(batch.x0[i], one.x0)
+            assert np.array_equal(batch.w[i], one.w)
+            assert np.array_equal(batch.z[i], one.z)
+
 
 class TestRolloutExpert:
     def test_zero_noise_zero_state(self):
@@ -257,3 +272,48 @@ class TestCoupledRollout:
         assert nonfinite
         assert xs.shape == xh.shape == (1, 1)
         assert xs[0, 0] == xh[0, 0] == np.inf
+
+    @staticmethod
+    def trial(noise, i):
+        return NoiseRealization(
+            x0=noise.x0[i : i + 1], w=noise.w[i : i + 1], z=noise.z[i : i + 1]
+        )
+
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_batch_rows_match_batch_of_one(self, lifted):
+        if lifted:
+            base = lti_env.get_preset("hong2021")
+            gains = lti_env.synthesize_expert_family(base, [1.0, 2.0], np.eye(2))
+            system = base
+            task = lti_env.make_task(base, gains[0], sigma_z=1.0)
+            K_hat = gains[1]
+        else:
+            system, task = scalar_setup(sigma_z=0.5)
+            K_hat = task.K + 0.1
+        noise = sample_noise(system, task, 40, np.random.default_rng(8), trials=6)
+        xs, xh, steps = coupled_rollout(system, task.K, K_hat, noise, 40)
+        assert xs.shape == xh.shape == (6, 41, system.n_x)
+        assert np.array_equal(steps, np.full(6, 40))
+        for i in range(6):
+            xs1, xh1, steps1 = coupled_rollout(
+                system, task.K, K_hat, self.trial(noise, i), 40
+            )
+            assert steps1.tolist() == [40]
+            assert np.array_equal(xs[i], xs1[0])
+            assert np.array_equal(xh[i], xh1[0])
+
+    def test_one_diverging_trial_flagged_alone(self):
+        system, task = scalar_setup()
+        noise = sample_noise(system, task, 20, np.random.default_rng(9), trials=3)
+        noise.w[1, 3, 0] = np.nan  # drives x[4] of trial 1 only
+        xs, xh, steps = coupled_rollout(system, task.K, task.K + 0.1, noise, 20)
+        assert steps.tolist() == [20, 3, 20]
+        for i in range(3):
+            one = NoiseRealization(x0=noise.x0[i], w=noise.w[i], z=noise.z[i])
+            xs1, xh1, nonfinite = coupled_rollout(
+                system, task.K, task.K + 0.1, one, 20
+            )
+            assert nonfinite == (i == 1)
+            assert xs1.shape[0] == steps[i] + 1
+            assert np.array_equal(xs[i, : steps[i] + 1], xs1)
+            assert np.array_equal(xh[i, : steps[i] + 1], xh1)

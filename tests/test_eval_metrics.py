@@ -108,6 +108,22 @@ class TestEvaluateController:
         )
         assert [r.tracking_err for r in r1] == [r.tracking_err for r in r2]
 
+    def test_batch_equals_successive_single_trials(self):
+        # One batched call draws and rolls out exactly what successive
+        # one-trial calls on the same stream do, bit for bit.
+        base = lti_env.get_preset("hong2021")
+        gains = lti_env.synthesize_expert_family(base, [1.0, 2.0], np.eye(2))
+        task = lti_env.make_task(base, gains[0], sigma_z=1.0)
+        batch = eval_metrics.evaluate_controller(
+            base, task, gains[1], 30, 5, SeedTree(root=4).child("e").stream()
+        )
+        rng = SeedTree(root=4).child("e").stream()
+        singles = [
+            eval_metrics.evaluate_controller(base, task, gains[1], 30, 1, rng)[0]
+            for _ in range(5)
+        ]
+        assert batch == singles
+
     def test_per_trial_tracking_bound(self):
         # Deterministic consequence of the incremental-stability display.
         system, task = scalar_setup(sigma_w=1.0, sigma_z=0.2)

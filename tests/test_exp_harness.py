@@ -2,6 +2,10 @@
 
 import filecmp
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,6 +287,35 @@ class TestCli:
         assert rc == 2
         assert captured.err.startswith(f"error: lift dimension {lift_dim} ")
         assert captured.out == ""
+
+    def test_poorly_conditioned_lift_runs(self, tmp_path):
+        # Lift to 4 dimensions at seed 0 has cond(G) ~ 200; its Lyapunov
+        # solves used to fail a residual test blind to the ||A||^2 scale.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "system:\n  lift_dim: 4\ntasks:\n  k: 2\n"
+            "sweep:\n  trials_system: 1\n  trials_noise: 1\n  n2: [1]\n"
+        )
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == 0
+        assert cli.main(["synth", "--lift-dim", "4"]) == 0
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mtil.cli", "verify", "--probe", "covariance",
+             "--out", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # the reader goes away before any output
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""
+        assert (tmp_path / "verify.csv").exists()
 
     def test_verify_single_probe(self, tmp_path):
         rc = cli.main(["verify", "--probe", "sandwich", "--out", str(tmp_path)])

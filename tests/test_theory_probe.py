@@ -1,9 +1,11 @@
 """Tests for the Monte-Carlo bound probes at reduced desk scale."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from mtil import lti_env, theory_probe
+from mtil import cli, lti_env, theory_probe
 from mtil.data_gen import SeedTree
 from mtil.errors import UnstablePair
 from mtil.lti_env import ExpertTask, LinearSystem
@@ -147,6 +149,39 @@ class TestSelfNormalized:
             )
 
 
+    @pytest.mark.parametrize("kind", ["gaussian-iid", "state-feedback"])
+    def test_matches_einsum_reference(self, kind):
+        setup = MartingaleSetup(H=3, T=40, dim_x=2, dim_eta=2, sigma=1.0)
+        report = theory_probe.verify_self_normalized(
+            setup, delta=0.05, trials=2_000,
+            rng=SeedTree(root=21).child("m").stream(), regressor_kind=kind,
+        )
+        # Same draws, statistic and bounds summed with einsum.
+        rng = SeedTree(root=21).child("m").stream()
+        shape = (2_000, 3, 40, 2)
+        if kind == "gaussian-iid":
+            x = rng.standard_normal(shape)
+            eta = rng.standard_normal(shape)
+        else:
+            eta = rng.standard_normal(shape)
+            x = np.empty(shape)
+            x[:, :, 0, :] = 1.0
+            for t in range(39):
+                x[:, :, t + 1, :] = 0.5 * x[:, :, t, :] + eta[:, :, t, :]
+        Vbar = np.eye(2) + np.einsum("bhti,bhtj->bhij", x, x)
+        S = np.einsum("bhti,bhtj->bhij", x, eta)
+        stat = np.einsum("bhim,bhim->b", S, np.linalg.solve(Vbar, S))
+        logdet = np.linalg.slogdet(Vbar)[1].sum(axis=1)
+        bound = 2.0 * (logdet + np.log(1.0 / 0.05))
+        union = 2.0 * (logdet + 3 * np.log(3 / 0.05))
+        details = report.details
+        assert details["mean_statistic"] == pytest.approx(np.mean(stat), rel=1e-9)
+        assert details["mean_bound_joint"] == pytest.approx(np.mean(bound), rel=1e-9)
+        assert details["mean_bound_union"] == pytest.approx(np.mean(union), rel=1e-9)
+        assert report.margin == pytest.approx(np.max(stat / bound), rel=1e-9)
+        assert report.failures == np.count_nonzero(stat > bound)
+
+
 class TestMaximalInequality:
     def test_single_step(self):
         D = np.zeros((1, 4))
@@ -176,6 +211,53 @@ class TestMaximalInequality:
         )
         assert report.details["estimate"] == 0.0
         assert report.margin == 0.0
+        assert report.passed
+
+
+    @staticmethod
+    def x_space_reference(D, sigma, T, trials, rng):
+        """max_t ||D x_t||^2 with every x_t ~ N(0, sigma) drawn in full."""
+        L = np.linalg.cholesky(sigma)
+        x = rng.standard_normal((trials, T, sigma.shape[0])) @ L.T
+        stats = np.sum((x @ D.T) ** 2, axis=2).max(axis=1)
+        return stats.mean(), stats.std(ddof=1) / np.sqrt(trials)
+
+    @staticmethod
+    def gains(name):
+        rng = np.random.default_rng(22)
+        if name == "random":
+            return rng.standard_normal((2, 6))
+        if name == "repeated-row":
+            row = rng.standard_normal(6)
+            return np.vstack([row, row])
+        if name == "tall":
+            return rng.standard_normal((8, 6))
+        return np.zeros((2, 6))
+
+    @pytest.mark.parametrize("name", ["random", "repeated-row", "tall", "zero"])
+    @pytest.mark.parametrize("T", [1, 10])
+    def test_matches_x_space_sampler(self, name, T):
+        M = np.random.default_rng(23).standard_normal((6, 6))
+        sigma = M @ M.T + 0.5 * np.eye(6)
+        D = self.gains(name)
+        report = theory_probe.verify_maximal_inequality(
+            D, sigma, T=T, trials=20_000,
+            rng=SeedTree(root=24).child("x", T).stream(),
+        )
+        ref, ref_se = self.x_space_reference(
+            D, sigma, T, 20_000, np.random.default_rng(25)
+        )
+        gap = abs(report.details["estimate"] - ref)
+        assert gap <= 4.0 * np.hypot(report.details["se"], ref_se)
+        trace = float(np.trace(D @ sigma @ D.T))
+        assert report.details["bound"] == pytest.approx(
+            3.0 * (1.0 + np.log(T)) * trace, rel=1e-12
+        )
+        if T == 1:
+            # With one step the estimate is E||Dx||^2 = tr(D sigma D').
+            assert report.details["estimate"] == pytest.approx(
+                trace, rel=4.0 * report.details["se"] / max(trace, 1e-300)
+            )
         assert report.passed
 
 
@@ -248,3 +330,25 @@ class TestProbeCsv:
         assert lines[0] == "name,trials,failures,delta_target,margin,pass"
         assert lines[1].startswith("scalar_sandwich,100,0,")
         assert lines[1].endswith("true")
+
+
+class TestVerifyGolden:
+    # verify.csv at seed 0 for the probes whose draws and arithmetic are
+    # pinned; the tracking row also pins the batched coupled rollout.
+    @pytest.mark.parametrize(
+        "probe, digest",
+        [
+            ("tracking",
+             "229a30925bf50a18d5bffd8d7d23264aaf946c9d99daf5d9b9a0fb92e901f0dc"),
+            ("sandwich",
+             "ce7f0a8cfb044972a87d05410c99121ba1eb7dd9ff4b5ccd68e1ac1c7ce2b424"),
+            ("covariance",
+             "c9a977a21c98d0675e7915cb9c9a5baac4c47cb7b72ca709741919c6bdca79a6"),
+            ("hanson_wright",
+             "7d8491d43650ebb36741b954ca1b786cf00075ad2837d4b9884dc6cc7acd8de1"),
+        ],
+    )
+    def test_verify_csv_digest(self, tmp_path, probe, digest):
+        path = tmp_path / "verify.csv"
+        theory_probe.write_probe_csv(cli.run_probe_battery((probe,), 0), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
