@@ -154,19 +154,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_synth(args) -> int:
     _require_seed(args.seed)
-    try:
-        base = lti_env.get_preset(args.preset)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    H = 9
-    alphas = np.logspace(-2.0, 2.0, H + 1)
-    gains = lti_env.synthesize_expert_family(base, alphas, np.eye(base.n_u))
-    ensemble = lti_env.build_ensemble(base, gains)
-    if args.lift_dim is not None:
-        rng = SeedTree(root=args.seed).child("lift").stream()
-        G = lti_env.sample_lift_map(base.n_x, args.lift_dim, rng)
-        ensemble = lti_env.lift_ensemble(ensemble, G)
+    # The family and lift of system trial 0 of `mtil run --seed S`.
+    cfg = exp_harness.ExperimentConfig(
+        preset=args.preset, lift_dim=args.lift_dim, seed=args.seed
+    )
+    family, alphas = exp_harness.expert_family(cfg)
+    ensemble = exp_harness.lift_trial(cfg, family, 0)
     print(f"{'task':>6} {'alpha':>12} {'|K|_F':>12} {'rho_cl':>10} {'tr(Sx)':>12}")
     for h, (task, alpha) in enumerate(zip(ensemble.tasks, alphas)):
         rho = control_math.spectral_radius(

@@ -62,7 +62,6 @@ class TrajectoryBatch:
     controller recurrences exactly for the generating task.
     """
 
-    task_id: int
     states: np.ndarray
     inputs: np.ndarray
 
@@ -101,27 +100,24 @@ def sample_noise(
     task: ExpertTask,
     T: int,
     rng: np.random.Generator,
-    trials: int | None = None,
+    trials: int = 1,
 ) -> NoiseRealization:
-    """Draw (x0, w, z) for one trajectory, or for `trials` of them.
+    """Draw (x0, w, z) for `trials` trajectories, with a leading trial axis.
 
     Draw order per trajectory is fixed: x0 ~ N(0, sigma_x), then w row-major
     (T x n_x) with w[t] ~ N(0, sigma_w), then z row-major (T x n_u) with
-    z[t] ~ N(0, sigma_z^2 I). With `trials` the arrays gain a leading trial
-    axis and trajectory i takes the i-th block of draws: the same numbers,
-    bit for bit, as `trials` successive one-trajectory calls.
+    z[t] ~ N(0, sigma_z^2 I). Trajectory i takes the i-th block of draws: the
+    same numbers, bit for bit, as `trials` successive one-trial calls.
     """
     n_x, n_u = system.n_x, system.n_u
     Lx = cholesky_factor(task.sigma_x)
     Lw = cholesky_factor(task.sigma_w)
-    g = rng.standard_normal((1 if trials is None else trials, n_x + T * (n_x + n_u)))
+    g = rng.standard_normal((trials, n_x + T * (n_x + n_u)))
     # Stacked matrix-vector and per-trial matrix products: each trajectory
     # gets the bits of a one-trajectory call.
     x0 = (Lx @ g[:, :n_x, None])[..., 0]
     w = g[:, n_x : n_x + T * n_x].reshape(-1, T, n_x) @ Lw.T
     z = task.sigma_z * g[:, n_x + T * n_x :].reshape(-1, T, n_u)
-    if trials is None:
-        return NoiseRealization(x0=x0[0], w=w[0], z=z[0])
     return NoiseRealization(x0=x0, w=w, z=z)
 
 
@@ -167,7 +163,7 @@ def rollout_expert(
         states[:, t, :] = x
         inputs[:, t, :] = u
         x = x @ system.A.T + u @ system.B.T + W[:, t, :]
-    return TrajectoryBatch(task_id=-1, states=states, inputs=inputs)
+    return TrajectoryBatch(states=states, inputs=inputs)
 
 
 def stack_data(batch: TrajectoryBatch) -> StackedData:
@@ -186,25 +182,18 @@ def coupled_rollout(
     noise: NoiseRealization,
     T: int,
 ) -> tuple:
-    """Roll out both controllers on the same noise realization.
+    """Roll out both controllers on the same noise, all trials as one recurrence.
 
-    Both trajectories start at noise.x0 and follow
+    Both trajectories of trial i start at noise.x0[i] and follow
     x[t+1] = (A + BK) x[t] + B z[t] + w[t]. Returns (expert_states,
-    learned_states, nonfinite): arrays of shape (steps + 1, n_x) whose row t
-    is x[t]. If either rollout overflows to non-finite values, both records
-    are truncated at the last finite step and nonfinite is True.
-
-    Noise with a leading trial axis (from `sample_noise(..., trials=n)`) runs
-    all trials as one recurrence and returns (expert_states, learned_states,
-    steps): arrays of shape (n, T + 1, n_x) and, per trial, the step count
-    the one-trial call would keep. Rows past steps[i] are not meaningful;
+    learned_states, steps): arrays of shape (trials, T + 1, n_x) whose row t
+    is x[t], and per trial the number of steps before either rollout first
+    overflows to non-finite values. Rows past steps[i] are not meaningful;
     trial i is non-finite exactly when steps[i] < T.
     """
-    batched = np.ndim(noise.x0) == 2
-    x0 = np.atleast_2d(noise.x0)
-    trials = x0.shape[0]
-    z = noise.z.reshape(trials, -1, system.n_u)[:, :T, :, None]
-    w = noise.w.reshape(trials, -1, system.n_x)[:, :T, :, None]
+    trials = noise.x0.shape[0]
+    z = noise.z[:, :T, :, None]
+    w = noise.w[:, :T, :, None]
     # Every product is a stack of matrix-vector products, one per trial (and
     # per step for the drive), so each trial gets the bits of its one-trial
     # rollout whatever the batch size.
@@ -212,8 +201,8 @@ def coupled_rollout(
     A_hat = system.A + system.B @ K_learned
     xs = np.empty((trials, T + 1, system.n_x, 1))
     xh = np.empty_like(xs)
-    xs[:, 0, :, 0] = x0
-    xh[:, 0, :, 0] = x0
+    xs[:, 0, :, 0] = noise.x0
+    xh[:, 0, :, 0] = noise.x0
     with np.errstate(over="ignore", invalid="ignore"):
         drive = system.B @ z + w
         for t in range(T):
@@ -221,11 +210,8 @@ def coupled_rollout(
             xh[:, t + 1] = A_hat @ xh[:, t] + drive[:, t]
     xs = xs[..., 0]
     xh = xh[..., 0]
-    # Rows past the first non-finite one are cut, so running on through them
-    # changes nothing. Row 0 is the given x0 and is not checked.
+    # Rows past the first non-finite one are not counted, so running on
+    # through them changes nothing. Row 0 is the given x0 and is not checked.
     finite = np.isfinite(xs[:, 1:]).all(axis=2) & np.isfinite(xh[:, 1:]).all(axis=2)
     steps = np.logical_and.accumulate(finite, axis=1).sum(axis=1)
-    if batched:
-        return xs, xh, steps
-    keep = int(steps[0]) + 1
-    return xs[0, :keep], xh[0, :keep], bool(steps[0] < T)
+    return xs, xh, steps

@@ -19,14 +19,13 @@ from .lti_env import ExpertTask, GroundTruthFactors, LinearSystem, TaskEnsemble
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """Per-trial evaluation of one learned controller."""
+    """Evaluation of one learned controller on one noise realization."""
 
     tracking_err: float
     param_err: float
     stable: bool
     excess_risk: float
-    underdetermined: bool = False
-    nonfinite: bool = False
+    nonfinite: bool
 
 
 @dataclass(frozen=True)
@@ -61,44 +60,32 @@ def evaluate_controller(
     target_task: ExpertTask,
     K_hat: np.ndarray,
     T_test: int,
-    trials: int,
     rng: np.random.Generator,
-    underdetermined: bool = False,
-) -> list:
+) -> MetricsRecord:
     """Coupled closed-loop evaluation of K_hat against the target expert.
 
-    Each trial samples one noise realization, rolls out expert and learned
-    controllers on it, and records the max squared state deviation over
-    t = 1..T_test along with parameter error, stability of A + B K_hat, and
-    the closed-form excess risk. Truncated (overflowing) rollouts carry
-    tracking_err = inf and the nonfinite flag.
+    Samples one noise realization, rolls out expert and learned controllers
+    on it, and records the max squared state deviation over t = 1..T_test
+    along with parameter error, stability of A + B K_hat, and the closed-form
+    excess risk. An overflowing rollout carries tracking_err = inf and the
+    nonfinite flag.
     """
-    param_err = float(np.linalg.norm(K_hat - target_task.K))
-    stable = (
-        control_math.spectral_radius(system.A + system.B @ K_hat) < 1.0
-    )
-    er = excess_risk(K_hat, target_task.K, target_task.sigma_x)
-    noise = sample_noise(system, target_task, T_test, rng, trials=trials)
+    noise = sample_noise(system, target_task, T_test, rng)
     xs, xh, steps = coupled_rollout(system, target_task.K, K_hat, noise, T_test)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = xh[:, 1:] - xs[:, 1:]
-        sq = np.sum(diff * diff, axis=2)
-    records = []
-    for i in range(trials):
-        nonfinite = bool(steps[i] < T_test)
-        # max_{1 <= t} ||x_hat[t] - x_star[t]||^2; inf with no finite step 1.
-        tracking = float("inf") if nonfinite or T_test < 1 else float(np.max(sq[i]))
-        records.append(
-            MetricsRecord(
-                tracking_err=tracking,
-                param_err=param_err,
-                stable=bool(stable),
-                excess_risk=er,
-                underdetermined=underdetermined,
-                nonfinite=nonfinite,
-            )
-        )
-    return records
+    nonfinite = bool(steps[0] < T_test)
+    # max_{1 <= t} ||x_hat[t] - x_star[t]||^2; inf with no finite step 1.
+    tracking = float("inf")
+    if not nonfinite and T_test >= 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = xh[0, 1:] - xs[0, 1:]
+            tracking = float(np.max(np.sum(diff * diff, axis=1)))
+    return MetricsRecord(
+        tracking_err=tracking,
+        param_err=float(np.linalg.norm(K_hat - target_task.K)),
+        stable=bool(control_math.spectral_radius(system.A + system.B @ K_hat) < 1.0),
+        excess_risk=excess_risk(K_hat, target_task.K, target_task.sigma_x),
+        nonfinite=nonfinite,
+    )
 
 
 def lqr_cost_gap(

@@ -14,7 +14,7 @@ import concurrent.futures
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import yaml
@@ -58,7 +58,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One evaluation outcome: method x grid point x system x noise trial."""
+    """One results.csv row: method x grid point x system x noise trial."""
 
     method: str
     system_trial: int
@@ -170,7 +170,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         "sweep.methods",
         f"must be a nonempty subset of {VALID_METHODS}",
     )
+    for path, entries in (("sweep.n2", cfg.N2), ("sweep.methods", cfg.methods)):
+        _require(len(set(entries)) == len(entries), path, "must not repeat an entry")
     _require(len(cfg.alphas) == 2, "tasks.alphas", "must be (lo_exp, hi_exp)")
+    _require(np.all(np.isfinite(cfg.alphas)), "tasks.alphas", "must be finite")
+    # R = r_scale I must be positive definite; sigma_z is a standard deviation.
+    _require(0.0 < cfg.r_scale < np.inf, "tasks.r_scale", "must be finite and > 0")
+    _require(0.0 <= cfg.sigma_z < np.inf, "system.sigma_z", "must be finite and >= 0")
     base = _base_system(cfg)
     state_dim = cfg.lift_dim if cfg.lift_dim is not None else base.n_x
     _require(cfg.H >= 1, "tasks.h", "must be >= 1")
@@ -190,6 +196,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         ("run.restarts", cfg.restarts),
     ):
         _require(value >= 1, name, "must be >= 1")
+    if "multitask" in cfg.methods:  # pretraining needs k rows per source task
+        _require(cfg.N1 * cfg.T >= cfg.k, "sweep.n1", "multitask needs n1 * t >= k")
     _require(cfg.seed >= 0, "run.seed", "must be >= 0")
     if cfg.eval_task != "target":
         _require(
@@ -243,6 +251,25 @@ def _base_system(cfg: ExperimentConfig) -> lti_env.LinearSystem:
         raise ValidationError(f"system.preset: {exc}") from exc
 
 
+def expert_family(cfg: ExperimentConfig) -> tuple:
+    """(family, alphas): task h is the LQR expert for Q = alphas[h] I, unlifted."""
+    base = _base_system(cfg)
+    alphas = np.logspace(cfg.alphas[0], cfg.alphas[1], cfg.H + 1)
+    gains = lti_env.synthesize_expert_family(
+        base, alphas, cfg.r_scale * np.eye(base.n_u)
+    )
+    return lti_env.build_ensemble(base, gains, sigma_z=cfg.sigma_z), alphas
+
+
+def lift_trial(cfg: ExperimentConfig, family, system_trial: int):
+    """The family as system trial `system_trial` sees it: lifted, if cfg lifts."""
+    if cfg.lift_dim is None:
+        return family
+    rng = SeedTree(root=cfg.seed).child("lift", system_trial).stream()
+    G = lti_env.sample_lift_map(family.system.n_x, cfg.lift_dim, rng)
+    return lti_env.lift_ensemble(family, G)
+
+
 def _cells(cfg: ExperimentConfig):
     """Yield the arguments (cfg, ensemble, system trial, noise trial) of each cell.
 
@@ -250,19 +277,10 @@ def _cells(cfg: ExperimentConfig):
     it is lifted once per system trial. A serial sweep holds one lifted
     ensemble at a time.
     """
-    base = _base_system(cfg)
-    alphas = np.logspace(cfg.alphas[0], cfg.alphas[1], cfg.H + 1)
-    gains = lti_env.synthesize_expert_family(
-        base, alphas, cfg.r_scale * np.eye(base.n_u)
-    )
-    family = lti_env.build_ensemble(base, gains, sigma_z=cfg.sigma_z)
-    tree = SeedTree(root=cfg.seed)
+    family, _ = expert_family(cfg)
     for s in range(cfg.trials_system):
         ensemble = family  # drops the last trial's lift before the next one
-        if cfg.lift_dim is not None:
-            rng = tree.child("lift", s).stream()
-            G = lti_env.sample_lift_map(base.n_x, cfg.lift_dim, rng)
-            ensemble = lti_env.lift_ensemble(family, G)
+        ensemble = lift_trial(cfg, family, s)
         for j in range(cfg.trials_noise):
             yield cfg, ensemble, s, j
 
@@ -331,14 +349,8 @@ def _run_cell(
                 .stream()
             )
             record = evaluate_controller(
-                system,
-                target_task,
-                K_hat,
-                cfg.T_test,
-                trials=1,
-                rng=eval_rng,
-                underdetermined=underdetermined,
-            )[0]
+                system, target_task, K_hat, cfg.T_test, eval_rng
+            )
             rows.append(
                 ResultRow(
                     method=method,
@@ -349,12 +361,8 @@ def _run_cell(
                     H=cfg.H,
                     T=cfg.T,
                     k=cfg.k,
-                    tracking_err=record.tracking_err,
-                    param_err=record.param_err,
-                    stable=record.stable,
-                    excess_risk=record.excess_risk,
-                    underdetermined=record.underdetermined,
-                    nonfinite=record.nonfinite,
+                    underdetermined=underdetermined,
+                    **asdict(record),
                 )
             )
     return rows
@@ -385,22 +393,7 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     return rows
 
 
-RESULTS_COLUMNS = [
-    "method",
-    "system_trial",
-    "noise_trial",
-    "N1",
-    "N2",
-    "H",
-    "T",
-    "k",
-    "tracking_err",
-    "param_err",
-    "stable",
-    "excess_risk",
-    "underdetermined",
-    "nonfinite",
-]
+RESULTS_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def _fmt(value) -> str:

@@ -46,11 +46,11 @@ class ProbeReport:
 
 @dataclass(frozen=True)
 class MartingaleSetup:
-    """Dimensions and regularizers for the self-normalized martingale probe.
+    """Dimensions for the self-normalized martingale probe.
 
     H independent processes of horizon T with d-dimensional regressors and
-    m-dimensional sigma-sub-Gaussian noise; regularizers is a list of H
-    positive-definite d x d matrices (default identity).
+    m-dimensional sigma-sub-Gaussian noise; every regularizer V^h is the
+    d x d identity.
     """
 
     H: int
@@ -58,16 +58,16 @@ class MartingaleSetup:
     dim_x: int
     dim_eta: int
     sigma: float
-    regularizers: list | None = None
-
-    def reg_matrices(self) -> list:
-        if self.regularizers is None:
-            return [np.eye(self.dim_x) for _ in range(self.H)]
-        return [np.asarray(V, dtype=float) for V in self.regularizers]
 
 
 def _binomial_se(p: float, n: int) -> float:
     return float(np.sqrt(max(p * (1.0 - p), 0.0) / max(n, 1)))
+
+
+def _blocks(n: int, size: int):
+    """Consecutive slices of at most `size` items that cover range(n)."""
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
 
 
 def verify_covariance_concentration(
@@ -142,13 +142,9 @@ def verify_hanson_wright(
     op_sq = np.linalg.norm(R, 2) ** 2
     eps_grid = [float(e) for e in eps_grid]
     stats = np.empty(trials)
-    chunk = 20_000
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        z = rng.standard_normal((m, R.shape[1]))
-        stats[done : done + m] = np.sum((z @ R.T) ** 2, axis=1)
-        done += m
+    for block in _blocks(trials, 20_000):
+        z = rng.standard_normal((block.stop - block.start, R.shape[1]))
+        stats[block] = np.sum((z @ R.T) ** 2, axis=1)
     failures = 0
     margin = 0.0
     per_eps = {}
@@ -213,7 +209,7 @@ def verify_self_normalized(
     """Probe the generalized self-normalized martingale inequality.
 
     Per trial simulates H independent processes, forms S_T^h = sum_t x_t
-    eta_t' and Vbar_T^h = V^h + sum_t x_t x_t', and checks
+    eta_t' and Vbar_T^h = V^h + sum_t x_t x_t' with V^h = I, and checks
         sum_h ||(Vbar_T^h)^{-1/2} S_T^h||_F^2
         <= 2 sigma^2 [ sum_h (m/2) logdet(Vbar_T^h (V^h)^{-1}) + log(1/delta) ].
     The statement is a fixed-T bound (no stopping times). details carries the
@@ -223,7 +219,6 @@ def verify_self_normalized(
     """
     H, T, d, m = setup.H, setup.T, setup.dim_x, setup.dim_eta
     scale = setup.sigma if eta_scale is None else eta_scale
-    regs = setup.reg_matrices()
     # Draw order: gaussian-iid regressors first (when used), then noise.
     if regressor_kind == "gaussian-iid":
         x = rng.standard_normal((trials, H, T, d))
@@ -232,15 +227,13 @@ def verify_self_normalized(
         eta = scale * rng.standard_normal((trials, H, T, m))
         x = _simulate_regressors(regressor_kind, trials, H, T, d, eta, rng)
 
-    V = np.stack(regs)  # (H, d, d)
     x_t = np.swapaxes(x, -1, -2)  # (trials, H, d, T)
-    Vbar = V[None, :, :, :] + x_t @ x
+    Vbar = np.eye(d) + x_t @ x
     S = x_t @ eta  # (trials, H, d, m)
     solved = np.linalg.solve(Vbar, S)
     stat = np.sum(S * solved, axis=(1, 2, 3))
-    _, logdet_vbar = np.linalg.slogdet(Vbar)
-    _, logdet_v = np.linalg.slogdet(V)
-    logdet_term = 0.5 * m * (logdet_vbar - logdet_v[None, :])  # (trials, H)
+    # logdet V^h = 0, so the log-determinant ratio is logdet Vbar_T^h.
+    logdet_term = 0.5 * m * np.linalg.slogdet(Vbar)[1]  # (trials, H)
     two_sigma_sq = 2.0 * setup.sigma**2
     bound = two_sigma_sq * (logdet_term.sum(axis=1) + np.log(1.0 / delta))
     union_bound = two_sigma_sq * (logdet_term.sum(axis=1) + H * np.log(H / delta))
@@ -290,14 +283,9 @@ def verify_maximal_inequality(
     F = np.linalg.qr(DL.T, mode="r")
     stats = np.empty(trials)
     # About a million normals per block keeps the peak memory small.
-    chunk = max(1, 1_000_000 // max(T * F.shape[0], 1))
-    done = 0
-    while done < trials:
-        mtr = min(chunk, trials - done)
-        h = rng.standard_normal((mtr, T, F.shape[0]))
-        vals = np.sum((h @ F) ** 2, axis=2)
-        stats[done : done + mtr] = vals.max(axis=1)
-        done += mtr
+    for block in _blocks(trials, max(1, 1_000_000 // max(T * F.shape[0], 1))):
+        h = rng.standard_normal((block.stop - block.start, T, F.shape[0]))
+        stats[block] = np.sum((h @ F) ** 2, axis=2).max(axis=1)
     estimate = float(stats.mean())
     se = float(stats.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     failed = estimate > bound + 3.0 * se
@@ -356,19 +344,25 @@ def verify_tracking_and_siss(
     er = excess_risk(K_hat, K_star, target_task.sigma_x)
     jb = profile.j_gain * b_norm
     bound_hp = 4.0 * jb * jb * (1.0 + 4.0 * np.log(T / delta_prime)) * er
-    noise = sample_noise(system, target_task, T, rng, trials=trials)
-    xs, xh, steps = coupled_rollout(system, K_star, K_hat, noise, T)
-    # Per trial, only the steps a one-trial rollout keeps are checked.
-    kept = np.arange(T) < steps[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        diffs = np.linalg.norm(xh[:, 1:] - xs[:, 1:], axis=2)
-        deltas = np.linalg.norm(xs[:, :-1] @ (K_hat - K_star).T, axis=2)
-    det_rhs = 2.0 * jb * np.maximum.accumulate(deltas, axis=1)
-    slack = 1e-9 * np.maximum(1.0, np.where(kept, det_rhs, 0.0).max(axis=1))
-    violated = kept & (diffs > det_rhs + slack[:, None])
-    det_violations = int(np.count_nonzero(violated.any(axis=1)))
-    # A trial with no finite step has max_sq = inf and counts as a failure.
-    max_sq = np.where(kept, diffs, -np.inf).max(axis=1) ** 2
+    max_sq = np.empty(trials)
+    det_violations = 0
+    # Blocks of trials keep the peak memory small; the draws are the same as
+    # those of one block of all trials.
+    for block in _blocks(trials, 1000):
+        n = block.stop - block.start
+        noise = sample_noise(system, target_task, T, rng, trials=n)
+        xs, xh, steps = coupled_rollout(system, K_star, K_hat, noise, T)
+        # Per trial, only the steps before its first non-finite state count.
+        kept = np.arange(T) < steps[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = np.linalg.norm(xh[:, 1:] - xs[:, 1:], axis=2)
+            deltas = np.linalg.norm(xs[:, :-1] @ (K_hat - K_star).T, axis=2)
+        det_rhs = 2.0 * jb * np.maximum.accumulate(deltas, axis=1)
+        slack = 1e-9 * np.maximum(1.0, np.where(kept, det_rhs, 0.0).max(axis=1))
+        violated = kept & (diffs > det_rhs + slack[:, None])
+        det_violations += int(np.count_nonzero(violated.any(axis=1)))
+        # A trial with no finite step has max_sq = inf and counts as a failure.
+        max_sq[block] = np.where(kept, diffs, -np.inf).max(axis=1) ** 2
     margin = float(np.max(max_sq / bound_hp)) if bound_hp > 0 else 0.0
     hp_failures = int(np.count_nonzero(max_sq > bound_hp))
     rate = hp_failures / trials

@@ -95,7 +95,8 @@ class TestSampleNoise:
     def test_actuator_noise_covariance(self):
         system, task = scalar_setup(sigma_z=0.7)
         noise = sample_noise(system, task, 100_000, np.random.default_rng(1))
-        emp = noise.z.T @ noise.z / noise.z.shape[0]
+        z = noise.z[0]
+        emp = z.T @ z / z.shape[0]
         target = 0.49 * np.eye(1)
         assert np.linalg.norm(emp - target, "fro") <= 0.05 * np.linalg.norm(
             target, "fro"
@@ -112,9 +113,9 @@ class TestSampleNoise:
         assert batch.w.shape == (3, 12, n_x)
         assert batch.z.shape == (3, 12, 2)
         for i, one in enumerate(singles):
-            assert np.array_equal(batch.x0[i], one.x0)
-            assert np.array_equal(batch.w[i], one.w)
-            assert np.array_equal(batch.z[i], one.z)
+            assert np.array_equal(batch.x0[i : i + 1], one.x0)
+            assert np.array_equal(batch.w[i : i + 1], one.w)
+            assert np.array_equal(batch.z[i : i + 1], one.z)
 
 
 class TestRolloutExpert:
@@ -201,26 +202,31 @@ class TestStacking:
         np.testing.assert_array_equal(stacked.X[1], batch.states[1, 0])
 
 
+def scalar_noise(x0, T, w=None):
+    """One trial of scalar noise: initial state x0, zero actuator noise."""
+    w = np.zeros((T, 1)) if w is None else w
+    return NoiseRealization(
+        x0=np.array([[x0]]), w=w[None], z=np.zeros((1, T, 1))
+    )
+
+
 class TestCoupledRollout:
     def test_identical_gains_identical_paths(self):
         system, task = scalar_setup(sigma_w=1.0, sigma_z=0.5)
         noise = sample_noise(system, task, 30, np.random.default_rng(2))
-        xs, xh, nonfinite = coupled_rollout(system, task.K, task.K, noise, 30)
-        assert not nonfinite
+        xs, xh, steps = coupled_rollout(system, task.K, task.K, noise, 30)
+        assert steps.tolist() == [30]
         assert np.array_equal(xs, xh)
 
     def test_scalar_closed_form(self):
         system, task = scalar_setup()
         eps = 0.1
-        noise = NoiseRealization(
-            x0=np.array([1.0]), w=np.zeros((10, 1)), z=np.zeros((10, 1))
-        )
         xs, xh, _ = coupled_rollout(
-            system, task.K, task.K + eps, noise, 10
+            system, task.K, task.K + eps, scalar_noise(1.0, 10), 10
         )
         for t in range(11):
             expected = 0.5**t - (0.5 + eps) ** t
-            assert xs[t, 0] - xh[t, 0] == pytest.approx(expected, abs=1e-12)
+            assert xs[0, t, 0] - xh[0, t, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_noise_cancels_for_equal_gains(self):
         system, task = scalar_setup(sigma_w=4.0, sigma_z=1.0)
@@ -230,48 +236,41 @@ class TestCoupledRollout:
 
     def test_divergent_rollout_flags_nonfinite(self):
         system, task = scalar_setup()
-        noise = NoiseRealization(
-            x0=np.array([1.0]), w=np.zeros((5000, 1)), z=np.zeros((5000, 1))
+        xs, xh, steps = coupled_rollout(
+            system, task.K, np.array([[10.0]]), scalar_noise(1.0, 5000), 5000
         )
-        xs, xh, nonfinite = coupled_rollout(
-            system, task.K, np.array([[10.0]]), noise, 5000
-        )
-        assert nonfinite
-        assert xs.shape == xh.shape
-        assert np.all(np.isfinite(xh))
+        k = steps[0]
+        assert k < 5000
+        assert xs.shape == xh.shape == (1, 5001, 1)
+        assert np.all(np.isfinite(xh[0, : k + 1]))
 
     def test_overflow_truncates_before_first_nonfinite_row(self):
         # Closed loop 1e200: x[1] = 1e200 is finite, x[2] overflows.
         system, task = scalar_setup()
-        noise = NoiseRealization(
-            x0=np.array([1.0]), w=np.zeros((50, 1)), z=np.zeros((50, 1))
+        xs, xh, steps = coupled_rollout(
+            system, task.K, np.array([[1e200 - 0.8]]), scalar_noise(1.0, 50), 50
         )
-        xs, xh, nonfinite = coupled_rollout(
-            system, task.K, np.array([[1e200 - 0.8]]), noise, 50
-        )
-        assert nonfinite
-        assert xs.shape == xh.shape == (2, 1)
-        assert xh[1, 0] == pytest.approx(1e200)
+        assert steps[0] == 1
+        assert np.all(np.isfinite(xs[0, :2])) and np.all(np.isfinite(xh[0, :2]))
+        assert xh[0, 1, 0] == pytest.approx(1e200)
 
     def test_nonfinite_noise_truncates_at_its_step(self):
         system, task = scalar_setup()
         w = np.zeros((20, 1))
         w[3, 0] = np.nan  # drives x[4]
-        noise = NoiseRealization(x0=np.array([1.0]), w=w, z=np.zeros((20, 1)))
-        xs, xh, nonfinite = coupled_rollout(system, task.K, task.K, noise, 20)
-        assert nonfinite
-        assert xs.shape == xh.shape == (4, 1)
-        assert np.all(np.isfinite(xs)) and np.all(np.isfinite(xh))
+        xs, xh, steps = coupled_rollout(
+            system, task.K, task.K, scalar_noise(1.0, 20, w), 20
+        )
+        assert steps[0] == 3
+        assert np.all(np.isfinite(xs[0, :4])) and np.all(np.isfinite(xh[0, :4]))
 
     def test_nonfinite_x0_keeps_only_row_0(self):
         system, task = scalar_setup()
-        noise = NoiseRealization(
-            x0=np.array([np.inf]), w=np.zeros((10, 1)), z=np.zeros((10, 1))
+        xs, xh, steps = coupled_rollout(
+            system, task.K, task.K, scalar_noise(np.inf, 10), 10
         )
-        xs, xh, nonfinite = coupled_rollout(system, task.K, task.K, noise, 10)
-        assert nonfinite
-        assert xs.shape == xh.shape == (1, 1)
-        assert xs[0, 0] == xh[0, 0] == np.inf
+        assert steps[0] == 0
+        assert xs[0, 0, 0] == xh[0, 0, 0] == np.inf
 
     @staticmethod
     def trial(noise, i):
@@ -309,11 +308,10 @@ class TestCoupledRollout:
         xs, xh, steps = coupled_rollout(system, task.K, task.K + 0.1, noise, 20)
         assert steps.tolist() == [20, 3, 20]
         for i in range(3):
-            one = NoiseRealization(x0=noise.x0[i], w=noise.w[i], z=noise.z[i])
-            xs1, xh1, nonfinite = coupled_rollout(
-                system, task.K, task.K + 0.1, one, 20
+            xs1, xh1, steps1 = coupled_rollout(
+                system, task.K, task.K + 0.1, self.trial(noise, i), 20
             )
-            assert nonfinite == (i == 1)
-            assert xs1.shape[0] == steps[i] + 1
-            assert np.array_equal(xs[i, : steps[i] + 1], xs1)
-            assert np.array_equal(xh[i, : steps[i] + 1], xh1)
+            assert steps1.tolist() == [steps[i]]
+            keep = steps[i] + 1
+            assert np.array_equal(xs[i, :keep], xs1[0, :keep])
+            assert np.array_equal(xh[i, :keep], xh1[0, :keep])

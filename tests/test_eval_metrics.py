@@ -5,7 +5,7 @@ import pytest
 
 from mtil import control_math as cm
 from mtil import eval_metrics, lti_env
-from mtil.data_gen import NoiseRealization, SeedTree, coupled_rollout
+from mtil.data_gen import NoiseRealization, SeedTree, coupled_rollout, sample_noise
 from mtil.errors import EmptyInput, RankDeficient
 from mtil.lti_env import ExpertTask, LinearSystem, TaskEnsemble
 
@@ -74,11 +74,9 @@ class TestExcessRisk:
 class TestEvaluateController:
     def test_perfect_controller(self):
         system, task = scalar_setup(sigma_z=0.5)
-        records = eval_metrics.evaluate_controller(
-            system, task, task.K, 20, 5, SeedTree(root=1).child("e").stream()
-        )
-        assert len(records) == 5
-        for r in records:
+        rng = SeedTree(root=1).child("e").stream()
+        for _ in range(5):
+            r = eval_metrics.evaluate_controller(system, task, task.K, 20, rng)
             assert r.tracking_err == 0.0
             assert r.param_err == 0.0
             assert r.stable
@@ -88,10 +86,10 @@ class TestEvaluateController:
         system, task = scalar_setup()
         eps = 0.05
         noise = NoiseRealization(
-            x0=np.array([1.0]), w=np.zeros((50, 1)), z=np.zeros((50, 1))
+            x0=np.array([[1.0]]), w=np.zeros((1, 50, 1)), z=np.zeros((1, 50, 1))
         )
         xs, xh, _ = coupled_rollout(system, task.K, task.K + eps, noise, 50)
-        tracking = np.max(np.sum((xh[1:] - xs[1:]) ** 2, axis=1))
+        tracking = np.max(np.sum((xh[0, 1:] - xs[0, 1:]) ** 2, axis=1))
         ts = np.arange(1, 51)
         expected = np.max((0.5**ts - 0.55**ts) ** 2)
         assert tracking == pytest.approx(expected, rel=1e-12)
@@ -101,28 +99,32 @@ class TestEvaluateController:
         K_hat = task.K + 0.05
         tree = SeedTree(root=2)
         r1 = eval_metrics.evaluate_controller(
-            system, task, K_hat, 30, 4, tree.child("e").stream()
+            system, task, K_hat, 30, tree.child("e").stream()
         )
         r2 = eval_metrics.evaluate_controller(
-            system, task, K_hat, 30, 4, tree.child("e").stream()
+            system, task, K_hat, 30, tree.child("e").stream()
         )
-        assert [r.tracking_err for r in r1] == [r.tracking_err for r in r2]
+        assert r1.tracking_err == r2.tracking_err
 
     def test_batch_equals_successive_single_trials(self):
-        # One batched call draws and rolls out exactly what successive
-        # one-trial calls on the same stream do, bit for bit.
+        # One batched draw and rollout of five trials gives, bit for bit, the
+        # tracking errors of five successive evaluations on the same stream.
         base = lti_env.get_preset("hong2021")
         gains = lti_env.synthesize_expert_family(base, [1.0, 2.0], np.eye(2))
         task = lti_env.make_task(base, gains[0], sigma_z=1.0)
-        batch = eval_metrics.evaluate_controller(
-            base, task, gains[1], 30, 5, SeedTree(root=4).child("e").stream()
-        )
+        rng = SeedTree(root=4).child("e").stream()
+        noise = sample_noise(base, task, 30, rng, trials=5)
+        xs, xh, steps = coupled_rollout(base, task.K, gains[1], noise, 30)
+        assert steps.tolist() == [30] * 5
+        diff = xh[:, 1:] - xs[:, 1:]
+        batch = np.max(np.sum(diff * diff, axis=2), axis=1)
         rng = SeedTree(root=4).child("e").stream()
         singles = [
-            eval_metrics.evaluate_controller(base, task, gains[1], 30, 1, rng)[0]
+            eval_metrics.evaluate_controller(base, task, gains[1], 30, rng)
             for _ in range(5)
         ]
-        assert batch == singles
+        assert [r.tracking_err for r in singles] == batch.tolist()
+        assert not any(r.nonfinite for r in singles)
 
     def test_per_trial_tracking_bound(self):
         # Deterministic consequence of the incremental-stability display.
@@ -131,14 +133,12 @@ class TestEvaluateController:
         profile = cm.stability_profile(system.A + system.B @ task.K)
         jb = profile.j_gain * np.linalg.norm(system.B, 2)
         rng = SeedTree(root=3).child("b").stream()
-        from mtil.data_gen import sample_noise
-
         for _ in range(50):
             noise = sample_noise(system, task, 40, rng)
             xs, xh, _ = coupled_rollout(system, task.K, K_hat, noise, 40)
-            tracking = np.max(np.sum((xh[1:] - xs[1:]) ** 2, axis=1))
+            tracking = np.max(np.sum((xh[0, 1:] - xs[0, 1:]) ** 2, axis=1))
             delta_max = np.max(
-                np.linalg.norm(xs[:-1] @ (K_hat - task.K).T, axis=1)
+                np.linalg.norm(xs[0, :-1] @ (K_hat - task.K).T, axis=1)
             )
             assert tracking <= 4 * jb * jb * delta_max**2 * (1 + 1e-9)
 

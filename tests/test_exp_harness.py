@@ -244,6 +244,14 @@ class TestCli:
             ("run:\n  seed: -1\n", [], "run.seed"),
             ("", ["--seed", "-1"], "run.seed"),
             ("", ["--parallelism", "0"], "run.parallelism"),
+            ("sweep:\n  n1: 1\n  t: 2\n", [], "sweep.n1"),
+            ("system:\n  sigma_z: .nan\n", [], "system.sigma_z"),
+            ("system:\n  sigma_z: .inf\n", [], "system.sigma_z"),
+            ("tasks:\n  r_scale: -1\n", [], "tasks.r_scale"),
+            ("tasks:\n  r_scale: .nan\n", [], "tasks.r_scale"),
+            ("tasks:\n  alphas: [.nan, 2]\n", [], "tasks.alphas"),
+            ("sweep:\n  methods: [direct, direct]\n", [], "sweep.methods"),
+            ("sweep:\n  n2: [1, 1]\n", [], "sweep.n2"),
         ],
     )
     def test_bad_input_exits_2_with_field_path(
@@ -332,6 +340,20 @@ class TestCli:
         out = capsys.readouterr().out
         assert "target" in out
         assert "diversity" in out
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ([], "bdb69500fabf2e307225f7bf1e269b56f1fe148161287bcfb81554b41af131bb"),
+            (["--lift-dim", "50", "--seed", "5"],
+             "c5e6b757e8e6ba6cc60a2e1a47deef3d849535fb69c62030f2eff7d69ccc7436"),
+        ],
+    )
+    def test_synth_golden_stdout(self, capsys, argv, digest):
+        # synth prints the family (and lift) of system trial 0 of a sweep.
+        assert cli.main(["synth"] + argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     def test_synth_unknown_preset(self):
         rc = cli.main(["synth", "--preset", "unknown"])

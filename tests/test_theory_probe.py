@@ -346,6 +346,10 @@ class TestVerifyGolden:
              "c9a977a21c98d0675e7915cb9c9a5baac4c47cb7b72ca709741919c6bdca79a6"),
             ("hanson_wright",
              "7d8491d43650ebb36741b954ca1b786cf00075ad2837d4b9884dc6cc7acd8de1"),
+            ("self_normalized",
+             "2dc8180b1d73868d6abf8e7a731cda70c713ce65d59322b875d3c4e0aa7266a7"),
+            ("maximal",
+             "020195db82789a6e90740e3bf93f41ac36c25da8487f4ce6d4b2f3e48e5c0a54"),
         ],
     )
     def test_verify_csv_digest(self, tmp_path, probe, digest):
