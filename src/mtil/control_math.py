@@ -152,34 +152,55 @@ def solve_dare(
     Q: np.ndarray,
     R: np.ndarray,
     rel_tol: float = 1e-10,
-    max_iter: int = 1_000_000,
+    max_iter: int = 100,
 ) -> RiccatiSolution:
-    """Solve the discrete algebraic Riccati equation by fixed-point iteration.
+    """Solve the discrete algebraic Riccati equation by structure-preserving doubling.
 
-    Iterates P <- A'PA - A'PB (B'PB + R)^{-1} B'PA + Q from P_0 = Q until the
-    relative change falls below rel_tol, then forms the LQR gain
-    K = -(B'PB + R)^{-1} B'PA.
+    P = A'PA - A'PB (B'PB + R)^{-1} B'PA + Q is solved by the doubling
+    iteration of Chu et al. (2004) (Anderson 1978) from A_0 = A,
+    G_0 = B R^{-1} B', H_0 = Q:
+        A_{j+1} = A_j (I + G_j H_j)^{-1} A_j
+        G_{j+1} = G_j + A_j (I + G_j H_j)^{-1} G_j A_j'
+        H_{j+1} = H_j + A_j' H_j (I + G_j H_j)^{-1} A_j,
+    where H_j is the fixed-point iterate after 2^j Riccati steps, so it
+    converges quadratically to P. It stops once the relative change of H
+    falls below rel_tol, then forms the LQR gain K = -(B'PB + R)^{-1} B'PA.
 
     Raises:
-        NotConverged: iteration cap reached before tolerance.
+        NotConverged: iteration cap reached before tolerance, or an iterate
+            went non-finite (an unstabilizable pair or an infinite cost).
         NotStabilizing: the resulting closed loop A + BK has rho >= 1.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
+    n = A.shape[0]
+    Ak = A
+    G = B @ np.linalg.solve(R, B.T)
+    G = 0.5 * (G + G.T)
     P = 0.5 * (Q + Q.T)
-    for _ in range(max_iter):
-        BtP = B.T @ P
-        gain_core = np.linalg.solve(BtP @ B + R, BtP @ A)
-        P_new = A.T @ P @ A - (BtP @ A).T @ gain_core + Q
-        P_new = 0.5 * (P_new + P_new.T)
-        delta = np.linalg.norm(P_new - P, "fro")
-        P = P_new
-        if delta <= rel_tol * max(1.0, np.linalg.norm(P, "fro")):
-            break
-    else:
-        raise NotConverged("DARE fixed-point iteration hit the cap")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            # W^{-1} A_j and W^{-1} G_j, W = I + G_j H_j, from one solve.
+            try:
+                sol = np.linalg.solve(np.eye(n) + G @ P, np.hstack([Ak, G]))
+            except np.linalg.LinAlgError as exc:
+                raise NotConverged("DARE doubling met a singular I + GH") from exc
+            WA, WG = sol[:, :n], sol[:, n:]
+            P_new = P + Ak.T @ P @ WA
+            P_new = 0.5 * (P_new + P_new.T)
+            G = G + Ak @ WG @ Ak.T
+            G = 0.5 * (G + G.T)
+            Ak = Ak @ WA
+            if not np.all(np.isfinite(P_new)):
+                raise NotConverged("DARE doubling produced non-finite iterates")
+            delta = np.linalg.norm(P_new - P, "fro")
+            P = P_new
+            if delta <= rel_tol * max(1.0, np.linalg.norm(P, "fro")):
+                break
+        else:
+            raise NotConverged("DARE doubling hit the iteration cap")
     BtP = B.T @ P
     K = -np.linalg.solve(BtP @ B + R, BtP @ A)
     rho_closed = spectral_radius(A + B @ K)

@@ -181,6 +181,7 @@ def coupled_rollout(
     K_learned: np.ndarray,
     noise: NoiseRealization,
     T: int,
+    peak: bool = False,
 ) -> tuple:
     """Roll out both controllers on the same noise, all trials as one recurrence.
 
@@ -190,28 +191,51 @@ def coupled_rollout(
     is x[t], and per trial the number of steps before either rollout first
     overflows to non-finite values. Rows past steps[i] are not meaningful;
     trial i is non-finite exactly when steps[i] < T.
+
+    With peak=True, K_learned stacks c gains per trial, shape (trials, c,
+    n_u, n_x), each rolled out against the trial's one expert trajectory,
+    and only the current states are kept. Returns (peak, steps), both of
+    shape (trials, c): the max over t = 1..steps of ||x_hat[t] - x_star[t]||^2
+    and the steps as above, per gain.
     """
     trials = noise.x0.shape[0]
-    z = noise.z[:, :T, :, None]
-    w = noise.w[:, :T, :, None]
-    # Every product is a stack of matrix-vector products, one per trial (and
-    # per step for the drive), so each trial gets the bits of its one-trial
-    # rollout whatever the batch size.
+    # States carry a gain axis: (trials, c, n_x, 1), c = 1 for one gain.
+    K = K_learned if peak else K_learned[None, None]
     A_star = system.A + system.B @ K_expert
-    A_hat = system.A + system.B @ K_learned
-    xs = np.empty((trials, T + 1, system.n_x, 1))
-    xh = np.empty_like(xs)
-    xs[:, 0, :, 0] = noise.x0
-    xh[:, 0, :, 0] = noise.x0
+    A_hat = system.B @ K
+    A_hat += system.A  # in place: a stack of c gains per trial can be large
+    xs = noise.x0[:, None, :, None]
+    xh = np.repeat(xs, K.shape[1], axis=1)
+    alive = np.ones(xh.shape[:2], dtype=bool)
+    steps = np.zeros(xh.shape[:2], dtype=int)
+    if peak:
+        peak_sq = np.full(xh.shape[:2], -np.inf)
+    else:
+        xs_all = np.empty((trials, T + 1, system.n_x))
+        xh_all = np.empty_like(xs_all)
+        xs_all[:, 0] = xh_all[:, 0] = noise.x0
+    # Every product is a stack of matrix-vector products, one per trial and
+    # gain (and per trial for the drive), so each gets the bits of its
+    # one-trial, one-gain rollout whatever the batch size.
     with np.errstate(over="ignore", invalid="ignore"):
-        drive = system.B @ z + w
         for t in range(T):
-            xs[:, t + 1] = A_star @ xs[:, t] + drive[:, t]
-            xh[:, t + 1] = A_hat @ xh[:, t] + drive[:, t]
-    xs = xs[..., 0]
-    xh = xh[..., 0]
-    # Rows past the first non-finite one are not counted, so running on
-    # through them changes nothing. Row 0 is the given x0 and is not checked.
-    finite = np.isfinite(xs[:, 1:]).all(axis=2) & np.isfinite(xh[:, 1:]).all(axis=2)
-    steps = np.logical_and.accumulate(finite, axis=1).sum(axis=1)
-    return xs, xh, steps
+            # The drive B z[t] + w[t] is shared by the gains of a trial.
+            drive = system.B @ noise.z[:, t, None, :, None]
+            drive += noise.w[:, t, None, :, None]
+            xs = A_star @ xs + drive
+            xh = A_hat @ xh + drive
+            # Steps past the first non-finite one are not counted, so running
+            # on through them changes nothing.
+            alive &= np.isfinite(xs).all(axis=(2, 3))
+            alive &= np.isfinite(xh).all(axis=(2, 3))
+            steps += alive
+            if peak:
+                diff = (xh - xs)[..., 0]
+                sq = np.sum(diff * diff, axis=2)
+                np.maximum(peak_sq, sq, out=peak_sq, where=alive)
+            else:
+                xs_all[:, t + 1] = xs[:, 0, :, 0]
+                xh_all[:, t + 1] = xh[:, 0, :, 0]
+    if peak:
+        return peak_sq, steps
+    return xs_all, xh_all, steps[:, 0]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control_math
-from .data_gen import coupled_rollout, sample_noise
+from .data_gen import NoiseRealization, coupled_rollout, sample_noise
 from .errors import EmptyInput, RankDeficient
 from .lti_env import ExpertTask, GroundTruthFactors, LinearSystem, TaskEnsemble
 
@@ -60,32 +60,52 @@ def evaluate_controller(
     target_task: ExpertTask,
     K_hat: np.ndarray,
     T_test: int,
-    rng: np.random.Generator,
-) -> MetricsRecord:
-    """Coupled closed-loop evaluation of K_hat against the target expert.
+    rng: np.random.Generator | list,
+) -> MetricsRecord | list:
+    """Coupled closed-loop evaluation of learned gains against the target expert.
 
-    Samples one noise realization, rolls out expert and learned controllers
-    on it, and records the max squared state deviation over t = 1..T_test
-    along with parameter error, stability of A + B K_hat, and the closed-form
+    One gain K_hat (n_u, n_x) is scored on one noise realization drawn from
+    the Generator rng, giving one MetricsRecord. A stack K_hat of shape
+    (draws, c, n_u, n_x) is scored in one pass: rng then holds one Generator
+    per draw, each draw's noise is sampled once and shared by its c gains,
+    and the expert is rolled out once per draw. That gives the records of
+    draw 0's gains, then draw 1's, and so on; each is, bit for bit, the
+    record of a one-gain call on its draw's Generator.
+
+    A record holds the max squared state deviation over t = 1..T_test along
+    with parameter error, stability of A + B K_hat, and the closed-form
     excess risk. An overflowing rollout carries tracking_err = inf and the
     nonfinite flag.
     """
-    noise = sample_noise(system, target_task, T_test, rng)
-    xs, xh, steps = coupled_rollout(system, target_task.K, K_hat, noise, T_test)
-    nonfinite = bool(steps[0] < T_test)
-    # max_{1 <= t} ||x_hat[t] - x_star[t]||^2; inf with no finite step 1.
-    tracking = float("inf")
-    if not nonfinite and T_test >= 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = xh[0, 1:] - xs[0, 1:]
-            tracking = float(np.max(np.sum(diff * diff, axis=1)))
-    return MetricsRecord(
-        tracking_err=tracking,
-        param_err=float(np.linalg.norm(K_hat - target_task.K)),
-        stable=bool(control_math.spectral_radius(system.A + system.B @ K_hat) < 1.0),
-        excess_risk=excess_risk(K_hat, target_task.K, target_task.sigma_x),
-        nonfinite=nonfinite,
+    if T_test < 1:
+        raise ValueError("T_test must be >= 1")
+    one_gain = np.ndim(K_hat) == 2
+    if one_gain:
+        K_hat, rng = K_hat[None, None], [rng]
+    draws = [sample_noise(system, target_task, T_test, g) for g in rng]
+    noise = NoiseRealization(
+        x0=np.concatenate([d.x0 for d in draws]),
+        w=np.concatenate([d.w for d in draws]),
+        z=np.concatenate([d.z for d in draws]),
     )
+    peak, steps = coupled_rollout(
+        system, target_task.K, K_hat, noise, T_test, peak=True
+    )
+    gains = K_hat.reshape(-1, *K_hat.shape[2:])
+    closed = system.B @ gains
+    closed += system.A
+    rho = np.abs(np.linalg.eigvals(closed)).max(axis=1)
+    records = [
+        MetricsRecord(
+            tracking_err=float(np.inf if n_steps < T_test else sq),
+            param_err=float(np.linalg.norm(K - target_task.K)),
+            stable=bool(r < 1.0),
+            excess_risk=excess_risk(K, target_task.K, target_task.sigma_x),
+            nonfinite=bool(n_steps < T_test),
+        )
+        for K, sq, n_steps, r in zip(gains, peak.ravel(), steps.ravel(), rho)
+    ]
+    return records[0] if one_gain else records
 
 
 def lqr_cost_gap(

@@ -12,19 +12,25 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import ctypes
 import json
 import os
 from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
 
-from . import lti_env, mtil_learn
+from . import __version__, lti_env, mtil_learn
 from .data_gen import SeedTree, StackedData, rollout_expert, stack_data
 from .errors import ParseError, ValidationError
 from .eval_metrics import evaluate_controller, summarize_quantiles
 
-RESULTS_VERSION = "1"
+RESULTS_VERSION = "2"
+
+# OpenBLAS threads inside run_sweep: the LU of the ALS Phi-step gives other
+# bits on more than one thread, and the cells are too small to gain by them.
+SWEEP_BLAS_THREADS = 1
 
 VALID_METHODS = ("multitask", "direct")
 
@@ -180,6 +186,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     base = _base_system(cfg)
     state_dim = cfg.lift_dim if cfg.lift_dim is not None else base.n_x
     _require(cfg.H >= 1, "tasks.h", "must be >= 1")
+    alphas = _task_alphas(cfg)
+    _require(
+        np.all(np.isfinite(alphas) & (alphas > 0.0)),
+        "tasks.alphas",
+        "10**exponent must be finite and > 0",
+    )
     _require(1 <= cfg.k <= state_dim, "tasks.k", "must satisfy 1 <= k <= n_x")
     if cfg.lift_dim is not None:
         _require(
@@ -251,10 +263,16 @@ def _base_system(cfg: ExperimentConfig) -> lti_env.LinearSystem:
         raise ValidationError(f"system.preset: {exc}") from exc
 
 
+def _task_alphas(cfg: ExperimentConfig) -> np.ndarray:
+    """The H + 1 LQR state-cost scales, log-spaced between 10**cfg.alphas."""
+    with np.errstate(over="ignore"):  # config_from_dict rejects an overflow
+        return np.logspace(cfg.alphas[0], cfg.alphas[1], cfg.H + 1)
+
+
 def expert_family(cfg: ExperimentConfig) -> tuple:
     """(family, alphas): task h is the LQR expert for Q = alphas[h] I, unlifted."""
     base = _base_system(cfg)
-    alphas = np.logspace(cfg.alphas[0], cfg.alphas[1], cfg.H + 1)
+    alphas = _task_alphas(cfg)
     gains = lti_env.synthesize_expert_family(
         base, alphas, cfg.r_scale * np.eye(base.n_u)
     )
@@ -331,60 +349,101 @@ def _run_cell(
     )
     pool = stack_data(rollout_expert(system, target_task, cfg.T, n2_max, pool_rng))
 
-    rows = []
+    fits = []  # (N2, method, K_hat, underdetermined), grid point by grid point
     for n2 in cfg.N2:
         data = _prefix(pool, n2, cfg.T)
-        fits = {}
+        by_method = {}
         if "multitask" in cfg.methods:
             f_hat = mtil_learn.finetune_target(phi_hat, data)
-            fits["multitask"] = (f_hat @ phi_hat, n2 * cfg.T < cfg.k)
+            by_method["multitask"] = (f_hat @ phi_hat, n2 * cfg.T < cfg.k)
         if "direct" in cfg.methods:
-            fits["direct"] = mtil_learn.direct_ols(data)
-        for method in cfg.methods:
-            K_hat, underdetermined = fits[method]
-            eval_rng = (
-                tree.child("eval", system_trial)
-                .child("noise", noise_trial)
-                .child("n2", n2)
-                .stream()
-            )
-            record = evaluate_controller(
-                system, target_task, K_hat, cfg.T_test, eval_rng
-            )
-            rows.append(
-                ResultRow(
-                    method=method,
-                    system_trial=system_trial,
-                    noise_trial=noise_trial,
-                    N1=cfg.N1,
-                    N2=n2,
-                    H=cfg.H,
-                    T=cfg.T,
-                    k=cfg.k,
-                    underdetermined=underdetermined,
-                    **asdict(record),
-                )
-            )
-    return rows
+            by_method["direct"] = mtil_learn.direct_ols(data)
+        fits += [(n2, method, *by_method[method]) for method in cfg.methods]
+    # All methods at one N2 are scored on the same eval stream, so each
+    # stream is drawn once and the whole cell is evaluated in one pass.
+    eval_tree = tree.child("eval", system_trial).child("noise", noise_trial)
+    K_hats = np.array([K for _, _, K, _ in fits]).reshape(
+        len(cfg.N2), len(cfg.methods), *target_task.K.shape
+    )
+    records = evaluate_controller(
+        system,
+        target_task,
+        K_hats,
+        cfg.T_test,
+        [eval_tree.child("n2", n2).stream() for n2 in cfg.N2],
+    )
+    return [
+        ResultRow(
+            method=method,
+            system_trial=system_trial,
+            noise_trial=noise_trial,
+            N1=cfg.N1,
+            N2=n2,
+            H=cfg.H,
+            T=cfg.T,
+            k=cfg.k,
+            underdetermined=underdetermined,
+            **asdict(record),
+        )
+        for (n2, method, _, underdetermined), record in zip(fits, records)
+    ]
 
 
 def _cell_worker(args) -> list:
     return _run_cell(*args)
 
 
+def _blas_threads():
+    """The thread-count `get` and `set` of numpy's bundled OpenBLAS, or None.
+
+    Looked up through ctypes on numpy's own extension module, whose
+    dependencies include the library, so nothing new is loaded. None when
+    numpy was built against a BLAS without these symbols.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return SimpleNamespace(get=get, set=set_)
+
+
+def _pin_blas_threads() -> None:
+    """Pin OpenBLAS to SWEEP_BLAS_THREADS, if the symbols exist.
+
+    Also the process-pool initializer, so the pin holds in the workers under
+    any start method.
+    """
+    blas = _blas_threads()
+    if blas is not None:
+        blas.set(SWEEP_BLAS_THREADS)
+
+
 def run_sweep(cfg: ExperimentConfig) -> list:
     """Execute the full sweep; output is deterministic given (config, seed).
 
     Ensembles are built in this process and sent to the cells that use them.
+    OpenBLAS runs on SWEEP_BLAS_THREADS threads for the sweep, so the bits do
+    not follow the caller's thread count; the caller's count is restored.
     """
+    blas = _blas_threads()
+    previous = None if blas is None else blas.get()
     rows = []
-    if cfg.parallelism <= 1 or cfg.trials_system * cfg.trials_noise <= 1:
-        outputs = map(_cell_worker, _cells(cfg))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=cfg.parallelism
-        ) as pool:
-            outputs = list(pool.map(_cell_worker, _cells(cfg)))
+    try:
+        _pin_blas_threads()
+        if cfg.parallelism <= 1 or cfg.trials_system * cfg.trials_noise <= 1:
+            outputs = list(map(_cell_worker, _cells(cfg)))
+        else:
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=cfg.parallelism, initializer=_pin_blas_threads
+            ) as pool:
+                outputs = list(pool.map(_cell_worker, _cells(cfg)))
+    finally:
+        if blas is not None:
+            blas.set(previous)
     for cell_rows in outputs:
         rows.extend(cell_rows)
     rows.sort(
@@ -405,12 +464,14 @@ def _fmt(value) -> str:
 
 
 def write_results(rows: list, out_dir: str, cfg: ExperimentConfig | None = None):
-    """Write results.csv, summary.csv, and a manifest; returns the paths.
+    """Write results.csv, summary.csv, and manifest.json; returns the paths.
 
     results.csv carries the fixed per-row schema (wall-clock timing is kept
     out so identical (config, seed) runs are byte-identical); summary.csv
     aggregates median and 20/80% quantiles per method x grid point plus the
-    stable fraction.
+    stable fraction. The manifest records RESULTS_VERSION, the config, the
+    OpenBLAS thread count of run_sweep (null when it cannot be pinned) and
+    the package, numpy and BLAS versions.
     """
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
@@ -442,10 +503,19 @@ def write_results(rows: list, out_dir: str, cfg: ExperimentConfig | None = None)
             out.append(_fmt(sum(r.stable for r in group) / len(group)))
             writer.writerow(out)
 
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
     manifest = {
         "version": RESULTS_VERSION,
         "n_rows": len(rows),
         "config": asdict(cfg) if cfg is not None else None,
+        "blas_threads": None if _blas_threads() is None else SWEEP_BLAS_THREADS,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "numpy_version": np.__version__,
+        "package_version": __version__,
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True, default=list)

@@ -22,24 +22,31 @@ from .errors import DegenerateRank, RankDeficient, SingularBlock
 class PretrainResult:
     """Output of the alternating least-squares pre-training stage.
 
+    f_hats stacks the per-task weights, shape (H, n_u, k).
     objective_trace[0] is the objective at initialization (all F^h = 0,
     i.e. sum_h ||U^h||_F^2); entry s is the objective after sweep s.
     """
 
     phi_hat: np.ndarray
-    f_hats: list
+    f_hats: np.ndarray
     objective_trace: np.ndarray
     sweeps_used: int
 
 
 def _solve_with_ridge_repair(M: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Solve M X = C; on singularity retry with lambda = 1e-12 tr(M)/dim."""
+    """Solve M X = C; on singularity retry with lambda = 1e-12 tr(M)/dim.
+
+    M may stack matrices, shape (H, d, d) with C (H, d, m): all are solved
+    at once, and only when that fails is each repaired on its own.
+    """
     try:
         sol = np.linalg.solve(M, C)
         if np.all(np.isfinite(sol)):
             return sol
     except np.linalg.LinAlgError:
         pass
+    if M.ndim == 3:
+        return np.stack([_solve_with_ridge_repair(Mh, Ch) for Mh, Ch in zip(M, C)])
     lam = 1e-12 * np.trace(M) / M.shape[0]
     if lam <= 0.0:
         raise SingularBlock("normal matrix singular with zero trace")
@@ -52,7 +59,7 @@ def _solve_with_ridge_repair(M: np.ndarray, C: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _orthonormalize(phi: np.ndarray, f_hats: list) -> tuple:
+def _orthonormalize(phi: np.ndarray, f_hats: np.ndarray) -> tuple:
     """Canonicalize: orthonormal rows of Phi, change of basis absorbed into F.
 
     Thin QR of Phi' gives Phi = R' Q', so replacing Phi by Q' and each F by
@@ -62,7 +69,7 @@ def _orthonormalize(phi: np.ndarray, f_hats: list) -> tuple:
     """
     Q, R = np.linalg.qr(phi.T)
     phi_new = Q.T.copy()
-    f_new = [F @ R.T for F in f_hats]
+    f_new = f_hats @ R.T
     for j in range(phi_new.shape[0]):
         row = phi_new[j]
         row_scale = np.linalg.norm(row)
@@ -71,62 +78,55 @@ def _orthonormalize(phi: np.ndarray, f_hats: list) -> tuple:
         idx = np.flatnonzero(np.abs(row) > 1e-12 * row_scale)
         if idx.size and row[idx[0]] < 0.0:
             phi_new[j] = -row
-            for F in f_new:
-                F[:, j] = -F[:, j]
+            f_new[:, :, j] = -f_new[:, :, j]
     return phi_new, f_new
 
 
-def _objective(grams: list, phi: np.ndarray, f_hats: list) -> float:
-    total = 0.0
-    for (Gx, Cxu, u_sq), F in zip(grams, f_hats):
-        FP = F @ phi
-        total += float(np.sum((FP @ Gx) * FP) - 2.0 * np.sum(FP * Cxu.T) + u_sq)
-    return total
+def _objective(grams: tuple, phi: np.ndarray, f_hats: np.ndarray) -> float:
+    Gx, Cxu, u_sq = grams
+    FP = f_hats @ phi
+    # Task by task the three terms cancel down to that task's residual.
+    fit = np.sum((FP @ Gx) * FP, axis=(1, 2))
+    cross = np.sum(FP * Cxu.transpose(0, 2, 1), axis=(1, 2))
+    return float(np.sum(fit - 2.0 * cross + u_sq))
 
 
-def _phi_step_normal(grams: list, f_hats: list) -> np.ndarray:
+def _phi_step_normal(Gx: np.ndarray, f_hats: np.ndarray) -> np.ndarray:
     """sum_h kron(Gx^h, F^h' F^h), the Phi-step normal matrix in vec(Phi).
 
-    Summed as outer products and reordered once: the same products added in
-    the same order as with np.kron, so bit-identical. A GEMM or einsum over h
-    would add in another order and change results.csv.
+    One GEMM over h of the stacked F'F (H, k k) and Gx (H, n n) gives all the
+    outer products summed, and one reorder lays them out as the Kronecker sum.
     """
-    k = f_hats[0].shape[1]
-    n = grams[0][0].shape[0]
-    outer = np.zeros((k, k, n, n))
-    for (Gx, _, _), F in zip(grams, f_hats):
-        outer += np.multiply.outer(F.T @ F, Gx)
-    return outer.transpose(2, 0, 3, 1).reshape(k * n, k * n)
+    H, n, _ = Gx.shape
+    k = f_hats.shape[2]
+    ftf = f_hats.transpose(0, 2, 1) @ f_hats
+    outer = ftf.reshape(H, k * k).T @ Gx.reshape(H, n * n)
+    return outer.reshape(k, k, n, n).transpose(2, 0, 3, 1).reshape(k * n, k * n)
 
 
 def _als_once(
-    grams: list,
+    grams: tuple,
     k: int,
-    n: int,
     max_sweeps: int,
     rel_tol: float,
     rng: np.random.Generator,
 ) -> tuple:
     """One ALS run from a random orthonormal start; returns raw factors."""
+    Gx, Cxu, _ = grams
+    H, n, n_u = Cxu.shape
     phi0 = rng.standard_normal((k, n))
     phi = np.linalg.qr(phi0.T)[0].T
-    f_hats = [np.zeros((Cxu.shape[1], k)) for (_, Cxu, _) in grams]
+    f_hats = np.zeros((H, n_u, k))
     trace = [_objective(grams, phi, f_hats)]
     sweeps = 0
     for sweep in range(1, max_sweeps + 1):
-        # F-step: per-task exact least squares given Phi.
-        f_hats = []
-        for Gx, Cxu, _ in grams:
-            M = phi @ Gx @ phi.T
-            C = phi @ Cxu
-            f_hats.append(_solve_with_ridge_repair(M, C).T)
+        # F-step: per-task exact least squares given Phi, all tasks at once.
+        M = phi @ Gx @ phi.T
+        f_hats = _solve_with_ridge_repair(M, phi @ Cxu).transpose(0, 2, 1)
         # Phi-step: joint least squares in vec(Phi) given all F.
-        rhs = np.zeros((k, n))
-        for (_, Cxu, _), F in zip(grams, f_hats):
-            rhs += F.T @ Cxu.T
-        b = rhs.ravel(order="F")
+        b = np.einsum("hua,hiu->ai", f_hats, Cxu).ravel(order="F")
         if np.any(b):
-            sol = _solve_with_ridge_repair(_phi_step_normal(grams, f_hats), b)
+            sol = _solve_with_ridge_repair(_phi_step_normal(Gx, f_hats), b)
             phi = sol.reshape((k, n), order="F")
         obj = _objective(grams, phi, f_hats)
         trace.append(obj)
@@ -170,12 +170,16 @@ def pretrain_alternating(
         raise DegenerateRank("stacked source states have rank below k")
     if rng is None:
         rng = np.random.default_rng(0)
-    grams = [
-        (d.X.T @ d.X, d.X.T @ d.U, float(np.sum(d.U**2))) for d in source
-    ]
+    # Per-task Gram matrices stacked over tasks: X'X (H, n, n), X'U
+    # (H, n, n_u) and ||U||^2 (H,).
+    grams = (
+        np.stack([d.X.T @ d.X for d in source]),
+        np.stack([d.X.T @ d.U for d in source]),
+        np.array([np.sum(d.U**2) for d in source]),
+    )
     best = None
     for _ in range(max(1, restarts)):
-        phi, f_hats, trace, sweeps = _als_once(grams, k, n, max_sweeps, rel_tol, rng)
+        phi, f_hats, trace, sweeps = _als_once(grams, k, max_sweeps, rel_tol, rng)
         if best is None or trace[-1] < best[2][-1]:
             best = (phi, f_hats, trace, sweeps)
     phi, f_hats, trace, sweeps = best

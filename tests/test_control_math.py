@@ -1,10 +1,14 @@
 """Tests for solvers and matrix utilities, oracle values first."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtil import control_math as cm
-from mtil.errors import NotConverged, UnstableMatrix
+from mtil.errors import NotConverged, NotStabilizing, UnstableMatrix
 
 
 def scalar_dare_oracle(a, b, q, r, tol=1e-14):
@@ -144,6 +148,74 @@ class TestLyapunov:
         scale = np.linalg.norm(A, 2) ** 2 * np.linalg.norm(S, "fro") + 2.0
         assert resid > 1e-10 * np.linalg.norm(S, "fro")
         assert resid <= 1e-12 * scale
+
+def fixed_point_dare_gain(A, B, Q, R, rel_tol=1e-13, max_iter=1_000_000):
+    """LQR gain from the Riccati fixed point P <- A'PA - A'PB (B'PB + R)^{-1}
+    B'PA + Q from P = Q: the recurrence solve_dare iterated before it used
+    doubling, here with a tighter tolerance."""
+    P = Q
+    for _ in range(max_iter):
+        BtP = B.T @ P
+        P_new = A.T @ P @ A - (BtP @ A).T @ np.linalg.solve(BtP @ B + R, BtP @ A) + Q
+        P_new = 0.5 * (P_new + P_new.T)
+        delta = np.linalg.norm(P_new - P, "fro")
+        P = P_new
+        if delta <= rel_tol * max(1.0, np.linalg.norm(P, "fro")):
+            return -np.linalg.solve(B.T @ P @ B + R, B.T @ P @ A)
+    raise AssertionError("fixed point did not converge")
+
+
+@st.composite
+def stabilizable_problems(draw):
+    """(A, B, Q, R): Gaussian A scaled to a drawn spectral radius in
+    [0.2, 1.5], Gaussian B (controllable almost surely), Q and R SPD."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    rho = draw(st.floats(0.2, 1.5))
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    A *= rho / max(cm.spectral_radius(A), 1e-9)
+    B = rng.standard_normal((n, m))
+    Mq = rng.standard_normal((n, n))
+    Mr = rng.standard_normal((m, m))
+    return A, B, Mq @ Mq.T / n + 0.1 * np.eye(n), Mr @ Mr.T / m + 0.1 * np.eye(m)
+
+
+class TestDareProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stabilizable_problems())
+    def test_backward_residual_and_stable_closed_loop(self, problem):
+        A, B, Q, R = problem
+        sol = cm.solve_dare(A, B, Q, R)
+        P = sol.P
+        BtPA = B.T @ P @ A
+        riccati = A.T @ P @ A - BtPA.T @ np.linalg.solve(B.T @ P @ B + R, BtPA) + Q
+        resid = np.linalg.norm(P - riccati, "fro")
+        # Rounding in A'PA scales with ||A||^2 ||P||: the backward-error scale.
+        scale = np.linalg.norm(A, 2) ** 2 * np.linalg.norm(P, "fro") + np.linalg.norm(
+            Q, "fro"
+        )
+        assert resid <= 1e-10 * scale
+        assert cm.spectral_radius(A + B @ sol.K) < 1.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(stabilizable_problems())
+    def test_gain_matches_fixed_point(self, problem):
+        A, B, Q, R = problem
+        K = cm.solve_dare(A, B, Q, R).K
+        K_ref = fixed_point_dare_gain(A, B, Q, R)
+        assert np.linalg.norm(K - K_ref) <= 1e-8 * np.linalg.norm(K_ref)
+
+    def test_infinite_cost_fails_fast(self):
+        base_A = np.array([[1.1, 0.3], [0.0, 0.7]])
+        start = time.perf_counter()
+        with np.errstate(invalid="ignore"):
+            Q = np.inf * np.eye(2)
+        with pytest.raises((NotConverged, NotStabilizing)):
+            cm.solve_dare(base_A, np.eye(2)[:, :1], Q, np.eye(1))
+        assert time.perf_counter() - start < 1.0
+
 
 class TestDare:
     def test_scalar_oracle(self):

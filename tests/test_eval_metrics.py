@@ -126,6 +126,31 @@ class TestEvaluateController:
         assert [r.tracking_err for r in singles] == batch.tolist()
         assert not any(r.nonfinite for r in singles)
 
+    def test_batched_pass_equals_one_gain_calls(self):
+        # A cell scores c gains per draw in one pass; each record must be the
+        # bits of a one-gain call on its draw's stream, a diverging gain too.
+        base = lti_env.get_preset("hong2021")
+        gains = lti_env.synthesize_expert_family(base, [0.5, 1.0, 2.0], np.eye(2))
+        task = lti_env.make_task(base, gains[0], sigma_z=1.0)
+        diverging = gains[0] + 1e8  # overflows within the 60 steps
+        K_hats = np.array(
+            [[gains[1], gains[2]], [gains[2], diverging], [task.K, gains[1]]]
+        )
+        tree = SeedTree(root=6)
+        streams = [tree.child("n2", d).stream() for d in range(3)]
+        batched = eval_metrics.evaluate_controller(base, task, K_hats, 60, streams)
+        singles = [
+            eval_metrics.evaluate_controller(
+                base, task, K_hats[d, c], 60, tree.child("n2", d).stream()
+            )
+            for d in range(3)
+            for c in range(2)
+        ]
+        assert batched == singles
+        assert [r.nonfinite for r in batched] == [False] * 3 + [True] + [False] * 2
+        assert batched[3].tracking_err == np.inf and not batched[3].stable
+        assert batched[4].tracking_err == 0.0
+
     def test_per_trial_tracking_bound(self):
         # Deterministic consequence of the incremental-stability display.
         system, task = scalar_setup(sigma_w=1.0, sigma_z=0.2)

@@ -2,6 +2,7 @@
 
 import filecmp
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import mtil
 from mtil import cli, exp_harness as eh, lti_env
 from mtil.errors import ParseError, ValidationError
 
@@ -125,20 +128,65 @@ class TestRunSweep:
         assert fresh[1].tracking_err != reused[1].tracking_err
 
 
+# results.csv of this sweep at RESULTS_VERSION "2": a speed-up must keep
+# these bytes, a change of them needs a RESULTS_VERSION bump.
+GOLDEN_SWEEP = "sweep:\n  trials_system: 2\n  trials_noise: 1\n  n2: [1, 2, 5]\n"
+GOLDEN_DIGEST = "edaca7be863b12bd8b7b30c4b877e05bfec9d02f030d9c4fb461876ada01a2a5"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 class TestSweepReuse:
     def test_golden_results_digest(self, tmp_path):
-        # results.csv of this sweep at RESULTS_VERSION "1": a speed-up must
-        # keep these bytes, a change of them needs a RESULTS_VERSION bump.
-        cfg = eh.config_from_dict(
-            {"sweep": {"trials_system": 2, "trials_noise": 1, "n2": [1, 2, 5]}}
-        )
+        cfg = eh.config_from_dict(yaml.safe_load(GOLDEN_SWEEP))
         paths = eh.write_results(eh.run_sweep(cfg), str(tmp_path), cfg)
         with open(paths["results"], "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        assert eh.RESULTS_VERSION == "1"
-        assert digest == (
-            "104bd2ce0ef1cd6c4061220cc6d98d0ef24ee1be5ed3686e8828337b3902281d"
+        assert eh.RESULTS_VERSION == "2"
+        assert digest == GOLDEN_DIGEST
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    @pytest.mark.parametrize("threads", [None, "1", "2", "4"])
+    def test_golden_digest_under_any_blas_threads(
+        self, tmp_path, threads, parallelism
+    ):
+        # The thread count the process starts with must not reach the bits.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(GOLDEN_SWEEP)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
         )
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        subprocess.run(
+            [sys.executable, "-m", "mtil.cli", "run", "--config", str(cfg_path),
+             "--out", str(tmp_path / "out"), "--parallelism", parallelism],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        digest = hashlib.sha256((tmp_path / "out" / "results.csv").read_bytes())
+        assert digest.hexdigest() == GOLDEN_DIGEST
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["version"] == "2"
+        assert manifest["blas_threads"] == 1
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_run_sweep_restores_blas_threads(self, parallelism):
+        blas = eh._blas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS exports no thread-count symbols")
+        before = blas.get()
+        try:
+            blas.set(3)
+            cfg = eh.config_from_dict(
+                {"sweep": {"trials_system": 2, "trials_noise": 1, "n2": [1],
+                           "methods": ["direct"]},
+                 "run": {"parallelism": parallelism}}
+            )
+            eh.run_sweep(cfg)
+            assert blas.get() == 3
+        finally:
+            blas.set(before)
 
     @pytest.mark.parametrize(
         "parallelism, lift_dim, lifts", [(1, 50, 3), (2, 50, 3), (1, None, 0)]
@@ -197,6 +245,16 @@ class TestWriteResults:
         assert float(fields[3]) == 2.0  # median tracking error
         assert float(fields[-1]) == 1.0  # stable fraction
 
+    def test_manifest_records_versions(self, tmp_path):
+        paths = eh.write_results([], str(tmp_path), None)
+        manifest = json.loads(Path(paths["manifest"]).read_text())
+        assert manifest["version"] == eh.RESULTS_VERSION
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["package_version"] == mtil.__version__
+        pinned = eh._blas_threads() is not None
+        assert manifest["blas_threads"] == (eh.SWEEP_BLAS_THREADS if pinned else None)
+        assert {"blas_name", "blas_version"} <= manifest.keys()
+
     def test_rerun_identical_bytes(self, tmp_path):
         cfg = tiny_cfg()
         rows = eh.run_sweep(cfg)
@@ -252,6 +310,8 @@ class TestCli:
             ("tasks:\n  alphas: [.nan, 2]\n", [], "tasks.alphas"),
             ("sweep:\n  methods: [direct, direct]\n", [], "sweep.methods"),
             ("sweep:\n  n2: [1, 1]\n", [], "sweep.n2"),
+            ("tasks:\n  alphas: [300, 400]\n", [], "tasks.alphas"),
+            ("tasks:\n  alphas: [-400, 2]\n", [], "tasks.alphas"),
         ],
     )
     def test_bad_input_exits_2_with_field_path(

@@ -107,16 +107,20 @@ class TestPretrainAlternating:
 class TestPhiStepNormal:
     @pytest.mark.parametrize("n, k, H", [(1, 1, 1), (5, 2, 3), (50, 4, 9), (7, 7, 2)])
     def test_bit_identical_to_kron_sum(self, n, k, H):
+        # One GEMM over tasks adds in another order than the kron sum, so the
+        # match is to rounding; the matrix stays exactly symmetric.
         rng = np.random.default_rng(n * 100 + k * 10 + H)
-        grams, f_hats = [], []
+        Gx, f_hats = [], []
         for _ in range(H):
             X = rng.standard_normal((3 * n, n))
-            grams.append((X.T @ X, None, None))
+            Gx.append(X.T @ X)
             f_hats.append(rng.standard_normal((2, k)))
         expected = np.zeros((k * n, k * n))
-        for (Gx, _, _), F in zip(grams, f_hats):
-            expected += np.kron(Gx, F.T @ F)
-        assert np.array_equal(_phi_step_normal(grams, f_hats), expected)
+        for G, F in zip(Gx, f_hats):
+            expected += np.kron(G, F.T @ F)
+        normal = _phi_step_normal(np.stack(Gx), np.stack(f_hats))
+        assert np.allclose(normal, expected, rtol=1e-12, atol=0.0)
+        assert np.array_equal(normal, normal.T)
 
 
 class TestFinetuneTarget:
