@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import control_math
-from .errors import CholeskyFailure, UnstableClosedLoop
+from .errors import CholeskyFailure
 from .lti_env import ExpertTask, LinearSystem
 
 
@@ -52,18 +51,6 @@ class NoiseRealization:
     x0: np.ndarray
     w: np.ndarray
     z: np.ndarray
-
-
-@dataclass(frozen=True)
-class TrajectoryBatch:
-    """N expert demonstration trajectories of length T.
-
-    states[i, t] = x_i[t] and inputs[i, t] = u_i[t] satisfy the plant and
-    controller recurrences exactly for the generating task.
-    """
-
-    states: np.ndarray
-    inputs: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -127,51 +114,35 @@ def rollout_expert(
     T: int,
     N: int,
     rng: np.random.Generator,
-    x0: np.ndarray | None = None,
-) -> TrajectoryBatch:
-    """Simulate N closed-loop expert trajectories of length T.
+) -> StackedData:
+    """Simulate N closed-loop expert trajectories of length T, row-stacked.
 
-    Initial states are exact stationary draws x_i[0] ~ N(0, sigma_x) (no
-    burn-in); inputs are u_i[t] = K x_i[t] + z_i[t]. Draw order: all initial
-    states (N x n_x, row-major), then process noise (N x T x n_x), then
-    actuator noise (N x T x n_u). Pass `x0` to force a common deterministic
-    initial state (testing hook; skips the initial-state draws).
+    Row i*T + t holds (x_i[t], u_i[t]). Initial states are exact stationary
+    draws x_i[0] ~ N(0, sigma_x) (no burn-in); inputs are u_i[t] = K x_i[t] +
+    z_i[t]. Draw order: all initial states (N x n_x, row-major), then process
+    noise (N x T x n_x), then actuator noise (N x T x n_u). K is taken to be
+    stabilizing, as `make_task` checks when it builds the task.
 
     Raises:
-        UnstableClosedLoop: if rho(A + BK) >= 1.
         CholeskyFailure: if sigma_x is numerically indefinite.
     """
     if T < 1 or N < 1:
         raise ValueError("T and N must be >= 1")
-    A_cl_rho = control_math.spectral_radius(system.A + system.B @ task.K)
-    if A_cl_rho >= 1.0:
-        raise UnstableClosedLoop("expert closed loop is unstable")
-    if x0 is None:
-        Lx = cholesky_factor(task.sigma_x)
-        X0 = rng.standard_normal((N, system.n_x)) @ Lx.T
-    else:
-        X0 = np.broadcast_to(np.asarray(x0, dtype=float), (N, system.n_x)).copy()
+    Lx = cholesky_factor(task.sigma_x)
+    x = rng.standard_normal((N, system.n_x)) @ Lx.T
     Lw = cholesky_factor(task.sigma_w)
     W = rng.standard_normal((N, T, system.n_x)) @ Lw.T
     Z = task.sigma_z * rng.standard_normal((N, T, system.n_u))
 
     states = np.empty((N, T, system.n_x))
     inputs = np.empty((N, T, system.n_u))
-    x = X0
     for t in range(T):
         u = x @ task.K.T + Z[:, t, :]
         states[:, t, :] = x
         inputs[:, t, :] = u
         x = x @ system.A.T + u @ system.B.T + W[:, t, :]
-    return TrajectoryBatch(states=states, inputs=inputs)
-
-
-def stack_data(batch: TrajectoryBatch) -> StackedData:
-    """Stack a batch into (N*T) x n_x states and (N*T) x n_u inputs."""
-    N, T, n = batch.states.shape
     return StackedData(
-        X=batch.states.reshape(N * T, n),
-        U=batch.inputs.reshape(N * T, batch.inputs.shape[2]),
+        X=states.reshape(N * T, system.n_x), U=inputs.reshape(N * T, system.n_u)
     )
 
 

@@ -60,17 +60,16 @@ def evaluate_controller(
     target_task: ExpertTask,
     K_hat: np.ndarray,
     T_test: int,
-    rng: np.random.Generator | list,
-) -> MetricsRecord | list:
+    rngs: list,
+) -> list:
     """Coupled closed-loop evaluation of learned gains against the target expert.
 
-    One gain K_hat (n_u, n_x) is scored on one noise realization drawn from
-    the Generator rng, giving one MetricsRecord. A stack K_hat of shape
-    (draws, c, n_u, n_x) is scored in one pass: rng then holds one Generator
-    per draw, each draw's noise is sampled once and shared by its c gains,
-    and the expert is rolled out once per draw. That gives the records of
-    draw 0's gains, then draw 1's, and so on; each is, bit for bit, the
-    record of a one-gain call on its draw's Generator.
+    The stack K_hat of shape (draws, c, n_u, n_x) is scored in one pass:
+    rngs holds one Generator per draw, each draw's noise is sampled once and
+    shared by its c gains, and the expert is rolled out once per draw. That
+    gives the MetricsRecords of draw 0's gains, then draw 1's, and so on;
+    each is, bit for bit, the record of its gain scored alone on its draw's
+    Generator.
 
     A record holds the max squared state deviation over t = 1..T_test along
     with parameter error, stability of A + B K_hat, and the closed-form
@@ -79,10 +78,7 @@ def evaluate_controller(
     """
     if T_test < 1:
         raise ValueError("T_test must be >= 1")
-    one_gain = np.ndim(K_hat) == 2
-    if one_gain:
-        K_hat, rng = K_hat[None, None], [rng]
-    draws = [sample_noise(system, target_task, T_test, g) for g in rng]
+    draws = [sample_noise(system, target_task, T_test, g) for g in rngs]
     noise = NoiseRealization(
         x0=np.concatenate([d.x0 for d in draws]),
         w=np.concatenate([d.w for d in draws]),
@@ -95,7 +91,7 @@ def evaluate_controller(
     closed = system.B @ gains
     closed += system.A
     rho = np.abs(np.linalg.eigvals(closed)).max(axis=1)
-    records = [
+    return [
         MetricsRecord(
             tracking_err=float(np.inf if n_steps < T_test else sq),
             param_err=float(np.linalg.norm(K - target_task.K)),
@@ -105,7 +101,6 @@ def evaluate_controller(
         )
         for K, sq, n_steps, r in zip(gains, peak.ravel(), steps.ravel(), rho)
     ]
-    return records[0] if one_gain else records
 
 
 def lqr_cost_gap(

@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import __version__, lti_env, mtil_learn
-from .data_gen import SeedTree, StackedData, rollout_expert, stack_data
+from .data_gen import SeedTree, StackedData, rollout_expert
 from .errors import ParseError, ValidationError
 from .eval_metrics import evaluate_controller, summarize_quantiles
 
@@ -97,11 +97,9 @@ def _convert(path: str, value, convert):
 
 def _n2_grid(value) -> tuple:
     """An int n expands to the grid 1..n; a list is taken as given."""
-    if isinstance(value, int):
-        value = range(1, value + 1)
-    elif not isinstance(value, list):
-        raise TypeError("must be a list of counts or a single count")
-    return tuple(int(v) for v in value)
+    if isinstance(value, list):
+        return tuple(_strict_int(v) for v in value)
+    return tuple(range(1, _strict_int(value) + 1))
 
 
 def _square_matrix(value) -> np.ndarray:
@@ -117,6 +115,13 @@ def _strict_bool(value) -> bool:
     return value
 
 
+def _strict_int(value) -> int:
+    """An integer as written: a float, a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return value
+
+
 def _unchanged(value):
     return value
 
@@ -128,22 +133,22 @@ _FIELDS = {
     "system.preset": ("preset", str),
     "system.a": ("A", _unchanged),
     "system.b": ("B", _unchanged),
-    "system.lift_dim": ("lift_dim", lambda v: None if v is None else int(v)),
+    "system.lift_dim": ("lift_dim", lambda v: None if v is None else _strict_int(v)),
     "system.sigma_z": ("sigma_z", float),
-    "tasks.h": ("H", int),
-    "tasks.k": ("k", int),
+    "tasks.h": ("H", _strict_int),
+    "tasks.k": ("k", _strict_int),
     "tasks.alphas": ("alphas", lambda v: tuple(float(e) for e in v)),
     "tasks.r_scale": ("r_scale", float),
-    "sweep.n1": ("N1", int),
+    "sweep.n1": ("N1", _strict_int),
     "sweep.n2": ("N2", _n2_grid),
-    "sweep.t": ("T", int),
-    "sweep.t_test": ("T_test", int),
-    "sweep.trials_system": ("trials_system", int),
-    "sweep.trials_noise": ("trials_noise", int),
+    "sweep.t": ("T", _strict_int),
+    "sweep.t_test": ("T_test", _strict_int),
+    "sweep.trials_system": ("trials_system", _strict_int),
+    "sweep.trials_noise": ("trials_noise", _strict_int),
     "sweep.methods": ("methods", tuple),
-    "run.seed": ("seed", int),
-    "run.parallelism": ("parallelism", int),
-    "run.restarts": ("restarts", int),
+    "run.seed": ("seed", _strict_int),
+    "run.parallelism": ("parallelism", _strict_int),
+    "run.restarts": ("restarts", _strict_int),
     "run.reuse_source_data": ("reuse_source_data", _strict_bool),
     "run.eval_task": ("eval_task", _unchanged),
 }
@@ -326,10 +331,8 @@ def _run_cell(
         "noise", source_noise_trial
     )
     source_stacks = [
-        stack_data(
-            rollout_expert(
-                system, task, cfg.T, cfg.N1, source_tree.child("task", h).stream()
-            )
+        rollout_expert(
+            system, task, cfg.T, cfg.N1, source_tree.child("task", h).stream()
         )
         for h, task in enumerate(ensemble.sources)
     ]
@@ -347,7 +350,7 @@ def _run_cell(
     pool_rng = (
         tree.child("target", system_trial).child("noise", noise_trial).stream()
     )
-    pool = stack_data(rollout_expert(system, target_task, cfg.T, n2_max, pool_rng))
+    pool = rollout_expert(system, target_task, cfg.T, n2_max, pool_rng)
 
     fits = []  # (N2, method, K_hat, underdetermined), grid point by grid point
     for n2 in cfg.N2:

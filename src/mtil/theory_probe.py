@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import control_math
-from .data_gen import (
-    cholesky_factor,
-    coupled_rollout,
-    rollout_expert,
-    sample_noise,
-    stack_data,
-)
+from .data_gen import cholesky_factor, coupled_rollout, rollout_expert, sample_noise
 from .errors import UnstablePair
 from .eval_metrics import excess_risk
 from .lti_env import ExpertTask, LinearSystem
@@ -96,8 +90,7 @@ def verify_covariance_concentration(
     failures = 0
     margin = 0.0
     for _ in range(trials):
-        batch = rollout_expert(system, task, T, N, rng)
-        X = stack_data(batch).X
+        X = rollout_expert(system, task, T, N, rng).X
         if projection is not None:
             X = X @ projection
         E = (X.T @ X) / X.shape[0]

@@ -12,7 +12,7 @@ import pytest
 
 from mtil import cli, control_math as cm, exp_harness, lti_env, mtil_learn
 from mtil import theory_probe
-from mtil.data_gen import SeedTree, rollout_expert, stack_data
+from mtil.data_gen import SeedTree, rollout_expert
 from mtil.eval_metrics import excess_risk
 
 
@@ -112,16 +112,14 @@ def test_criterion_2_noiseless_identifiability():
         for t in lifted.tasks
     ]
     stacks = [
-        stack_data(rollout_expert(system, t, 20, 2, tree.child("d", i).stream()))
+        rollout_expert(system, t, 20, 2, tree.child("d", i).stream())
         for i, t in enumerate(noiseless[:9])
     ]
     pre = mtil_learn.pretrain_alternating(
         stacks, 4, rng=tree.child("init").stream()
     )
     sub = mtil_learn.subspace_distance(pre.phi_hat, truth.phi_star)
-    tgt = stack_data(
-        rollout_expert(system, noiseless[9], 20, 2, tree.child("t").stream())
-    )
+    tgt = rollout_expert(system, noiseless[9], 20, 2, tree.child("t").stream())
     F = mtil_learn.finetune_target(pre.phi_hat, tgt)
     param = np.linalg.norm(F @ pre.phi_hat - noiseless[9].K)
     elapsed = time.perf_counter() - t0
@@ -186,11 +184,8 @@ def test_criterion_4_excess_risk_rate():
     for n2 in n2_grid:
         ers = []
         for s in range(50):
-            data = stack_data(
-                rollout_expert(
-                    ens.system, tgt, 20, n2,
-                    tree.child("d", s).child("n", n2).stream(),
-                )
+            data = rollout_expert(
+                ens.system, tgt, 20, n2, tree.child("d", s).child("n", n2).stream()
             )
             F = mtil_learn.finetune_target(phi, data)
             ers.append(excess_risk(F @ phi, tgt.K, tgt.sigma_x))

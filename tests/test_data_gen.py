@@ -11,7 +11,6 @@ from mtil.data_gen import (
     coupled_rollout,
     rollout_expert,
     sample_noise,
-    stack_data,
 )
 from mtil.errors import CholeskyFailure
 
@@ -118,6 +117,26 @@ class TestSampleNoise:
             assert np.array_equal(batch.z[i : i + 1], one.z)
 
 
+def replayed_rollout(system, task, T, N, seed):
+    """rollout_expert's draws replayed from a fresh generator, and the rows
+    they give when each trajectory is stepped on its own in scalar
+    arithmetic (1-D systems only)."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal((N, 1)) @ cholesky_factor(task.sigma_x).T
+    w = rng.standard_normal((N, T, 1)) @ cholesky_factor(task.sigma_w).T
+    z = task.sigma_z * rng.standard_normal((N, T, 1))
+    (a,), (b,), (k,) = system.A, system.B, task.K
+    X, U = [], []
+    for i in range(N):
+        x = x0[i]
+        for t in range(T):
+            u = k * x + z[i, t]
+            X.append(x)
+            U.append(u)
+            x = a * x + b * u + w[i, t]
+    return np.array(X), np.array(U)
+
+
 class TestRolloutExpert:
     def test_zero_noise_zero_state(self):
         system = lti_env.LinearSystem(A=np.array([[0.5]]), B=np.array([[1.0]]))
@@ -127,13 +146,14 @@ class TestRolloutExpert:
             sigma_z=0.0,
             sigma_x=np.zeros((1, 1)),
         )
-        batch = rollout_expert(
-            system, task, 5, 3, np.random.default_rng(0), x0=np.zeros(1)
-        )
-        assert np.all(batch.states == 0.0)
-        assert np.all(batch.inputs == 0.0)
+        data = rollout_expert(system, task, 5, 3, np.random.default_rng(0))
+        assert data.X.shape == (15, 1) and data.U.shape == (15, 1)
+        assert np.all(data.X == 0.0)
+        assert np.all(data.U == 0.0)
 
-    def test_forced_x0_power_recurrence(self):
+    def test_power_recurrence_from_drawn_x0(self):
+        # With sigma_w = sigma_z = 0 each block of T rows follows
+        # x[t+1] = (A + BK) x[t] from its drawn x[0].
         base = lti_env.get_preset("hong2021")
         gains = lti_env.synthesize_expert_family(base, [1.0, 2.0], np.eye(2))
         task_full = lti_env.make_task(base, gains[0], sigma_z=1.0)
@@ -143,24 +163,26 @@ class TestRolloutExpert:
             sigma_z=0.0,
             sigma_x=task_full.sigma_x,
         )
-        v = np.array([1.0, -2.0, 0.5, 0.25])
-        batch = rollout_expert(base, task, 6, 1, np.random.default_rng(0), x0=v)
+        T, N = 6, 3
+        data = rollout_expert(base, task, T, N, np.random.default_rng(0))
         A_cl = base.A + base.B @ task.K
-        expected = v.copy()
-        for t in range(6):
-            np.testing.assert_allclose(batch.states[0, t], expected, atol=1e-10)
-            expected = A_cl @ expected
+        for i in range(N):
+            expected = data.X[i * T]
+            assert np.any(expected != 0.0)
+            for t in range(T):
+                np.testing.assert_allclose(data.X[i * T + t], expected, atol=1e-10)
+                expected = A_cl @ expected
 
     def test_replay_bit_identical(self):
         system, task = scalar_setup(sigma_w=1.0, sigma_z=0.5)
         tree = SeedTree(root=11)
-        b1 = rollout_expert(system, task, 7, 4, tree.child("r").stream())
-        b2 = rollout_expert(system, task, 7, 4, tree.child("r").stream())
-        assert np.array_equal(b1.states, b2.states)
-        assert np.array_equal(b1.inputs, b2.inputs)
+        d1 = rollout_expert(system, task, 7, 4, tree.child("r").stream())
+        d2 = rollout_expert(system, task, 7, 4, tree.child("r").stream())
+        assert np.array_equal(d1.X, d2.X)
+        assert np.array_equal(d1.U, d2.U)
 
     def test_plant_recurrence_exact_without_process_noise(self):
-        # With sigma_w = 0, x[t+1] = A x[t] + B u[t] exactly.
+        # With sigma_w = 0, x[t+1] = A x[t] + B u[t] exactly, within a block.
         system = lti_env.LinearSystem(A=np.array([[0.5]]), B=np.array([[1.0]]))
         task = lti_env.ExpertTask(
             K=np.array([[-0.2]]),
@@ -168,38 +190,52 @@ class TestRolloutExpert:
             sigma_z=1.0,
             sigma_x=np.eye(1),
         )
-        batch = rollout_expert(system, task, 8, 2, np.random.default_rng(5))
+        T = 8
+        data = rollout_expert(system, task, T, 2, np.random.default_rng(5))
         for i in range(2):
-            for t in range(7):
-                lhs = batch.states[i, t + 1]
-                rhs = system.A @ batch.states[i, t] + system.B @ batch.inputs[i, t]
+            for t in range(T - 1):
+                row = i * T + t
+                lhs = data.X[row + 1]
+                rhs = system.A @ data.X[row] + system.B @ data.U[row]
                 assert np.array_equal(lhs, rhs)
 
     def test_controller_recurrence_exact_without_actuator_noise(self):
         # With sigma_z = 0, u[t] = K x[t] exactly.
         system, task = scalar_setup(sigma_w=1.0, sigma_z=0.0)
-        batch = rollout_expert(system, task, 8, 2, np.random.default_rng(6))
-        np.testing.assert_array_equal(
-            batch.inputs, np.einsum("ij,ntj->nti", task.K, batch.states)
-        )
+        data = rollout_expert(system, task, 8, 2, np.random.default_rng(6))
+        np.testing.assert_array_equal(data.U, data.X @ task.K.T)
 
 
 class TestStacking:
     def test_row_order_single_trajectory(self):
-        batch = rollout_expert(
-            *scalar_setup(sigma_z=0.5), 2, 1, np.random.default_rng(0)
-        )
-        stacked = stack_data(batch)
-        np.testing.assert_array_equal(stacked.X[0], batch.states[0, 0])
-        np.testing.assert_array_equal(stacked.X[1], batch.states[0, 1])
+        # Row t is (x[t], u[t]) of the one trajectory, bit for bit the draws
+        # replayed in the documented order: x0, then w, then z.
+        system, task = scalar_setup(sigma_z=0.5)
+        data = rollout_expert(system, task, 5, 1, np.random.default_rng(0))
+        X, U = replayed_rollout(system, task, 5, 1, seed=0)
+        np.testing.assert_array_equal(data.X, X)
+        np.testing.assert_array_equal(data.U, U)
 
     def test_row_order_two_trajectories(self):
-        batch = rollout_expert(
-            *scalar_setup(sigma_z=0.5), 1, 2, np.random.default_rng(0)
-        )
-        stacked = stack_data(batch)
-        np.testing.assert_array_equal(stacked.X[0], batch.states[0, 0])
-        np.testing.assert_array_equal(stacked.X[1], batch.states[1, 0])
+        # Row i*T + t is (x_i[t], u_i[t]); x_i[0] is the i-th initial draw.
+        system, task = scalar_setup(sigma_z=0.5)
+        T, N = 4, 3
+        data = rollout_expert(system, task, T, N, np.random.default_rng(1))
+        X, U = replayed_rollout(system, task, T, N, seed=1)
+        np.testing.assert_array_equal(data.X, X)
+        np.testing.assert_array_equal(data.U, U)
+
+    def test_first_row_of_each_block_is_its_initial_draw(self):
+        base = lti_env.get_preset("hong2021")
+        gains = lti_env.synthesize_expert_family(base, [1.0, 2.0], np.eye(2))
+        task = lti_env.make_task(base, gains[0], sigma_z=1.0)
+        T, N = 5, 4
+        data = rollout_expert(base, task, T, N, np.random.default_rng(3))
+        Lx = cholesky_factor(task.sigma_x)
+        x0 = np.random.default_rng(3).standard_normal((N, base.n_x)) @ Lx.T
+        assert data.X.shape == (N * T, base.n_x) and data.U.shape == (N * T, 2)
+        for i in range(N):
+            assert np.array_equal(data.X[i * T], x0[i])
 
 
 def scalar_noise(x0, T, w=None):

@@ -18,6 +18,14 @@ def scalar_setup(sigma_w=1.0, sigma_z=0.0):
     return system, task
 
 
+def evaluate_one(system, task, K_hat, T_test, rng):
+    """The record of one gain, scored as a (1, 1, n_u, n_x) stack on [rng]."""
+    (record,) = eval_metrics.evaluate_controller(
+        system, task, K_hat[None, None], T_test, [rng]
+    )
+    return record
+
+
 def manual_ensemble(sigmas_x, f_stars, phi_star):
     """Hand-built ensemble for diversity-constant tests (last task = target)."""
     system = LinearSystem(A=np.zeros((phi_star.shape[1], phi_star.shape[1])),
@@ -76,7 +84,7 @@ class TestEvaluateController:
         system, task = scalar_setup(sigma_z=0.5)
         rng = SeedTree(root=1).child("e").stream()
         for _ in range(5):
-            r = eval_metrics.evaluate_controller(system, task, task.K, 20, rng)
+            r = evaluate_one(system, task, task.K, 20, rng)
             assert r.tracking_err == 0.0
             assert r.param_err == 0.0
             assert r.stable
@@ -98,12 +106,8 @@ class TestEvaluateController:
         system, task = scalar_setup(sigma_z=0.3)
         K_hat = task.K + 0.05
         tree = SeedTree(root=2)
-        r1 = eval_metrics.evaluate_controller(
-            system, task, K_hat, 30, tree.child("e").stream()
-        )
-        r2 = eval_metrics.evaluate_controller(
-            system, task, K_hat, 30, tree.child("e").stream()
-        )
+        r1 = evaluate_one(system, task, K_hat, 30, tree.child("e").stream())
+        r2 = evaluate_one(system, task, K_hat, 30, tree.child("e").stream())
         assert r1.tracking_err == r2.tracking_err
 
     def test_batch_equals_successive_single_trials(self):
@@ -119,10 +123,7 @@ class TestEvaluateController:
         diff = xh[:, 1:] - xs[:, 1:]
         batch = np.max(np.sum(diff * diff, axis=2), axis=1)
         rng = SeedTree(root=4).child("e").stream()
-        singles = [
-            eval_metrics.evaluate_controller(base, task, gains[1], 30, rng)
-            for _ in range(5)
-        ]
+        singles = [evaluate_one(base, task, gains[1], 30, rng) for _ in range(5)]
         assert [r.tracking_err for r in singles] == batch.tolist()
         assert not any(r.nonfinite for r in singles)
 
@@ -140,9 +141,7 @@ class TestEvaluateController:
         streams = [tree.child("n2", d).stream() for d in range(3)]
         batched = eval_metrics.evaluate_controller(base, task, K_hats, 60, streams)
         singles = [
-            eval_metrics.evaluate_controller(
-                base, task, K_hats[d, c], 60, tree.child("n2", d).stream()
-            )
+            evaluate_one(base, task, K_hats[d, c], 60, tree.child("n2", d).stream())
             for d in range(3)
             for c in range(2)
         ]

@@ -312,6 +312,12 @@ class TestCli:
             ("sweep:\n  n2: [1, 1]\n", [], "sweep.n2"),
             ("tasks:\n  alphas: [300, 400]\n", [], "tasks.alphas"),
             ("tasks:\n  alphas: [-400, 2]\n", [], "tasks.alphas"),
+            ("tasks:\n  h: 2.5\n", [], "tasks.h"),
+            ("system:\n  lift_dim: 49.9\n", [], "system.lift_dim"),
+            ("run:\n  seed: 1.9\n", [], "run.seed"),
+            ("sweep:\n  t_test: true\n", [], "sweep.t_test"),
+            ("sweep:\n  n2: true\n", [], "sweep.n2"),
+            ("sweep:\n  n2: [1.5, 2]\n", [], "sweep.n2"),
         ],
     )
     def test_bad_input_exits_2_with_field_path(

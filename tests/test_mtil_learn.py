@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtil import mtil_learn
 from mtil.data_gen import StackedData
@@ -102,6 +104,55 @@ class TestPretrainAlternating:
             tasks, k=2, rng=np.random.default_rng(11), restarts=4
         )
         assert multi.objective_trace[-1] <= single.objective_trace[-1] + 1e-12
+
+
+@st.composite
+def als_problems(draw):
+    """(tasks, k, seed): synthetic_tasks over random H, n, k, rows and noise.
+
+    Each task has rows >= n and the stacked F (2H x k) can have rank k, so
+    both block updates are unique minimizers: the Phi-step normal matrix is
+    nonsingular.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    H = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, min(n, 2 * H)))
+    rows = draw(st.integers(n, 4 * n))
+    noise = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(seed)
+    tasks, _, _ = synthetic_tasks(rng, H=H, n=n, k=k, rows=rows, noise=noise)
+    return tasks, k, seed
+
+
+class TestAlsProperties:
+    @given(als_problems())
+    def test_objective_non_increasing(self, problem):
+        tasks, k, seed = problem
+        result = mtil_learn.pretrain_alternating(
+            tasks, k, rng=np.random.default_rng(seed)
+        )
+        trace = result.objective_trace
+        # The expanded-form objective cancels terms of the size of the data,
+        # so its rounding is judged against trace[0] = sum_h ||U^h||^2.
+        assert np.all(np.diff(trace) <= 1e-9 * trace[0])
+
+    @given(als_problems(), st.integers(0, 2**32 - 1))
+    def test_orthonormalize_keeps_products(self, problem, gauge_seed):
+        # A random change of basis M leaves every F Phi as it is; so must
+        # the canonical form _orthonormalize picks.
+        tasks, k, seed = problem
+        result = mtil_learn.pretrain_alternating(
+            tasks, k, rng=np.random.default_rng(seed)
+        )
+        M = np.random.default_rng(gauge_seed).standard_normal((k, k)) + 2 * np.eye(k)
+        phi = M @ result.phi_hat
+        f_hats = result.f_hats @ np.linalg.inv(M)
+        phi_new, f_new = _orthonormalize(phi, f_hats)
+        scale = np.linalg.norm(f_hats, axis=(1, 2)) * np.linalg.norm(phi)
+        err = np.abs(f_new @ phi_new - f_hats @ phi).max(axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.maximum(scale, 1e-300))
+        np.testing.assert_allclose(phi_new @ phi_new.T, np.eye(k), atol=1e-10)
 
 
 class TestPhiStepNormal:
