@@ -27,11 +27,11 @@ PROBE_NAMES = (
 )
 
 
-def _scalar_task(a_cl: float, sigma_z: float = 0.0):
-    """Scalar plant a = a_cl + 0.3 with expert gain -0.3 (closed loop a_cl)."""
+def _scalar_task(a_cl: float):
+    """Plant a = a_cl + 0.3, expert gain -0.3, sigma_w = 1 and sigma_z = 0."""
     system = lti_env.LinearSystem(A=np.array([[a_cl + 0.3]]), B=np.array([[1.0]]))
     return system, lti_env.make_task(
-        system, np.array([[-0.3]]), sigma_w=np.eye(1), sigma_z=sigma_z
+        system, np.array([[-0.3]]), sigma_w=np.eye(1), sigma_z=0.0
     )
 
 
@@ -136,7 +136,8 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_VALIDATION
     _require_seed(args.seed)
-    reports = run_probe_battery(names, args.seed)
+    with exp_harness.pinned_blas_threads():
+        reports = run_probe_battery(names, args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "verify.csv")
     theory_probe.write_probe_csv(reports, path)

@@ -1,8 +1,8 @@
 """Core matrix and control-theoretic computations.
 
-Spectral radius, transient-gain profile (J(A), tau(A, nu)), and discrete
-Lyapunov and Riccati solvers. All functions are pure and operate on float64
-NumPy arrays.
+Spectral radius, transient-gain profile (J(A), tau(A, nu)), discrete
+Lyapunov and Riccati solvers, and the Cholesky factor of a covariance. All
+functions are pure and operate on float64 NumPy arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConverged, NotStabilizing, UnstableMatrix
+from .errors import CholeskyFailure, NotConverged, NotStabilizing, UnstableMatrix
+
+PROFILE_MAX_TERMS = 1_000_000
+DARE_REL_TOL = 1e-10
+DARE_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,6 @@ def stability_profile(
     A: np.ndarray,
     nu: float | None = None,
     tol: float = 1e-10,
-    max_terms: int = 1_000_000,
 ) -> StabilityProfile:
     """Compute rho(A), the truncated series J(A) = sum_t ||A^t||, and tau(A, nu).
 
@@ -72,11 +75,10 @@ def stability_profile(
         A: square matrix.
         nu: decay rate in (rho(A), 1); defaults to (1 + rho(A)) / 2.
         tol: absolute tolerance on the truncated tail of the series.
-        max_terms: iteration cap.
 
     Raises:
         UnstableMatrix: if rho(A) >= 1 or rho(A) >= nu.
-        NotConverged: if the cap is reached before truncation.
+        NotConverged: if PROFILE_MAX_TERMS terms do not reach the tail bound.
     """
     A = np.asarray(A, dtype=float)
     rho = spectral_radius(A)
@@ -93,7 +95,7 @@ def stability_profile(
     tau = 0.0
     M = np.eye(A.shape[0])
     nu_k = 1.0
-    for _ in range(max_terms):
+    for _ in range(PROFILE_MAX_TERMS):
         nrm = float(np.linalg.norm(M, 2))
         j_gain += nrm
         tau = max(tau, nrm / nu_k)
@@ -102,6 +104,27 @@ def stability_profile(
         M = M @ A
         nu_k *= nu
     raise NotConverged("stability_profile hit the term cap before the tail bound")
+
+
+def cholesky_factor(S: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor with diagonal jitter escalation (0, 1e-12, 1e-10).
+
+    Jitter is relative to the mean diagonal. An all-zero covariance returns
+    the zero factor.
+
+    Raises:
+        CholeskyFailure: if the matrix stays numerically indefinite.
+    """
+    S = np.asarray(S, dtype=float)
+    if not np.any(S):
+        return np.zeros_like(S)
+    scale = np.trace(S) / S.shape[0]
+    for jitter in (0.0, 1e-12, 1e-10):
+        try:
+            return np.linalg.cholesky(S + jitter * scale * np.eye(S.shape[0]))
+        except np.linalg.LinAlgError:
+            continue
+    raise CholeskyFailure("covariance is numerically indefinite")
 
 
 def solve_discrete_lyapunov(
@@ -151,8 +174,6 @@ def solve_dare(
     B: np.ndarray,
     Q: np.ndarray,
     R: np.ndarray,
-    rel_tol: float = 1e-10,
-    max_iter: int = 100,
 ) -> RiccatiSolution:
     """Solve the discrete algebraic Riccati equation by structure-preserving doubling.
 
@@ -164,10 +185,10 @@ def solve_dare(
         H_{j+1} = H_j + A_j' H_j (I + G_j H_j)^{-1} A_j,
     where H_j is the fixed-point iterate after 2^j Riccati steps, so it
     converges quadratically to P. It stops once the relative change of H
-    falls below rel_tol, then forms the LQR gain K = -(B'PB + R)^{-1} B'PA.
+    falls below DARE_REL_TOL, then forms the LQR gain K = -(B'PB + R)^{-1} B'PA.
 
     Raises:
-        NotConverged: iteration cap reached before tolerance, or an iterate
+        NotConverged: DARE_MAX_ITER steps reached before tolerance, or an iterate
             went non-finite (an unstabilizable pair or an infinite cost).
         NotStabilizing: the resulting closed loop A + BK has rho >= 1.
     """
@@ -181,7 +202,7 @@ def solve_dare(
     G = 0.5 * (G + G.T)
     P = 0.5 * (Q + Q.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(DARE_MAX_ITER):
             # W^{-1} A_j and W^{-1} G_j, W = I + G_j H_j, from one solve.
             try:
                 sol = np.linalg.solve(np.eye(n) + G @ P, np.hstack([Ak, G]))
@@ -197,7 +218,7 @@ def solve_dare(
                 raise NotConverged("DARE doubling produced non-finite iterates")
             delta = np.linalg.norm(P_new - P, "fro")
             P = P_new
-            if delta <= rel_tol * max(1.0, np.linalg.norm(P, "fro")):
+            if delta <= DARE_REL_TOL * max(1.0, np.linalg.norm(P, "fro")):
                 break
         else:
             raise NotConverged("DARE doubling hit the iteration cap")

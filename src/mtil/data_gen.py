@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CholeskyFailure
 from .lti_env import ExpertTask, LinearSystem
 
 
@@ -61,27 +60,6 @@ class StackedData:
     U: np.ndarray
 
 
-def cholesky_factor(S: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with diagonal jitter escalation (0, 1e-12, 1e-10).
-
-    Jitter is relative to the mean diagonal. An all-zero covariance returns
-    the zero factor.
-
-    Raises:
-        CholeskyFailure: if the matrix stays numerically indefinite.
-    """
-    S = np.asarray(S, dtype=float)
-    if not np.any(S):
-        return np.zeros_like(S)
-    scale = np.trace(S) / S.shape[0]
-    for jitter in (0.0, 1e-12, 1e-10):
-        try:
-            return np.linalg.cholesky(S + jitter * scale * np.eye(S.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise CholeskyFailure("covariance is numerically indefinite")
-
-
 def sample_noise(
     system: LinearSystem,
     task: ExpertTask,
@@ -97,13 +75,11 @@ def sample_noise(
     same numbers, bit for bit, as `trials` successive one-trial calls.
     """
     n_x, n_u = system.n_x, system.n_u
-    Lx = cholesky_factor(task.sigma_x)
-    Lw = cholesky_factor(task.sigma_w)
     g = rng.standard_normal((trials, n_x + T * (n_x + n_u)))
     # Stacked matrix-vector and per-trial matrix products: each trajectory
     # gets the bits of a one-trajectory call.
-    x0 = (Lx @ g[:, :n_x, None])[..., 0]
-    w = g[:, n_x : n_x + T * n_x].reshape(-1, T, n_x) @ Lw.T
+    x0 = (task.chol_x @ g[:, :n_x, None])[..., 0]
+    w = g[:, n_x : n_x + T * n_x].reshape(-1, T, n_x) @ task.chol_w.T
     z = task.sigma_z * g[:, n_x + T * n_x :].reshape(-1, T, n_u)
     return NoiseRealization(x0=x0, w=w, z=z)
 
@@ -122,16 +98,11 @@ def rollout_expert(
     z_i[t]. Draw order: all initial states (N x n_x, row-major), then process
     noise (N x T x n_x), then actuator noise (N x T x n_u). K is taken to be
     stabilizing, as `make_task` checks when it builds the task.
-
-    Raises:
-        CholeskyFailure: if sigma_x is numerically indefinite.
     """
     if T < 1 or N < 1:
         raise ValueError("T and N must be >= 1")
-    Lx = cholesky_factor(task.sigma_x)
-    x = rng.standard_normal((N, system.n_x)) @ Lx.T
-    Lw = cholesky_factor(task.sigma_w)
-    W = rng.standard_normal((N, T, system.n_x)) @ Lw.T
+    x = rng.standard_normal((N, system.n_x)) @ task.chol_x.T
+    W = rng.standard_normal((N, T, system.n_x)) @ task.chol_w.T
     Z = task.sigma_z * rng.standard_normal((N, T, system.n_u))
 
     states = np.empty((N, T, system.n_x))

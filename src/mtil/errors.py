@@ -17,10 +17,6 @@ class NotStabilizing(MtilError):
     """A synthesized gain fails to stabilize the closed loop."""
 
 
-class UnstableClosedLoop(MtilError):
-    """A closed-loop matrix A + BK required to be stable is not."""
-
-
 class CholeskyFailure(MtilError):
     """A covariance factorization failed even after jitter escalation."""
 

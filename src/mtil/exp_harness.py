@@ -11,6 +11,7 @@ pure function of (config, seed) regardless of parallelism.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import ctypes
 import json
@@ -28,8 +29,9 @@ from .eval_metrics import evaluate_controller, summarize_quantiles
 
 RESULTS_VERSION = "2"
 
-# OpenBLAS threads inside run_sweep: the LU of the ALS Phi-step gives other
-# bits on more than one thread, and the cells are too small to gain by them.
+# OpenBLAS threads inside run_sweep and `mtil verify`: the LU of the ALS
+# Phi-step gives other bits on more than one thread, and the cells are too
+# small to gain by them.
 SWEEP_BLAS_THREADS = 1
 
 VALID_METHODS = ("multitask", "direct")
@@ -417,26 +419,38 @@ def _blas_threads():
 def _pin_blas_threads() -> None:
     """Pin OpenBLAS to SWEEP_BLAS_THREADS, if the symbols exist.
 
-    Also the process-pool initializer, so the pin holds in the workers under
-    any start method.
+    The process-pool initializer of run_sweep, so the pin holds in the
+    workers under any start method.
     """
     blas = _blas_threads()
     if blas is not None:
         blas.set(SWEEP_BLAS_THREADS)
 
 
+@contextlib.contextmanager
+def pinned_blas_threads():
+    """Pin OpenBLAS to SWEEP_BLAS_THREADS for the body, then restore the
+    caller's count: the bits do not follow the caller's thread count."""
+    blas = _blas_threads()
+    if blas is None:
+        yield
+        return
+    previous = blas.get()
+    blas.set(SWEEP_BLAS_THREADS)
+    try:
+        yield
+    finally:
+        blas.set(previous)
+
+
 def run_sweep(cfg: ExperimentConfig) -> list:
     """Execute the full sweep; output is deterministic given (config, seed).
 
     Ensembles are built in this process and sent to the cells that use them.
-    OpenBLAS runs on SWEEP_BLAS_THREADS threads for the sweep, so the bits do
-    not follow the caller's thread count; the caller's count is restored.
+    The sweep runs under `pinned_blas_threads`, its pool workers too.
     """
-    blas = _blas_threads()
-    previous = None if blas is None else blas.get()
     rows = []
-    try:
-        _pin_blas_threads()
+    with pinned_blas_threads():
         if cfg.parallelism <= 1 or cfg.trials_system * cfg.trials_noise <= 1:
             outputs = list(map(_cell_worker, _cells(cfg)))
         else:
@@ -444,9 +458,6 @@ def run_sweep(cfg: ExperimentConfig) -> list:
                 max_workers=cfg.parallelism, initializer=_pin_blas_threads
             ) as pool:
                 outputs = list(pool.map(_cell_worker, _cells(cfg)))
-    finally:
-        if blas is not None:
-            blas.set(previous)
     for cell_rows in outputs:
         rows.extend(cell_rows)
     rows.sort(

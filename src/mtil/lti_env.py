@@ -1,10 +1,11 @@
 """Plant definitions, expert task ensembles, LQR synthesis, and lifting.
 
 A task ensemble bundles one linear plant with H source expert controllers and
-one target expert controller, each carrying its noise covariances and the
-stationary state covariance of its closed loop. Ensembles can be lifted into
-a higher-dimensional observation space through an injective linear map, in
-which case the ground-truth factorization K = F Phi is recorded.
+one target expert controller, each carrying its noise covariances, the
+stationary state covariance of its closed loop, and the Cholesky factors the
+samplers draw with. Ensembles can be lifted into a higher-dimensional
+observation space through an injective linear map, in which case the
+ground-truth factorization K = F Phi is recorded.
 """
 
 from __future__ import annotations
@@ -14,11 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import control_math
-from .errors import (
-    NoFactorization,
-    RankDeficientLift,
-    UnstableClosedLoop,
-)
+from .errors import NoFactorization, RankDeficientLift
 
 
 @dataclass(frozen=True)
@@ -56,12 +53,23 @@ class ExpertTask:
         sigma_w: process-noise covariance (n_x x n_x, PSD).
         sigma_z: actuator-noise standard deviation (scalar, >= 0).
         sigma_x: stationary state covariance of the closed loop.
+        chol_x, chol_w: lower Cholesky factors of sigma_x and sigma_w, set
+            from them when the task is built.
+
+    Raises:
+        CholeskyFailure: if sigma_x or sigma_w is numerically indefinite.
     """
 
     K: np.ndarray
     sigma_w: np.ndarray
     sigma_z: float
     sigma_x: np.ndarray
+    chol_x: np.ndarray = field(init=False, repr=False, compare=False)
+    chol_w: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name, cov in (("chol_x", self.sigma_x), ("chol_w", self.sigma_w)):
+            object.__setattr__(self, name, control_math.cholesky_factor(cov))
 
 
 @dataclass(frozen=True)
@@ -98,40 +106,24 @@ class TaskEnsemble:
         return list(self.sources) + [self.target]
 
 
-def stationary_covariance(
-    system: LinearSystem,
-    K: np.ndarray,
-    sigma_w: np.ndarray,
-    sigma_z: float,
-) -> np.ndarray:
-    """Stationary covariance of the closed loop x[t+1] = (A+BK)x + B z + w.
-
-    Solves Sigma = (A+BK) Sigma (A+BK)' + sigma_z^2 B B' + Sigma_w.
-
-    Raises:
-        UnstableClosedLoop: if rho(A + BK) >= 1.
-    """
-    A_cl = system.A + system.B @ K
-    if control_math.spectral_radius(A_cl) >= 1.0:
-        raise UnstableClosedLoop("rho(A + BK) >= 1")
-    Q = float(sigma_z) ** 2 * (system.B @ system.B.T) + np.asarray(
-        sigma_w, dtype=float
-    )
-    return control_math.solve_discrete_lyapunov(A_cl, Q)
-
-
 def make_task(
     system: LinearSystem,
     K: np.ndarray,
     sigma_w: np.ndarray | None = None,
     sigma_z: float = 1.0,
 ) -> ExpertTask:
-    """Build an ExpertTask with its stationary covariance filled in."""
+    """Build an ExpertTask; its stationary covariance solves the Lyapunov
+    equation Sigma = (A+BK) Sigma (A+BK)' + sigma_z^2 B B' + Sigma_w.
+
+    Raises:
+        UnstableMatrix: if rho(A + BK) >= 1.
+    """
     K = np.asarray(K, dtype=float)
     if sigma_w is None:
         sigma_w = np.eye(system.n_x)
     sigma_w = np.asarray(sigma_w, dtype=float)
-    sigma_x = stationary_covariance(system, K, sigma_w, sigma_z)
+    Q = float(sigma_z) ** 2 * (system.B @ system.B.T) + sigma_w
+    sigma_x = control_math.solve_discrete_lyapunov(system.A + system.B @ K, Q)
     return ExpertTask(K=K, sigma_w=sigma_w, sigma_z=float(sigma_z), sigma_x=sigma_x)
 
 
@@ -150,29 +142,21 @@ def synthesize_expert_family(
 def build_ensemble(
     system: LinearSystem,
     gains: list,
-    sigma_w: np.ndarray | None = None,
     sigma_z: float = 1.0,
-    truth: GroundTruthFactors | None = None,
 ) -> TaskEnsemble:
-    """Assemble an ensemble from gains; the last gain is the target task."""
+    """Assemble an ensemble from gains (sigma_w = I); the last is the target."""
     if len(gains) < 2:
         raise ValueError("need at least one source gain plus the target gain")
-    tasks = [make_task(system, K, sigma_w, sigma_z) for K in gains]
-    return TaskEnsemble(
-        system=system, sources=tasks[:-1], target=tasks[-1], truth=truth
-    )
+    tasks = [make_task(system, K, sigma_z=sigma_z) for K in gains]
+    return TaskEnsemble(system=system, sources=tasks[:-1], target=tasks[-1])
 
 
-def lift_ensemble(
-    ensemble: TaskEnsemble,
-    G: np.ndarray,
-    sigma_w: np.ndarray | None = None,
-) -> TaskEnsemble:
+def lift_ensemble(ensemble: TaskEnsemble, G: np.ndarray) -> TaskEnsemble:
     """Lift an ensemble into observation space through an injective map G.
 
     The lifted plant is (G A G+, G B) and each gain becomes K G+, where G+ is
-    the pseudo-inverse. Stationary covariances are recomputed with the lifted
-    process-noise covariance (default identity) and unchanged sigma_z. The
+    the pseudo-inverse. Stationary covariances are recomputed with identity
+    lifted process-noise covariance and unchanged sigma_z. The
     ground truth records Phi = G+ and F^(h) equal to the original gains.
 
     Raises:
@@ -187,8 +171,7 @@ def lift_ensemble(
     G_pinv = (Vt.T * (1.0 / s)) @ U.T
     system = ensemble.system
     lifted_system = LinearSystem(A=G @ system.A @ G_pinv, B=G @ system.B)
-    if sigma_w is None:
-        sigma_w = np.eye(G.shape[0])
+    sigma_w = np.eye(G.shape[0])
     original_gains = [t.K for t in ensemble.tasks]
     lifted_tasks = [
         make_task(lifted_system, K @ G_pinv, sigma_w, t.sigma_z)

@@ -17,6 +17,9 @@ import numpy as np
 from .data_gen import StackedData
 from .errors import DegenerateRank, RankDeficient, SingularBlock
 
+ALS_MAX_SWEEPS = 500
+ALS_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PretrainResult:
@@ -104,13 +107,7 @@ def _phi_step_normal(Gx: np.ndarray, f_hats: np.ndarray) -> np.ndarray:
     return outer.reshape(k, k, n, n).transpose(2, 0, 3, 1).reshape(k * n, k * n)
 
 
-def _als_once(
-    grams: tuple,
-    k: int,
-    max_sweeps: int,
-    rel_tol: float,
-    rng: np.random.Generator,
-) -> tuple:
+def _als_once(grams: tuple, k: int, rng: np.random.Generator) -> tuple:
     """One ALS run from a random orthonormal start; returns raw factors."""
     Gx, Cxu, _ = grams
     H, n, n_u = Cxu.shape
@@ -119,7 +116,7 @@ def _als_once(
     f_hats = np.zeros((H, n_u, k))
     trace = [_objective(grams, phi, f_hats)]
     sweeps = 0
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, ALS_MAX_SWEEPS + 1):
         # F-step: per-task exact least squares given Phi, all tasks at once.
         M = phi @ Gx @ phi.T
         f_hats = _solve_with_ridge_repair(M, phi @ Cxu).transpose(0, 2, 1)
@@ -132,7 +129,7 @@ def _als_once(
         trace.append(obj)
         sweeps = sweep
         prev = trace[-2]
-        if prev - obj <= rel_tol * max(prev, 1e-300):
+        if prev - obj <= ALS_REL_TOL * max(prev, 1e-300):
             break
     return phi, f_hats, np.array(trace), sweeps
 
@@ -140,16 +137,14 @@ def _als_once(
 def pretrain_alternating(
     source: list,
     k: int,
-    max_sweeps: int = 500,
-    rel_tol: float = 1e-10,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     restarts: int = 1,
 ) -> PretrainResult:
     """Fit a shared representation to the source tasks by exact ALS.
 
     Alternates (a) the per-task closed form F^h' = (Phi X'X Phi')^{-1}
     Phi X'U and (b) the joint linear least squares for vec(Phi), stopping
-    when the relative objective decrease falls below rel_tol. The returned
+    when the relative objective decrease falls below ALS_REL_TOL. The returned
     Phi has orthonormal, sign-canonicalized rows with the change of basis
     absorbed into each F^h. With restarts > 1 the best of several random
     starts is kept.
@@ -168,8 +163,6 @@ def pretrain_alternating(
             raise ValueError("each task needs at least k data rows")
     if np.linalg.matrix_rank(np.vstack([d.X for d in source])) < k:
         raise DegenerateRank("stacked source states have rank below k")
-    if rng is None:
-        rng = np.random.default_rng(0)
     # Per-task Gram matrices stacked over tasks: X'X (H, n, n), X'U
     # (H, n, n_u) and ||U||^2 (H,).
     grams = (
@@ -179,7 +172,7 @@ def pretrain_alternating(
     )
     best = None
     for _ in range(max(1, restarts)):
-        phi, f_hats, trace, sweeps = _als_once(grams, k, max_sweeps, rel_tol, rng)
+        phi, f_hats, trace, sweeps = _als_once(grams, k, rng)
         if best is None or trace[-1] < best[2][-1]:
             best = (phi, f_hats, trace, sweeps)
     phi, f_hats, trace, sweeps = best

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import control_math
-from .data_gen import cholesky_factor, coupled_rollout, rollout_expert, sample_noise
+from .data_gen import coupled_rollout, rollout_expert, sample_noise
 from .errors import UnstablePair
 from .eval_metrics import excess_risk
 from .lti_env import ExpertTask, LinearSystem
@@ -72,15 +72,16 @@ def verify_covariance_concentration(
     trials: int,
     rng: np.random.Generator,
     projection: np.ndarray | None = None,
-    delta_target: float = 0.1,
 ) -> ProbeReport:
     """Check the 0.9/1.1 PSD sandwich on the empirical state covariance.
 
     Per trial draws a fresh batch of N trajectories of length T and tests
     0.9 S <= (1/NT) X'X <= 1.1 S in the PSD order, where S is the stationary
     covariance (or its projected form Phi' sigma_x Phi when a projection is
-    given), via the eigenvalues of the whitened empirical matrix.
+    given), via the eigenvalues of the whitened empirical matrix. The probe
+    passes when at most a 0.1 fraction of trials fails, within 3 SE.
     """
+    delta_target = 0.1
     S = task.sigma_x
     if projection is not None:
         projection = np.asarray(projection, dtype=float)
@@ -117,7 +118,6 @@ def verify_hanson_wright(
     eps_grid,
     trials: int,
     rng: np.random.Generator,
-    delta_target: float = 0.05,
 ) -> ProbeReport:
     """Upper-tail check for the Gaussian quadratic form ||Rz||^2.
 
@@ -153,7 +153,7 @@ def verify_hanson_wright(
         name="hanson_wright",
         trials=trials,
         failures=failures,
-        delta_target=delta_target,
+        delta_target=0.05,
         margin=margin,
         passed=failures == 0,
         details={"per_eps": per_eps, "form": "one-sided upper tail"},
@@ -270,7 +270,7 @@ def verify_maximal_inequality(
     of D sigma_x D', also serves a rank-deficient D.
     """
     D = np.asarray(delta_gain, dtype=float)
-    L = cholesky_factor(np.asarray(sigma_x, dtype=float))
+    L = control_math.cholesky_factor(np.asarray(sigma_x, dtype=float))
     DL = D @ L
     bound = 3.0 * (1.0 + np.log(T)) * float(np.sum(DL * DL))
     F = np.linalg.qr(DL.T, mode="r")

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtil import lti_env
+from mtil.control_math import cholesky_factor
 from mtil.data_gen import (
     NoiseRealization,
     SeedTree,
-    cholesky_factor,
     coupled_rollout,
     rollout_expert,
     sample_noise,
@@ -351,3 +353,100 @@ class TestCoupledRollout:
             keep = steps[i] + 1
             assert np.array_equal(xs[i, :keep], xs1[0, :keep])
             assert np.array_equal(xh[i, :keep], xh1[0, :keep])
+
+
+@st.composite
+def peak_rollout_problems(draw):
+    """A plant, an expert gain, per-trial noise and a (trials, c) stack of
+    learned gains, some pushed so far off that their rollouts overflow."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 5))
+    n_u = draw(st.integers(1, 3))
+    trials = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 4))
+    T = draw(st.integers(1, 30))
+    # Offsets of size 10**100 overflow within a few steps.
+    exponents = draw(
+        st.lists(
+            st.sampled_from([-2, 0, 1, 100]), min_size=trials * c, max_size=trials * c
+        )
+    )
+    rng = np.random.default_rng(seed)
+    system = lti_env.LinearSystem(
+        A=0.5 * rng.standard_normal((n, n)), B=rng.standard_normal((n, n_u))
+    )
+    K_star = 0.1 * rng.standard_normal((n_u, n))
+    scale = 10.0 ** np.reshape(exponents, (trials, c, 1, 1))
+    K_hat = K_star + scale * rng.standard_normal((trials, c, n_u, n))
+    noise = NoiseRealization(
+        x0=rng.standard_normal((trials, n)),
+        w=rng.standard_normal((trials, T, n)),
+        z=rng.standard_normal((trials, T, n_u)),
+    )
+    return system, K_star, K_hat, noise, T
+
+
+class TestPeakRolloutProperty:
+    @given(peak_rollout_problems())
+    def test_peak_form_matches_one_trial_trajectories(self, problem):
+        system, K_star, K_hat, noise, T = problem
+        peak, steps = coupled_rollout(system, K_star, K_hat, noise, T, peak=True)
+        trials, c = K_hat.shape[:2]
+        assert peak.shape == steps.shape == (trials, c)
+        for i in range(trials):
+            one = TestCoupledRollout.trial(noise, i)
+            for j in range(c):
+                xs, xh, steps1 = coupled_rollout(system, K_star, K_hat[i, j], one, T)
+                assert steps[i, j] == steps1[0]
+                kept = slice(1, steps1[0] + 1)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sq = np.sum((xh[0, kept] - xs[0, kept]) ** 2, axis=1)
+                assert peak[i, j] == (sq.max() if sq.size else -np.inf)
+
+
+labels = st.text(alphabet="abcxyz", min_size=1, max_size=3)
+nodes = st.tuples(labels, st.integers(0, 2**32 - 1))
+roots = st.integers(0, 2**63 - 1)
+
+
+def tree_at(root, path):
+    tree = SeedTree(root=root)
+    for label, index in path:
+        tree = tree.child(label, index)
+    return tree
+
+
+class TestSeedTreeProperties:
+    @given(
+        roots,
+        st.lists(st.lists(nodes, max_size=3), min_size=1, max_size=5),
+        st.randoms(use_true_random=False),
+    )
+    def test_streams_do_not_depend_on_scheduling(self, root, paths, random):
+        in_order = [tree_at(root, p).stream().standard_normal(4) for p in paths]
+        # Build the streams in a shuffled order, then draw one number at a
+        # time from them in an interleaved order.
+        order = random.sample(range(len(paths)), len(paths))
+        streams = {i: tree_at(root, paths[i]).stream() for i in order}
+        turns = [i for i in order for _ in range(4)]
+        random.shuffle(turns)
+        draws = {i: [] for i in order}
+        for i in turns:
+            draws[i].append(streams[i].standard_normal())
+        for i, expected in enumerate(in_order):
+            assert np.array_equal(draws[i], expected)
+
+    @given(
+        roots,
+        st.lists(nodes, max_size=3),
+        st.lists(nodes, min_size=2, max_size=6, unique=True),
+    )
+    def test_siblings_differ_in_first_draw(self, root, parent, children):
+        tree = tree_at(root, parent)
+        firsts = [tree.child(*node).stream().standard_normal() for node in children]
+        assert len(set(firsts)) == len(firsts)
+
+    @given(st.one_of(st.integers(max_value=-1), st.integers(min_value=2**32)))
+    def test_child_refuses_index_outside_32_bits(self, index):
+        with pytest.raises(ValueError):
+            SeedTree(root=0).child("x", index)

@@ -135,6 +135,19 @@ GOLDEN_DIGEST = "edaca7be863b12bd8b7b30c4b877e05bfec9d02f030d9c4fb461876ada01a2a
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
+def cli_env(threads):
+    """Environment of a `python -m mtil.cli` process: this package on the path
+    and OPENBLAS_NUM_THREADS = threads; None leaves every BLAS variable unset."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
 class TestSweepReuse:
     def test_golden_results_digest(self, tmp_path):
         cfg = eh.config_from_dict(yaml.safe_load(GOLDEN_SWEEP))
@@ -152,17 +165,10 @@ class TestSweepReuse:
         # The thread count the process starts with must not reach the bits.
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(GOLDEN_SWEEP)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        )
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
         subprocess.run(
             [sys.executable, "-m", "mtil.cli", "run", "--config", str(cfg_path),
              "--out", str(tmp_path / "out"), "--parallelism", parallelism],
-            env=env, check=True, capture_output=True, timeout=300,
+            env=cli_env(threads), check=True, capture_output=True, timeout=300,
         )
         digest = hashlib.sha256((tmp_path / "out" / "results.csv").read_bytes())
         assert digest.hexdigest() == GOLDEN_DIGEST
@@ -184,6 +190,44 @@ class TestSweepReuse:
                  "run": {"parallelism": parallelism}}
             )
             eh.run_sweep(cfg)
+            assert blas.get() == 3
+        finally:
+            blas.set(before)
+
+    def test_verify_csv_under_any_blas_threads(self, tmp_path):
+        # `mtil verify` runs pinned too, so its start-up thread count must not
+        # reach verify.csv.
+        written = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "mtil.cli", "verify", "--probe",
+                 "covariance", "--out", str(out)],
+                env=cli_env(threads), check=True, capture_output=True, timeout=300,
+            )
+            written.append((out / "verify.csv").read_bytes())
+        assert written[0] == written[1] == written[2]
+
+    def test_verify_runs_pinned_and_restores_blas_threads(
+        self, tmp_path, monkeypatch
+    ):
+        blas = eh._blas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS exports no thread-count symbols")
+        seen = []
+        battery = cli.run_probe_battery
+
+        def recording(names, seed):
+            seen.append(blas.get())
+            return battery(names, seed)
+
+        monkeypatch.setattr(cli, "run_probe_battery", recording)
+        before = blas.get()
+        try:
+            blas.set(3)
+            argv = ["verify", "--probe", "sandwich", "--out", str(tmp_path)]
+            assert cli.main(argv) == 0
+            assert seen == [eh.SWEEP_BLAS_THREADS]
             assert blas.get() == 3
         finally:
             blas.set(before)

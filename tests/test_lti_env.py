@@ -6,7 +6,12 @@ import pytest
 from mtil import control_math as cm
 from mtil import lti_env
 from mtil.data_gen import SeedTree
-from mtil.errors import NoFactorization, RankDeficientLift, UnstableClosedLoop
+from mtil.errors import (
+    CholeskyFailure,
+    NoFactorization,
+    RankDeficientLift,
+    UnstableMatrix,
+)
 
 
 def small_ensemble(H=3, sigma_z=1.0):
@@ -19,22 +24,18 @@ def small_ensemble(H=3, sigma_z=1.0):
 class TestStationaryCovariance:
     def test_scalar_geometric(self):
         system = lti_env.LinearSystem(A=np.array([[0.8]]), B=np.array([[1.0]]))
-        S = lti_env.stationary_covariance(
-            system, np.array([[-0.3]]), np.eye(1), sigma_z=0.0
-        )
-        assert S[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-10)
+        task = lti_env.make_task(system, np.array([[-0.3]]), np.eye(1), sigma_z=0.0)
+        assert task.sigma_x[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-10)
 
     def test_pure_noise(self):
         system = lti_env.LinearSystem(A=np.zeros((2, 2)), B=np.zeros((2, 1)))
-        S = lti_env.stationary_covariance(
-            system, np.zeros((1, 2)), np.eye(2), sigma_z=1.0
-        )
-        np.testing.assert_allclose(S, np.eye(2), atol=1e-12)
+        task = lti_env.make_task(system, np.zeros((1, 2)), np.eye(2), sigma_z=1.0)
+        np.testing.assert_allclose(task.sigma_x, np.eye(2), atol=1e-12)
 
     def test_rejects_unstable_closed_loop(self):
         system = lti_env.LinearSystem(A=np.array([[1.5]]), B=np.array([[0.0]]))
-        with pytest.raises(UnstableClosedLoop):
-            lti_env.stationary_covariance(system, np.zeros((1, 1)), np.eye(1), 1.0)
+        with pytest.raises(UnstableMatrix):
+            lti_env.make_task(system, np.zeros((1, 1)), np.eye(1), 1.0)
 
     def test_lifted_preset_residual(self):
         ens = small_ensemble()
@@ -51,6 +52,33 @@ class TestStationaryCovariance:
             )
             resid = np.linalg.norm(task.sigma_x - rhs, "fro")
             assert resid <= 1e-8 * max(1.0, np.linalg.norm(task.sigma_x, "fro"))
+
+
+class TestTaskFactors:
+    def test_factors_are_cholesky_of_covariances(self):
+        ens = small_ensemble()
+        rng = SeedTree(root=4).child("lift").stream()
+        lifted = lti_env.lift_ensemble(ens, lti_env.sample_lift_map(4, 50, rng))
+        for task in ens.tasks + lifted.tasks:
+            assert np.array_equal(task.chol_x, cm.cholesky_factor(task.sigma_x))
+            assert np.array_equal(task.chol_w, cm.cholesky_factor(task.sigma_w))
+
+    def test_hand_built_task_gets_factors(self):
+        sigma_x = np.array([[2.0, 0.5], [0.5, 1.0]])
+        task = lti_env.ExpertTask(
+            K=np.zeros((1, 2)), sigma_w=np.zeros((2, 2)), sigma_z=0.0, sigma_x=sigma_x
+        )
+        assert np.array_equal(task.chol_x, cm.cholesky_factor(sigma_x))
+        assert np.array_equal(task.chol_w, np.zeros((2, 2)))
+
+    def test_indefinite_sigma_x_refused_at_build(self):
+        with pytest.raises(CholeskyFailure):
+            lti_env.ExpertTask(
+                K=np.zeros((1, 2)),
+                sigma_w=np.eye(2),
+                sigma_z=0.0,
+                sigma_x=np.diag([1.0, -1.0]),
+            )
 
 
 class TestSynthesizeFamily:
@@ -80,7 +108,7 @@ class TestSynthesizeFamily:
 class TestLiftEnsemble:
     def test_identity_lift_unchanged(self):
         ens = small_ensemble()
-        lifted = lti_env.lift_ensemble(ens, np.eye(4), sigma_w=np.eye(4))
+        lifted = lti_env.lift_ensemble(ens, np.eye(4))
         np.testing.assert_allclose(lifted.system.A, ens.system.A, atol=1e-12)
         np.testing.assert_allclose(lifted.system.B, ens.system.B, atol=1e-12)
         np.testing.assert_allclose(lifted.truth.phi_star, np.eye(4), atol=1e-12)
@@ -90,7 +118,7 @@ class TestLiftEnsemble:
     def test_square_invertible_is_similarity(self):
         ens = small_ensemble()
         G = np.random.default_rng(1).standard_normal((4, 4)) + 2 * np.eye(4)
-        lifted = lti_env.lift_ensemble(ens, G, sigma_w=np.eye(4))
+        lifted = lti_env.lift_ensemble(ens, G)
         for la, ta in zip(lifted.tasks, ens.tasks):
             rho_lift = cm.spectral_radius(lifted.system.A + lifted.system.B @ la.K)
             rho_base = cm.spectral_radius(ens.system.A + ens.system.B @ ta.K)

@@ -92,7 +92,7 @@ class TestPretrainAlternating:
         X = np.ones((20, 5))
         data = StackedData(X=X, U=np.ones((20, 1)))
         with pytest.raises(DegenerateRank):
-            mtil_learn.pretrain_alternating([data], k=3)
+            mtil_learn.pretrain_alternating([data], k=3, rng=np.random.default_rng(0))
 
     def test_restarts_not_worse(self):
         rng = np.random.default_rng(10)
