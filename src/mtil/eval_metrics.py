@@ -88,9 +88,7 @@ def evaluate_controller(
         system, target_task.K, K_hat, noise, T_test, peak=True
     )
     gains = K_hat.reshape(-1, *K_hat.shape[2:])
-    closed = system.B @ gains
-    closed += system.A
-    rho = np.abs(np.linalg.eigvals(closed)).max(axis=1)
+    rho = closed_loop_radii(system, gains)
     return [
         MetricsRecord(
             tracking_err=float(np.inf if n_steps < T_test else sq),
@@ -101,6 +99,20 @@ def evaluate_controller(
         )
         for K, sq, n_steps, r in zip(gains, peak.ravel(), steps.ravel(), rho)
     ]
+
+
+def closed_loop_radii(system: LinearSystem, gains: np.ndarray) -> np.ndarray:
+    """rho(A + B K) for each gain of a (c, n_u, n_x) stack.
+
+    Taken on the plant's basis Q as rho(Q'AQ + (Q'B)(K Q)): A + B K maps
+    into span(Q), so its other eigenvalues are zero. On a lifted plant that
+    is a k x k problem in place of an n_x x n_x one. A plant without a basis
+    uses Q = I, which gives the bits of the full-space form.
+    """
+    Q = np.eye(system.n_x) if system.basis is None else system.basis
+    closed = (Q.T @ system.B) @ (gains @ Q)
+    closed += Q.T @ system.A @ Q
+    return np.abs(np.linalg.eigvals(closed)).max(axis=1)
 
 
 def lqr_cost_gap(

@@ -27,7 +27,7 @@ from .data_gen import SeedTree, StackedData, rollout_expert
 from .errors import ParseError, ValidationError
 from .eval_metrics import evaluate_controller, summarize_quantiles
 
-RESULTS_VERSION = "2"
+RESULTS_VERSION = "3"
 
 # OpenBLAS threads inside run_sweep and `mtil verify`: the LU of the ALS
 # Phi-step gives other bits on more than one thread, and the cells are too
@@ -261,9 +261,12 @@ def _base_system(cfg: ExperimentConfig) -> lti_env.LinearSystem:
             "inline systems need both a and b",
         )
         A = _convert("system.a", cfg.A, _square_matrix)
-        return _convert(
+        _require(np.all(np.isfinite(A)), "system.a", "must be finite")
+        system = _convert(
             "system.b", cfg.B, lambda B: lti_env.LinearSystem(A=A, B=np.array(B))
         )
+        _require(np.all(np.isfinite(system.B)), "system.b", "must be finite")
+        return system
     try:
         return lti_env.get_preset(cfg.preset)
     except KeyError as exc:

@@ -20,10 +20,19 @@ from .errors import NoFactorization, RankDeficientLift
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Discrete-time plant x[t+1] = A x[t] + B u[t] + w[t]."""
+    """Discrete-time plant x[t+1] = A x[t] + B u[t] + w[t].
+
+    basis, when given, has orthonormal columns whose span contains range(A)
+    and range(B), as a lifted plant's does; None stands for the whole space.
+
+    Raises:
+        ValueError: on mismatched shapes, or a basis whose columns are not
+            orthonormal or whose span misses range(A) or range(B).
+    """
 
     A: np.ndarray
     B: np.ndarray
+    basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         A = np.asarray(self.A, dtype=float)
@@ -34,6 +43,8 @@ class LinearSystem:
             raise ValueError("B must have the same row count as A")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
+        if self.basis is not None:
+            object.__setattr__(self, "basis", _check_basis(self.basis, A, B))
 
     @property
     def n_x(self) -> int:
@@ -42,6 +53,20 @@ class LinearSystem:
     @property
     def n_u(self) -> int:
         return self.B.shape[1]
+
+
+def _check_basis(basis, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """basis as a float array, if its columns are orthonormal and span
+    range(A) and range(B) up to 1e-10 relative residuals."""
+    Q = np.asarray(basis, dtype=float)
+    if Q.ndim != 2 or Q.shape[0] != A.shape[0] or not 1 <= Q.shape[1] <= Q.shape[0]:
+        raise ValueError("basis must be n_x x r with 1 <= r <= n_x")
+    if np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() > 1e-10:
+        raise ValueError("basis columns must be orthonormal")
+    for name, M in (("A", A), ("B", B)):
+        if np.linalg.norm(M - Q @ (Q.T @ M)) > 1e-10 * np.linalg.norm(M):
+            raise ValueError(f"basis span misses range({name})")
+    return Q
 
 
 @dataclass(frozen=True)
@@ -155,7 +180,8 @@ def lift_ensemble(ensemble: TaskEnsemble, G: np.ndarray) -> TaskEnsemble:
     """Lift an ensemble into observation space through an injective map G.
 
     The lifted plant is (G A G+, G B) and each gain becomes K G+, where G+ is
-    the pseudo-inverse. Stationary covariances are recomputed with identity
+    the pseudo-inverse; its basis is the left singular vectors of G, which
+    span range(G). Stationary covariances are recomputed with identity
     lifted process-noise covariance and unchanged sigma_z. The
     ground truth records Phi = G+ and F^(h) equal to the original gains.
 
@@ -170,7 +196,7 @@ def lift_ensemble(ensemble: TaskEnsemble, G: np.ndarray) -> TaskEnsemble:
     # Not np.linalg.pinv(G): that rounds differently and changes results.csv.
     G_pinv = (Vt.T * (1.0 / s)) @ U.T
     system = ensemble.system
-    lifted_system = LinearSystem(A=G @ system.A @ G_pinv, B=G @ system.B)
+    lifted_system = LinearSystem(A=G @ system.A @ G_pinv, B=G @ system.B, basis=U)
     sigma_w = np.eye(G.shape[0])
     original_gains = [t.K for t in ensemble.tasks]
     lifted_tasks = [

@@ -2,7 +2,8 @@
 
 Pre-training minimizes sum_h ||U^h - X^h Phi' F^h'||_F^2 over a shared
 k x n_x representation Phi and per-task weights F^h by exact alternating
-least squares: each block update is the closed-form minimizer, so the
+least squares, each sweep extrapolated along its Phi move when that fits
+better (Bro 1998): each block update is the closed-form minimizer, so the
 objective is non-increasing sweep by sweep. Fine-tuning solves the target
 ordinary least squares on the frozen representation. A direct OLS baseline
 that ignores the source data is included.
@@ -107,25 +108,63 @@ def _phi_step_normal(Gx: np.ndarray, f_hats: np.ndarray) -> np.ndarray:
     return outer.reshape(k, k, n, n).transpose(2, 0, 3, 1).reshape(k * n, k * n)
 
 
-def _als_once(grams: tuple, k: int, rng: np.random.Generator) -> tuple:
-    """One ALS run from a random orthonormal start; returns raw factors."""
+def _f_step(grams: tuple, phi: np.ndarray) -> np.ndarray:
+    """Per-task exact least squares for F given Phi, all tasks at once."""
     Gx, Cxu, _ = grams
-    H, n, n_u = Cxu.shape
+    M = phi @ Gx @ phi.T
+    return _solve_with_ridge_repair(M, phi @ Cxu).transpose(0, 2, 1)
+
+
+def _phi_step(
+    grams: tuple, phi: np.ndarray, f_hats: np.ndarray, min_norm: bool
+) -> np.ndarray:
+    """Joint least squares in vec(Phi) given all F; Phi as it is when b = 0.
+
+    With min_norm the normal equations are solved in the minimum-norm least
+    squares sense: a source task with fewer rows than n leaves the normal
+    matrix singular, and an LU solve would then put arbitrarily large
+    null-space components into Phi.
+    """
+    Gx, Cxu, _ = grams
+    b = np.einsum("hua,hiu->ai", f_hats, Cxu).ravel(order="F")
+    if not np.any(b):
+        return phi
+    N = _phi_step_normal(Gx, f_hats)
+    if min_norm:
+        sol = np.linalg.lstsq(N, b, rcond=None)[0]
+    else:
+        sol = _solve_with_ridge_repair(N, b)
+    return sol.reshape(phi.shape, order="F")
+
+
+def _als_once(
+    grams: tuple, k: int, rng: np.random.Generator, min_norm: bool
+) -> tuple:
+    """One ALS run from a random orthonormal start; returns raw factors.
+
+    A sweep takes the exact Phi-step for the current F and the exact F for
+    that Phi. From sweep 2 on it also tries Bro's extrapolation
+    Phi + sweep**(1/3) (Phi_als - Phi) with its own exact F, and keeps the
+    pair with the lower objective; each sweep therefore still lowers the
+    objective at least as far as the plain ALS sweep.
+    """
+    H, n, n_u = grams[1].shape
     phi0 = rng.standard_normal((k, n))
     phi = np.linalg.qr(phi0.T)[0].T
-    f_hats = np.zeros((H, n_u, k))
-    trace = [_objective(grams, phi, f_hats)]
+    trace = [_objective(grams, phi, np.zeros((H, n_u, k)))]
+    f_hats = _f_step(grams, phi)
     sweeps = 0
     for sweep in range(1, ALS_MAX_SWEEPS + 1):
-        # F-step: per-task exact least squares given Phi, all tasks at once.
-        M = phi @ Gx @ phi.T
-        f_hats = _solve_with_ridge_repair(M, phi @ Cxu).transpose(0, 2, 1)
-        # Phi-step: joint least squares in vec(Phi) given all F.
-        b = np.einsum("hua,hiu->ai", f_hats, Cxu).ravel(order="F")
-        if np.any(b):
-            sol = _solve_with_ridge_repair(_phi_step_normal(Gx, f_hats), b)
-            phi = sol.reshape((k, n), order="F")
-        obj = _objective(grams, phi, f_hats)
+        phi_new = _phi_step(grams, phi, f_hats, min_norm)
+        f_new = _f_step(grams, phi_new)
+        obj = _objective(grams, phi_new, f_new)
+        if sweep >= 2:
+            phi_x = phi + sweep ** (1.0 / 3.0) * (phi_new - phi)
+            f_x = _f_step(grams, phi_x)
+            obj_x = _objective(grams, phi_x, f_x)
+            if obj_x < obj:
+                phi_new, f_new, obj = phi_x, f_x, obj_x
+        phi, f_hats = phi_new, f_new
         trace.append(obj)
         sweeps = sweep
         prev = trace[-2]
@@ -143,11 +182,12 @@ def pretrain_alternating(
     """Fit a shared representation to the source tasks by exact ALS.
 
     Alternates (a) the per-task closed form F^h' = (Phi X'X Phi')^{-1}
-    Phi X'U and (b) the joint linear least squares for vec(Phi), stopping
-    when the relative objective decrease falls below ALS_REL_TOL. The returned
-    Phi has orthonormal, sign-canonicalized rows with the change of basis
-    absorbed into each F^h. With restarts > 1 the best of several random
-    starts is kept.
+    Phi X'U and (b) the joint linear least squares for vec(Phi), minimum
+    norm when a source task has fewer rows than n_x, in the extrapolated
+    sweeps of `_als_once`, stopping when the relative objective decrease
+    falls below ALS_REL_TOL. The returned Phi has orthonormal,
+    sign-canonicalized rows with the change of basis absorbed into each F^h.
+    With restarts > 1 the best of several random starts is kept.
 
     Raises:
         DegenerateRank: if k exceeds the rank of the stacked source states.
@@ -170,9 +210,10 @@ def pretrain_alternating(
         np.stack([d.X.T @ d.U for d in source]),
         np.array([np.sum(d.U**2) for d in source]),
     )
+    min_norm = any(d.X.shape[0] < n for d in source)
     best = None
     for _ in range(max(1, restarts)):
-        phi, f_hats, trace, sweeps = _als_once(grams, k, rng)
+        phi, f_hats, trace, sweeps = _als_once(grams, k, rng, min_norm)
         if best is None or trace[-1] < best[2][-1]:
             best = (phi, f_hats, trace, sweeps)
     phi, f_hats, trace, sweeps = best

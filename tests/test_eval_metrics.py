@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtil import control_math as cm
 from mtil import eval_metrics, lti_env
@@ -165,6 +167,63 @@ class TestEvaluateController:
                 np.linalg.norm(xs[0, :-1] @ (K_hat - task.K).T, axis=1)
             )
             assert tracking <= 4 * jb * jb * delta_max**2 * (1 + 1e-9)
+
+
+@st.composite
+def lifted_gain_stacks(draw):
+    """(system, gains): a random stable plant (n <= 6 states) lifted through
+    a Gaussian m x n map (m in [n, 50]), and c random m-D gains whose scales
+    spread over two decades, so that many closed loops are unstable."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, 50))
+    n_u = draw(st.integers(1, 3))
+    c = draw(st.integers(1, 6))
+    rng = np.random.default_rng(seed)
+    A0 = rng.standard_normal((n, n))
+    A0 *= 0.9 / max(cm.spectral_radius(A0), 1e-9)
+    base = LinearSystem(A=A0, B=rng.standard_normal((n, n_u)))
+    family = lti_env.build_ensemble(base, [np.zeros((n_u, n))] * 2)
+    G = lti_env.sample_lift_map(n, m, rng)
+    system = lti_env.lift_ensemble(family, G).system
+    scales = 10.0 ** rng.uniform(-1.0, 1.0, (c, 1, 1)) / np.sqrt(m)
+    return system, scales * rng.standard_normal((c, n_u, m))
+
+
+class TestClosedLoopRadii:
+    @given(lifted_gain_stacks())
+    def test_matches_full_space_eigvals(self, problem):
+        system, gains = problem
+        rho = eval_metrics.closed_loop_radii(system, gains)
+        closed = [system.A + system.B @ K for K in gains]
+        full = np.array([np.abs(np.linalg.eigvals(M)).max() for M in closed])
+        # Full-space eigvals is accurate to rounding of ||A + BK||, not of
+        # rho: a rank-1 closed loop with a small eigenvalue is off by more
+        # than 1e-10 of rho there, while the basis form is exact.
+        scale = np.array([np.linalg.norm(M, 2) for M in closed])
+        assert np.all(np.abs(rho - full) <= 1e-10 * scale)
+
+    def test_stable_verdicts_on_a_lifted_plant(self):
+        ens = lti_env.lift_ensemble(
+            lti_env.build_ensemble(
+                lti_env.get_preset("hong2021"),
+                lti_env.synthesize_expert_family(
+                    lti_env.get_preset("hong2021"), [0.1, 10.0], np.eye(2)
+                ),
+            ),
+            SeedTree(root=3).child("lift").stream().standard_normal((50, 4)),
+        )
+        K = ens.target.K
+        K_hat = np.stack([K, 3.0 * K, K + 0.5, -K])[None]
+        records = eval_metrics.evaluate_controller(
+            ens.system, ens.target, K_hat, 5, [np.random.default_rng(0)]
+        )
+        full = [
+            np.abs(np.linalg.eigvals(ens.system.A + ens.system.B @ G)).max()
+            for G in K_hat[0]
+        ]
+        assert [r.stable for r in records] == [bool(f < 1.0) for f in full]
+        assert any(r.stable for r in records) and not all(r.stable for r in records)
 
 
 class TestLqrCostGap:

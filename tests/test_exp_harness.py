@@ -128,10 +128,16 @@ class TestRunSweep:
         assert fresh[1].tracking_err != reused[1].tracking_err
 
 
-# results.csv of this sweep at RESULTS_VERSION "2": a speed-up must keep
+# results.csv of this sweep at RESULTS_VERSION "3": a speed-up must keep
 # these bytes, a change of them needs a RESULTS_VERSION bump.
 GOLDEN_SWEEP = "sweep:\n  trials_system: 2\n  trials_noise: 1\n  n2: [1, 2, 5]\n"
-GOLDEN_DIGEST = "edaca7be863b12bd8b7b30c4b877e05bfec9d02f030d9c4fb461876ada01a2a5"
+GOLDEN_DIGEST = "43c75f92702d89d1ba483c8779df4898055db931b9d5b43a4c4eadf5ac4e2296"
+# Its `direct` rows alone, as at RESULTS_VERSION "2": version 3 changed only
+# the multitask pretraining and how rho(A + BK) is computed, so the direct
+# fits and their stability verdicts keep these bytes.
+GOLDEN_DIRECT_DIGEST = (
+    "8677e8fe822d93c863a4059844ec3b20afe0134765d3dbae0f1db5bc3f101247"
+)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -154,8 +160,17 @@ class TestSweepReuse:
         paths = eh.write_results(eh.run_sweep(cfg), str(tmp_path), cfg)
         with open(paths["results"], "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        assert eh.RESULTS_VERSION == "2"
+        assert eh.RESULTS_VERSION == "3"
         assert digest == GOLDEN_DIGEST
+
+    def test_golden_direct_rows_digest(self, tmp_path):
+        cfg = eh.config_from_dict(yaml.safe_load(GOLDEN_SWEEP))
+        paths = eh.write_results(eh.run_sweep(cfg), str(tmp_path), cfg)
+        with open(paths["results"], "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        direct = [line for line in lines if line.startswith(b"direct,")]
+        assert len(direct) == 6
+        assert hashlib.sha256(b"".join(direct)).hexdigest() == GOLDEN_DIRECT_DIGEST
 
     @pytest.mark.parametrize("parallelism", ["1", "2"])
     @pytest.mark.parametrize("threads", [None, "1", "2", "4"])
@@ -173,7 +188,7 @@ class TestSweepReuse:
         digest = hashlib.sha256((tmp_path / "out" / "results.csv").read_bytes())
         assert digest.hexdigest() == GOLDEN_DIGEST
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["version"] == "2"
+        assert manifest["version"] == "3"
         assert manifest["blas_threads"] == 1
 
     @pytest.mark.parametrize("parallelism", [1, 2])
@@ -362,6 +377,8 @@ class TestCli:
             ("sweep:\n  t_test: true\n", [], "sweep.t_test"),
             ("sweep:\n  n2: true\n", [], "sweep.n2"),
             ("sweep:\n  n2: [1.5, 2]\n", [], "sweep.n2"),
+            ("system:\n  a: [[0.5]]\n  b: [[.inf]]\n", [], "system.b"),
+            ("system:\n  a: [[.nan]]\n  b: [[1.0]]\n", [], "system.a"),
         ],
     )
     def test_bad_input_exits_2_with_field_path(

@@ -164,6 +164,35 @@ class TestLiftEnsemble:
             lti_env.sample_lift_map(4, m, np.random.default_rng(0))
 
 
+class TestSystemBasis:
+    def test_lift_records_range_of_map(self):
+        ens = small_ensemble()
+        G = SeedTree(root=5).child("lift").stream().standard_normal((50, 4))
+        Q = lti_env.lift_ensemble(ens, G).system.basis
+        assert Q.shape == (50, 4)
+        np.testing.assert_allclose(Q.T @ Q, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(Q @ (Q.T @ G), G, atol=1e-12)
+
+    def test_unlifted_system_has_no_basis(self):
+        assert lti_env.get_preset("hong2021").basis is None
+
+    @pytest.mark.parametrize(
+        "A, B, basis, message",
+        [
+            (np.eye(2), np.ones((2, 1)), 2.0 * np.eye(2), "orthonormal"),
+            (np.eye(2), np.ones((2, 1)), np.ones((2, 1)), "orthonormal"),
+            (np.eye(2), np.array([[1.0], [0.0]]), np.array([[1.0], [0.0]]),
+             "range\\(A\\)"),
+            (np.diag([1.0, 0.0]), np.array([[0.0], [1.0]]),
+             np.array([[1.0], [0.0]]), "range\\(B\\)"),
+            (np.eye(2), np.ones((2, 1)), np.eye(3), "n_x x r"),
+        ],
+    )
+    def test_rejects_bad_basis(self, A, B, basis, message):
+        with pytest.raises(ValueError, match=message):
+            lti_env.LinearSystem(A=A, B=B, basis=basis)
+
+
 class TestGroundTruth:
     def test_lifted_factors(self):
         ens = small_ensemble()
