@@ -195,9 +195,10 @@ def task_diversity_constants(
     )
 
 
-def summarize_quantiles(values, qs) -> list:
-    """Linear-interpolation quantiles of a nonempty list."""
-    values = np.asarray(list(values), dtype=float)
+def summarize_quantiles(values, qs) -> np.ndarray:
+    """Linear-interpolation quantiles along the last axis of a nonempty array:
+    values of shape (..., n) give shape (..., len(qs)), in one pass."""
+    values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise EmptyInput("cannot summarize an empty list")
-    return [float(np.quantile(values, q)) for q in qs]
+    return np.moveaxis(np.quantile(values, qs, axis=-1), 0, -1)

@@ -10,7 +10,6 @@ pure function of (config, seed) regardless of parallelism.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import csv
 import ctypes
@@ -20,7 +19,6 @@ from dataclasses import asdict, dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
-import yaml
 
 from . import __version__, lti_env, mtil_learn
 from .data_gen import SeedTree, StackedData, rollout_expert
@@ -233,6 +231,8 @@ def read_config(path: str) -> dict:
     Raises:
         ParseError: unreadable or malformed file.
     """
+    import yaml  # only `mtil run` reads a config; `mtil verify` never loads it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -457,6 +457,8 @@ def run_sweep(cfg: ExperimentConfig) -> list:
         if cfg.parallelism <= 1 or cfg.trials_system * cfg.trials_noise <= 1:
             outputs = list(map(_cell_worker, _cells(cfg)))
         else:
+            import concurrent.futures  # a serial sweep or `mtil verify` never pools
+
             with concurrent.futures.ProcessPoolExecutor(
                 max_workers=cfg.parallelism, initializer=_pin_blas_threads
             ) as pool:
@@ -504,19 +506,27 @@ def write_results(rows: list, out_dir: str, cfg: ExperimentConfig | None = None)
     groups = {}
     for row in rows:
         groups.setdefault((row.method, row.N1, row.N2), []).append(row)
+    metrics = ("tracking_err", "param_err", "excess_risk")
+    # One quantile pass per group size; run_sweep gives every group one row
+    # per cell, so a sweep takes a single pass.
+    by_size = {}
+    for key in groups:
+        by_size.setdefault(len(groups[key]), []).append(key)
+    quantiles = {}
+    for keys in by_size.values():
+        values = [[[getattr(r, m) for r in groups[k]] for m in metrics] for k in keys]
+        stacked = summarize_quantiles(values, [0.5, 0.2, 0.8])
+        quantiles.update(zip(keys, stacked.reshape(len(keys), -1).tolist()))
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = ["method", "N1", "N2"]
-        for metric in ("tracking_err", "param_err", "excess_risk"):
+        for metric in metrics:
             header += [f"{metric}_median", f"{metric}_q20", f"{metric}_q80"]
         header.append("stable_frac")
         writer.writerow(header)
         for key in sorted(groups):
             group = groups[key]
-            out = [key[0], key[1], key[2]]
-            for metric in ("tracking_err", "param_err", "excess_risk"):
-                values = [getattr(r, metric) for r in group]
-                out += [_fmt(v) for v in summarize_quantiles(values, [0.5, 0.2, 0.8])]
+            out = [key[0], key[1], key[2]] + [_fmt(v) for v in quantiles[key]]
             out.append(_fmt(sum(r.stable for r in group) / len(group)))
             writer.writerow(out)
 

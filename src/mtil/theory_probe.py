@@ -1,10 +1,10 @@
 """Monte-Carlo falsification probes for the concentration and tracking bounds.
 
-Each probe simulates the exact setting of one probabilistic statement,
-evaluates the displayed bound with no hidden constants, and reports the
-empirical failure rate with a 3-binomial-standard-error slack. A probe
-failure therefore localizes either a transcription error or a genuinely
-violated statement.
+Each probe samples either the exact setting of one probabilistic statement
+or the exact joint law of the quantities its statistic reads, evaluates the
+displayed bound with no hidden constants, and reports the empirical failure
+rate with a 3-binomial-standard-error slack. A probe failure therefore
+localizes either a transcription error or a genuinely violated statement.
 """
 
 from __future__ import annotations
@@ -165,8 +165,7 @@ def _simulate_regressors(kind: str, d: int, eta: np.ndarray) -> np.ndarray:
 
     kinds: 'constant' (x_t = all-ones), 'state-feedback' (x_{t+1} = 0.5 x_t
     + eta_t from x_0 = all-ones; requires d == noise dimension, so each
-    regressor is causally dependent on past noise). The 'gaussian-iid' kind
-    is drawn by verify_self_normalized itself.
+    regressor is causally dependent on past noise).
     """
     trials, H, T, m = eta.shape
     if kind == "constant":
@@ -180,6 +179,14 @@ def _simulate_regressors(kind: str, d: int, eta: np.ndarray) -> np.ndarray:
             x[:, :, t + 1, :] = 0.5 * x[:, :, t, :] + eta[:, :, t, :]
         return x
     raise ValueError(f"unknown regressor kind {kind!r}")
+
+
+def _reduce_statistic(Vbar: np.ndarray, S: np.ndarray, m: int):
+    """Per trial, sum_h S'Vbar^{-1}S and sum_h (m/2) logdet Vbar of stacks
+    (trials, H, d, d) and (trials, H, d, m); logdet V^h = 0, so the latter is
+    the bound's log-determinant ratio."""
+    stat = np.sum(S * np.linalg.solve(Vbar, S), axis=(1, 2, 3))
+    return stat, (0.5 * m * np.linalg.slogdet(Vbar)[1]).sum(axis=1)
 
 
 def verify_self_normalized(
@@ -200,29 +207,41 @@ def verify_self_normalized(
     mean joint bound and the mean union-bounded H-fold single-process bound
     (each process at delta/H), whose comparison motivates paying log(1/delta)
     once.
+
+    The 'gaussian-iid' statistic reads only V = X'X and S = X'E of the T x d
+    regressors X and T x m noise E, so it draws their exact joint law rather
+    than the paths. With X = QR a thin QR, r = min(T, d) and R r x d upper
+    trapezoidal (Bartlett), R_ii = sqrt(chi^2_{T-i}) and R_ij ~ N(0, 1) for
+    j > i, all independent; Q is independent of R, so Z = Q'E is r x m
+    i.i.d. N(0, scale^2) and independent of R. Then V = R'R and S = R'Z.
+    Draw order: every chi-square diagonal (trials, H, r), then the strictly
+    upper normals (trials, H, row by row), then Z (trials, H, r, m). The other
+    kinds draw the noise, turn it into regressors and reduce it in blocks of
+    about 2e5 normals.
     """
     H, T, d, m = setup.H, setup.T, setup.dim_x, setup.dim_eta
     scale = setup.sigma if eta_scale is None else eta_scale
-    # Draw order: all gaussian-iid regressors first (when used), then the
-    # noise, which is drawn, turned into regressors and reduced in blocks of
-    # about 2e5 normals, so only x is ever held for every trial at once.
     if regressor_kind == "gaussian-iid":
-        x_iid = rng.standard_normal((trials, H, T, d))
-    stat = np.empty(trials)
-    logdet_sum = np.empty(trials)
-    for block in _blocks(trials, max(1, 200_000 // max(H * T * m, 1))):
-        eta = scale * rng.standard_normal((block.stop - block.start, H, T, m))
-        if regressor_kind == "gaussian-iid":
-            x = x_iid[block]
-        else:
+        r = min(T, d)
+        rows, cols = np.triu_indices(r, 1, d)
+        R = np.zeros((trials, H, r, d))
+        R[..., np.arange(r), np.arange(r)] = np.sqrt(
+            rng.chisquare(T - np.arange(r), size=(trials, H, r))
+        )
+        R[..., rows, cols] = rng.standard_normal((trials, H, rows.size))
+        Z = scale * rng.standard_normal((trials, H, r, m))
+        R_t = np.swapaxes(R, -1, -2)  # (trials, H, d, r)
+        stat, logdet_sum = _reduce_statistic(np.eye(d) + R_t @ R, R_t @ Z, m)
+    else:
+        stat = np.empty(trials)
+        logdet_sum = np.empty(trials)
+        for block in _blocks(trials, max(1, 200_000 // max(H * T * m, 1))):
+            eta = scale * rng.standard_normal((block.stop - block.start, H, T, m))
             x = _simulate_regressors(regressor_kind, d, eta)
-        x_t = np.swapaxes(x, -1, -2)  # (trials, H, d, T)
-        Vbar = np.eye(d) + x_t @ x
-        S = x_t @ eta  # (trials, H, d, m)
-        solved = np.linalg.solve(Vbar, S)
-        stat[block] = np.sum(S * solved, axis=(1, 2, 3))
-        # logdet V^h = 0, so the log-determinant ratio is logdet Vbar_T^h.
-        logdet_sum[block] = (0.5 * m * np.linalg.slogdet(Vbar)[1]).sum(axis=1)
+            x_t = np.swapaxes(x, -1, -2)  # (trials, H, d, T)
+            stat[block], logdet_sum[block] = _reduce_statistic(
+                np.eye(d) + x_t @ x, x_t @ eta, m
+            )
     two_sigma_sq = 2.0 * setup.sigma**2
     bound = two_sigma_sq * (logdet_sum + np.log(1.0 / delta))
     union_bound = two_sigma_sq * (logdet_sum + H * np.log(H / delta))

@@ -304,6 +304,28 @@ class TestWriteResults:
         assert float(fields[3]) == 2.0  # median tracking error
         assert float(fields[-1]) == 1.0  # stable fraction
 
+    def test_summary_groups_of_unequal_size(self, tmp_path):
+        # Hand-built rows need not give every group one row per cell.
+        rows = [
+            eh.ResultRow(
+                method=method, system_trial=i, noise_trial=0, N1=1, N2=1,
+                H=1, T=1, k=1, tracking_err=float(v), param_err=float(2 * v),
+                stable=True, excess_risk=0.0, underdetermined=False,
+                nonfinite=False,
+            )
+            for method, values in (
+                ("direct", [3.0, 1.0, 2.0]), ("multitask", [1.0, 4.0])
+            )
+            for i, v in enumerate(values)
+        ]
+        paths = eh.write_results(rows, str(tmp_path), None)
+        lines = open(paths["summary"]).read().splitlines()[1:]
+        # Each group's tracking_err quantiles, as one np.quantile per value.
+        for line, values in zip(lines, ([3.0, 1.0, 2.0], [1.0, 4.0])):
+            expected = [repr(float(np.quantile(values, q))) for q in (0.5, 0.2, 0.8)]
+            assert line.split(",")[3:6] == expected
+        assert [float(line.split(",")[6]) for line in lines] == [4.0, 5.0]
+
     def test_manifest_records_versions(self, tmp_path):
         paths = eh.write_results([], str(tmp_path), None)
         manifest = json.loads(Path(paths["manifest"]).read_text())
@@ -394,6 +416,30 @@ class TestCli:
         assert rc == 2
         assert err.startswith(f"error: {path}: ")
         assert not (tmp_path / "out").exists()
+
+    def test_malformed_yaml_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text("sweep: [1, 2\n")
+        rc = cli.main(
+            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse config: ")
+
+    def test_verify_loads_no_run_only_module(self, tmp_path):
+        # YAML parsing and the process pool serve `mtil run` alone.
+        code = (
+            "import sys, mtil.cli\n"
+            "mtil.cli.main(['verify', '--probe', 'hanson_wright',"
+            " '--out', sys.argv[1]])\n"
+            "print(sorted({'yaml', 'concurrent.futures'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)],
+            env=cli_env(None), check=True, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize(
         "argv",

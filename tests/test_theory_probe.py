@@ -158,18 +158,26 @@ class TestSelfNormalized:
         )
         # Same draws, statistic and bounds summed with einsum.
         rng = SeedTree(root=21).child("m").stream()
-        shape = (2_000, 3, 40, 2)
         if kind == "gaussian-iid":
-            x = rng.standard_normal(shape)
-            eta = rng.standard_normal(shape)
+            # The Bartlett factor R of the regressors (2 x 2 here) and Z = Q'E,
+            # drawn in the documented order; V = R'R and S = R'Z.
+            chi = rng.chisquare([40, 39], size=(2_000, 3, 2))
+            R = np.zeros((2_000, 3, 2, 2))
+            R[..., 0, 0] = np.sqrt(chi[..., 0])
+            R[..., 1, 1] = np.sqrt(chi[..., 1])
+            R[..., 0, 1] = rng.standard_normal((2_000, 3, 1))[..., 0]
+            Z = rng.standard_normal((2_000, 3, 2, 2))
+            Vbar = np.eye(2) + np.einsum("bhki,bhkj->bhij", R, R)
+            S = np.einsum("bhki,bhkj->bhij", R, Z)
         else:
+            shape = (2_000, 3, 40, 2)
             eta = rng.standard_normal(shape)
             x = np.empty(shape)
             x[:, :, 0, :] = 1.0
             for t in range(39):
                 x[:, :, t + 1, :] = 0.5 * x[:, :, t, :] + eta[:, :, t, :]
-        Vbar = np.eye(2) + np.einsum("bhti,bhtj->bhij", x, x)
-        S = np.einsum("bhti,bhtj->bhij", x, eta)
+            Vbar = np.eye(2) + np.einsum("bhti,bhtj->bhij", x, x)
+            S = np.einsum("bhti,bhtj->bhij", x, eta)
         stat = np.einsum("bhim,bhim->b", S, np.linalg.solve(Vbar, S))
         logdet = np.linalg.slogdet(Vbar)[1].sum(axis=1)
         bound = 2.0 * (logdet + np.log(1.0 / 0.05))
@@ -180,6 +188,59 @@ class TestSelfNormalized:
         assert details["mean_bound_union"] == pytest.approx(np.mean(union), rel=1e-9)
         assert report.margin == pytest.approx(np.max(stat / bound), rel=1e-9)
         assert report.failures == np.count_nonzero(stat > bound)
+
+    @staticmethod
+    def path_reference(setup, delta, trials, rng):
+        """Per-trial statistic and joint bound from fully simulated
+        gaussian-iid regressor and noise paths, in blocks of 5000 trials."""
+        H, T, d, m = setup.H, setup.T, setup.dim_x, setup.dim_eta
+        stat = np.empty(trials)
+        bound = np.empty(trials)
+        for start in range(0, trials, 5_000):
+            n = min(5_000, trials - start)
+            x = rng.standard_normal((n, H, T, d))
+            eta = setup.sigma * rng.standard_normal((n, H, T, m))
+            x_t = np.swapaxes(x, -1, -2)
+            Vbar = np.eye(d) + x_t @ x
+            S = x_t @ eta
+            stat[start:start + n] = np.einsum(
+                "bhim,bhim->b", S, np.linalg.solve(Vbar, S)
+            )
+            logdet = np.linalg.slogdet(Vbar)[1].sum(axis=1)
+            bound[start:start + n] = (
+                2.0 * setup.sigma**2 * (0.5 * m * logdet + np.log(1.0 / delta))
+            )
+        return stat, bound
+
+    @pytest.mark.parametrize(
+        "H, T, d, m, sigma",
+        [(1, 5, 3, 2, 0.7), (2, 2, 3, 1, 1.3), (3, 40, 2, 2, 1.0)],
+    )
+    def test_gaussian_iid_law_matches_paths(self, H, T, d, m, sigma):
+        # The (V, S) sampler and the path simulation agree in law: their
+        # means and failure counts differ by at most 4 Monte-Carlo SEs.
+        setup = MartingaleSetup(H=H, T=T, dim_x=d, dim_eta=m, sigma=sigma)
+        trials, delta = 200_000, 0.3
+        tree = SeedTree(root=23).child("law", H * T)
+        report = theory_probe.verify_self_normalized(
+            setup, delta, trials, tree.child("exact").stream()
+        )
+        stat, bound = self.path_reference(
+            setup, delta, trials, tree.child("paths").stream()
+        )
+        # Both sides share one law, so the SE of a difference of means is
+        # sqrt(2) times that of one mean.
+        for value, ref in (
+            (report.details["mean_statistic"], stat),
+            (report.details["mean_bound_joint"], bound),
+        ):
+            se = np.std(ref, ddof=1) * np.sqrt(2.0 / trials)
+            assert abs(value - np.mean(ref)) <= 4.0 * se
+        ref_failures = int(np.count_nonzero(stat > bound))
+        p = (report.failures + ref_failures) / (2 * trials)
+        assert abs(report.failures - ref_failures) <= 4.0 * np.sqrt(
+            2 * trials * p * (1 - p)
+        )
 
 
 class TestMaximalInequality:
@@ -347,7 +408,7 @@ class TestVerifyGolden:
             ("hanson_wright",
              "7d8491d43650ebb36741b954ca1b786cf00075ad2837d4b9884dc6cc7acd8de1"),
             ("self_normalized",
-             "2dc8180b1d73868d6abf8e7a731cda70c713ce65d59322b875d3c4e0aa7266a7"),
+             "4b10d5473b50623dcc28910a9c598102b3e929979761c824394b4d136f1f9a29"),
             ("maximal",
              "020195db82789a6e90740e3bf93f41ac36c25da8487f4ce6d4b2f3e48e5c0a54"),
         ],
@@ -356,3 +417,17 @@ class TestVerifyGolden:
         path = tmp_path / "verify.csv"
         theory_probe.write_probe_csv(cli.run_probe_battery((probe,), 0), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_state_feedback_rows(self, tmp_path):
+        # The state-feedback rows simulate full paths and keep their bits
+        # whatever the gaussian-iid sampler does; pinned row by row so that a
+        # change to one regressor kind cannot hide a drift in the other.
+        path = tmp_path / "verify.csv"
+        theory_probe.write_probe_csv(
+            cli.run_probe_battery(("self_normalized",), 0), str(path)
+        )
+        rows = [r for r in path.read_text().splitlines() if "state-feedback" in r]
+        assert rows == [
+            '"self_normalized[state-feedback,H=1]",10000,7,0.05,1.22064335977944,true',
+            '"self_normalized[state-feedback,H=4]",10000,2,0.05,1.0403961484238198,true',
+        ]
