@@ -117,15 +117,36 @@ def rollout_expert(
     )
 
 
+def _states(
+    system: LinearSystem, A_cl: np.ndarray, noise: NoiseRealization, T: int
+) -> np.ndarray:
+    """Rows x[0..T] of x[t+1] = A_cl x[t] + B z[t] + w[t] per trial, shape
+    (trials, T + 1, n_x), from x[0] = noise.x0.
+
+    The drives B z[t] + w[t] are written into rows 1..T first, and each step
+    adds A_cl x[t] to its row in place. Each product is a stack of
+    matrix-vector products, one per trial and step, so each trial gets the
+    bits of its one-trial rollout whatever the batch size. Steps past an
+    overflow run on through non-finite values.
+    """
+    x = np.empty((noise.x0.shape[0], T + 1, system.n_x, 1))
+    x[:, 0] = noise.x0[..., None]
+    np.matmul(system.B, noise.z[:, :T, :, None], out=x[:, 1:])
+    x[:, 1:] += noise.w[:, :T, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            x[:, t + 1] += A_cl @ x[:, t]
+    return x[..., 0]
+
+
 def coupled_rollout(
     system: LinearSystem,
     K_expert: np.ndarray,
     K_learned: np.ndarray,
     noise: NoiseRealization,
     T: int,
-    peak: bool = False,
 ) -> tuple:
-    """Roll out both controllers on the same noise, all trials as one recurrence.
+    """Roll out both controllers on the same noise, all trials at once.
 
     Both trajectories of trial i start at noise.x0[i] and follow
     x[t+1] = (A + BK) x[t] + B z[t] + w[t]. Returns (expert_states,
@@ -133,51 +154,52 @@ def coupled_rollout(
     is x[t], and per trial the number of steps before either rollout first
     overflows to non-finite values. Rows past steps[i] are not meaningful;
     trial i is non-finite exactly when steps[i] < T.
-
-    With peak=True, K_learned stacks c gains per trial, shape (trials, c,
-    n_u, n_x), each rolled out against the trial's one expert trajectory,
-    and only the current states are kept. Returns (peak, steps), both of
-    shape (trials, c): the max over t = 1..steps of ||x_hat[t] - x_star[t]||^2
-    and the steps as above, per gain.
     """
-    trials = noise.x0.shape[0]
-    # States carry a gain axis: (trials, c, n_x, 1), c = 1 for one gain.
-    K = K_learned if peak else K_learned[None, None]
-    A_star = system.A + system.B @ K_expert
-    A_hat = system.B @ K
-    A_hat += system.A  # in place: a stack of c gains per trial can be large
-    xs = noise.x0[:, None, :, None]
-    xh = np.repeat(xs, K.shape[1], axis=1)
-    alive = np.ones(xh.shape[:2], dtype=bool)
-    steps = np.zeros(xh.shape[:2], dtype=int)
-    if peak:
-        peak_sq = np.full(xh.shape[:2], -np.inf)
-    else:
-        xs_all = np.empty((trials, T + 1, system.n_x))
-        xh_all = np.empty_like(xs_all)
-        xs_all[:, 0] = xh_all[:, 0] = noise.x0
-    # Every product is a stack of matrix-vector products, one per trial and
-    # gain (and per trial for the drive), so each gets the bits of its
-    # one-trial, one-gain rollout whatever the batch size.
+    xs = _states(system, system.A + system.B @ K_expert, noise, T)
+    xh = _states(system, system.A + system.B @ K_learned, noise, T)
+    finite = np.isfinite(xs[:, 1:]).all(axis=2) & np.isfinite(xh[:, 1:]).all(axis=2)
+    return xs, xh, np.logical_and.accumulate(finite, axis=1).sum(axis=1)
+
+
+def peak_deviation(
+    system: LinearSystem,
+    K_expert: np.ndarray,
+    K_learned: np.ndarray,
+    noise: NoiseRealization,
+    T: int,
+) -> tuple:
+    """Peak squared tracking deviation of c learned gains per trial, each
+    against the trial's one expert trajectory on the trial's noise.
+
+    K_learned has shape (trials, c, n_u, n_x). The expert trajectory x* is
+    rolled out once per trial, as in `coupled_rollout`. A learned trajectory
+    is x_hat = x* + e, where e[0] = 0 and
+    e[t+1] = (A + B K_hat) e[t] + B (K_hat - K*) x*[t].
+    Both maps land in the span of the plant's basis Q (the identity when it
+    has none), so e runs as r-vectors Q'e, with ||e|| = ||Q'e||: every drive
+    Q'B (K_hat - K*) x*[t] comes from one GEMM, and each step is an r x r
+    product per gain.
+
+    Returns (peak, steps), both of shape (trials, c): the max over
+    t = 1..steps of ||e[t]||^2, and the number of steps before x*[t] or
+    e[t] (and so x_hat[t]) first goes non-finite; trial i's gain j is
+    non-finite exactly when steps[i, j] < T. Every product is per trial and
+    gain, so each entry has the bits of its one-trial, one-gain call.
+    """
+    trials, c = K_learned.shape[:2]
+    Q = system.range_basis
+    xs = _states(system, system.A + system.B @ K_expert, noise, T)
+    closed = system.closed_loop_on_range(K_learned)
+    gap = (Q.T @ system.B) @ (K_learned - K_expert)
+    devs = np.empty((trials, c, T, Q.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
+        pushes = xs[:, None, :T] @ gap.transpose(0, 1, 3, 2)
+        e = np.zeros((trials, c, Q.shape[1], 1))
         for t in range(T):
-            # The drive B z[t] + w[t] is shared by the gains of a trial.
-            drive = system.B @ noise.z[:, t, None, :, None]
-            drive += noise.w[:, t, None, :, None]
-            xs = A_star @ xs + drive
-            xh = A_hat @ xh + drive
-            # Steps past the first non-finite one are not counted, so running
-            # on through them changes nothing.
-            alive &= np.isfinite(xs).all(axis=(2, 3))
-            alive &= np.isfinite(xh).all(axis=(2, 3))
-            steps += alive
-            if peak:
-                diff = (xh - xs)[..., 0]
-                sq = np.sum(diff * diff, axis=2)
-                np.maximum(peak_sq, sq, out=peak_sq, where=alive)
-            else:
-                xs_all[:, t + 1] = xs[:, 0, :, 0]
-                xh_all[:, t + 1] = xh[:, 0, :, 0]
-    if peak:
-        return peak_sq, steps
-    return xs_all, xh_all, steps[:, 0]
+            e = closed @ e
+            e += pushes[:, :, t, :, None]
+            devs[:, :, t] = e[..., 0]
+        sq = np.sum(devs * devs, axis=3)
+    finite = np.isfinite(devs).all(axis=3) & np.isfinite(xs[:, None, 1:]).all(axis=3)
+    alive = np.logical_and.accumulate(finite, axis=2)
+    return np.where(alive, sq, -np.inf).max(axis=2), alive.sum(axis=2)

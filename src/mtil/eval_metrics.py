@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control_math
-from .data_gen import NoiseRealization, coupled_rollout, sample_noise
+from .data_gen import NoiseRealization, coupled_rollout, peak_deviation, sample_noise
 from .errors import EmptyInput, RankDeficient
 from .lti_env import ExpertTask, GroundTruthFactors, LinearSystem, TaskEnsemble
 
@@ -71,7 +71,8 @@ def evaluate_controller(
     each is, bit for bit, the record of its gain scored alone on its draw's
     Generator.
 
-    A record holds the max squared state deviation over t = 1..T_test along
+    A record holds the max squared state deviation over t = 1..T_test,
+    taken in deviation form on the plant's range (`peak_deviation`), along
     with parameter error, stability of A + B K_hat, and the closed-form
     excess risk. An overflowing rollout carries tracking_err = inf and the
     nonfinite flag.
@@ -84,9 +85,7 @@ def evaluate_controller(
         w=np.concatenate([d.w for d in draws]),
         z=np.concatenate([d.z for d in draws]),
     )
-    peak, steps = coupled_rollout(
-        system, target_task.K, K_hat, noise, T_test, peak=True
-    )
+    peak, steps = peak_deviation(system, target_task.K, K_hat, noise, T_test)
     gains = K_hat.reshape(-1, *K_hat.shape[2:])
     rho = closed_loop_radii(system, gains)
     return [
@@ -109,9 +108,7 @@ def closed_loop_radii(system: LinearSystem, gains: np.ndarray) -> np.ndarray:
     is a k x k problem in place of an n_x x n_x one. A plant without a basis
     uses Q = I, which gives the bits of the full-space form.
     """
-    Q = np.eye(system.n_x) if system.basis is None else system.basis
-    closed = (Q.T @ system.B) @ (gains @ Q)
-    closed += Q.T @ system.A @ Q
+    closed = system.closed_loop_on_range(gains)
     return np.abs(np.linalg.eigvals(closed)).max(axis=1)
 
 
@@ -197,8 +194,33 @@ def task_diversity_constants(
 
 def summarize_quantiles(values, qs) -> np.ndarray:
     """Linear-interpolation quantiles along the last axis of a nonempty array:
-    values of shape (..., n) give shape (..., len(qs)), in one pass."""
+    values of shape (..., n) give shape (..., len(qs)), in one pass.
+
+    numpy's linear rule, computed as `np.quantile` computes it: q sits at
+    index i = (n - 1) q of the sorted values, between a = s[floor(i)] and
+    the next value b, with g = i - floor(i); it is a + (b - a) g, or
+    b - (b - a)(1 - g) when g >= 0.5. At i >= n - 1 both a and b are the
+    last value and g counts from index -1, as numpy's does. A slice that
+    holds a NaN gives NaN. The bits are `np.quantile`'s, but for the sign of
+    a zero where +0.0 and -0.0 tie. Sorting here, not calling `np.quantile`,
+    keeps its `numpy.ma` import out of a run.
+    """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise EmptyInput("cannot summarize an empty list")
-    return np.moveaxis(np.quantile(values, qs, axis=-1), 0, -1)
+    n = values.shape[-1]
+    ordered = np.sort(values, axis=-1)
+    index = (n - 1) * np.asarray(qs, dtype=float)
+    lower = np.floor(index)
+    last = index >= n - 1
+    lower[last] = -1
+    gamma = index - lower
+    lower = lower.astype(np.intp)
+    a = ordered[..., lower]
+    b = ordered[..., np.where(last, -1, lower + 1)]
+    with np.errstate(invalid="ignore"):
+        diff = b - a
+        out = a + diff * gamma
+        np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    out[np.isnan(ordered[..., -1])] = np.nan
+    return out

@@ -21,11 +21,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__, lti_env, mtil_learn
-from .data_gen import SeedTree, StackedData, rollout_expert
+from .data_gen import SeedTree, rollout_expert
 from .errors import ParseError, ValidationError
 from .eval_metrics import evaluate_controller, summarize_quantiles
 
-RESULTS_VERSION = "3"
+RESULTS_VERSION = "4"
 
 # OpenBLAS threads inside run_sweep and `mtil verify`: the LU of the ALS
 # Phi-step gives other bits on more than one thread, and the cells are too
@@ -313,10 +313,48 @@ def _cells(cfg: ExperimentConfig):
             yield cfg, ensemble, s, j
 
 
-def _prefix(data: StackedData, n_traj: int, T: int) -> StackedData:
-    """First n_traj trajectories of a stacked pool (nested N2 reuse)."""
-    rows = n_traj * T
-    return StackedData(X=data.X[:rows], U=data.U[:rows])
+def _fit_grid(
+    cfg: ExperimentConfig,
+    ensemble: lti_env.TaskEnsemble,
+    target_task: lti_env.ExpertTask,
+    system_trial: int,
+    noise_trial: int,
+) -> dict:
+    """method -> (K_hat per N2, underdetermined per N2) for one cell.
+
+    The N2 grid takes nested prefixes of the one target pool: each method
+    fits every grid point from the pool's prefix Grams at once.
+    """
+    tree = SeedTree(root=cfg.seed)
+    system = ensemble.system
+    pool_rng = (
+        tree.child("target", system_trial).child("noise", noise_trial).stream()
+    )
+    pool = rollout_expert(system, target_task, cfg.T, max(cfg.N2), pool_rng)
+    grams = mtil_learn.prefix_grams(pool, cfg.T, cfg.N2)
+    fits = {}
+    if "multitask" in cfg.methods:
+        source_noise_trial = 0 if cfg.reuse_source_data else noise_trial
+        source_tree = tree.child("source", system_trial).child(
+            "noise", source_noise_trial
+        )
+        source_stacks = [
+            rollout_expert(
+                system, task, cfg.T, cfg.N1, source_tree.child("task", h).stream()
+            )
+            for h, task in enumerate(ensemble.sources)
+        ]
+        phi_hat = mtil_learn.pretrain_alternating(
+            source_stacks,
+            cfg.k,
+            rng=source_tree.child("init").stream(),
+            restarts=cfg.restarts,
+        ).phi_hat
+        f_hats = mtil_learn.finetune_target(phi_hat, grams)
+        fits["multitask"] = (f_hats @ phi_hat, grams.rows < cfg.k)
+    if "direct" in cfg.methods:
+        fits["direct"] = mtil_learn.direct_ols(grams)
+    return fits
 
 
 def _run_cell(
@@ -325,61 +363,28 @@ def _run_cell(
     system_trial: int,
     noise_trial: int,
 ) -> list:
-    """All rows for one (system trial, noise trial) cell of the given ensemble."""
-    tree = SeedTree(root=cfg.seed)
-    system = ensemble.system
+    """All rows for one (system trial, noise trial) cell of the given ensemble.
+
+    The fits come from `_fit_grid`, so the cell's training data is freed
+    before the evaluation pass allocates its rollouts.
+    """
     task_index = ensemble.H if cfg.eval_task == "target" else int(cfg.eval_task)
     target_task = ensemble.tasks[task_index]
-
-    source_noise_trial = 0 if cfg.reuse_source_data else noise_trial
-    source_tree = tree.child("source", system_trial).child(
-        "noise", source_noise_trial
-    )
-    source_stacks = [
-        rollout_expert(
-            system, task, cfg.T, cfg.N1, source_tree.child("task", h).stream()
-        )
-        for h, task in enumerate(ensemble.sources)
-    ]
-    phi_hat = None
-    if "multitask" in cfg.methods:
-        pre = mtil_learn.pretrain_alternating(
-            source_stacks,
-            cfg.k,
-            rng=source_tree.child("init").stream(),
-            restarts=cfg.restarts,
-        )
-        phi_hat = pre.phi_hat
-
-    n2_max = max(cfg.N2)
-    pool_rng = (
-        tree.child("target", system_trial).child("noise", noise_trial).stream()
-    )
-    pool = rollout_expert(system, target_task, cfg.T, n2_max, pool_rng)
-
-    fits = []  # (N2, method, K_hat, underdetermined), grid point by grid point
-    for n2 in cfg.N2:
-        data = _prefix(pool, n2, cfg.T)
-        by_method = {}
-        if "multitask" in cfg.methods:
-            f_hat = mtil_learn.finetune_target(phi_hat, data)
-            by_method["multitask"] = (f_hat @ phi_hat, n2 * cfg.T < cfg.k)
-        if "direct" in cfg.methods:
-            by_method["direct"] = mtil_learn.direct_ols(data)
-        fits += [(n2, method, *by_method[method]) for method in cfg.methods]
+    fits = _fit_grid(cfg, ensemble, target_task, system_trial, noise_trial)
     # All methods at one N2 are scored on the same eval stream, so each
     # stream is drawn once and the whole cell is evaluated in one pass.
-    eval_tree = tree.child("eval", system_trial).child("noise", noise_trial)
-    K_hats = np.array([K for _, _, K, _ in fits]).reshape(
-        len(cfg.N2), len(cfg.methods), *target_task.K.shape
+    eval_tree = SeedTree(root=cfg.seed).child("eval", system_trial).child(
+        "noise", noise_trial
     )
+    K_hats = np.stack([fits[method][0] for method in cfg.methods], axis=1)
     records = evaluate_controller(
-        system,
+        ensemble.system,
         target_task,
         K_hats,
         cfg.T_test,
         [eval_tree.child("n2", n2).stream() for n2 in cfg.N2],
     )
+    grid = [(j, n2, method) for j, n2 in enumerate(cfg.N2) for method in cfg.methods]
     return [
         ResultRow(
             method=method,
@@ -390,10 +395,10 @@ def _run_cell(
             H=cfg.H,
             T=cfg.T,
             k=cfg.k,
-            underdetermined=underdetermined,
+            underdetermined=bool(fits[method][1][j]),
             **asdict(record),
         )
-        for (n2, method, _, underdetermined), record in zip(fits, records)
+        for (j, n2, method), record in zip(grid, records)
     ]
 
 

@@ -54,6 +54,23 @@ class LinearSystem:
     def n_u(self) -> int:
         return self.B.shape[1]
 
+    @property
+    def range_basis(self) -> np.ndarray:
+        """The basis, or the n_x x n_x identity when the plant has none."""
+        return np.eye(self.n_x) if self.basis is None else self.basis
+
+    def closed_loop_on_range(self, gains: np.ndarray) -> np.ndarray:
+        """Q'(A + B K)Q as Q'AQ + (Q'B)(K Q) for each gain of a (..., n_u, n_x)
+        stack, Q the range basis.
+
+        A + B K maps into span(Q), so this r x r matrix carries all of its
+        nonzero eigenvalues, and it maps Q'e to Q'(A + B K)e for e in span(Q).
+        """
+        Q = self.range_basis
+        closed = (Q.T @ self.B) @ (gains @ Q)
+        closed += Q.T @ self.A @ Q
+        return closed
+
 
 def _check_basis(basis, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """basis as a float array, if its columns are orthonormal and span
@@ -140,6 +157,11 @@ def make_task(
     """Build an ExpertTask; its stationary covariance solves the Lyapunov
     equation Sigma = (A+BK) Sigma (A+BK)' + sigma_z^2 B B' + Sigma_w.
 
+    On a plant with a basis Q the closed loop maps into span(Q), so
+    Sigma = Sigma_w + Q S Q', where S solves the r x r equation
+    S = Abar S Abar' + Q'((A+BK) Sigma_w (A+BK)' + sigma_z^2 B B')Q with
+    Abar = Q'(A+BK)Q; the stability check is r x r too.
+
     Raises:
         UnstableMatrix: if rho(A + BK) >= 1.
     """
@@ -147,8 +169,17 @@ def make_task(
     if sigma_w is None:
         sigma_w = np.eye(system.n_x)
     sigma_w = np.asarray(sigma_w, dtype=float)
-    Q = float(sigma_z) ** 2 * (system.B @ system.B.T) + sigma_w
-    sigma_x = control_math.solve_discrete_lyapunov(system.A + system.B @ K, Q)
+    if system.basis is None:
+        Q = float(sigma_z) ** 2 * (system.B @ system.B.T) + sigma_w
+        sigma_x = control_math.solve_discrete_lyapunov(system.A + system.B @ K, Q)
+    else:
+        basis = system.basis
+        QB = basis.T @ system.B
+        M = basis.T @ system.A + QB @ K  # Q'(A+BK)
+        forcing = M @ sigma_w @ M.T + float(sigma_z) ** 2 * (QB @ QB.T)
+        S = control_math.solve_discrete_lyapunov(M @ basis, forcing)
+        P = basis @ S @ basis.T
+        sigma_x = sigma_w + 0.5 * (P + P.T)
     return ExpertTask(K=K, sigma_w=sigma_w, sigma_z=float(sigma_z), sigma_x=sigma_x)
 
 

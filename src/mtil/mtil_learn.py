@@ -20,6 +20,9 @@ from .errors import DegenerateRank, RankDeficient, SingularBlock
 
 ALS_MAX_SWEEPS = 500
 ALS_REL_TOL = 1e-10
+# `direct_ols` solves a prefix's normal equations only where cond(X)^2 is
+# certified below this; they lose about eps cond(X)^2, at most ~2e-8.
+GRAM_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -223,27 +226,89 @@ def pretrain_alternating(
     )
 
 
-def finetune_target(phi_hat: np.ndarray, target: StackedData) -> np.ndarray:
-    """Target-task least squares on the frozen representation.
+@dataclass(frozen=True)
+class PrefixGrams:
+    """Normal-equation blocks of nested prefixes of one row-stacked pool.
 
-    Returns F minimizing ||U - X Phi' F'||_F^2, i.e. F' = (Phi X'X Phi')^{-1}
-    Phi X'U, with ridge repair on singular normal matrices.
+    Prefix j holds the first rows[j] rows of data; XX[j] = X'X and
+    XU[j] = X'U over those rows.
     """
-    Z = target.X @ phi_hat.T
-    M = Z.T @ Z
-    C = Z.T @ target.U
-    return _solve_with_ridge_repair(M, C).T
+
+    data: StackedData
+    rows: np.ndarray
+    XX: np.ndarray
+    XU: np.ndarray
 
 
-def direct_ols(target: StackedData) -> tuple:
-    """Direct behavioral cloning baseline ignoring the source data.
+def prefix_grams(data: StackedData, T: int, counts) -> PrefixGrams:
+    """The Grams of the first counts[j] trajectories of a pool, for each j.
 
-    Returns (K, underdetermined): the least-squares gain K' = (X'X)^{-1} X'U
-    when X has full column rank, otherwise the minimum-norm solution with
-    underdetermined = True.
+    data stacks N trajectories of T rows each. Each trajectory's X'X and X'U
+    are formed once and summed cumulatively, so every prefix costs one add.
     """
-    sol, _, rank, _ = np.linalg.lstsq(target.X, target.U, rcond=None)
-    return sol.T, bool(rank < target.X.shape[1])
+    N = data.X.shape[0] // T
+    if N * T != data.X.shape[0]:
+        raise ValueError("the pool must stack whole trajectories of T rows")
+    counts = np.asarray(counts, dtype=int)
+    if counts.min() < 1 or counts.max() > N:
+        raise ValueError(f"prefix trajectory counts must lie in [1, {N}]")
+    X = data.X.reshape(N, T, -1)
+    XT = X.transpose(0, 2, 1)
+    XX = np.cumsum(XT @ X, axis=0)
+    XU = np.cumsum(XT @ data.U.reshape(N, T, -1), axis=0)
+    return PrefixGrams(
+        data=data, rows=counts * T, XX=XX[counts - 1], XU=XU[counts - 1]
+    )
+
+
+def finetune_target(phi_hat: np.ndarray, grams: PrefixGrams) -> np.ndarray:
+    """Target-task least squares on the frozen representation, per prefix.
+
+    Returns the stack of F minimizing ||U - X Phi' F'||_F^2 over each
+    prefix, i.e. F' = (Phi X'X Phi')^{-1} Phi X'U from the k x k projected
+    Grams, with ridge repair on singular normal matrices.
+    """
+    return _f_step((grams.XX, grams.XU, None), phi_hat)
+
+
+def direct_ols(grams: PrefixGrams) -> tuple:
+    """Direct behavioral cloning baseline ignoring the source data, per prefix.
+
+    Returns (K, underdetermined), stacked over the prefixes: the
+    least-squares gain K' = (X'X)^{-1} X'U where X has full column rank,
+    otherwise the minimum-norm solution with underdetermined = True, as
+    `lstsq` ranks X.
+
+    Prefixes are taken in order of size. A prefix nests every smaller one,
+    so its smallest singular value is at least s_min, that of the largest
+    full-rank prefix fitted so far, and cond(X)^2 <= tr(X'X) / s_min^2.
+    Where that bound is below GRAM_COND_LIMIT the prefix has full rank and
+    its normal equations lose little; all such prefixes are solved from
+    their Grams in one stacked solve. Every other prefix is fitted by
+    `lstsq`, which also ranks it.
+    """
+    data, rows = grams.data, grams.rows
+    n_u, n_x = data.U.shape[1], data.X.shape[1]
+    K = np.empty((rows.size, n_u, n_x))
+    underdetermined = np.zeros(rows.size, dtype=bool)
+    by_gram = np.zeros(rows.size, dtype=bool)
+    traces = np.einsum("jii->j", grams.XX)
+    s_min = 0.0
+    for j in np.argsort(rows):
+        if traces[j] < GRAM_COND_LIMIT * s_min**2:
+            by_gram[j] = True
+            continue
+        sol, _, rank, s = np.linalg.lstsq(
+            data.X[: rows[j]], data.U[: rows[j]], rcond=None
+        )
+        K[j] = sol.T
+        underdetermined[j] = rank < n_x
+        if not underdetermined[j]:
+            s_min = s[-1]
+    if by_gram.any():
+        sol = np.linalg.solve(grams.XX[by_gram], grams.XU[by_gram])
+        K[by_gram] = sol.transpose(0, 2, 1)
+    return K, underdetermined
 
 
 def subspace_distance(phi_a: np.ndarray, phi_b: np.ndarray) -> float:

@@ -290,10 +290,18 @@ def verify_maximal_inequality(
     bound = 3.0 * (1.0 + np.log(T)) * float(np.sum(DL * DL))
     F = np.linalg.qr(DL.T, mode="r")
     stats = np.empty(trials)
-    # About a million normals per block keeps the peak memory small.
-    for block in _blocks(trials, max(1, 1_000_000 // max(T * F.shape[0], 1))):
-        h = rng.standard_normal((block.stop - block.start, T, F.shape[0]))
-        stats[block] = np.sum((h @ F) ** 2, axis=2).max(axis=1)
+    # About a million normals per block keeps the peak memory small. Every
+    # block reuses the same two buffers (a leading slice for the last one),
+    # and a draw into a slice gives the numbers of a fresh draw.
+    size = max(1, 1_000_000 // max(T * F.shape[0], 1))
+    h = np.empty((min(size, trials), T, F.shape[0]))
+    y = np.empty((min(size, trials), T, F.shape[1]))
+    for block in _blocks(trials, size):
+        n = block.stop - block.start
+        rng.standard_normal(out=h[:n])
+        np.matmul(h[:n], F, out=y[:n])
+        np.square(y[:n], out=y[:n])
+        stats[block] = np.sum(y[:n], axis=2).max(axis=1)
     estimate = float(stats.mean())
     se = float(stats.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     failed = estimate > bound + 3.0 * se

@@ -11,6 +11,7 @@ from mtil.data_gen import (
     NoiseRealization,
     SeedTree,
     coupled_rollout,
+    peak_deviation,
     rollout_expert,
     sample_noise,
 )
@@ -358,9 +359,14 @@ class TestCoupledRollout:
 @st.composite
 def peak_rollout_problems(draw):
     """A plant, an expert gain, per-trial noise and a (trials, c) stack of
-    learned gains, some pushed so far off that their rollouts overflow."""
+    learned gains, some pushed so far off that their rollouts overflow.
+
+    Half the plants carry an n x r basis (r < n when drawn so) that A and B
+    map into, as a lifted plant's does; the others have none."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, n))
+    with_basis = draw(st.booleans())
     n_u = draw(st.integers(1, 3))
     trials = draw(st.integers(1, 4))
     c = draw(st.integers(1, 4))
@@ -372,9 +378,17 @@ def peak_rollout_problems(draw):
         )
     )
     rng = np.random.default_rng(seed)
-    system = lti_env.LinearSystem(
-        A=0.5 * rng.standard_normal((n, n)), B=rng.standard_normal((n, n_u))
-    )
+    if with_basis:
+        Q = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        system = lti_env.LinearSystem(
+            A=Q @ (0.5 * rng.standard_normal((r, n))),
+            B=Q @ rng.standard_normal((r, n_u)),
+            basis=Q,
+        )
+    else:
+        system = lti_env.LinearSystem(
+            A=0.5 * rng.standard_normal((n, n)), B=rng.standard_normal((n, n_u))
+        )
     K_star = 0.1 * rng.standard_normal((n_u, n))
     scale = 10.0 ** np.reshape(exponents, (trials, c, 1, 1))
     K_hat = K_star + scale * rng.standard_normal((trials, c, n_u, n))
@@ -389,8 +403,11 @@ def peak_rollout_problems(draw):
 class TestPeakRolloutProperty:
     @given(peak_rollout_problems())
     def test_peak_form_matches_one_trial_trajectories(self, problem):
+        # The deviation form rounds otherwise than the difference of two
+        # full-space trajectories, so the peaks match to 1e-9 relative; the
+        # steps before an overflow match exactly.
         system, K_star, K_hat, noise, T = problem
-        peak, steps = coupled_rollout(system, K_star, K_hat, noise, T, peak=True)
+        peak, steps = peak_deviation(system, K_star, K_hat, noise, T)
         trials, c = K_hat.shape[:2]
         assert peak.shape == steps.shape == (trials, c)
         for i in range(trials):
@@ -401,7 +418,35 @@ class TestPeakRolloutProperty:
                 kept = slice(1, steps1[0] + 1)
                 with np.errstate(over="ignore", invalid="ignore"):
                     sq = np.sum((xh[0, kept] - xs[0, kept]) ** 2, axis=1)
-                assert peak[i, j] == (sq.max() if sq.size else -np.inf)
+                full = sq.max() if sq.size else -np.inf
+                same = peak[i, j] == full  # -inf with no finite step, or inf
+                assert same or abs(peak[i, j] - full) <= 1e-9 * abs(full)
+
+    def test_expert_overflow_ends_the_steps(self):
+        # x*[t] = (2 + 1e100)^t overflows at t = 4, while e stays 0 for the
+        # expert's own gain until the step after: steps end at x*'s overflow.
+        system = lti_env.LinearSystem(A=np.array([[2.0]]), B=np.array([[1.0]]))
+        K_star = np.array([[1e100]])
+        noise = NoiseRealization(
+            x0=np.ones((1, 1)), w=np.zeros((1, 6, 1)), z=np.zeros((1, 6, 1))
+        )
+        peak, steps = peak_deviation(system, K_star, K_star[None, None], noise, 6)
+        _, _, steps_full = coupled_rollout(system, K_star, K_star, noise, 6)
+        assert steps.tolist() == [[3]] and steps_full.tolist() == [3]
+        assert peak.tolist() == [[0.0]]
+
+    @given(peak_rollout_problems())
+    def test_batch_entries_are_one_gain_calls(self, problem):
+        system, K_star, K_hat, noise, T = problem
+        peak, steps = peak_deviation(system, K_star, K_hat, noise, T)
+        for i in range(K_hat.shape[0]):
+            one = TestCoupledRollout.trial(noise, i)
+            for j in range(K_hat.shape[1]):
+                peak1, steps1 = peak_deviation(
+                    system, K_star, K_hat[i, j][None, None], one, T
+                )
+                assert steps1[0, 0] == steps[i, j]
+                assert peak1[0, 0] == peak[i, j]
 
 
 labels = st.text(alphabet="abcxyz", min_size=1, max_size=3)

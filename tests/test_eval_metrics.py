@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from mtil import control_math as cm
 from mtil import eval_metrics, lti_env
-from mtil.data_gen import NoiseRealization, SeedTree, coupled_rollout, sample_noise
+from mtil.data_gen import (
+    NoiseRealization,
+    SeedTree,
+    coupled_rollout,
+    peak_deviation,
+    sample_noise,
+)
 from mtil.errors import EmptyInput, RankDeficient
 from mtil.lti_env import ExpertTask, LinearSystem, TaskEnsemble
 
@@ -113,21 +119,25 @@ class TestEvaluateController:
         assert r1.tracking_err == r2.tracking_err
 
     def test_batch_equals_successive_single_trials(self):
-        # One batched draw and rollout of five trials gives, bit for bit, the
-        # tracking errors of five successive evaluations on the same stream.
+        # One batched draw and deviation-form rollout of five trials gives,
+        # bit for bit, the tracking errors of five successive evaluations on
+        # the same stream; the full-space trajectories agree to rounding.
         base = lti_env.get_preset("hong2021")
         gains = lti_env.synthesize_expert_family(base, [1.0, 2.0], np.eye(2))
         task = lti_env.make_task(base, gains[0], sigma_z=1.0)
         rng = SeedTree(root=4).child("e").stream()
         noise = sample_noise(base, task, 30, rng, trials=5)
-        xs, xh, steps = coupled_rollout(base, task.K, gains[1], noise, 30)
-        assert steps.tolist() == [30] * 5
-        diff = xh[:, 1:] - xs[:, 1:]
-        batch = np.max(np.sum(diff * diff, axis=2), axis=1)
+        K_hats = np.broadcast_to(gains[1], (5, 1, *gains[1].shape))
+        batch, steps = peak_deviation(base, task.K, K_hats, noise, 30)
+        assert steps.ravel().tolist() == [30] * 5
         rng = SeedTree(root=4).child("e").stream()
         singles = [evaluate_one(base, task, gains[1], 30, rng) for _ in range(5)]
-        assert [r.tracking_err for r in singles] == batch.tolist()
+        assert [r.tracking_err for r in singles] == batch.ravel().tolist()
         assert not any(r.nonfinite for r in singles)
+        xs, xh, _ = coupled_rollout(base, task.K, gains[1], noise, 30)
+        diff = xh[:, 1:] - xs[:, 1:]
+        full = np.max(np.sum(diff * diff, axis=2), axis=1)
+        np.testing.assert_allclose(batch.ravel(), full, rtol=1e-9, atol=0.0)
 
     def test_batched_pass_equals_one_gain_calls(self):
         # A cell scores c gains per draw in one pass; each record must be the
@@ -340,3 +350,35 @@ class TestQuantiles:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             eval_metrics.summarize_quantiles([], [0.5])
+
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([-1.0, 0.0, 1.0, 2.5, np.inf, -np.inf, np.nan]),
+                    st.floats(-1e6, 1e6),
+                ),
+                min_size=1,
+                max_size=9,
+            ),
+            min_size=1,
+            max_size=4,
+        ).filter(lambda rows: len({len(r) for r in rows}) == 1),
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_matches_numpy_quantile(self, rows, qs):
+        # Ties, infinities, NaNs and one-value slices included: the values
+        # are np.quantile's, and so are the bits when no zero is signed.
+        values = np.array(rows)
+        got = eval_metrics.summarize_quantiles(values, qs)
+        with np.errstate(invalid="ignore"):
+            want = np.moveaxis(np.quantile(values, qs, axis=-1), 0, -1)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        if not np.any(values == 0.0):
+            kept = ~np.isnan(want)
+            assert np.array_equal(got[kept].view(np.int64), want[kept].view(np.int64))

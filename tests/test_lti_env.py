@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from mtil import control_math as cm
 from mtil import lti_env
@@ -191,6 +193,59 @@ class TestSystemBasis:
     def test_rejects_bad_basis(self, A, B, basis, message):
         with pytest.raises(ValueError, match=message):
             lti_env.LinearSystem(A=A, B=B, basis=basis)
+
+
+@st.composite
+def lifted_plants_and_gains(draw):
+    """(system, K, sigma_w, sigma_z): a random stable plant (n <= 6 states)
+    lifted through a Gaussian m x n map (m in [n, 50]), a random m-D gain
+    that keeps the closed loop stable, and an identity or random SPD
+    process-noise covariance."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, 50))
+    n_u = draw(st.integers(1, 3))
+    rho = draw(st.floats(0.1, 0.98))
+    rng = np.random.default_rng(seed)
+    A0 = rng.standard_normal((n, n))
+    A0 *= rho / max(cm.spectral_radius(A0), 1e-9)
+    base = lti_env.LinearSystem(A=A0, B=rng.standard_normal((n, n_u)))
+    family = lti_env.build_ensemble(base, [np.zeros((n_u, n))] * 2)
+    system = lti_env.lift_ensemble(family, lti_env.sample_lift_map(n, m, rng)).system
+    K = 0.1 * rng.standard_normal((n_u, m)) / np.sqrt(m)
+    assume(cm.spectral_radius(system.closed_loop_on_range(K)) < 0.99)
+    if draw(st.booleans()):
+        sigma_w = np.eye(m)
+    else:
+        M = rng.standard_normal((m, m))
+        sigma_w = M @ M.T / m + 0.1 * np.eye(m)
+    return system, K, sigma_w, draw(st.floats(0.0, 2.0))
+
+
+class TestTaskOnRange:
+    @given(lifted_plants_and_gains())
+    def test_range_and_full_space_covariances_agree(self, problem):
+        # The r x r equation on the lift's range and the full n_x x n_x one
+        # give the same stationary covariance, up to rounding: 1e-12
+        # relative, scaled by ||A + BK||^2 as the Lyapunov solver's own
+        # residual check is (an ill-conditioned square G gives ~100).
+        system, K, sigma_w, sigma_z = problem
+        on_range = lti_env.make_task(system, K, sigma_w, sigma_z)
+        full_space = lti_env.make_task(
+            lti_env.LinearSystem(A=system.A, B=system.B), K, sigma_w, sigma_z
+        )
+        gap = np.linalg.norm(on_range.sigma_x - full_space.sigma_x)
+        scale = max(1.0, np.linalg.norm(system.A + system.B @ K, 2) ** 2)
+        assert gap <= 1e-12 * scale * np.linalg.norm(full_space.sigma_x)
+        assert np.array_equal(on_range.sigma_x, on_range.sigma_x.T)
+
+    def test_unstable_closed_loop_on_range_refused(self):
+        Q = np.linalg.qr(np.random.default_rng(8).standard_normal((5, 2)))[0]
+        system = lti_env.LinearSystem(
+            A=Q @ np.diag([1.5, 0.5]) @ Q.T, B=Q[:, :1], basis=Q
+        )
+        with pytest.raises(UnstableMatrix):
+            lti_env.make_task(system, np.zeros((1, 5)))
 
 
 class TestGroundTruth:

@@ -1,5 +1,7 @@
 """Tests for the two-stage learner and the direct baseline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,11 @@ def synthetic_tasks(rng, H=3, n=10, k=2, n_u=2, rows=100, noise=0.0):
     return tasks, phi_star, f_stars
 
 
+def whole(data):
+    """The prefix Grams of one prefix that holds every row of data."""
+    return mtil_learn.prefix_grams(data, data.X.shape[0], [1])
+
+
 class TestPretrainAlternating:
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(0)
@@ -43,7 +50,7 @@ class TestPretrainAlternating:
             [data], k=4, rng=np.random.default_rng(3)
         )
         K_als = result.f_hats[0] @ result.phi_hat
-        K_ols, _ = mtil_learn.direct_ols(data)
+        (K_ols,), _ = mtil_learn.direct_ols(whole(data))
         np.testing.assert_allclose(K_als, K_ols, atol=1e-8)
 
     def test_zero_targets(self):
@@ -142,6 +149,26 @@ def als_problems_few_rows(draw):
     return tasks, k, seed
 
 
+@st.composite
+def als_problems_few_outputs(draw):
+    """(tasks, k, seed) as als_problems, but with H n_u < k <= n.
+
+    The stacked F (H n_u x k) then has rank below k, so the Phi-step normal
+    matrix sum_h kron(X^h'X^h, F^h'F^h) is singular, while every task has
+    rows >= n, which keeps the Phi-step on its LU-then-ridge solve.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_u = draw(st.integers(1, 2))
+    H = draw(st.integers(1, 3))
+    n = draw(st.integers(H * n_u + 1, 12))
+    k = draw(st.integers(H * n_u + 1, n))
+    rows = draw(st.integers(n, 4 * n))
+    noise = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(seed)
+    tasks, _, _ = synthetic_tasks(rng, H=H, n=n, k=k, n_u=n_u, rows=rows, noise=noise)
+    return tasks, k, seed
+
+
 def assert_trace_non_increasing(trace):
     """Each sweep's rise is at most 1e-9 trace[0], as in
     test_objective_non_increasing."""
@@ -171,6 +198,20 @@ class TestAlsProperties:
         )
         assert_trace_non_increasing(result.objective_trace)
         assert np.all(np.isfinite(result.f_hats))
+
+    @given(als_problems_few_outputs())
+    def test_singular_normal_matrix_from_few_outputs(self, problem):
+        # The min-norm solve is the only lstsq in pretraining; it must not run.
+        tasks, k, seed = problem
+        with mock.patch.object(np.linalg, "lstsq", side_effect=AssertionError):
+            result = mtil_learn.pretrain_alternating(
+                tasks, k, rng=np.random.default_rng(seed)
+            )
+        assert_trace_non_increasing(result.objective_trace)
+        assert np.all(np.isfinite(result.f_hats))
+        Gx = np.stack([d.X.T @ d.X for d in tasks])
+        normal = _phi_step_normal(Gx, result.f_hats)
+        assert np.linalg.matrix_rank(normal) < normal.shape[0]
 
     @pytest.mark.parametrize("seed", [13, 91, 111])
     def test_two_rows_per_task_stay_bounded(self, seed):
@@ -229,20 +270,20 @@ class TestFinetuneTarget:
     def test_noiseless_recovery(self):
         rng = np.random.default_rng(12)
         tasks, phi_star, f_stars = synthetic_tasks(rng, H=1)
-        F = mtil_learn.finetune_target(phi_star, tasks[0])
+        F = mtil_learn.finetune_target(phi_star, whole(tasks[0]))[0]
         np.testing.assert_allclose(F, f_stars[0], atol=1e-8)
 
     def test_zero_targets(self):
         rng = np.random.default_rng(13)
         phi = np.linalg.qr(rng.standard_normal((6, 2)))[0].T
         data = StackedData(X=rng.standard_normal((30, 6)), U=np.zeros((30, 2)))
-        np.testing.assert_allclose(mtil_learn.finetune_target(phi, data), 0.0)
+        np.testing.assert_allclose(mtil_learn.finetune_target(phi, whole(data)), 0.0)
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(14)
         tasks, phi_star, _ = synthetic_tasks(rng, H=1, noise=0.5)
         data = tasks[0]
-        F = mtil_learn.finetune_target(phi_star, data)
+        F = mtil_learn.finetune_target(phi_star, whole(data))[0]
         Z = data.X @ phi_star.T
         resid = data.U - Z @ F.T
         assert np.abs(Z.T @ resid).max() <= 1e-8 * max(
@@ -260,7 +301,8 @@ class TestFinetuneTarget:
             for rows in (40, 160):
                 X = local.standard_normal((rows, n))
                 U = X @ (f_star @ phi_star).T + local.standard_normal((rows, n_u))
-                F = mtil_learn.finetune_target(phi_star, StackedData(X=X, U=U))
+                data = whole(StackedData(X=X, U=U))
+                F = mtil_learn.finetune_target(phi_star, data)[0]
                 errs[rows].append(np.linalg.norm(F - f_star))
         ratio = np.median(errs[160]) / np.median(errs[40])
         assert 0.35 <= ratio <= 0.65
@@ -271,21 +313,25 @@ class TestDirectOls:
         rng = np.random.default_rng(16)
         K = rng.standard_normal((2, 5))
         X = rng.standard_normal((50, 5))
-        gain, underdetermined = mtil_learn.direct_ols(StackedData(X=X, U=X @ K.T))
+        (gain,), (underdetermined,) = mtil_learn.direct_ols(
+            whole(StackedData(X=X, U=X @ K.T))
+        )
         np.testing.assert_allclose(gain, K, atol=1e-8)
         assert not underdetermined
 
     def test_zero_targets(self):
         rng = np.random.default_rng(17)
         X = rng.standard_normal((20, 4))
-        gain, _ = mtil_learn.direct_ols(StackedData(X=X, U=np.zeros((20, 1))))
+        data = whole(StackedData(X=X, U=np.zeros((20, 1))))
+        (gain,), _ = mtil_learn.direct_ols(data)
         np.testing.assert_allclose(gain, 0.0)
 
     def test_underdetermined_flag_and_min_norm(self):
         rng = np.random.default_rng(18)
         X = rng.standard_normal((3, 10))
         U = rng.standard_normal((3, 2))
-        gain, underdetermined = mtil_learn.direct_ols(StackedData(X=X, U=U))
+        data = whole(StackedData(X=X, U=U))
+        (gain,), (underdetermined,) = mtil_learn.direct_ols(data)
         assert underdetermined
         # Minimum-norm solution interpolates the data.
         np.testing.assert_allclose(X @ gain.T, U, atol=1e-10)
@@ -294,7 +340,7 @@ class TestDirectOls:
         rng = np.random.default_rng(19)
         X = rng.standard_normal((60, 5))
         U = rng.standard_normal((60, 2))
-        gain, _ = mtil_learn.direct_ols(StackedData(X=X, U=U))
+        (gain,), _ = mtil_learn.direct_ols(whole(StackedData(X=X, U=U)))
         resid = U - X @ gain.T
         assert np.abs(X.T @ resid).max() <= 1e-8 * X.shape[0]
 
@@ -318,3 +364,88 @@ class TestSubspaceDistance:
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
             mtil_learn.subspace_distance(np.zeros((2, 4)), np.eye(4)[:2])
+
+
+@st.composite
+def nested_pools(draw):
+    """(pool, T, counts, phi): a pool of N trajectories of T rows in n
+    dimensions, grid counts of nested prefixes, and an orthonormal k x n Phi.
+
+    n is m T or m T + 1, so the prefix of m trajectories holds n or n - 1
+    rows, and the grid always takes it. With `flat` the first p
+    trajectories lie in a hyperplane (n >= 2), so prefixes of up to p
+    trajectories are rank-deficient although p T >= n.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    T = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    n = m * T + draw(st.integers(0, 1))
+    N = m + draw(st.integers(0, 4))
+    counts = draw(st.sets(st.integers(1, N), max_size=N).map(sorted))
+    counts = draw(st.permutations(sorted(set(counts) | {m})))
+    k = draw(st.integers(1, n))
+    n_u = draw(st.integers(1, 3))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N * T, n))
+    if n >= 2 and draw(st.booleans()):
+        p = draw(st.integers(-(-n // T), max(N, -(-n // T))))
+        v = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        X[: p * T] -= np.outer(X[: p * T] @ v, v)
+    U = X @ rng.standard_normal((n, n_u)) + 0.1 * rng.standard_normal((N * T, n_u))
+    phi = np.linalg.qr(rng.standard_normal((n, k)))[0].T
+    return StackedData(X=X, U=U), T, list(counts), phi
+
+
+def relative_gap(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+class TestPrefixGrams:
+    @given(nested_pools())
+    def test_direct_fits_match_per_prefix_lstsq(self, problem):
+        pool, T, counts, _ = problem
+        K, underdetermined = mtil_learn.direct_ols(
+            mtil_learn.prefix_grams(pool, T, counts)
+        )
+        for j, c in enumerate(counts):
+            sol, _, rank, _ = np.linalg.lstsq(
+                pool.X[: c * T], pool.U[: c * T], rcond=None
+            )
+            assert underdetermined[j] == (rank < pool.X.shape[1])
+            assert relative_gap(K[j], sol.T) <= 1e-9
+
+    @given(nested_pools())
+    def test_finetune_fits_match_per_prefix_solves(self, problem):
+        pool, T, counts, phi = problem
+        F = mtil_learn.finetune_target(phi, mtil_learn.prefix_grams(pool, T, counts))
+        for j, c in enumerate(counts):
+            Z = pool.X[: c * T] @ phi.T
+            # Both forms solve normal equations, which round to about
+            # eps cond(Z'Z) apart; singular and near-singular ones are left out.
+            if np.linalg.cond(Z.T @ Z) > 1e6:
+                continue
+            ref = np.linalg.solve(Z.T @ Z, Z.T @ pool.U[: c * T]).T
+            assert relative_gap(F[j], ref) <= 1e-9
+
+    def test_near_singular_full_rank_prefix_keeps_lstsq(self):
+        # lstsq ranks the first two rows full (cond ~2e15), but their Gram is
+        # singular to rounding: that prefix, and the next, whose condition
+        # the first cannot certify, are fitted by lstsq.
+        X = np.array([[1.0, 1.0], [1.0, 1.0 + 2e-15], [0.0, 1.0]])
+        U = np.array([[1.0], [2.0], [3.0]])
+        counts = [3, 2]
+        K, underdetermined = mtil_learn.direct_ols(
+            mtil_learn.prefix_grams(StackedData(X=X, U=U), 1, counts)
+        )
+        assert underdetermined.tolist() == [False, False]
+        for j, c in enumerate(counts):
+            sol = np.linalg.lstsq(X[:c], U[:c], rcond=None)[0]
+            np.testing.assert_array_equal(K[j], sol.T)
+
+    def test_counts_outside_the_pool_are_refused(self):
+        pool = StackedData(X=np.zeros((6, 2)), U=np.zeros((6, 1)))
+        with pytest.raises(ValueError):
+            mtil_learn.prefix_grams(pool, 3, [3])
+        with pytest.raises(ValueError):
+            mtil_learn.prefix_grams(pool, 4, [1])

@@ -321,6 +321,20 @@ class TestMaximalInequality:
             )
         assert report.passed
 
+    def test_blocks_draw_as_one_fresh_draw(self):
+        # T = 1000 and rank 2 give blocks of 500 trials: 1200 trials take two
+        # full blocks and a short last one, all drawn into the same buffers.
+        D = np.random.default_rng(26).standard_normal((2, 3))
+        T, trials = 1000, 1200
+        report = theory_probe.verify_maximal_inequality(
+            D, np.eye(3), T=T, trials=trials, rng=np.random.default_rng(27)
+        )
+        F = np.linalg.qr(D.T, mode="r")
+        h = np.random.default_rng(27).standard_normal((trials, T, 2))
+        stats = np.sum((h @ F) ** 2, axis=2).max(axis=1)
+        assert report.details["estimate"] == float(stats.mean())
+        assert report.details["se"] == float(stats.std(ddof=1) / np.sqrt(trials))
+
 
 class TestTrackingSiss:
     def test_perfect_gain(self):
