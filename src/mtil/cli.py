@@ -1,14 +1,20 @@
-"""Command-line entry points: `mtil run`, `mtil verify`, `mtil synth`."""
+"""Command-line entry points: `mtil run`, `mtil verify`, `mtil synth`.
+
+Each command imports the modules it alone uses: `verify` loads no sweep
+module (`exp_harness`, `mtil_learn`) and `run` no probe module
+(`theory_probe`).
+"""
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 
 import numpy as np
 
-from . import control_math, exp_harness, lti_env, theory_probe
+from . import control_math, lti_env
 from .data_gen import SeedTree
 from .errors import MtilError, ValidationError
 from .eval_metrics import task_diversity_constants
@@ -43,6 +49,8 @@ def _require_seed(seed: int) -> None:
 
 def run_probe_battery(names, seed: int) -> list:
     """Run the named probes at their reference scales."""
+    from . import theory_probe
+
     tree = SeedTree(root=seed)
     reports = []
     if "covariance" in names:
@@ -103,6 +111,8 @@ def run_probe_battery(names, seed: int) -> list:
 
 
 def _cmd_run(args) -> int:
+    from . import exp_harness
+
     raw = {} if args.config is None else exp_harness.read_config(args.config)
     overrides = {
         key: getattr(args, key)
@@ -136,7 +146,9 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_VALIDATION
     _require_seed(args.seed)
-    with exp_harness.pinned_blas_threads():
+    from . import theory_probe
+
+    with control_math.pinned_blas_threads():
         reports = run_probe_battery(names, args.seed)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "verify.csv")
@@ -154,6 +166,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from . import exp_harness
+
     _require_seed(args.seed)
     # The family and lift of system trial 0 of `mtil run --seed S`.
     cfg = exp_harness.ExperimentConfig(
@@ -179,6 +193,14 @@ def _cmd_synth(args) -> int:
             f"lambda_under {report.lambda_under:.6g}"
         )
     return EXIT_OK
+
+
+def __getattr__(name: str):
+    """`mtil.cli.exp_harness` and `mtil.cli.theory_probe`, imported on first
+    use, for callers that reach those modules through this one."""
+    if name in ("exp_harness", "theory_probe"):
+        return importlib.import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,12 +2,16 @@
 
 Spectral radius, transient-gain profile (J(A), tau(A, nu)), discrete
 Lyapunov and Riccati solvers, and the Cholesky factor of a covariance. All
-functions are pure and operate on float64 NumPy arrays.
+of these are pure and operate on float64 NumPy arrays. The module also pins
+numpy's bundled OpenBLAS to BLAS_THREADS for sweeps and probes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -16,6 +20,11 @@ from .errors import CholeskyFailure, NotConverged, NotStabilizing, UnstableMatri
 PROFILE_MAX_TERMS = 1_000_000
 DARE_REL_TOL = 1e-10
 DARE_MAX_ITER = 100
+
+# OpenBLAS threads inside `mtil run` sweeps and `mtil verify`: the LU of the
+# ALS Phi-step gives other bits on more than one thread, and the cells are
+# too small to gain by them.
+BLAS_THREADS = 1
 
 
 @dataclass(frozen=True)
@@ -228,3 +237,48 @@ def solve_dare(
     if rho_closed >= 1.0:
         raise NotStabilizing(f"closed-loop spectral radius {rho_closed} >= 1")
     return RiccatiSolution(P=P, K=K, rho_closed=rho_closed)
+
+
+def blas_threads():
+    """The thread-count `get` and `set` of numpy's bundled OpenBLAS, or None.
+
+    Looked up through ctypes on numpy's own extension module, whose
+    dependencies include the library, so nothing new is loaded. None when
+    numpy was built against a BLAS without these symbols.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return SimpleNamespace(get=get, set=set_)
+
+
+def pin_blas_threads() -> None:
+    """Pin OpenBLAS to BLAS_THREADS, if the symbols exist.
+
+    The process-pool initializer of a sweep, so the pin holds in the workers
+    under any start method.
+    """
+    blas = blas_threads()
+    if blas is not None:
+        blas.set(BLAS_THREADS)
+
+
+@contextlib.contextmanager
+def pinned_blas_threads():
+    """Pin OpenBLAS to BLAS_THREADS for the body, then restore the caller's
+    count: the bits do not follow the caller's thread count."""
+    blas = blas_threads()
+    if blas is None:
+        yield
+        return
+    previous = blas.get()
+    blas.set(BLAS_THREADS)
+    try:
+        yield
+    finally:
+        blas.set(previous)

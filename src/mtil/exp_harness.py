@@ -10,27 +10,19 @@ pure function of (config, seed) regardless of parallelism.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
 import json
 import os
 from dataclasses import asdict, dataclass, fields
-from types import SimpleNamespace
 
 import numpy as np
 
-from . import __version__, lti_env, mtil_learn
+from . import __version__, control_math, lti_env, mtil_learn
 from .data_gen import SeedTree, rollout_expert
 from .errors import ParseError, ValidationError
 from .eval_metrics import evaluate_controller, summarize_quantiles
 
-RESULTS_VERSION = "4"
-
-# OpenBLAS threads inside run_sweep and `mtil verify`: the LU of the ALS
-# Phi-step gives other bits on more than one thread, and the cells are too
-# small to gain by them.
-SWEEP_BLAS_THREADS = 1
+RESULTS_VERSION = "5"
 
 VALID_METHODS = ("multitask", "direct")
 
@@ -406,66 +398,23 @@ def _cell_worker(args) -> list:
     return _run_cell(*args)
 
 
-def _blas_threads():
-    """The thread-count `get` and `set` of numpy's bundled OpenBLAS, or None.
-
-    Looked up through ctypes on numpy's own extension module, whose
-    dependencies include the library, so nothing new is loaded. None when
-    numpy was built against a BLAS without these symbols.
-    """
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get = lib.scipy_openblas_get_num_threads64_
-        set_ = lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return SimpleNamespace(get=get, set=set_)
-
-
-def _pin_blas_threads() -> None:
-    """Pin OpenBLAS to SWEEP_BLAS_THREADS, if the symbols exist.
-
-    The process-pool initializer of run_sweep, so the pin holds in the
-    workers under any start method.
-    """
-    blas = _blas_threads()
-    if blas is not None:
-        blas.set(SWEEP_BLAS_THREADS)
-
-
-@contextlib.contextmanager
-def pinned_blas_threads():
-    """Pin OpenBLAS to SWEEP_BLAS_THREADS for the body, then restore the
-    caller's count: the bits do not follow the caller's thread count."""
-    blas = _blas_threads()
-    if blas is None:
-        yield
-        return
-    previous = blas.get()
-    blas.set(SWEEP_BLAS_THREADS)
-    try:
-        yield
-    finally:
-        blas.set(previous)
-
-
 def run_sweep(cfg: ExperimentConfig) -> list:
     """Execute the full sweep; output is deterministic given (config, seed).
 
     Ensembles are built in this process and sent to the cells that use them.
-    The sweep runs under `pinned_blas_threads`, its pool workers too.
+    The sweep runs under `control_math.pinned_blas_threads`, its pool
+    workers too.
     """
     rows = []
-    with pinned_blas_threads():
+    with control_math.pinned_blas_threads():
         if cfg.parallelism <= 1 or cfg.trials_system * cfg.trials_noise <= 1:
             outputs = list(map(_cell_worker, _cells(cfg)))
         else:
             import concurrent.futures  # a serial sweep or `mtil verify` never pools
 
             with concurrent.futures.ProcessPoolExecutor(
-                max_workers=cfg.parallelism, initializer=_pin_blas_threads
+                max_workers=cfg.parallelism,
+                initializer=control_math.pin_blas_threads,
             ) as pool:
                 outputs = list(pool.map(_cell_worker, _cells(cfg)))
     for cell_rows in outputs:
@@ -543,7 +492,9 @@ def write_results(rows: list, out_dir: str, cfg: ExperimentConfig | None = None)
         "version": RESULTS_VERSION,
         "n_rows": len(rows),
         "config": asdict(cfg) if cfg is not None else None,
-        "blas_threads": None if _blas_threads() is None else SWEEP_BLAS_THREADS,
+        "blas_threads": (
+            None if control_math.blas_threads() is None else control_math.BLAS_THREADS
+        ),
         "blas_name": blas.get("name"),
         "blas_version": blas.get("version"),
         "numpy_version": np.__version__,

@@ -3,8 +3,9 @@
 Pre-training minimizes sum_h ||U^h - X^h Phi' F^h'||_F^2 over a shared
 k x n_x representation Phi and per-task weights F^h by exact alternating
 least squares, each sweep extrapolated along its Phi move when that fits
-better (Bro 1998): each block update is the closed-form minimizer, so the
-objective is non-increasing sweep by sweep. Fine-tuning solves the target
+better (Bro 1998), and finishes with Newton steps on Phi once the sweeps
+slow down. No iterate above the best objective so far is kept, so the
+objective is non-increasing step by step. Fine-tuning solves the target
 ordinary least squares on the frozen representation. A direct OLS baseline
 that ignores the source data is included.
 """
@@ -20,6 +21,11 @@ from .errors import DegenerateRank, RankDeficient, SingularBlock
 
 ALS_MAX_SWEEPS = 500
 ALS_REL_TOL = 1e-10
+# ALS hands over to Newton steps once a sweep lowers the objective by less
+# than NEWTON_START_REL relative; after a refused Newton step it runs at
+# least NEWTON_RETRY_SWEEPS more sweeps before trying again.
+NEWTON_START_REL = 1e-5
+NEWTON_RETRY_SWEEPS = 10
 # `direct_ols` solves a prefix's normal equations only where cond(X)^2 is
 # certified below this; they lose about eps cond(X)^2, at most ~2e-8.
 GRAM_COND_LIMIT = 1e8
@@ -31,13 +37,16 @@ class PretrainResult:
 
     f_hats stacks the per-task weights, shape (H, n_u, k).
     objective_trace[0] is the objective at initialization (all F^h = 0,
-    i.e. sum_h ||U^h||_F^2); entry s is the objective after sweep s.
+    i.e. sum_h ||U^h||_F^2); entry s is the objective after step s, an ALS
+    sweep or a Newton step. sweeps_used counts the ALS sweeps and
+    newton_steps the accepted Newton steps.
     """
 
     phi_hat: np.ndarray
     f_hats: np.ndarray
     objective_trace: np.ndarray
     sweeps_used: int
+    newton_steps: int
 
 
 def _solve_with_ridge_repair(M: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -140,40 +149,127 @@ def _phi_step(
     return sol.reshape(phi.shape, order="F")
 
 
-def _als_once(
-    grams: tuple, k: int, rng: np.random.Generator, min_norm: bool
+def _als_sweep(
+    grams: tuple, phi: np.ndarray, f_hats: np.ndarray, sweep: int, min_norm: bool
 ) -> tuple:
-    """One ALS run from a random orthonormal start; returns raw factors.
+    """ALS sweep number `sweep` from (Phi, F); returns (Phi, F, objective).
 
     A sweep takes the exact Phi-step for the current F and the exact F for
     that Phi. From sweep 2 on it also tries Bro's extrapolation
     Phi + sweep**(1/3) (Phi_als - Phi) with its own exact F, and keeps the
-    pair with the lower objective; each sweep therefore still lowers the
-    objective at least as far as the plain ALS sweep.
+    pair with the lower objective.
+    """
+    phi_new = _phi_step(grams, phi, f_hats, min_norm)
+    f_new = _f_step(grams, phi_new)
+    obj = _objective(grams, phi_new, f_new)
+    if sweep >= 2:
+        phi_x = phi + sweep ** (1.0 / 3.0) * (phi_new - phi)
+        f_x = _f_step(grams, phi_x)
+        obj_x = _objective(grams, phi_x, f_x)
+        if obj_x < obj:
+            return phi_x, f_x, obj_x
+    return phi_new, f_new, obj
+
+
+def _chart_newton(grams: tuple, phi: np.ndarray, f_hats: np.ndarray) -> tuple:
+    """Half the gradient and Hessian of the reduced objective in a chart.
+
+    With F^h eliminated in closed form (f_hats must be the exact F for phi),
+    f(Phi) = sum_h ||U^h||^2 - tr(P_h' M_h^{-1} P_h), M_h = Phi G_h Phi' and
+    P_h = Phi C_h. f is constant along Phi's own row space, so the chart
+    Phi + Y Q' moves Phi only along Q (n x p, p = n - k), an orthonormal
+    basis of the complement of that row space. Returns (Q, g, S): g (k x p)
+    is half the gradient in Y and S (k p x k p) half the Hessian, both in
+    vec(Y) column-major order.
+
+    Half the gradient is -sum_h F_h' R_h Q with R_h = C_h' - F_h Phi G_h.
+    Half the Hessian is the Phi-step normal matrix sum_h kron(Q'G_h Q,
+    F_h'F_h) minus sum_h X_h kron(I, M_h^{-1}) X_h', where
+    X_h[(m, b), (u, a)] = (Phi G_h Q)[a, m] F_h[u, b] - delta_ab (R_h Q)[u, m]
+    is the Phi-F cross term; all of it comes from the stacked Grams.
+    """
+    Gx, Cxu, _ = grams
+    k = phi.shape[0]
+    Q = np.linalg.qr(phi.T, mode="complete")[0][:, k:]
+    GQ = Gx @ Q
+    A = phi @ GQ
+    RQ = Cxu.transpose(0, 2, 1) @ Q - f_hats @ A
+    grad = -np.einsum("hua,hum->am", f_hats, RQ)
+    # The Cholesky factor L_h of M_h splits X_h kron(I, M_h^{-1}) X_h' into
+    # Z_h Z_h' with Z_h = X_h kron(I, L_h^{-T}).
+    L_inv = np.linalg.inv(np.linalg.cholesky(phi @ Gx @ phi.T))
+    cross = np.einsum("ham,hub->hmbua", A, f_hats)
+    cross -= np.einsum("ab,hum->hmbua", np.eye(k), RQ)
+    Z = np.einsum("hmbua,hca->mbhuc", cross, L_inv).reshape(k * Q.shape[1], -1)
+    hess = _phi_step_normal(Q.T @ GQ, f_hats) - Z @ Z.T
+    return Q, grad, hess
+
+
+def _newton_step(grams: tuple, phi: np.ndarray, f_hats: np.ndarray):
+    """Phi after one Newton step on the reduced objective, or None.
+
+    None when the chart Hessian is not positive definite, where a Newton
+    step would head for a saddle or a maximum.
+    """
+    try:
+        Q, grad, hess = _chart_newton(grams, phi, f_hats)
+        np.linalg.cholesky(hess)
+        y = np.linalg.solve(hess, -grad.ravel(order="F"))
+    except np.linalg.LinAlgError:
+        return None
+    return phi + y.reshape(grad.shape, order="F") @ Q.T
+
+
+def _als_once(
+    grams: tuple, k: int, rng: np.random.Generator, min_norm: bool
+) -> tuple:
+    """One run from a random orthonormal start; returns raw factors.
+
+    Extrapolated ALS sweeps (`_als_sweep`) run until one lowers the
+    objective by less than NEWTON_START_REL relative; Newton steps on the
+    reduced objective (`_chart_newton`) then take over while each has a
+    positive definite chart Hessian and lowers the objective. A refused step
+    hands back to ALS for at least NEWTON_RETRY_SWEEPS sweeps. Problems on
+    the minimum-norm Phi-step path, and k == n, take ALS sweeps only. An
+    iterate above the best objective so far is never kept, so the trace is
+    non-increasing; the run stops once a step lowers it by at most
+    ALS_REL_TOL relative.
     """
     H, n, n_u = grams[1].shape
     phi0 = rng.standard_normal((k, n))
     phi = np.linalg.qr(phi0.T)[0].T
     trace = [_objective(grams, phi, np.zeros((H, n_u, k)))]
     f_hats = _f_step(grams, phi)
-    sweeps = 0
-    for sweep in range(1, ALS_MAX_SWEEPS + 1):
-        phi_new = _phi_step(grams, phi, f_hats, min_norm)
-        f_new = _f_step(grams, phi_new)
-        obj = _objective(grams, phi_new, f_new)
-        if sweep >= 2:
-            phi_x = phi + sweep ** (1.0 / 3.0) * (phi_new - phi)
-            f_x = _f_step(grams, phi_x)
-            obj_x = _objective(grams, phi_x, f_x)
-            if obj_x < obj:
-                phi_new, f_new, obj = phi_x, f_x, obj_x
-        phi, f_hats = phi_new, f_new
+    finisher = not min_norm and k < n
+    newton = False
+    sweeps = newton_steps = retry_at = 0
+    while sweeps < ALS_MAX_SWEEPS and newton_steps < ALS_MAX_SWEEPS:
+        if newton:
+            phi_new = _newton_step(grams, phi, f_hats)
+            if phi_new is not None:
+                f_new = _f_step(grams, phi_new)
+                obj = _objective(grams, phi_new, f_new)
+            if phi_new is None or not obj < trace[-1]:
+                newton = False
+                retry_at = sweeps + NEWTON_RETRY_SWEEPS
+                continue
+            newton_steps += 1
+        else:
+            sweeps += 1
+            phi_new, f_new, obj = _als_sweep(grams, phi, f_hats, sweeps, min_norm)
+        prev = trace[-1]
+        if obj <= prev:
+            phi, f_hats = phi_new, f_new
+        else:
+            obj = prev
         trace.append(obj)
-        sweeps = sweep
-        prev = trace[-2]
-        if prev - obj <= ALS_REL_TOL * max(prev, 1e-300):
+        drop = (prev - obj) / max(prev, 1e-300)
+        if drop <= ALS_REL_TOL:
             break
-    return phi, f_hats, np.array(trace), sweeps
+        newton = newton or (
+            finisher and sweeps >= retry_at and drop < NEWTON_START_REL
+        )
+    return phi, f_hats, np.array(trace), sweeps, newton_steps
 
 
 def pretrain_alternating(
@@ -187,8 +283,9 @@ def pretrain_alternating(
     Alternates (a) the per-task closed form F^h' = (Phi X'X Phi')^{-1}
     Phi X'U and (b) the joint linear least squares for vec(Phi), minimum
     norm when a source task has fewer rows than n_x, in the extrapolated
-    sweeps of `_als_once`, stopping when the relative objective decrease
-    falls below ALS_REL_TOL. The returned Phi has orthonormal,
+    sweeps of `_als_once`, which finishes with safeguarded Newton steps on
+    Phi and stops when the relative objective decrease falls below
+    ALS_REL_TOL. The returned Phi has orthonormal,
     sign-canonicalized rows with the change of basis absorbed into each F^h.
     With restarts > 1 the best of several random starts is kept.
 
@@ -216,13 +313,17 @@ def pretrain_alternating(
     min_norm = any(d.X.shape[0] < n for d in source)
     best = None
     for _ in range(max(1, restarts)):
-        phi, f_hats, trace, sweeps = _als_once(grams, k, rng, min_norm)
-        if best is None or trace[-1] < best[2][-1]:
-            best = (phi, f_hats, trace, sweeps)
-    phi, f_hats, trace, sweeps = best
+        run = _als_once(grams, k, rng, min_norm)
+        if best is None or run[2][-1] < best[2][-1]:
+            best = run
+    phi, f_hats, trace, sweeps, newton_steps = best
     phi, f_hats = _orthonormalize(phi, f_hats)
     return PretrainResult(
-        phi_hat=phi, f_hats=f_hats, objective_trace=trace, sweeps_used=sweeps
+        phi_hat=phi,
+        f_hats=f_hats,
+        objective_trace=trace,
+        sweeps_used=sweeps,
+        newton_steps=newton_steps,
     )
 
 
@@ -311,8 +412,11 @@ def direct_ols(grams: PrefixGrams) -> tuple:
     return K, underdetermined
 
 
-def subspace_distance(phi_a: np.ndarray, phi_b: np.ndarray) -> float:
-    """Sine of the largest principal angle between two row spaces.
+def principal_cosines(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+    """Cosines of the principal angles between two row spaces, descending.
+
+    One cosine per row of the smaller input; sqrt(1 - cos^2) of the last is
+    the sine of the largest angle.
 
     Raises:
         RankDeficient: if either input lacks full row rank.
@@ -327,5 +431,4 @@ def subspace_distance(phi_a: np.ndarray, phi_b: np.ndarray) -> float:
             raise RankDeficient("input is not full row rank")
         bases.append(Vt)
     cosines = np.linalg.svd(bases[0] @ bases[1].T, compute_uv=False)
-    smin = float(np.clip(cosines.min(), 0.0, 1.0))
-    return float(np.sqrt(max(0.0, 1.0 - smin * smin)))
+    return np.clip(cosines, 0.0, 1.0)

@@ -118,7 +118,8 @@ def test_criterion_2_noiseless_identifiability():
     pre = mtil_learn.pretrain_alternating(
         stacks, 4, rng=tree.child("init").stream()
     )
-    sub = mtil_learn.subspace_distance(pre.phi_hat, truth.phi_star)
+    cos_min = mtil_learn.principal_cosines(pre.phi_hat, truth.phi_star)[-1]
+    sub = np.sqrt(1.0 - cos_min**2)
     tgt = rollout_expert(system, noiseless[9], 20, 2, tree.child("t").stream())
     F = mtil_learn.finetune_target(
         pre.phi_hat, mtil_learn.prefix_grams(tgt, 20, [2])

@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import mtil
-from mtil import cli, exp_harness as eh, lti_env
+from mtil import cli, control_math, exp_harness as eh, lti_env
 from mtil.errors import ParseError, ValidationError
 
 
@@ -128,13 +128,14 @@ class TestRunSweep:
         assert fresh[1].tracking_err != reused[1].tracking_err
 
 
-# results.csv of this sweep at RESULTS_VERSION "4": a speed-up must keep
+# results.csv of this sweep at RESULTS_VERSION "5": a speed-up must keep
 # these bytes, a change of them needs a RESULTS_VERSION bump.
 GOLDEN_SWEEP = "sweep:\n  trials_system: 2\n  trials_noise: 1\n  n2: [1, 2, 5]\n"
-GOLDEN_DIGEST = "de8c8d4afb02f8bfed6a69bc111f23c190ef9a0d233614d830fba57115c3e210"
+GOLDEN_DIGEST = "b5afe0d961606cb11dc9773f0128661efd4f2025fea581eb29fe3a2b231cbb95"
 # Its `direct` rows alone. Version 4 moved them by rounding only: the
 # stationary covariances come from the lift's range, the fits from prefix
-# Grams and the tracking errors from the deviation form.
+# Grams and the tracking errors from the deviation form. Version 5 changed
+# pretraining alone and kept them.
 GOLDEN_DIRECT_DIGEST = (
     "cdd1f595b3affaa6994f2d7690f6a97fee58c7be138907208b657ef426f985af"
 )
@@ -160,7 +161,7 @@ class TestSweepReuse:
         paths = eh.write_results(eh.run_sweep(cfg), str(tmp_path), cfg)
         with open(paths["results"], "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        assert eh.RESULTS_VERSION == "4"
+        assert eh.RESULTS_VERSION == "5"
         assert digest == GOLDEN_DIGEST
 
     def test_golden_direct_rows_digest(self, tmp_path):
@@ -188,12 +189,12 @@ class TestSweepReuse:
         digest = hashlib.sha256((tmp_path / "out" / "results.csv").read_bytes())
         assert digest.hexdigest() == GOLDEN_DIGEST
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["version"] == "4"
+        assert manifest["version"] == "5"
         assert manifest["blas_threads"] == 1
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     def test_run_sweep_restores_blas_threads(self, parallelism):
-        blas = eh._blas_threads()
+        blas = control_math.blas_threads()
         if blas is None:
             pytest.skip("numpy's BLAS exports no thread-count symbols")
         before = blas.get()
@@ -226,7 +227,7 @@ class TestSweepReuse:
     def test_verify_runs_pinned_and_restores_blas_threads(
         self, tmp_path, monkeypatch
     ):
-        blas = eh._blas_threads()
+        blas = control_math.blas_threads()
         if blas is None:
             pytest.skip("numpy's BLAS exports no thread-count symbols")
         seen = []
@@ -242,7 +243,7 @@ class TestSweepReuse:
             blas.set(3)
             argv = ["verify", "--probe", "sandwich", "--out", str(tmp_path)]
             assert cli.main(argv) == 0
-            assert seen == [eh.SWEEP_BLAS_THREADS]
+            assert seen == [control_math.BLAS_THREADS]
             assert blas.get() == 3
         finally:
             blas.set(before)
@@ -332,8 +333,9 @@ class TestWriteResults:
         assert manifest["version"] == eh.RESULTS_VERSION
         assert manifest["numpy_version"] == np.__version__
         assert manifest["package_version"] == mtil.__version__
-        pinned = eh._blas_threads() is not None
-        assert manifest["blas_threads"] == (eh.SWEEP_BLAS_THREADS if pinned else None)
+        pinned = control_math.blas_threads() is not None
+        expected = control_math.BLAS_THREADS if pinned else None
+        assert manifest["blas_threads"] == expected
         assert {"blas_name", "blas_version"} <= manifest.keys()
 
     def test_rerun_identical_bytes(self, tmp_path):
@@ -427,12 +429,14 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: cannot parse config: ")
 
     def test_verify_loads_no_run_only_module(self, tmp_path):
-        # YAML parsing and the process pool serve `mtil run` alone.
+        # YAML parsing, the process pool and the sweep modules serve
+        # `mtil run` alone.
+        run_only = {"yaml", "concurrent.futures", "mtil.exp_harness", "mtil.mtil_learn"}
         code = (
             "import sys, mtil.cli\n"
             "mtil.cli.main(['verify', '--probe', 'hanson_wright',"
             " '--out', sys.argv[1]])\n"
-            "print(sorted({'yaml', 'concurrent.futures'} & set(sys.modules)))\n"
+            f"print(sorted({run_only!r} & set(sys.modules)))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path)],
@@ -440,6 +444,25 @@ class TestCli:
             timeout=300,
         )
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_run_loads_no_probe_module(self, tmp_path):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "sweep:\n  trials_system: 1\n  trials_noise: 1\n  n2: [1]\n"
+            "  t_test: 5\n"
+        )
+        code = (
+            "import sys, mtil.cli\n"
+            "mtil.cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print('mtil.theory_probe' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(cfg_path), str(tmp_path / "out")],
+            env=cli_env(None), check=True, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "out" / "results.csv").exists()
 
     def test_run_does_not_import_numpy_ma(self, tmp_path):
         # np.quantile imports numpy.ma through np.unique; summary.csv's

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtil import mtil_learn
-from mtil.data_gen import StackedData
+from mtil import exp_harness, mtil_learn
+from mtil.data_gen import SeedTree, StackedData, rollout_expert
 from mtil.errors import DegenerateRank, RankDeficient
 from mtil.mtil_learn import _orthonormalize, _phi_step_normal
 
@@ -39,7 +39,8 @@ class TestPretrainAlternating:
         )
         total_u = sum(np.sum(d.U**2) for d in tasks)
         assert result.objective_trace[-1] <= 1e-16 * total_u
-        assert mtil_learn.subspace_distance(result.phi_hat, phi_star) <= 1e-6
+        cosines = mtil_learn.principal_cosines(result.phi_hat, phi_star)
+        assert np.sqrt(1.0 - cosines[-1] ** 2) <= 1e-6
 
     def test_full_dimension_matches_ols(self):
         rng = np.random.default_rng(2)
@@ -52,6 +53,7 @@ class TestPretrainAlternating:
         K_als = result.f_hats[0] @ result.phi_hat
         (K_ols,), _ = mtil_learn.direct_ols(whole(data))
         np.testing.assert_allclose(K_als, K_ols, atol=1e-8)
+        assert result.newton_steps == 0
 
     def test_zero_targets(self):
         rng = np.random.default_rng(4)
@@ -94,6 +96,23 @@ class TestPretrainAlternating:
             gain_old = F_old @ result.phi_hat
             gain_new = F_new @ phi2
             assert np.abs(gain_old - gain_new).max() <= 1e-12
+
+    def test_never_keeps_an_iterate_above_the_best(self):
+        # Sweep 1 fits exactly; a later ridge-repaired sweep rose to a
+        # residual of 2.2% of ||U||^2, and that iterate was returned.
+        rng = np.random.default_rng(152971)
+        tasks, _, _ = synthetic_tasks(
+            rng, H=1, n=2, k=2, n_u=1, rows=2, noise=0.2632965
+        )
+        result = mtil_learn.pretrain_alternating(
+            tasks, k=2, rng=np.random.default_rng(152971)
+        )
+        trace = result.objective_trace
+        assert_trace_non_increasing(trace)
+        assert trace[-1] == trace.min()
+        data = tasks[0]
+        residual = data.U - data.X @ result.phi_hat.T @ result.f_hats[0].T
+        assert np.sum(residual**2) <= 1e-9 * trace[0]
 
     def test_degenerate_rank(self):
         X = np.ones((20, 5))
@@ -183,6 +202,8 @@ class TestAlsProperties:
             tasks, k, rng=np.random.default_rng(seed)
         )
         trace = result.objective_trace
+        # The trace holds every ALS sweep and every Newton step.
+        assert trace.size == 1 + result.sweeps_used + result.newton_steps
         # The expanded-form objective cancels terms of the size of the data,
         # so its rounding is judged against trace[0] = sum_h ||U^h||^2.
         assert np.all(np.diff(trace) <= 1e-9 * trace[0])
@@ -198,6 +219,8 @@ class TestAlsProperties:
         )
         assert_trace_non_increasing(result.objective_trace)
         assert np.all(np.isfinite(result.f_hats))
+        # The minimum-norm Phi-step path takes ALS sweeps only.
+        assert result.newton_steps == 0
 
     @given(als_problems_few_outputs())
     def test_singular_normal_matrix_from_few_outputs(self, problem):
@@ -345,25 +368,161 @@ class TestDirectOls:
         assert np.abs(X.T @ resid).max() <= 1e-8 * X.shape[0]
 
 
-class TestSubspaceDistance:
+class TestPrincipalCosines:
     def test_equal_inputs(self):
         phi = np.linalg.qr(np.random.default_rng(20).standard_normal((5, 2)))[0].T
-        assert mtil_learn.subspace_distance(phi, phi) == pytest.approx(0.0)
+        np.testing.assert_allclose(mtil_learn.principal_cosines(phi, phi), 1.0)
 
     def test_orthogonal_spaces(self):
         a = np.eye(4)[:2]
         b = np.eye(4)[2:]
-        assert mtil_learn.subspace_distance(a, b) == pytest.approx(1.0)
+        np.testing.assert_allclose(mtil_learn.principal_cosines(a, b), 0.0)
+
+    def test_known_angles_all_returned_descending(self):
+        a = np.eye(4)[:2]
+        b = np.array([[np.cos(0.3), 0.0, np.sin(0.3), 0.0],
+                      [0.0, np.cos(1.1), 0.0, np.sin(1.1)]])
+        cosines = mtil_learn.principal_cosines(a, 3.0 * b)
+        np.testing.assert_allclose(cosines, [np.cos(0.3), np.cos(1.1)])
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(21)
         phi = rng.standard_normal((2, 6))
         rot = np.linalg.qr(rng.standard_normal((2, 2)))[0]
-        assert mtil_learn.subspace_distance(phi, rot @ phi) <= 1e-7
+        cosines = mtil_learn.principal_cosines(phi, rot @ phi)
+        assert np.sqrt(1.0 - cosines.min() ** 2) <= 1e-7
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
-            mtil_learn.subspace_distance(np.zeros((2, 4)), np.eye(4)[:2])
+            mtil_learn.principal_cosines(np.zeros((2, 4)), np.eye(4)[:2])
+
+
+def stacked_grams(tasks):
+    return (
+        np.stack([d.X.T @ d.X for d in tasks]),
+        np.stack([d.X.T @ d.U for d in tasks]),
+        np.array([np.sum(d.U**2) for d in tasks]),
+    )
+
+
+def reduced_gradient(tasks, phi):
+    """Gradient in Phi of sum_h min_F ||U^h - X^h Phi' F'||^2, from data rows."""
+    grad = np.zeros_like(phi)
+    for d in tasks:
+        Z = d.X @ phi.T
+        F = np.linalg.lstsq(Z, d.U, rcond=None)[0].T
+        grad -= 2.0 * F.T @ (d.U - Z @ F.T).T @ d.X
+    return grad
+
+
+def reference_cells(system_trials):
+    """Source data of reference-config cells (seed 0, noise trial 0)."""
+    cfg = exp_harness.ExperimentConfig()
+    family, _ = exp_harness.expert_family(cfg)
+    for s in system_trials:
+        ensemble = exp_harness.lift_trial(cfg, family, s)
+        tree = SeedTree(root=cfg.seed).child("source", s).child("noise", 0)
+        stacks = [
+            rollout_expert(
+                ensemble.system, task, cfg.T, cfg.N1, tree.child("task", h).stream()
+            )
+            for h, task in enumerate(ensemble.sources)
+        ]
+        yield stacks, cfg.k, tree.child("init").stream()
+
+
+class TestNewtonFinisher:
+    def test_hessian_vector_product_matches_gradient_difference(self):
+        rng = np.random.default_rng(22)
+        tasks, _, _ = synthetic_tasks(rng, H=3, n=7, k=2, rows=30, noise=0.5)
+        grams = stacked_grams(tasks)
+        phi = rng.standard_normal((2, 7))
+        Q, grad, hess = mtil_learn._chart_newton(
+            grams, phi, mtil_learn._f_step(grams, phi)
+        )
+        # Both are halves of the gradient and Hessian in the chart Phi + Y Q'.
+        np.testing.assert_allclose(
+            2.0 * grad, reduced_gradient(tasks, phi) @ Q, rtol=0, atol=1e-10
+        )
+        Y = rng.standard_normal(grad.shape)
+        step = 1e-6
+        diff = (
+            reduced_gradient(tasks, phi + step * Y @ Q.T)
+            - reduced_gradient(tasks, phi - step * Y @ Q.T)
+        ) @ Q / (2.0 * step)
+        hv = 2.0 * (hess @ Y.ravel(order="F")).reshape(Y.shape, order="F")
+        assert np.linalg.norm(diff - hv) <= 1e-7 * np.linalg.norm(hv)
+
+    def test_horizontal_gradient_vanishes_on_reference_cells(self):
+        # Extrapolated ALS alone stopped with this ratio at 3e-7 to 6e-7.
+        for stacks, k, rng in reference_cells([0, 1, 2]):
+            result = mtil_learn.pretrain_alternating(stacks, k, rng=rng)
+            assert result.newton_steps > 0
+            phi = result.phi_hat
+            grad = reduced_gradient(stacks, phi)
+            horizontal = grad - grad @ phi.T @ phi
+            scale = sum(
+                2.0 * np.linalg.norm(F.T @ d.U.T @ d.X)
+                for d, F in zip(stacks, result.f_hats)
+            )
+            assert np.linalg.norm(horizontal) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("n, k, rows", [(4, 4, 12), (10, 2, 6)])
+    def test_full_rank_and_few_rows_take_no_newton_step(self, n, k, rows):
+        rng = np.random.default_rng(23)
+        tasks, _, _ = synthetic_tasks(rng, H=2, n=n, k=k, rows=rows, noise=0.5)
+        with mock.patch.object(
+            mtil_learn, "_newton_step", side_effect=AssertionError
+        ):
+            result = mtil_learn.pretrain_alternating(
+                tasks, k, rng=np.random.default_rng(24)
+            )
+        assert result.newton_steps == 0
+
+    def test_indefinite_chart_hessian_resumes_als(self):
+        # ALS slows down where the chart Hessian is indefinite: the refused
+        # step hands back to ALS, and the run ends at a minimizer no higher
+        # than ALS alone reaches.
+        tasks, _, _ = synthetic_tasks(
+            np.random.default_rng(215), H=4, n=10, k=3, rows=20, noise=3.0
+        )
+        events = []
+        newton_step, als_sweep = mtil_learn._newton_step, mtil_learn._als_sweep
+
+        def logged_newton(*args):
+            phi = newton_step(*args)
+            events.append("refused" if phi is None else "newton")
+            return phi
+
+        def logged_sweep(*args):
+            events.append("sweep")
+            return als_sweep(*args)
+
+        with mock.patch.object(mtil_learn, "_newton_step", logged_newton), \
+                mock.patch.object(mtil_learn, "_als_sweep", logged_sweep):
+            result = mtil_learn.pretrain_alternating(
+                tasks, 3, rng=np.random.default_rng(215)
+            )
+        refused = [i for i, e in enumerate(events) if e == "refused"]
+        assert refused
+        retry = mtil_learn.NEWTON_RETRY_SWEEPS
+        for i in refused:
+            after = events[i + 1 : i + 1 + retry]
+            assert after == ["sweep"] * len(after)
+        assert events[-1] == "newton"
+        assert_trace_non_increasing(result.objective_trace)
+        grams = stacked_grams(tasks)
+        phi = result.phi_hat
+        _, _, hess = mtil_learn._chart_newton(
+            grams, phi, mtil_learn._f_step(grams, phi)
+        )
+        np.linalg.cholesky(hess)
+        with mock.patch.object(mtil_learn, "NEWTON_START_REL", 0.0):
+            als_only = mtil_learn.pretrain_alternating(
+                tasks, 3, rng=np.random.default_rng(215)
+            )
+        assert als_only.newton_steps == 0
+        assert result.objective_trace[-1] <= als_only.objective_trace[-1]
 
 
 @st.composite
