@@ -34,11 +34,9 @@ PROBE_NAMES = (
 
 
 def _scalar_task(a_cl: float):
-    """Plant a = a_cl + 0.3, expert gain -0.3, sigma_w = 1 and sigma_z = 0."""
+    """Plant a = a_cl + 0.3 with w ~ N(0, 1), expert gain -0.3 and sigma_z = 0."""
     system = lti_env.LinearSystem(A=np.array([[a_cl + 0.3]]), B=np.array([[1.0]]))
-    return system, lti_env.make_task(
-        system, np.array([[-0.3]]), sigma_w=np.eye(1), sigma_z=0.0
-    )
+    return system, lti_env.make_task(system, np.array([[-0.3]]), sigma_z=0.0)
 
 
 def _require_seed(seed: int) -> None:

@@ -69,17 +69,17 @@ def sample_noise(
 ) -> NoiseRealization:
     """Draw (x0, w, z) for `trials` trajectories, with a leading trial axis.
 
-    Draw order per trajectory is fixed: x0 ~ N(0, sigma_x), then w row-major
-    (T x n_x) with w[t] ~ N(0, sigma_w), then z row-major (T x n_u) with
-    z[t] ~ N(0, sigma_z^2 I). Trajectory i takes the i-th block of draws: the
-    same numbers, bit for bit, as `trials` successive one-trial calls.
+    Draw order per trajectory is fixed: x0 ~ N(0, sigma_x), then w ~ N(0, I)
+    row-major (T x n_x), the standard normals as drawn, then z row-major
+    (T x n_u) with z[t] ~ N(0, sigma_z^2 I). Trajectory i takes the i-th block
+    of draws: the same numbers, bit for bit, as `trials` successive calls.
     """
     n_x, n_u = system.n_x, system.n_u
     g = rng.standard_normal((trials, n_x + T * (n_x + n_u)))
-    # Stacked matrix-vector and per-trial matrix products: each trajectory
-    # gets the bits of a one-trajectory call.
+    # A stack of matrix-vector products: each trajectory gets the bits of a
+    # one-trajectory call.
     x0 = (task.chol_x @ g[:, :n_x, None])[..., 0]
-    w = g[:, n_x : n_x + T * n_x].reshape(-1, T, n_x) @ task.chol_w.T
+    w = g[:, n_x : n_x + T * n_x].reshape(-1, T, n_x)
     z = task.sigma_z * g[:, n_x + T * n_x :].reshape(-1, T, n_u)
     return NoiseRealization(x0=x0, w=w, z=z)
 
@@ -96,13 +96,14 @@ def rollout_expert(
     Row i*T + t holds (x_i[t], u_i[t]). Initial states are exact stationary
     draws x_i[0] ~ N(0, sigma_x) (no burn-in); inputs are u_i[t] = K x_i[t] +
     z_i[t]. Draw order: all initial states (N x n_x, row-major), then process
-    noise (N x T x n_x), then actuator noise (N x T x n_u). K is taken to be
-    stabilizing, as `make_task` checks when it builds the task.
+    noise w ~ N(0, I), the standard normals as drawn (N x T x n_x), then
+    actuator noise (N x T x n_u). K is taken to be stabilizing, as
+    `make_task` checks when it builds the task.
     """
     if T < 1 or N < 1:
         raise ValueError("T and N must be >= 1")
     x = rng.standard_normal((N, system.n_x)) @ task.chol_x.T
-    W = rng.standard_normal((N, T, system.n_x)) @ task.chol_w.T
+    W = rng.standard_normal((N, T, system.n_x))
     Z = task.sigma_z * rng.standard_normal((N, T, system.n_u))
 
     states = np.empty((N, T, system.n_x))

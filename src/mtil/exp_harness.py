@@ -114,6 +114,13 @@ def _strict_int(value) -> int:
     return value
 
 
+def _strict_float(value) -> float:
+    """A number as written: a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _unchanged(value):
     return value
 
@@ -126,11 +133,11 @@ _FIELDS = {
     "system.a": ("A", _unchanged),
     "system.b": ("B", _unchanged),
     "system.lift_dim": ("lift_dim", lambda v: None if v is None else _strict_int(v)),
-    "system.sigma_z": ("sigma_z", float),
+    "system.sigma_z": ("sigma_z", _strict_float),
     "tasks.h": ("H", _strict_int),
     "tasks.k": ("k", _strict_int),
-    "tasks.alphas": ("alphas", lambda v: tuple(float(e) for e in v)),
-    "tasks.r_scale": ("r_scale", float),
+    "tasks.alphas": ("alphas", lambda v: tuple(_strict_float(e) for e in v)),
+    "tasks.r_scale": ("r_scale", _strict_float),
     "sweep.n1": ("N1", _strict_int),
     "sweep.n2": ("N2", _n2_grid),
     "sweep.t": ("T", _strict_int),
@@ -436,7 +443,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_results(rows: list, out_dir: str, cfg: ExperimentConfig | None = None):
+def write_results(rows: list, out_dir: str, cfg: ExperimentConfig):
     """Write results.csv, summary.csv, and manifest.json; returns the paths.
 
     results.csv carries the fixed per-row schema (wall-clock timing is kept
@@ -491,7 +498,7 @@ def write_results(rows: list, out_dir: str, cfg: ExperimentConfig | None = None)
     manifest = {
         "version": RESULTS_VERSION,
         "n_rows": len(rows),
-        "config": asdict(cfg) if cfg is not None else None,
+        "config": asdict(cfg),
         "blas_threads": (
             None if control_math.blas_threads() is None else control_math.BLAS_THREADS
         ),

@@ -1,11 +1,11 @@
 """Plant definitions, expert task ensembles, LQR synthesis, and lifting.
 
-A task ensemble bundles one linear plant with H source expert controllers and
-one target expert controller, each carrying its noise covariances, the
-stationary state covariance of its closed loop, and the Cholesky factors the
-samplers draw with. Ensembles can be lifted into a higher-dimensional
-observation space through an injective linear map, in which case the
-ground-truth factorization K = F Phi is recorded.
+A task ensemble bundles one linear plant, driven by process noise w ~ N(0, I),
+with H source expert controllers and one target expert controller, each
+carrying its actuator-noise level and the stationary state covariance of its
+closed loop with its Cholesky factor. Ensembles can be lifted into a
+higher-dimensional observation space through an injective linear map, in
+which case the ground-truth factorization K = F Phi is recorded.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import NoFactorization, RankDeficientLift
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Discrete-time plant x[t+1] = A x[t] + B u[t] + w[t].
+    """Discrete-time plant x[t+1] = A x[t] + B u[t] + w[t], w[t] ~ N(0, I).
 
     basis, when given, has orthonormal columns whose span contains range(A)
     and range(B), as a lifted plant's does; None stands for the whole space.
@@ -88,30 +88,26 @@ def _check_basis(basis, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExpertTask:
-    """One expert controller together with its noise model.
+    """One expert controller together with its actuator noise.
 
     Attributes:
         K: stabilizing state-feedback gain (n_u x n_x).
-        sigma_w: process-noise covariance (n_x x n_x, PSD).
         sigma_z: actuator-noise standard deviation (scalar, >= 0).
         sigma_x: stationary state covariance of the closed loop.
-        chol_x, chol_w: lower Cholesky factors of sigma_x and sigma_w, set
-            from them when the task is built.
+        chol_x: lower Cholesky factor of sigma_x, set from it when the task
+            is built.
 
     Raises:
-        CholeskyFailure: if sigma_x or sigma_w is numerically indefinite.
+        CholeskyFailure: if sigma_x is numerically indefinite.
     """
 
     K: np.ndarray
-    sigma_w: np.ndarray
     sigma_z: float
     sigma_x: np.ndarray
     chol_x: np.ndarray = field(init=False, repr=False, compare=False)
-    chol_w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name, cov in (("chol_x", self.sigma_x), ("chol_w", self.sigma_w)):
-            object.__setattr__(self, name, control_math.cholesky_factor(cov))
+        object.__setattr__(self, "chol_x", control_math.cholesky_factor(self.sigma_x))
 
 
 @dataclass(frozen=True)
@@ -148,39 +144,34 @@ class TaskEnsemble:
         return list(self.sources) + [self.target]
 
 
-def make_task(
-    system: LinearSystem,
-    K: np.ndarray,
-    sigma_w: np.ndarray | None = None,
-    sigma_z: float = 1.0,
-) -> ExpertTask:
-    """Build an ExpertTask; its stationary covariance solves the Lyapunov
-    equation Sigma = (A+BK) Sigma (A+BK)' + sigma_z^2 B B' + Sigma_w.
+def make_task(system: LinearSystem, K: np.ndarray, sigma_z: float = 1.0) -> ExpertTask:
+    """Build an ExpertTask for process noise w ~ N(0, I) and actuator noise
+    z ~ N(0, sigma_z^2 I); its stationary covariance solves the Lyapunov
+    equation Sigma = (A+BK) Sigma (A+BK)' + sigma_z^2 B B' + I.
 
     On a plant with a basis Q the closed loop maps into span(Q), so
-    Sigma = Sigma_w + Q S Q', where S solves the r x r equation
-    S = Abar S Abar' + Q'((A+BK) Sigma_w (A+BK)' + sigma_z^2 B B')Q with
+    Sigma = I + Q S Q', where S solves the r x r equation
+    S = Abar S Abar' + Q'((A+BK)(A+BK)' + sigma_z^2 B B')Q with
     Abar = Q'(A+BK)Q; the stability check is r x r too.
 
     Raises:
         UnstableMatrix: if rho(A + BK) >= 1.
     """
     K = np.asarray(K, dtype=float)
-    if sigma_w is None:
-        sigma_w = np.eye(system.n_x)
-    sigma_w = np.asarray(sigma_w, dtype=float)
+    eye = np.eye(system.n_x)
     if system.basis is None:
-        Q = float(sigma_z) ** 2 * (system.B @ system.B.T) + sigma_w
+        Q = float(sigma_z) ** 2 * (system.B @ system.B.T) + eye
         sigma_x = control_math.solve_discrete_lyapunov(system.A + system.B @ K, Q)
     else:
         basis = system.basis
         QB = basis.T @ system.B
         M = basis.T @ system.A + QB @ K  # Q'(A+BK)
-        forcing = M @ sigma_w @ M.T + float(sigma_z) ** 2 * (QB @ QB.T)
+        # Not M @ M.T: numpy runs that as SYRK, which rounds differently.
+        forcing = M.copy() @ M.T + float(sigma_z) ** 2 * (QB @ QB.T)
         S = control_math.solve_discrete_lyapunov(M @ basis, forcing)
         P = basis @ S @ basis.T
-        sigma_x = sigma_w + 0.5 * (P + P.T)
-    return ExpertTask(K=K, sigma_w=sigma_w, sigma_z=float(sigma_z), sigma_x=sigma_x)
+        sigma_x = eye + 0.5 * (P + P.T)
+    return ExpertTask(K=K, sigma_z=float(sigma_z), sigma_x=sigma_x)
 
 
 def synthesize_expert_family(
@@ -200,7 +191,8 @@ def build_ensemble(
     gains: list,
     sigma_z: float = 1.0,
 ) -> TaskEnsemble:
-    """Assemble an ensemble from gains (sigma_w = I); the last is the target."""
+    """Assemble an ensemble from gains, each with process noise w ~ N(0, I)
+    and actuator noise z ~ N(0, sigma_z^2 I); the last is the target."""
     if len(gains) < 2:
         raise ValueError("need at least one source gain plus the target gain")
     tasks = [make_task(system, K, sigma_z=sigma_z) for K in gains]
@@ -212,8 +204,8 @@ def lift_ensemble(ensemble: TaskEnsemble, G: np.ndarray) -> TaskEnsemble:
 
     The lifted plant is (G A G+, G B) and each gain becomes K G+, where G+ is
     the pseudo-inverse; its basis is the left singular vectors of G, which
-    span range(G). Stationary covariances are recomputed with identity
-    lifted process-noise covariance and unchanged sigma_z. The
+    span range(G). Stationary covariances are recomputed for process noise
+    w ~ N(0, I) in the lifted space and unchanged sigma_z. The
     ground truth records Phi = G+ and F^(h) equal to the original gains.
 
     Raises:
@@ -228,10 +220,9 @@ def lift_ensemble(ensemble: TaskEnsemble, G: np.ndarray) -> TaskEnsemble:
     G_pinv = (Vt.T * (1.0 / s)) @ U.T
     system = ensemble.system
     lifted_system = LinearSystem(A=G @ system.A @ G_pinv, B=G @ system.B, basis=U)
-    sigma_w = np.eye(G.shape[0])
     original_gains = [t.K for t in ensemble.tasks]
     lifted_tasks = [
-        make_task(lifted_system, K @ G_pinv, sigma_w, t.sigma_z)
+        make_task(lifted_system, K @ G_pinv, t.sigma_z)
         for K, t in zip(original_gains, ensemble.tasks)
     ]
     truth = GroundTruthFactors(phi_star=G_pinv, f_stars=original_gains)

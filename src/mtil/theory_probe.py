@@ -33,10 +33,6 @@ class ProbeReport:
     passed: bool
     details: dict = field(default_factory=dict)
 
-    @property
-    def failure_rate(self) -> float:
-        return self.failures / self.trials if self.trials else 0.0
-
 
 @dataclass(frozen=True)
 class MartingaleSetup:

@@ -18,11 +18,9 @@ from mtil.data_gen import (
 from mtil.errors import CholeskyFailure
 
 
-def scalar_setup(a=0.8, k=-0.3, sigma_w=1.0, sigma_z=0.0):
+def scalar_setup(a=0.8, k=-0.3, sigma_z=0.0):
     system = lti_env.LinearSystem(A=np.array([[a]]), B=np.array([[1.0]]))
-    task = lti_env.make_task(
-        system, np.array([[k]]), sigma_w=np.array([[sigma_w]]), sigma_z=sigma_z
-    )
+    task = lti_env.make_task(system, np.array([[k]]), sigma_z=sigma_z)
     return system, task
 
 
@@ -83,16 +81,16 @@ class TestSampleNoise:
         assert np.array_equal(n1.w, n2.w)
         assert np.array_equal(n1.z, n2.z)
 
-    def test_zero_process_noise(self):
-        system = lti_env.LinearSystem(A=np.array([[0.5]]), B=np.array([[1.0]]))
-        task = lti_env.ExpertTask(
-            K=np.array([[0.0]]),
-            sigma_w=np.zeros((1, 1)),
-            sigma_z=1.0,
-            sigma_x=np.array([[1.0]]),
-        )
-        noise = sample_noise(system, task, 20, np.random.default_rng(0))
-        assert np.all(noise.w == 0.0)
+    def test_process_noise_is_its_slice_of_the_standard_normals(self):
+        # Each trial's block is x0 (n_x), then w (T x n_x), then z (T x n_u);
+        # w ~ N(0, I) is its slice as drawn, z its slice times sigma_z.
+        system = lti_env.LinearSystem(A=0.5 * np.eye(3), B=np.ones((3, 2)))
+        task = lti_env.make_task(system, np.zeros((2, 3)), sigma_z=0.7)
+        T, trials = 6, 4
+        noise = sample_noise(system, task, T, np.random.default_rng(9), trials)
+        g = np.random.default_rng(9).standard_normal((trials, 3 + T * 5))
+        assert np.array_equal(noise.w, g[:, 3 : 3 + 3 * T].reshape(trials, T, 3))
+        assert np.array_equal(noise.z, 0.7 * g[:, 3 + 3 * T :].reshape(trials, T, 2))
 
     def test_actuator_noise_covariance(self):
         system, task = scalar_setup(sigma_z=0.7)
@@ -120,91 +118,70 @@ class TestSampleNoise:
             assert np.array_equal(batch.z[i : i + 1], one.z)
 
 
-def replayed_rollout(system, task, T, N, seed):
-    """rollout_expert's draws replayed from a fresh generator, and the rows
-    they give when each trajectory is stepped on its own in scalar
-    arithmetic (1-D systems only)."""
+def replayed_draws(system, task, T, N, seed):
+    """rollout_expert's draws (x0, w, z) replayed from a fresh generator in
+    the documented order; w ~ N(0, I) is the standard normals as drawn."""
     rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((N, 1)) @ cholesky_factor(task.sigma_x).T
-    w = rng.standard_normal((N, T, 1)) @ cholesky_factor(task.sigma_w).T
-    z = task.sigma_z * rng.standard_normal((N, T, 1))
-    (a,), (b,), (k,) = system.A, system.B, task.K
+    x0 = rng.standard_normal((N, system.n_x)) @ cholesky_factor(task.sigma_x).T
+    w = rng.standard_normal((N, T, system.n_x))
+    z = task.sigma_z * rng.standard_normal((N, T, system.n_u))
+    return x0, w, z
+
+
+def replayed_rollout(system, task, T, N, seed):
+    """The rows that the replayed draws give when each trajectory is stepped
+    on its own by matrix-vector products: in 1-D, scalar arithmetic."""
+    x0, w, z = replayed_draws(system, task, T, N, seed)
     X, U = [], []
     for i in range(N):
         x = x0[i]
         for t in range(T):
-            u = k * x + z[i, t]
+            u = task.K @ x + z[i, t]
             X.append(x)
             U.append(u)
-            x = a * x + b * u + w[i, t]
+            x = system.A @ x + system.B @ u + w[i, t]
     return np.array(X), np.array(U)
 
 
 class TestRolloutExpert:
-    def test_zero_noise_zero_state(self):
-        system = lti_env.LinearSystem(A=np.array([[0.5]]), B=np.array([[1.0]]))
-        task = lti_env.ExpertTask(
-            K=np.array([[-0.2]]),
-            sigma_w=np.zeros((1, 1)),
-            sigma_z=0.0,
-            sigma_x=np.zeros((1, 1)),
-        )
-        data = rollout_expert(system, task, 5, 3, np.random.default_rng(0))
-        assert data.X.shape == (15, 1) and data.U.shape == (15, 1)
-        assert np.all(data.X == 0.0)
-        assert np.all(data.U == 0.0)
-
-    def test_power_recurrence_from_drawn_x0(self):
-        # With sigma_w = sigma_z = 0 each block of T rows follows
-        # x[t+1] = (A + BK) x[t] from its drawn x[0].
+    def test_closed_loop_recurrence_replays_the_draws(self):
+        # Each block of T rows follows x[t+1] = A x[t] + B (K x[t] + z[t]) +
+        # w[t] from its drawn x[0], on the replayed draws; the batched
+        # products round differently from one trajectory's in 4-D.
         base = lti_env.get_preset("hong2021")
         gains = lti_env.synthesize_expert_family(base, [1.0, 2.0], np.eye(2))
-        task_full = lti_env.make_task(base, gains[0], sigma_z=1.0)
-        task = lti_env.ExpertTask(
-            K=task_full.K,
-            sigma_w=np.zeros((4, 4)),
-            sigma_z=0.0,
-            sigma_x=task_full.sigma_x,
-        )
+        task = lti_env.make_task(base, gains[0], sigma_z=1.0)
         T, N = 6, 3
         data = rollout_expert(base, task, T, N, np.random.default_rng(0))
-        A_cl = base.A + base.B @ task.K
-        for i in range(N):
-            expected = data.X[i * T]
-            assert np.any(expected != 0.0)
-            for t in range(T):
-                np.testing.assert_allclose(data.X[i * T + t], expected, atol=1e-10)
-                expected = A_cl @ expected
+        X, U = replayed_rollout(base, task, T, N, seed=0)
+        np.testing.assert_allclose(data.X, X, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(data.U, U, rtol=1e-12, atol=1e-12)
 
     def test_replay_bit_identical(self):
-        system, task = scalar_setup(sigma_w=1.0, sigma_z=0.5)
+        system, task = scalar_setup(sigma_z=0.5)
         tree = SeedTree(root=11)
         d1 = rollout_expert(system, task, 7, 4, tree.child("r").stream())
         d2 = rollout_expert(system, task, 7, 4, tree.child("r").stream())
         assert np.array_equal(d1.X, d2.X)
         assert np.array_equal(d1.U, d2.U)
 
-    def test_plant_recurrence_exact_without_process_noise(self):
-        # With sigma_w = 0, x[t+1] = A x[t] + B u[t] exactly, within a block.
-        system = lti_env.LinearSystem(A=np.array([[0.5]]), B=np.array([[1.0]]))
-        task = lti_env.ExpertTask(
-            K=np.array([[-0.2]]),
-            sigma_w=np.zeros((1, 1)),
-            sigma_z=1.0,
-            sigma_x=np.eye(1),
-        )
+    def test_plant_recurrence_exact_with_replayed_process_noise(self):
+        # x[t+1] = A x[t] + B u[t] + w[t] exactly within a block, w the
+        # replayed process-noise draws.
+        system, task = scalar_setup(a=0.5, k=-0.2, sigma_z=1.0)
         T = 8
         data = rollout_expert(system, task, T, 2, np.random.default_rng(5))
+        _, w, _ = replayed_draws(system, task, T, 2, seed=5)
         for i in range(2):
             for t in range(T - 1):
                 row = i * T + t
                 lhs = data.X[row + 1]
-                rhs = system.A @ data.X[row] + system.B @ data.U[row]
+                rhs = system.A @ data.X[row] + system.B @ data.U[row] + w[i, t]
                 assert np.array_equal(lhs, rhs)
 
     def test_controller_recurrence_exact_without_actuator_noise(self):
         # With sigma_z = 0, u[t] = K x[t] exactly.
-        system, task = scalar_setup(sigma_w=1.0, sigma_z=0.0)
+        system, task = scalar_setup(sigma_z=0.0)
         data = rollout_expert(system, task, 8, 2, np.random.default_rng(6))
         np.testing.assert_array_equal(data.U, data.X @ task.K.T)
 
@@ -251,7 +228,7 @@ def scalar_noise(x0, T, w=None):
 
 class TestCoupledRollout:
     def test_identical_gains_identical_paths(self):
-        system, task = scalar_setup(sigma_w=1.0, sigma_z=0.5)
+        system, task = scalar_setup(sigma_z=0.5)
         noise = sample_noise(system, task, 30, np.random.default_rng(2))
         xs, xh, steps = coupled_rollout(system, task.K, task.K, noise, 30)
         assert steps.tolist() == [30]
@@ -268,7 +245,7 @@ class TestCoupledRollout:
             assert xs[0, t, 0] - xh[0, t, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_noise_cancels_for_equal_gains(self):
-        system, task = scalar_setup(sigma_w=4.0, sigma_z=1.0)
+        system, task = scalar_setup(sigma_z=1.0)
         noise = sample_noise(system, task, 50, np.random.default_rng(3))
         xs, xh, _ = coupled_rollout(system, task.K, task.K, noise, 50)
         assert np.all(xs - xh == 0.0)

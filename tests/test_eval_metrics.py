@@ -18,11 +18,9 @@ from mtil.errors import EmptyInput, RankDeficient
 from mtil.lti_env import ExpertTask, LinearSystem, TaskEnsemble
 
 
-def scalar_setup(sigma_w=1.0, sigma_z=0.0):
+def scalar_setup(sigma_z=0.0):
     system = LinearSystem(A=np.array([[0.8]]), B=np.array([[1.0]]))
-    task = lti_env.make_task(
-        system, np.array([[-0.3]]), sigma_w=np.array([[sigma_w]]), sigma_z=sigma_z
-    )
+    task = lti_env.make_task(system, np.array([[-0.3]]), sigma_z=sigma_z)
     return system, task
 
 
@@ -39,12 +37,7 @@ def manual_ensemble(sigmas_x, f_stars, phi_star):
     system = LinearSystem(A=np.zeros((phi_star.shape[1], phi_star.shape[1])),
                           B=np.zeros((phi_star.shape[1], f_stars[0].shape[0])))
     tasks = [
-        ExpertTask(
-            K=F @ phi_star,
-            sigma_w=S.copy(),
-            sigma_z=1.0,
-            sigma_x=S.copy(),
-        )
+        ExpertTask(K=F @ phi_star, sigma_z=1.0, sigma_x=S.copy())
         for F, S in zip(f_stars, sigmas_x)
     ]
     truth = lti_env.GroundTruthFactors(phi_star=phi_star, f_stars=list(f_stars))
@@ -164,7 +157,7 @@ class TestEvaluateController:
 
     def test_per_trial_tracking_bound(self):
         # Deterministic consequence of the incremental-stability display.
-        system, task = scalar_setup(sigma_w=1.0, sigma_z=0.2)
+        system, task = scalar_setup(sigma_z=0.2)
         K_hat = task.K + 0.02
         profile = cm.stability_profile(system.A + system.B @ task.K)
         jb = profile.j_gain * np.linalg.norm(system.B, 2)

@@ -75,6 +75,14 @@ class TestConfig:
         with pytest.raises(ValidationError, match="sweep.methods"):
             eh.config_from_dict({"sweep": {"methods": ["direct", "magic"]}})
 
+    def test_readme_example_is_a_valid_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration", 1)[1]
+        example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        # The example spells out the defaults, but for a shorter n2 grid.
+        cfg = eh.config_from_dict(yaml.safe_load(example))
+        assert cfg == eh.ExperimentConfig(N2=(1, 2, 5, 10, 20))
+
 
 class TestRunSweep:
     def test_single_row(self):
@@ -139,6 +147,13 @@ GOLDEN_DIGEST = "b5afe0d961606cb11dc9773f0128661efd4f2025fea581eb29fe3a2b231cbb9
 GOLDEN_DIRECT_DIGEST = (
     "cdd1f595b3affaa6994f2d7690f6a97fee58c7be138907208b657ef426f985af"
 )
+# sha256 of the sigma_x bytes of the lifted tasks of system trial 0 at
+# run.seed 2 (reference config). At seed 0 the lifted forcing Q'A_cl A_cl'Q
+# has the same bits from a GEMM as from numpy's symmetric (SYRK) product, so
+# GOLDEN_DIGEST cannot tell them apart; at seed 2 it has not.
+LIFTED_SIGMA_X_DIGEST = (
+    "34a90a45c29dfacf4adf7f09f4ac8bfd6a2d6dfac371284de091519844092dad"
+)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -163,6 +178,14 @@ class TestSweepReuse:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert eh.RESULTS_VERSION == "5"
         assert digest == GOLDEN_DIGEST
+
+    def test_lifted_covariances_digest(self):
+        cfg = eh.ExperimentConfig(seed=2)
+        with control_math.pinned_blas_threads():
+            family, _ = eh.expert_family(cfg)
+            tasks = eh.lift_trial(cfg, family, 0).tasks
+        digest = hashlib.sha256(b"".join(t.sigma_x.tobytes() for t in tasks))
+        assert digest.hexdigest() == LIFTED_SIGMA_X_DIGEST
 
     def test_golden_direct_rows_digest(self, tmp_path):
         cfg = eh.config_from_dict(yaml.safe_load(GOLDEN_SWEEP))
@@ -283,7 +306,7 @@ class TestSweepReuse:
 
 class TestWriteResults:
     def test_empty_rows_header_only(self, tmp_path):
-        paths = eh.write_results([], str(tmp_path), None)
+        paths = eh.write_results([], str(tmp_path), eh.ExperimentConfig())
         lines = open(paths["results"]).read().splitlines()
         assert len(lines) == 1
         assert lines[0].split(",")[0] == "method"
@@ -298,7 +321,7 @@ class TestWriteResults:
             )
             for i, v in enumerate([3.0, 1.0, 2.0])
         ]
-        paths = eh.write_results(rows, str(tmp_path), None)
+        paths = eh.write_results(rows, str(tmp_path), eh.ExperimentConfig())
         lines = open(paths["summary"]).read().splitlines()
         assert len(lines) == 2
         fields = lines[1].split(",")
@@ -319,7 +342,7 @@ class TestWriteResults:
             )
             for i, v in enumerate(values)
         ]
-        paths = eh.write_results(rows, str(tmp_path), None)
+        paths = eh.write_results(rows, str(tmp_path), eh.ExperimentConfig())
         lines = open(paths["summary"]).read().splitlines()[1:]
         # Each group's tracking_err quantiles, as one np.quantile per value.
         for line, values in zip(lines, ([3.0, 1.0, 2.0], [1.0, 4.0])):
@@ -328,7 +351,7 @@ class TestWriteResults:
         assert [float(line.split(",")[6]) for line in lines] == [4.0, 5.0]
 
     def test_manifest_records_versions(self, tmp_path):
-        paths = eh.write_results([], str(tmp_path), None)
+        paths = eh.write_results([], str(tmp_path), eh.ExperimentConfig())
         manifest = json.loads(Path(paths["manifest"]).read_text())
         assert manifest["version"] == eh.RESULTS_VERSION
         assert manifest["numpy_version"] == np.__version__
@@ -403,6 +426,13 @@ class TestCli:
             ("sweep:\n  n2: [1.5, 2]\n", [], "sweep.n2"),
             ("system:\n  a: [[0.5]]\n  b: [[.inf]]\n", [], "system.b"),
             ("system:\n  a: [[.nan]]\n  b: [[1.0]]\n", [], "system.a"),
+            ("tasks:\n  alphas: '12'\n", [], "tasks.alphas"),
+            ("tasks:\n  alphas: [true, 2]\n", [], "tasks.alphas"),
+            ("tasks:\n  alphas: ['-1', 2]\n", [], "tasks.alphas"),
+            ("system:\n  sigma_z: true\n", [], "system.sigma_z"),
+            ("system:\n  sigma_z: '1.0'\n", [], "system.sigma_z"),
+            ("tasks:\n  r_scale: '2.5'\n", [], "tasks.r_scale"),
+            ("tasks:\n  r_scale: true\n", [], "tasks.r_scale"),
         ],
     )
     def test_bad_input_exits_2_with_field_path(

@@ -26,18 +26,18 @@ def small_ensemble(H=3, sigma_z=1.0):
 class TestStationaryCovariance:
     def test_scalar_geometric(self):
         system = lti_env.LinearSystem(A=np.array([[0.8]]), B=np.array([[1.0]]))
-        task = lti_env.make_task(system, np.array([[-0.3]]), np.eye(1), sigma_z=0.0)
+        task = lti_env.make_task(system, np.array([[-0.3]]), sigma_z=0.0)
         assert task.sigma_x[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-10)
 
     def test_pure_noise(self):
         system = lti_env.LinearSystem(A=np.zeros((2, 2)), B=np.zeros((2, 1)))
-        task = lti_env.make_task(system, np.zeros((1, 2)), np.eye(2), sigma_z=1.0)
+        task = lti_env.make_task(system, np.zeros((1, 2)), sigma_z=1.0)
         np.testing.assert_allclose(task.sigma_x, np.eye(2), atol=1e-12)
 
     def test_rejects_unstable_closed_loop(self):
         system = lti_env.LinearSystem(A=np.array([[1.5]]), B=np.array([[0.0]]))
         with pytest.raises(UnstableMatrix):
-            lti_env.make_task(system, np.zeros((1, 1)), np.eye(1), 1.0)
+            lti_env.make_task(system, np.zeros((1, 1)), 1.0)
 
     def test_lifted_preset_residual(self):
         ens = small_ensemble()
@@ -50,7 +50,7 @@ class TestStationaryCovariance:
             rhs = (
                 A_cl @ task.sigma_x @ A_cl.T
                 + task.sigma_z**2 * lifted.system.B @ lifted.system.B.T
-                + task.sigma_w
+                + np.eye(lifted.system.n_x)
             )
             resid = np.linalg.norm(task.sigma_x - rhs, "fro")
             assert resid <= 1e-8 * max(1.0, np.linalg.norm(task.sigma_x, "fro"))
@@ -63,21 +63,16 @@ class TestTaskFactors:
         lifted = lti_env.lift_ensemble(ens, lti_env.sample_lift_map(4, 50, rng))
         for task in ens.tasks + lifted.tasks:
             assert np.array_equal(task.chol_x, cm.cholesky_factor(task.sigma_x))
-            assert np.array_equal(task.chol_w, cm.cholesky_factor(task.sigma_w))
 
     def test_hand_built_task_gets_factors(self):
         sigma_x = np.array([[2.0, 0.5], [0.5, 1.0]])
-        task = lti_env.ExpertTask(
-            K=np.zeros((1, 2)), sigma_w=np.zeros((2, 2)), sigma_z=0.0, sigma_x=sigma_x
-        )
+        task = lti_env.ExpertTask(K=np.zeros((1, 2)), sigma_z=0.0, sigma_x=sigma_x)
         assert np.array_equal(task.chol_x, cm.cholesky_factor(sigma_x))
-        assert np.array_equal(task.chol_w, np.zeros((2, 2)))
 
     def test_indefinite_sigma_x_refused_at_build(self):
         with pytest.raises(CholeskyFailure):
             lti_env.ExpertTask(
                 K=np.zeros((1, 2)),
-                sigma_w=np.eye(2),
                 sigma_z=0.0,
                 sigma_x=np.diag([1.0, -1.0]),
             )
@@ -197,10 +192,9 @@ class TestSystemBasis:
 
 @st.composite
 def lifted_plants_and_gains(draw):
-    """(system, K, sigma_w, sigma_z): a random stable plant (n <= 6 states)
-    lifted through a Gaussian m x n map (m in [n, 50]), a random m-D gain
-    that keeps the closed loop stable, and an identity or random SPD
-    process-noise covariance."""
+    """(system, K, sigma_z): a random stable plant (n <= 6 states) lifted
+    through a Gaussian m x n map (m in [n, 50]), a random m-D gain that
+    keeps the closed loop stable, and an actuator-noise level."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 6))
     m = draw(st.integers(n, 50))
@@ -214,12 +208,7 @@ def lifted_plants_and_gains(draw):
     system = lti_env.lift_ensemble(family, lti_env.sample_lift_map(n, m, rng)).system
     K = 0.1 * rng.standard_normal((n_u, m)) / np.sqrt(m)
     assume(cm.spectral_radius(system.closed_loop_on_range(K)) < 0.99)
-    if draw(st.booleans()):
-        sigma_w = np.eye(m)
-    else:
-        M = rng.standard_normal((m, m))
-        sigma_w = M @ M.T / m + 0.1 * np.eye(m)
-    return system, K, sigma_w, draw(st.floats(0.0, 2.0))
+    return system, K, draw(st.floats(0.0, 2.0))
 
 
 class TestTaskOnRange:
@@ -229,10 +218,10 @@ class TestTaskOnRange:
         # give the same stationary covariance, up to rounding: 1e-12
         # relative, scaled by ||A + BK||^2 as the Lyapunov solver's own
         # residual check is (an ill-conditioned square G gives ~100).
-        system, K, sigma_w, sigma_z = problem
-        on_range = lti_env.make_task(system, K, sigma_w, sigma_z)
+        system, K, sigma_z = problem
+        on_range = lti_env.make_task(system, K, sigma_z)
         full_space = lti_env.make_task(
-            lti_env.LinearSystem(A=system.A, B=system.B), K, sigma_w, sigma_z
+            lti_env.LinearSystem(A=system.A, B=system.B), K, sigma_z
         )
         gap = np.linalg.norm(on_range.sigma_x - full_space.sigma_x)
         scale = max(1.0, np.linalg.norm(system.A + system.B @ K, 2) ** 2)
