@@ -3,6 +3,11 @@
 Each command imports the modules it alone uses: `verify` loads no sweep
 module (`exp_harness`, `mtil_learn`) and `run` no probe module
 (`theory_probe`).
+
+Imported before numpy, this module starts numpy's bundled OpenBLAS on one
+thread, whatever `OPENBLAS_NUM_THREADS` the caller set: `run` and `verify`
+pin BLAS to one thread for all their work anyway, and `synth` handles
+matrices too small to gain from more.
 """
 
 from __future__ import annotations
@@ -11,6 +16,15 @@ import argparse
 import importlib
 import os
 import sys
+
+# OpenBLAS reads this once, when numpy first loads it. Unset, it starts one
+# worker thread per core, and each idle worker spins for ~0.1 s of CPU that
+# no command uses. At module level because `python -m mtil.cli` and the
+# `mtil` script both load numpy through the import below, before `main()`
+# runs; pool workers inherit it. A process whose numpy loaded first keeps
+# its threads and relies on `control_math.pinned_blas_threads` for the bits.
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -43,6 +57,15 @@ def _require_seed(seed: int) -> None:
     """`mtil run` checks its seed as run.seed; verify and synth check it here."""
     if seed < 0:
         raise ValidationError(f"--seed: must be >= 0, got {seed}")
+
+
+def _make_out_dir(path: str) -> None:
+    """Create the output directory before any compute, so an --out that
+    cannot be created fails at once, not after the whole sweep or battery."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"--out: {exc}") from exc
 
 
 def run_probe_battery(names, seed: int) -> list:
@@ -122,6 +145,7 @@ def _cmd_run(args) -> int:
     if overrides and isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
         raw = {**raw, "run": {**raw.get("run", {}), **overrides}}
     cfg = exp_harness.config_from_dict(raw)
+    _make_out_dir(args.out)
     rows = exp_harness.run_sweep(cfg)
     paths = exp_harness.write_results(rows, args.out, cfg)
     if args.emit_plot_script:
@@ -144,11 +168,11 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_VALIDATION
     _require_seed(args.seed)
+    _make_out_dir(args.out)
     from . import theory_probe
 
     with control_math.pinned_blas_threads():
         reports = run_probe_battery(names, args.seed)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "verify.csv")
     theory_probe.write_probe_csv(reports, path)
     all_passed = True

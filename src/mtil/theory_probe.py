@@ -428,11 +428,18 @@ def verify_scalar_sandwich(
     xs = sd0 * rng.standard_normal(trials)
     xh = xs.copy()
     max_sq = np.zeros(trials)
+    w = np.empty(trials)
+    sq = np.empty(trials)
+    # In place, with the draws and the operation order of fresh arrays.
     for _ in range(T):
-        w = rng.standard_normal(trials)
-        xs = a_cl * xs + w
-        xh = a_hat * xh + w
-        np.maximum(max_sq, (xs - xh) ** 2, out=max_sq)
+        rng.standard_normal(out=w)
+        np.multiply(a_cl, xs, out=xs)
+        xs += w
+        np.multiply(a_hat, xh, out=xh)
+        xh += w
+        np.subtract(xs, xh, out=sq)
+        np.square(sq, out=sq)
+        np.maximum(max_sq, sq, out=max_sq)
     estimate = float(max_sq.mean())
     se = float(max_sq.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     er_app = eps * eps / (1.0 - a_cl * a_cl)

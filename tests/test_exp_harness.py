@@ -201,7 +201,9 @@ class TestSweepReuse:
     def test_golden_digest_under_any_blas_threads(
         self, tmp_path, threads, parallelism
     ):
-        # The thread count the process starts with must not reach the bits.
+        # The entry point starts OpenBLAS on one thread whatever the caller
+        # set, so the caller's thread count must not reach the bits; the pin
+        # itself is checked in process, where numpy loaded first.
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(GOLDEN_SWEEP)
         subprocess.run(
@@ -233,9 +235,31 @@ class TestSweepReuse:
         finally:
             blas.set(before)
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_golden_digest_in_process_under_two_blas_threads(
+        self, tmp_path, parallelism
+    ):
+        # numpy loaded before mtil.cli here, so only the pin of run_sweep
+        # keeps a multi-threaded OpenBLAS away from the bits.
+        blas = control_math.blas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS exports no thread-count symbols")
+        before = blas.get()
+        try:
+            blas.set(2)
+            cfg = eh.config_from_dict(
+                {**yaml.safe_load(GOLDEN_SWEEP), "run": {"parallelism": parallelism}}
+            )
+            paths = eh.write_results(eh.run_sweep(cfg), str(tmp_path), cfg)
+            assert blas.get() == 2
+        finally:
+            blas.set(before)
+        with open(paths["results"], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_DIGEST
+
     def test_verify_csv_under_any_blas_threads(self, tmp_path):
-        # `mtil verify` runs pinned too, so its start-up thread count must not
-        # reach verify.csv.
+        # The entry point starts OpenBLAS on one thread whatever the caller
+        # set, so the caller's thread count must not reach verify.csv.
         written = []
         for threads in (None, "1", "2"):
             out = tmp_path / f"threads-{threads}"
@@ -457,6 +481,50 @@ class TestCli:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: cannot parse config: ")
+
+    @pytest.mark.parametrize("threads", [None, "4"])
+    def test_entry_point_starts_openblas_on_one_thread(self, threads):
+        # Each idle OpenBLAS worker spins for CPU time that no command uses.
+        code = (
+            "import mtil.cli\n"
+            "from mtil import control_math\n"
+            "blas = control_math.blas_threads()\n"
+            "print(None if blas is None else blas.get())\n"
+            "try:\n"
+            "    status = open('/proc/self/status').read().splitlines()\n"
+            "except OSError:\n"
+            "    status = []\n"
+            "print([line.split()[1] for line in status if line.startswith('Threads:')])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=cli_env(threads), check=True,
+            capture_output=True, text=True, timeout=300,
+        )
+        count, os_threads = proc.stdout.splitlines()
+        if count == "None":
+            pytest.skip("numpy's BLAS exports no thread-count symbols")
+        assert count == "1"
+        if sys.platform.startswith("linux"):
+            assert os_threads == "['1']"
+
+    @pytest.mark.parametrize(
+        "argv, compute",
+        [
+            (["run"], "mtil.exp_harness.run_sweep"),
+            (["verify", "--probe", "sandwich"], "mtil.cli.run_probe_battery"),
+        ],
+    )
+    def test_out_that_cannot_be_created_exits_2_before_compute(
+        self, tmp_path, capsys, monkeypatch, argv, compute
+    ):
+        def no_compute(*args):
+            raise AssertionError("ran before --out was created")
+
+        monkeypatch.setattr(compute, no_compute)
+        (tmp_path / "file").write_text("")
+        rc = cli.main(argv + ["--out", str(tmp_path / "file" / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --out: ")
 
     def test_verify_loads_no_run_only_module(self, tmp_path):
         # YAML parsing, the process pool and the sweep modules serve
