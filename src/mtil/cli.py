@@ -59,11 +59,12 @@ def _require_seed(seed: int) -> None:
         raise ValidationError(f"--seed: must be >= 0, got {seed}")
 
 
-def _make_out_dir(path: str) -> None:
-    """Create the output directory before any compute, so an --out that
-    cannot be created fails at once, not after the whole sweep or battery."""
+def _at_out(write, *args, **kwargs):
+    """Call `write`, which touches --out; an OSError there (a directory that
+    cannot be created, a file name taken by a directory, a full disk) exits
+    2 as `--out: <reason>`, not as a traceback."""
     try:
-        os.makedirs(path, exist_ok=True)
+        return write(*args, **kwargs)
     except OSError as exc:
         raise ValidationError(f"--out: {exc}") from exc
 
@@ -145,11 +146,13 @@ def _cmd_run(args) -> int:
     if overrides and isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
         raw = {**raw, "run": {**raw.get("run", {}), **overrides}}
     cfg = exp_harness.config_from_dict(raw)
-    _make_out_dir(args.out)
+    # Created before any compute, so an --out that cannot be made fails at
+    # once, not after the whole sweep.
+    _at_out(os.makedirs, args.out, exist_ok=True)
     rows = exp_harness.run_sweep(cfg)
-    paths = exp_harness.write_results(rows, args.out, cfg)
+    paths = _at_out(exp_harness.write_results, rows, args.out, cfg)
     if args.emit_plot_script:
-        paths["plot"] = exp_harness.emit_plot_script(args.out)
+        paths["plot"] = _at_out(exp_harness.emit_plot_script, args.out)
     for name, path in paths.items():
         print(f"{name}: {path}")
     return EXIT_OK
@@ -168,13 +171,13 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_VALIDATION
     _require_seed(args.seed)
-    _make_out_dir(args.out)
+    _at_out(os.makedirs, args.out, exist_ok=True)  # before the battery
     from . import theory_probe
 
     with control_math.pinned_blas_threads():
         reports = run_probe_battery(names, args.seed)
     path = os.path.join(args.out, "verify.csv")
-    theory_probe.write_probe_csv(reports, path)
+    _at_out(theory_probe.write_probe_csv, reports, path)
     all_passed = True
     for r in reports:
         status = "pass" if r.passed else "FAIL"

@@ -526,6 +526,28 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --out: ")
 
+    def test_verify_write_failure_exits_2(self, tmp_path, capsys):
+        (tmp_path / "verify.csv").mkdir()
+        rc = cli.main(["verify", "--probe", "sandwich", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --out: ")
+
+    @pytest.mark.parametrize("taken", ["results.csv", "plot_summary.gp"])
+    def test_run_write_failure_exits_2(self, tmp_path, capsys, taken):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "sweep:\n  trials_system: 1\n  trials_noise: 1\n  n2: [1]\n"
+            "  methods: [direct]\n"
+        )
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        rc = cli.main(
+            ["run", "--config", str(cfg_path), "--out", str(out),
+             "--emit-plot-script"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --out: ")
+
     def test_verify_loads_no_run_only_module(self, tmp_path):
         # YAML parsing, the process pool and the sweep modules serve
         # `mtil run` alone.

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo bound probes at reduced desk scale."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,10 +323,12 @@ class TestMaximalInequality:
         assert report.passed
 
     def test_blocks_draw_as_one_fresh_draw(self):
-        # T = 1000 and rank 2 give blocks of 500 trials: 1200 trials take two
-        # full blocks and a short last one, all drawn into the same buffers.
+        # Two full blocks and a short last one, all drawn into the same
+        # buffers; each trial takes T doubles per row of D.
         D = np.random.default_rng(26).standard_normal((2, 3))
-        T, trials = 1000, 1200
+        T, trials = 100, 700
+        size = theory_probe._block_size(T * 2)
+        assert 2 * size < trials < 3 * size
         report = theory_probe.verify_maximal_inequality(
             D, np.eye(3), T=T, trials=trials, rng=np.random.default_rng(27)
         )
@@ -334,6 +337,29 @@ class TestMaximalInequality:
         stats = np.sum((h @ F) ** 2, axis=2).max(axis=1)
         assert report.details["estimate"] == float(stats.mean())
         assert report.details["se"] == float(stats.std(ddof=1) / np.sqrt(trials))
+
+
+class TestBlockBudget:
+    @pytest.mark.parametrize("probe", cli.PROBE_NAMES)
+    def test_reference_scale_peak_memory(self, probe):
+        # Buffers that grow with the trial count are cut into blocks of
+        # BLOCK_DOUBLES, so each probe peaks at a few MiB at its reference
+        # scale; maximal took 24 MiB with blocks of a million normals.
+        tracemalloc.start()
+        try:
+            cli.run_probe_battery((probe,), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+
+    @pytest.mark.parametrize("probe", cli.PROBE_NAMES)
+    def test_reports_do_not_depend_on_the_budget(self, probe, monkeypatch):
+        # 7000 doubles leave a short last block in every blocked loop at the
+        # reference scales; block cuts only decide where a reduction starts.
+        default = cli.run_probe_battery((probe,), 0)
+        monkeypatch.setattr(theory_probe, "BLOCK_DOUBLES", 7000)
+        assert cli.run_probe_battery((probe,), 0) == default
 
 
 class TestTrackingSiss:
@@ -428,9 +454,36 @@ class TestVerifyGolden:
         ],
     )
     def test_verify_csv_digest(self, tmp_path, probe, digest):
+        assert self.verify_csv_digest(tmp_path, probe, 0) == digest
+
+    # The same at seed 3, where every probe draws other numbers.
+    @pytest.mark.parametrize(
+        "probe, digest",
+        [
+            ("tracking",
+             "6d72001ee1a2acd37a5a479221a7aaa118d08955f3c54ff9280a29fd8df9bc73"),
+            ("sandwich",
+             "a702b875877f2b1cb32ca12220201ee58678da33c88aa8a0b2d61385a309b2ba"),
+            ("covariance",
+             "3d7c1a4a3c657e127d143ad2490c5d507713fca17ee85a2a230172cf3c67c938"),
+            ("hanson_wright",
+             "d04f0491770114c5f762d81c58fcacf020f52df53830a7380fef724903b6eaab"),
+            ("self_normalized",
+             "7918b16c2f184c9d2cecb51afc48d0d78363b8a7aacbd255b5cc7b704e42296b"),
+            ("maximal",
+             "e54549e548c1bbc499d3731c1504da46e4368423d94b61f2275ff7383aea0894"),
+        ],
+    )
+    def test_verify_csv_digest_seed_3(self, tmp_path, probe, digest):
+        assert self.verify_csv_digest(tmp_path, probe, 3) == digest
+
+    @staticmethod
+    def verify_csv_digest(tmp_path, probe, seed):
         path = tmp_path / "verify.csv"
-        theory_probe.write_probe_csv(cli.run_probe_battery((probe,), 0), str(path))
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        theory_probe.write_probe_csv(
+            cli.run_probe_battery((probe,), seed), str(path)
+        )
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_state_feedback_rows(self, tmp_path):
         # The state-feedback rows simulate full paths and keep their bits
