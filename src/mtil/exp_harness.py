@@ -47,11 +47,8 @@ class ExperimentConfig:
     trials_system: int = 10
     trials_noise: int = 10
     methods: tuple = ("multitask", "direct")
-    eval_task: str | int = "target"
     seed: int = 0
     parallelism: int = 1
-    restarts: int = 1
-    reuse_source_data: bool = False
 
 
 @dataclass(frozen=True)
@@ -101,12 +98,6 @@ def _square_matrix(value) -> np.ndarray:
     return A
 
 
-def _strict_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"must be true or false, got {value!r}")
-    return value
-
-
 def _strict_int(value) -> int:
     """An integer as written: a float, a bool or a string is refused."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -147,9 +138,6 @@ _FIELDS = {
     "sweep.methods": ("methods", tuple),
     "run.seed": ("seed", _strict_int),
     "run.parallelism": ("parallelism", _strict_int),
-    "run.restarts": ("restarts", _strict_int),
-    "run.reuse_source_data": ("reuse_source_data", _strict_bool),
-    "run.eval_task": ("eval_task", _unchanged),
 }
 
 
@@ -209,18 +197,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         ("sweep.trials_system", cfg.trials_system),
         ("sweep.trials_noise", cfg.trials_noise),
         ("run.parallelism", cfg.parallelism),
-        ("run.restarts", cfg.restarts),
     ):
         _require(value >= 1, name, "must be >= 1")
     if "multitask" in cfg.methods:  # pretraining needs k rows per source task
         _require(cfg.N1 * cfg.T >= cfg.k, "sweep.n1", "multitask needs n1 * t >= k")
     _require(cfg.seed >= 0, "run.seed", "must be >= 0")
-    if cfg.eval_task != "target":
-        _require(
-            type(cfg.eval_task) is int and 0 <= cfg.eval_task < cfg.H,
-            "run.eval_task",
-            "must be 'target' or a source index in [0, H)",
-        )
     return cfg
 
 
@@ -315,7 +296,6 @@ def _cells(cfg: ExperimentConfig):
 def _fit_grid(
     cfg: ExperimentConfig,
     ensemble: lti_env.TaskEnsemble,
-    target_task: lti_env.ExpertTask,
     system_trial: int,
     noise_trial: int,
 ) -> dict:
@@ -329,14 +309,11 @@ def _fit_grid(
     pool_rng = (
         tree.child("target", system_trial).child("noise", noise_trial).stream()
     )
-    pool = rollout_expert(system, target_task, cfg.T, max(cfg.N2), pool_rng)
+    pool = rollout_expert(system, ensemble.target, cfg.T, max(cfg.N2), pool_rng)
     grams = mtil_learn.prefix_grams(pool, cfg.T, cfg.N2)
     fits = {}
     if "multitask" in cfg.methods:
-        source_noise_trial = 0 if cfg.reuse_source_data else noise_trial
-        source_tree = tree.child("source", system_trial).child(
-            "noise", source_noise_trial
-        )
+        source_tree = tree.child("source", system_trial).child("noise", noise_trial)
         source_stacks = [
             rollout_expert(
                 system, task, cfg.T, cfg.N1, source_tree.child("task", h).stream()
@@ -344,10 +321,7 @@ def _fit_grid(
             for h, task in enumerate(ensemble.sources)
         ]
         phi_hat = mtil_learn.pretrain_alternating(
-            source_stacks,
-            cfg.k,
-            rng=source_tree.child("init").stream(),
-            restarts=cfg.restarts,
+            source_stacks, cfg.k, rng=source_tree.child("init").stream()
         ).phi_hat
         f_hats = mtil_learn.finetune_target(phi_hat, grams)
         fits["multitask"] = (f_hats @ phi_hat, grams.rows < cfg.k)
@@ -367,9 +341,7 @@ def _run_cell(
     The fits come from `_fit_grid`, so the cell's training data is freed
     before the evaluation pass allocates its rollouts.
     """
-    task_index = ensemble.H if cfg.eval_task == "target" else int(cfg.eval_task)
-    target_task = ensemble.tasks[task_index]
-    fits = _fit_grid(cfg, ensemble, target_task, system_trial, noise_trial)
+    fits = _fit_grid(cfg, ensemble, system_trial, noise_trial)
     # All methods at one N2 are scored on the same eval stream, so each
     # stream is drawn once and the whole cell is evaluated in one pass.
     eval_tree = SeedTree(root=cfg.seed).child("eval", system_trial).child(
@@ -378,7 +350,7 @@ def _run_cell(
     K_hats = np.stack([fits[method][0] for method in cfg.methods], axis=1)
     records = evaluate_controller(
         ensemble.system,
-        target_task,
+        ensemble.target,
         K_hats,
         cfg.T_test,
         [eval_tree.child("n2", n2).stream() for n2 in cfg.N2],
@@ -395,7 +367,7 @@ def _run_cell(
             T=cfg.T,
             k=cfg.k,
             underdetermined=bool(fits[method][1][j]),
-            **asdict(record),
+            **vars(record),
         )
         for (j, n2, method), record in zip(grid, records)
     ]

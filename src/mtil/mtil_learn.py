@@ -276,7 +276,6 @@ def pretrain_alternating(
     source: list,
     k: int,
     rng: np.random.Generator,
-    restarts: int = 1,
 ) -> PretrainResult:
     """Fit a shared representation to the source tasks by exact ALS.
 
@@ -287,7 +286,7 @@ def pretrain_alternating(
     Phi and stops when the relative objective decrease falls below
     ALS_REL_TOL. The returned Phi has orthonormal,
     sign-canonicalized rows with the change of basis absorbed into each F^h.
-    With restarts > 1 the best of several random starts is kept.
+    The run starts from one random orthonormal Phi drawn from rng.
 
     Raises:
         DegenerateRank: if k exceeds the rank of the stacked source states.
@@ -311,12 +310,7 @@ def pretrain_alternating(
         np.array([np.sum(d.U**2) for d in source]),
     )
     min_norm = any(d.X.shape[0] < n for d in source)
-    best = None
-    for _ in range(max(1, restarts)):
-        run = _als_once(grams, k, rng, min_norm)
-        if best is None or run[2][-1] < best[2][-1]:
-            best = run
-    phi, f_hats, trace, sweeps, newton_steps = best
+    phi, f_hats, trace, sweeps, newton_steps = _als_once(grams, k, rng, min_norm)
     phi, f_hats = _orthonormalize(phi, f_hats)
     return PretrainResult(
         phi_hat=phi,

@@ -90,31 +90,23 @@ def verify_covariance_concentration(
     T: int,
     trials: int,
     rng: np.random.Generator,
-    projection: np.ndarray | None = None,
 ) -> ProbeReport:
     """Check the 0.9/1.1 PSD sandwich on the empirical state covariance.
 
     Per trial draws a fresh batch of N trajectories of length T and tests
-    0.9 S <= (1/NT) X'X <= 1.1 S in the PSD order, where S is the stationary
-    covariance (or its projected form Phi' sigma_x Phi when a projection is
-    given), via the eigenvalues of the whitened empirical matrix. The probe
-    passes when at most a 0.1 fraction of trials fails, within 3 SE. Trials
-    run one at a time, each on its own batch of N x T states, so its memory
-    follows N T rather than BLOCK_DOUBLES.
+    0.9 S <= (1/NT) X'X <= 1.1 S in the PSD order, where S is the task's
+    stationary covariance sigma_x, via the eigenvalues of the whitened
+    empirical matrix. The probe passes when at most a 0.1 fraction of trials
+    fails, within 3 SE. Trials run one at a time, each on its own batch of
+    N x T states, so its memory follows N T rather than BLOCK_DOUBLES.
     """
     delta_target = 0.1
-    S = task.sigma_x
-    if projection is not None:
-        projection = np.asarray(projection, dtype=float)
-        S = projection.T @ S @ projection
-    eig_s, V = np.linalg.eigh(S)
+    eig_s, V = np.linalg.eigh(task.sigma_x)
     whiten = V @ np.diag(eig_s**-0.5) @ V.T
     failures = 0
     margin = 0.0
     for _ in range(trials):
         X = rollout_expert(system, task, T, N, rng).X
-        if projection is not None:
-            X = X @ projection
         E = (X.T @ X) / X.shape[0]
         eigs = np.linalg.eigvalsh(whiten @ E @ whiten)
         dev = float(np.max(np.abs(eigs - 1.0)))
@@ -130,7 +122,7 @@ def verify_covariance_concentration(
         delta_target=delta_target,
         margin=margin,
         passed=passed,
-        details={"N": N, "T": T, "projected": projection is not None},
+        details={"N": N, "T": T},
     )
 
 
@@ -182,15 +174,13 @@ def verify_hanson_wright(
 
 
 def _simulate_regressors(kind: str, d: int, eta: np.ndarray) -> np.ndarray:
-    """Regressor tensor (trials, H, T, d) of the noise-driven kinds.
+    """Regressor tensor (trials, H, T, d) of a noise-driven kind.
 
-    kinds: 'constant' (x_t = all-ones), 'state-feedback' (x_{t+1} = 0.5 x_t
-    + eta_t from x_0 = all-ones; requires d == noise dimension, so each
-    regressor is causally dependent on past noise).
+    The one such kind is 'state-feedback': x_{t+1} = 0.5 x_t + eta_t from
+    x_0 = all-ones. It requires d == noise dimension, so each regressor is
+    causally dependent on past noise.
     """
     trials, H, T, m = eta.shape
-    if kind == "constant":
-        return np.ones((trials, H, T, d))
     if kind == "state-feedback":
         if m != d:
             raise ValueError("state-feedback regressors require dim_x == dim_eta")
@@ -221,7 +211,6 @@ def verify_self_normalized(
     trials: int,
     rng: np.random.Generator,
     regressor_kind: str = "gaussian-iid",
-    eta_scale: float | None = None,
 ) -> ProbeReport:
     """Probe the generalized self-normalized martingale inequality.
 
@@ -239,16 +228,15 @@ def verify_self_normalized(
     than the paths. With X = QR a thin QR, r = min(T, d) and R r x d upper
     trapezoidal (Bartlett), R_ii = sqrt(chi^2_{T-i}) and R_ij ~ N(0, 1) for
     j > i, all independent; Q is independent of R, so Z = Q'E is r x m
-    i.i.d. N(0, scale^2) and independent of R. Then V = R'R and S = R'Z.
+    i.i.d. N(0, sigma^2) and independent of R. Then V = R'R and S = R'Z.
     Draw order: every chi-square diagonal (trials, H, r), then the strictly
     upper normals (trials, H, row by row), then Z (trials, H, r, m). Those
     first two are held for all trials; Z is drawn and reduced in blocks of
-    trials. The other kinds draw the noise, turn it into regressors and
-    reduce it in blocks of trials. Blocks follow BLOCK_DOUBLES and only
+    trials. 'state-feedback' draws the noise, turns it into regressors and
+    reduces it in blocks of trials. Blocks follow BLOCK_DOUBLES and only
     decide where a reduction starts: the report is the same for any budget.
     """
-    H, T, d, m = setup.H, setup.T, setup.dim_x, setup.dim_eta
-    scale = setup.sigma if eta_scale is None else eta_scale
+    H, T, d, m, sigma = setup.H, setup.T, setup.dim_x, setup.dim_eta, setup.sigma
     stat = np.empty(trials)
     logdet_sum = np.empty(trials)
     if regressor_kind == "gaussian-iid":
@@ -261,20 +249,20 @@ def verify_self_normalized(
             R = np.zeros((n, H, r, d))
             R[..., np.arange(r), np.arange(r)] = diag[block]
             R[..., rows, cols] = upper[block]
-            Z = scale * rng.standard_normal((n, H, r, m))
+            Z = sigma * rng.standard_normal((n, H, r, m))
             R_t = np.swapaxes(R, -1, -2)  # (trials, H, d, r)
             stat[block], logdet_sum[block] = _reduce_statistic(
                 np.eye(d) + R_t @ R, R_t @ Z, m
             )
     else:
         for block in _blocks(trials, _block_size(H * T * max(d, m))):
-            eta = scale * rng.standard_normal((block.stop - block.start, H, T, m))
+            eta = sigma * rng.standard_normal((block.stop - block.start, H, T, m))
             x = _simulate_regressors(regressor_kind, d, eta)
             x_t = np.swapaxes(x, -1, -2)  # (trials, H, d, T)
             stat[block], logdet_sum[block] = _reduce_statistic(
                 np.eye(d) + x_t @ x, x_t @ eta, m
             )
-    two_sigma_sq = 2.0 * setup.sigma**2
+    two_sigma_sq = 2.0 * sigma**2
     bound = two_sigma_sq * (logdet_sum + np.log(1.0 / delta))
     union_bound = two_sigma_sq * (logdet_sum + H * np.log(H / delta))
     fail_mask = stat > bound

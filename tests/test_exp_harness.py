@@ -4,6 +4,7 @@ import filecmp
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,13 @@ def tiny_cfg(**sweep):
     base = {"trials_system": 1, "trials_noise": 1, "n2": [1]}
     base.update(sweep)
     return eh.config_from_dict({"sweep": base})
+
+
+def readme_config_example():
+    """The YAML example under the README's "## Configuration" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1]
+    return section.split("```yaml\n", 1)[1].split("```", 1)[0]
 
 
 class TestConfig:
@@ -76,12 +84,22 @@ class TestConfig:
             eh.config_from_dict({"sweep": {"methods": ["direct", "magic"]}})
 
     def test_readme_example_is_a_valid_config(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        section = readme.split("## Configuration", 1)[1]
-        example = section.split("```yaml\n", 1)[1].split("```", 1)[0]
         # The example spells out the defaults, but for a shorter n2 grid.
-        cfg = eh.config_from_dict(yaml.safe_load(example))
+        cfg = eh.config_from_dict(yaml.safe_load(readme_config_example()))
         assert cfg == eh.ExperimentConfig(N2=(1, 2, 5, 10, 20))
+
+    def test_readme_example_names_every_key(self):
+        # The README documents exactly the keys the parser accepts: those of
+        # its YAML example, plus the inline a and b named in a comment there.
+        example = readme_config_example()
+        keys = {
+            f"{section}.{key}"
+            for section, values in yaml.safe_load(example).items()
+            for key in values
+        }
+        inline = example.split("# or inline:", 1)[1].split("\n", 1)[0]
+        keys |= {f"system.{key}" for key in re.findall(r"(\w+): \[\[", inline)}
+        assert keys == set(eh._FIELDS)
 
 
 class TestRunSweep:
@@ -121,19 +139,6 @@ class TestRunSweep:
             str(tmp_path / "p4" / "results.csv"),
             shallow=False,
         )
-
-    def test_reuse_source_data(self):
-        raw = {"sweep": {"trials_system": 1, "trials_noise": 2, "n2": [2],
-                         "methods": ["multitask"]}}
-        fresh = eh.run_sweep(eh.config_from_dict(raw))
-        reused = eh.run_sweep(
-            eh.config_from_dict({**raw, "run": {"reuse_source_data": True}})
-        )
-        assert len(reused) == len(fresh) == 2
-        # Noise trial 0 uses the same source draws either way.
-        assert fresh[0].tracking_err == reused[0].tracking_err
-        # Noise trial 1 redraws source data only in the fresh run.
-        assert fresh[1].tracking_err != reused[1].tracking_err
 
 
 # results.csv of this sweep at RESULTS_VERSION "5": a speed-up must keep
@@ -427,8 +432,12 @@ class TestCli:
             ("system:\n  lift_dim: x\n", [], "system.lift_dim"),
             ("tasks:\n  alphas: 5\n", [], "tasks.alphas"),
             ("system:\n  a: [[1, 2]]\n  b: [[1]]\n", [], "system.a"),
-            ("run:\n  eval_task: true\n", [], "run.eval_task"),
-            ("run:\n  reuse_source_data: 'no'\n", [], "run.reuse_source_data"),
+            ("run:\n  restarts: 1\n", [], "run.restarts: unknown key"),
+            (
+                "run:\n  reuse_source_data: false\n",
+                [],
+                "run.reuse_source_data: unknown key",
+            ),
             ("run:\n  seed: -1\n", [], "run.seed"),
             ("", ["--seed", "-1"], "run.seed"),
             ("", ["--parallelism", "0"], "run.parallelism"),
@@ -457,6 +466,7 @@ class TestCli:
             ("system:\n  sigma_z: '1.0'\n", [], "system.sigma_z"),
             ("tasks:\n  r_scale: '2.5'\n", [], "tasks.r_scale"),
             ("tasks:\n  r_scale: true\n", [], "tasks.r_scale"),
+            ("run:\n  eval_task: target\n", [], "run.eval_task: unknown key"),
         ],
     )
     def test_bad_input_exits_2_with_field_path(
@@ -470,7 +480,8 @@ class TestCli:
         )
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith(f"error: {path}: ")
+        # A row names the field path, or the whole message after "error: ".
+        assert err.startswith(f"error: {path}: ") or err == f"error: {path}\n"
         assert not (tmp_path / "out").exists()
 
     def test_malformed_yaml_exits_2(self, tmp_path, capsys):
