@@ -159,17 +159,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.probe == "all":
-        names = PROBE_NAMES
-    elif args.probe in PROBE_NAMES:
-        names = (args.probe,)
-    else:
-        print(
-            f"error: unknown probe {args.probe!r}; choose from "
-            f"{('all',) + PROBE_NAMES}",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
+    names = PROBE_NAMES if args.probe == "all" else (args.probe,)
     _require_seed(args.seed)
     _at_out(os.makedirs, args.out, exist_ok=True)  # before the battery
     from . import theory_probe
@@ -221,9 +211,9 @@ def _cmd_synth(args) -> int:
 
 
 def __getattr__(name: str):
-    """`mtil.cli.exp_harness` and `mtil.cli.theory_probe`, imported on first
-    use, for callers that reach those modules through this one."""
-    if name in ("exp_harness", "theory_probe"):
+    """`mtil.cli.exp_harness`, imported on first use, for callers that reach
+    that module through this one."""
+    if name == "exp_harness":
         return importlib.import_module(f"{__package__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -244,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify", help="run Monte-Carlo bound probes")
-    p_verify.add_argument("--probe", default="all")
+    p_verify.add_argument("--probe", default="all", choices=("all",) + PROBE_NAMES)
     p_verify.add_argument("--out", required=True, help="output directory")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=_cmd_verify)

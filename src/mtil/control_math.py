@@ -18,6 +18,8 @@ import numpy as np
 from .errors import CholeskyFailure, NotConverged, NotStabilizing, UnstableMatrix
 
 PROFILE_MAX_TERMS = 1_000_000
+PROFILE_TAIL_TOL = 1e-10
+LYAPUNOV_MAX_ITER = 200
 DARE_REL_TOL = 1e-10
 DARE_MAX_ITER = 100
 
@@ -35,7 +37,7 @@ class StabilityProfile:
         rho: spectral radius of A.
         j_gain: truncated sum_{t >= 0} ||A^t|| (spectral norm), >= 1.
         tau: max over computed k of ||A^k|| / nu^k, >= 1.
-        nu: decay rate used for the tau envelope, rho < nu < 1.
+        nu: decay rate (1 + rho) / 2 of the tau envelope, rho < nu < 1.
     """
 
     rho: float
@@ -69,36 +71,23 @@ def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def stability_profile(
-    A: np.ndarray,
-    nu: float | None = None,
-    tol: float = 1e-10,
-) -> StabilityProfile:
-    """Compute rho(A), the truncated series J(A) = sum_t ||A^t||, and tau(A, nu).
+def stability_profile(A: np.ndarray) -> StabilityProfile:
+    """Compute rho(A), the truncated series J(A) = sum_t ||A^t||, and tau(A, nu)
+    for nu = (1 + rho(A)) / 2.
 
     The series is truncated once the running tail bound tau * nu^(k+1) / (1 - nu)
-    falls below tol; by construction ||A^t|| <= tau * nu^t for all computed t,
-    so the truncation error is at most tol.
-
-    Args:
-        A: square matrix.
-        nu: decay rate in (rho(A), 1); defaults to (1 + rho(A)) / 2.
-        tol: absolute tolerance on the truncated tail of the series.
+    falls below PROFILE_TAIL_TOL; by construction ||A^t|| <= tau * nu^t for all
+    computed t, so the truncation error is at most PROFILE_TAIL_TOL.
 
     Raises:
-        UnstableMatrix: if rho(A) >= 1 or rho(A) >= nu.
+        UnstableMatrix: if rho(A) >= 1, or so near 1 that nu rounds to 1.
         NotConverged: if PROFILE_MAX_TERMS terms do not reach the tail bound.
     """
     A = np.asarray(A, dtype=float)
     rho = spectral_radius(A)
-    if rho >= 1.0:
-        raise UnstableMatrix(f"spectral radius {rho} >= 1")
-    if nu is None:
-        nu = (1.0 + rho) / 2.0
-    if not (0.0 < nu < 1.0):
-        raise ValueError(f"nu must lie in (0, 1), got {nu}")
-    if rho >= nu:
-        raise UnstableMatrix(f"spectral radius {rho} >= nu {nu}")
+    nu = (1.0 + rho) / 2.0  # 1.0 also for rho = 1 - 2**-53, by rounding
+    if nu >= 1.0:
+        raise UnstableMatrix(f"spectral radius {rho} leaves no rate in (rho, 1)")
 
     j_gain = 0.0
     tau = 0.0
@@ -108,7 +97,7 @@ def stability_profile(
         nrm = float(np.linalg.norm(M, 2))
         j_gain += nrm
         tau = max(tau, nrm / nu_k)
-        if nrm == 0.0 or tau * nu_k * nu / (1.0 - nu) < tol:
+        if nrm == 0.0 or tau * nu_k * nu / (1.0 - nu) < PROFILE_TAIL_TOL:
             return StabilityProfile(rho=rho, j_gain=j_gain, tau=tau, nu=nu)
         M = M @ A
         nu_k *= nu
@@ -136,9 +125,7 @@ def cholesky_factor(S: np.ndarray) -> np.ndarray:
     raise CholeskyFailure("covariance is numerically indefinite")
 
 
-def solve_discrete_lyapunov(
-    A: np.ndarray, Q: np.ndarray, max_iter: int = 200
-) -> np.ndarray:
+def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve S = A S A' + Q for Schur-stable A via the doubling iteration.
 
     Each step maps (S, M) -> (S + M S M', M^2), which squares the effective
@@ -148,7 +135,7 @@ def solve_discrete_lyapunov(
     Raises:
         UnstableMatrix: if rho(A) >= 1.
         NotConverged: if the residual exceeds 1e-10 (||A||^2 ||S|| + ||Q||)
-            (Frobenius norms, spectral for A) within the cap.
+            (Frobenius norms, spectral for A) within LYAPUNOV_MAX_ITER steps.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -156,7 +143,7 @@ def solve_discrete_lyapunov(
         raise UnstableMatrix("Lyapunov equation requires rho(A) < 1")
     S = 0.5 * (Q + Q.T)
     M = A.copy()
-    for _ in range(max_iter):
+    for _ in range(LYAPUNOV_MAX_ITER):
         update = M @ S @ M.T
         S_new = S + update
         S_new = 0.5 * (S_new + S_new.T)

@@ -39,7 +39,6 @@ class ExperimentConfig:
     H: int = 9
     k: int = 4
     alphas: tuple = (-2.0, 2.0)
-    r_scale: float = 1.0
     T: int = 20
     T_test: int = 100
     N1: int = 10
@@ -128,7 +127,6 @@ _FIELDS = {
     "tasks.h": ("H", _strict_int),
     "tasks.k": ("k", _strict_int),
     "tasks.alphas": ("alphas", lambda v: tuple(_strict_float(e) for e in v)),
-    "tasks.r_scale": ("r_scale", _strict_float),
     "sweep.n1": ("N1", _strict_int),
     "sweep.n2": ("N2", _n2_grid),
     "sweep.t": ("T", _strict_int),
@@ -172,8 +170,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         _require(len(set(entries)) == len(entries), path, "must not repeat an entry")
     _require(len(cfg.alphas) == 2, "tasks.alphas", "must be (lo_exp, hi_exp)")
     _require(np.all(np.isfinite(cfg.alphas)), "tasks.alphas", "must be finite")
-    # R = r_scale I must be positive definite; sigma_z is a standard deviation.
-    _require(0.0 < cfg.r_scale < np.inf, "tasks.r_scale", "must be finite and > 0")
+    # sigma_z is a standard deviation.
     _require(0.0 <= cfg.sigma_z < np.inf, "system.sigma_z", "must be finite and >= 0")
     base = _base_system(cfg)
     state_dim = cfg.lift_dim if cfg.lift_dim is not None else base.n_x
@@ -260,12 +257,11 @@ def _task_alphas(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def expert_family(cfg: ExperimentConfig) -> tuple:
-    """(family, alphas): task h is the LQR expert for Q = alphas[h] I, unlifted."""
+    """(family, alphas): task h is the LQR expert for Q = alphas[h] I and
+    R = I, unlifted."""
     base = _base_system(cfg)
     alphas = _task_alphas(cfg)
-    gains = lti_env.synthesize_expert_family(
-        base, alphas, cfg.r_scale * np.eye(base.n_u)
-    )
+    gains = lti_env.synthesize_expert_family(base, alphas, np.eye(base.n_u))
     return lti_env.build_ensemble(base, gains, sigma_z=cfg.sigma_z), alphas
 
 

@@ -289,7 +289,9 @@ def pretrain_alternating(
     The run starts from one random orthonormal Phi drawn from rng.
 
     Raises:
-        DegenerateRank: if k exceeds the rank of the stacked source states.
+        DegenerateRank: if fewer than k eigenvalues of X'X = sum_h X_h'X_h
+            (X: the stacked source states) exceed n * eps times the largest,
+            i.e. fewer than k singular values of X exceed sqrt(n * eps) s_1.
         SingularBlock: if a block solve is singular beyond ridge repair.
     """
     if not source:
@@ -300,8 +302,6 @@ def pretrain_alternating(
     for data in source:
         if data.X.shape[0] < k:
             raise ValueError("each task needs at least k data rows")
-    if np.linalg.matrix_rank(np.vstack([d.X for d in source])) < k:
-        raise DegenerateRank("stacked source states have rank below k")
     # Per-task Gram matrices stacked over tasks: X'X (H, n, n), X'U
     # (H, n, n_u) and ||U||^2 (H,).
     grams = (
@@ -309,6 +309,9 @@ def pretrain_alternating(
         np.stack([d.X.T @ d.U for d in source]),
         np.array([np.sum(d.U**2) for d in source]),
     )
+    eig = np.linalg.eigvalsh(grams[0].sum(axis=0))
+    if np.count_nonzero(eig > n * np.finfo(float).eps * eig[-1]) < k:
+        raise DegenerateRank("stacked source states have rank below k")
     min_norm = any(d.X.shape[0] < n for d in source)
     phi, f_hats, trace, sweeps, newton_steps = _als_once(grams, k, rng, min_norm)
     phi, f_hats = _orthonormalize(phi, f_hats)

@@ -173,28 +173,22 @@ def verify_hanson_wright(
     )
 
 
-def _simulate_regressors(kind: str, d: int, eta: np.ndarray) -> np.ndarray:
-    """Regressor tensor (trials, H, T, d) of a noise-driven kind.
-
-    The one such kind is 'state-feedback': x_{t+1} = 0.5 x_t + eta_t from
-    x_0 = all-ones. It requires d == noise dimension, so each regressor is
-    causally dependent on past noise.
+def _state_feedback_regressors(eta: np.ndarray) -> np.ndarray:
+    """'state-feedback' regressors (trials, H, T, d) driven by the noise eta
+    (trials, H, T, d): x_{t+1} = 0.5 x_t + eta_t from x_0 = all-ones, so
+    each regressor is causally dependent on past noise.
     """
-    trials, H, T, m = eta.shape
-    if kind == "state-feedback":
-        if m != d:
-            raise ValueError("state-feedback regressors require dim_x == dim_eta")
-        # Time-major, so each step is two in-place operations on a
-        # contiguous slice, with the bits of 0.5 x_t + eta_t; then copied to
-        # (trials, H, T, d), the layout the statistic's products read.
-        x = np.empty((T, trials, H, d))
-        x[0] = 1.0
-        eta_steps = np.moveaxis(eta, 2, 0)
-        for t in range(T - 1):
-            np.multiply(x[t], 0.5, out=x[t + 1])
-            x[t + 1] += eta_steps[t]
-        return np.ascontiguousarray(np.moveaxis(x, 0, 2))
-    raise ValueError(f"unknown regressor kind {kind!r}")
+    trials, H, T, d = eta.shape
+    # Time-major, so each step is two in-place operations on a contiguous
+    # slice, with the bits of 0.5 x_t + eta_t; then copied to
+    # (trials, H, T, d), the layout the statistic's products read.
+    x = np.empty((T, trials, H, d))
+    x[0] = 1.0
+    eta_steps = np.moveaxis(eta, 2, 0)
+    for t in range(T - 1):
+        np.multiply(x[t], 0.5, out=x[t + 1])
+        x[t + 1] += eta_steps[t]
+    return np.ascontiguousarray(np.moveaxis(x, 0, 2))
 
 
 def _reduce_statistic(Vbar: np.ndarray, S: np.ndarray, m: int):
@@ -232,11 +226,16 @@ def verify_self_normalized(
     Draw order: every chi-square diagonal (trials, H, r), then the strictly
     upper normals (trials, H, row by row), then Z (trials, H, r, m). Those
     first two are held for all trials; Z is drawn and reduced in blocks of
-    trials. 'state-feedback' draws the noise, turns it into regressors and
-    reduces it in blocks of trials. Blocks follow BLOCK_DOUBLES and only
-    decide where a reduction starts: the report is the same for any budget.
+    trials. 'state-feedback', which needs dim_x == dim_eta, draws the noise,
+    turns it into regressors and reduces it in blocks of trials. Any other
+    kind is a ValueError. Blocks follow BLOCK_DOUBLES and only decide where
+    a reduction starts: the report is the same for any budget.
     """
     H, T, d, m, sigma = setup.H, setup.T, setup.dim_x, setup.dim_eta, setup.sigma
+    if regressor_kind not in ("gaussian-iid", "state-feedback"):
+        raise ValueError(f"unknown regressor kind {regressor_kind!r}")
+    if regressor_kind == "state-feedback" and d != m:
+        raise ValueError("state-feedback regressors require dim_x == dim_eta")
     stat = np.empty(trials)
     logdet_sum = np.empty(trials)
     if regressor_kind == "gaussian-iid":
@@ -255,9 +254,9 @@ def verify_self_normalized(
                 np.eye(d) + R_t @ R, R_t @ Z, m
             )
     else:
-        for block in _blocks(trials, _block_size(H * T * max(d, m))):
+        for block in _blocks(trials, _block_size(H * T * d)):
             eta = sigma * rng.standard_normal((block.stop - block.start, H, T, m))
-            x = _simulate_regressors(regressor_kind, d, eta)
+            x = _state_feedback_regressors(eta)
             x_t = np.swapaxes(x, -1, -2)  # (trials, H, d, T)
             stat[block], logdet_sum[block] = _reduce_statistic(
                 np.eye(d) + x_t @ x, x_t @ eta, m

@@ -400,6 +400,46 @@ class TestWriteResults:
         assert open(p1["manifest"]).read() == open(p2["manifest"]).read()
 
 
+# (n, text, extra, path): a config text and extra `mtil run` arguments that
+# must exit 2 naming path. Row n has the fixed test id "<text>-extra<n>-<path>",
+# so adding or deleting a row renames no other row's test.
+BAD_INPUTS = [
+    (0, "tasks:\n  h: abc\n", [], "tasks.h"),
+    (1, "sweep:\n  n2: [x]\n", [], "sweep.n2"),
+    (2, "system:\n  lift_dim: x\n", [], "system.lift_dim"),
+    (3, "tasks:\n  alphas: 5\n", [], "tasks.alphas"),
+    (4, "system:\n  a: [[1, 2]]\n  b: [[1]]\n", [], "system.a"),
+    (5, "run:\n  restarts: 1\n", [], "run.restarts: unknown key"),
+    (6, "run:\n  reuse_source_data: false\n", [], "run.reuse_source_data: unknown key"),
+    (7, "run:\n  seed: -1\n", [], "run.seed"),
+    (8, "", ["--seed", "-1"], "run.seed"),
+    (9, "", ["--parallelism", "0"], "run.parallelism"),
+    (10, "sweep:\n  n1: 1\n  t: 2\n", [], "sweep.n1"),
+    (11, "system:\n  sigma_z: .nan\n", [], "system.sigma_z"),
+    (12, "system:\n  sigma_z: .inf\n", [], "system.sigma_z"),
+    (36, "tasks:\n  r_scale: 1.0\n", [], "tasks.r_scale: unknown key"),
+    (15, "tasks:\n  alphas: [.nan, 2]\n", [], "tasks.alphas"),
+    (16, "sweep:\n  methods: [direct, direct]\n", [], "sweep.methods"),
+    (17, "sweep:\n  n2: [1, 1]\n", [], "sweep.n2"),
+    (18, "tasks:\n  alphas: [300, 400]\n", [], "tasks.alphas"),
+    (19, "tasks:\n  alphas: [-400, 2]\n", [], "tasks.alphas"),
+    (20, "tasks:\n  h: 2.5\n", [], "tasks.h"),
+    (21, "system:\n  lift_dim: 49.9\n", [], "system.lift_dim"),
+    (22, "run:\n  seed: 1.9\n", [], "run.seed"),
+    (23, "sweep:\n  t_test: true\n", [], "sweep.t_test"),
+    (24, "sweep:\n  n2: true\n", [], "sweep.n2"),
+    (25, "sweep:\n  n2: [1.5, 2]\n", [], "sweep.n2"),
+    (26, "system:\n  a: [[0.5]]\n  b: [[.inf]]\n", [], "system.b"),
+    (27, "system:\n  a: [[.nan]]\n  b: [[1.0]]\n", [], "system.a"),
+    (28, "tasks:\n  alphas: '12'\n", [], "tasks.alphas"),
+    (29, "tasks:\n  alphas: [true, 2]\n", [], "tasks.alphas"),
+    (30, "tasks:\n  alphas: ['-1', 2]\n", [], "tasks.alphas"),
+    (31, "system:\n  sigma_z: true\n", [], "system.sigma_z"),
+    (32, "system:\n  sigma_z: '1.0'\n", [], "system.sigma_z"),
+    (35, "run:\n  eval_task: target\n", [], "run.eval_task: unknown key"),
+]
+
+
 class TestCli:
     def test_run_and_plot_script(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"
@@ -426,48 +466,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "text, extra, path",
-        [
-            ("tasks:\n  h: abc\n", [], "tasks.h"),
-            ("sweep:\n  n2: [x]\n", [], "sweep.n2"),
-            ("system:\n  lift_dim: x\n", [], "system.lift_dim"),
-            ("tasks:\n  alphas: 5\n", [], "tasks.alphas"),
-            ("system:\n  a: [[1, 2]]\n  b: [[1]]\n", [], "system.a"),
-            ("run:\n  restarts: 1\n", [], "run.restarts: unknown key"),
-            (
-                "run:\n  reuse_source_data: false\n",
-                [],
-                "run.reuse_source_data: unknown key",
-            ),
-            ("run:\n  seed: -1\n", [], "run.seed"),
-            ("", ["--seed", "-1"], "run.seed"),
-            ("", ["--parallelism", "0"], "run.parallelism"),
-            ("sweep:\n  n1: 1\n  t: 2\n", [], "sweep.n1"),
-            ("system:\n  sigma_z: .nan\n", [], "system.sigma_z"),
-            ("system:\n  sigma_z: .inf\n", [], "system.sigma_z"),
-            ("tasks:\n  r_scale: -1\n", [], "tasks.r_scale"),
-            ("tasks:\n  r_scale: .nan\n", [], "tasks.r_scale"),
-            ("tasks:\n  alphas: [.nan, 2]\n", [], "tasks.alphas"),
-            ("sweep:\n  methods: [direct, direct]\n", [], "sweep.methods"),
-            ("sweep:\n  n2: [1, 1]\n", [], "sweep.n2"),
-            ("tasks:\n  alphas: [300, 400]\n", [], "tasks.alphas"),
-            ("tasks:\n  alphas: [-400, 2]\n", [], "tasks.alphas"),
-            ("tasks:\n  h: 2.5\n", [], "tasks.h"),
-            ("system:\n  lift_dim: 49.9\n", [], "system.lift_dim"),
-            ("run:\n  seed: 1.9\n", [], "run.seed"),
-            ("sweep:\n  t_test: true\n", [], "sweep.t_test"),
-            ("sweep:\n  n2: true\n", [], "sweep.n2"),
-            ("sweep:\n  n2: [1.5, 2]\n", [], "sweep.n2"),
-            ("system:\n  a: [[0.5]]\n  b: [[.inf]]\n", [], "system.b"),
-            ("system:\n  a: [[.nan]]\n  b: [[1.0]]\n", [], "system.a"),
-            ("tasks:\n  alphas: '12'\n", [], "tasks.alphas"),
-            ("tasks:\n  alphas: [true, 2]\n", [], "tasks.alphas"),
-            ("tasks:\n  alphas: ['-1', 2]\n", [], "tasks.alphas"),
-            ("system:\n  sigma_z: true\n", [], "system.sigma_z"),
-            ("system:\n  sigma_z: '1.0'\n", [], "system.sigma_z"),
-            ("tasks:\n  r_scale: '2.5'\n", [], "tasks.r_scale"),
-            ("tasks:\n  r_scale: true\n", [], "tasks.r_scale"),
-            ("run:\n  eval_task: target\n", [], "run.eval_task: unknown key"),
-        ],
+        [row[1:] for row in BAD_INPUTS],
+        ids=[f"{text}-extra{n}-{path}" for n, text, _, path in BAD_INPUTS],
     )
     def test_bad_input_exits_2_with_field_path(
         self, tmp_path, capsys, text, extra, path
@@ -678,9 +678,12 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "verify.csv").exists()
 
-    def test_verify_unknown_probe(self, tmp_path):
-        rc = cli.main(["verify", "--probe", "bogus", "--out", str(tmp_path)])
-        assert rc == 2
+    def test_verify_unknown_probe(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--probe", "bogus", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_synth(self, capsys):
         rc = cli.main(["synth", "--preset", "hong2021", "--lift-dim", "50"])

@@ -120,6 +120,31 @@ class TestPretrainAlternating:
         with pytest.raises(DegenerateRank):
             mtil_learn.pretrain_alternating([data], k=3, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("above_band", [True, False])
+    def test_rank_guard_outside_its_band(self, above_band):
+        # The guard reads the summed Gram, which squares the condition number
+        # of the stacked states X (rows x n): it and matrix_rank(X) differ
+        # only for s_k between ~rows eps s_1 (matrix_rank's cutoff) and
+        # ~sqrt(n eps) s_1 (the guard's). Above that band both see rank k,
+        # below it both see rank k - 1.
+        rows, n, k = 20, 6, 3
+        eps = np.finfo(float).eps
+        s_k = 10.0 * np.sqrt(n * eps) if above_band else 0.1 * rows * eps
+        rng = np.random.default_rng(7)
+        U_x = np.linalg.qr(rng.standard_normal((rows, n)))[0]
+        V_x = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        X = U_x @ np.diag([1.0, 0.5, s_k, 0.0, 0.0, 0.0]) @ V_x.T
+        assert (np.linalg.matrix_rank(X) >= k) == above_band
+        U = rng.standard_normal((rows, 1))
+        source = [StackedData(X=X[:10], U=U[:10]), StackedData(X=X[10:], U=U[10:])]
+        if above_band:
+            mtil_learn.pretrain_alternating(source, k=k, rng=np.random.default_rng(0))
+        else:
+            with pytest.raises(DegenerateRank):
+                mtil_learn.pretrain_alternating(
+                    source, k=k, rng=np.random.default_rng(0)
+                )
+
 
 @st.composite
 def als_problems(draw):
