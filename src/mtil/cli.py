@@ -201,7 +201,7 @@ def _cmd_synth(args) -> int:
             f"{rho:10.6f} {np.trace(task.sigma_x):12.6g}"
         )
     if ensemble.truth is not None:
-        report = task_diversity_constants(ensemble, ensemble.truth)
+        report = task_diversity_constants(ensemble)
         print(
             f"diversity: c {report.c:.6g}  nu {report.nu:.6g}  "
             f"nu*H {report.nu_times_H:.6g}  lambda_bar {report.lambda_bar:.6g}  "

@@ -135,7 +135,8 @@ def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     Raises:
         UnstableMatrix: if rho(A) >= 1.
         NotConverged: if the residual exceeds 1e-10 (||A||^2 ||S|| + ||Q||)
-            (Frobenius norms, spectral for A) within LYAPUNOV_MAX_ITER steps.
+            (Frobenius norms, spectral for A) within LYAPUNOV_MAX_ITER steps,
+            or is not finite.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
@@ -160,7 +161,8 @@ def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     scale = np.linalg.norm(A, 2) ** 2 * np.linalg.norm(S, "fro") + np.linalg.norm(
         Q, "fro"
     )
-    if residual > 1e-10 * scale:
+    # Written so that a NaN residual (a non-finite S) is refused too.
+    if not residual <= 1e-10 * scale:
         raise NotConverged(f"Lyapunov residual {residual} above tolerance")
     return S
 

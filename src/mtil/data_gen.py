@@ -1,4 +1,4 @@
-"""Seeded trajectory sampling and coupled rollouts.
+"""Seeded trajectory sampling and the coupled closed-loop rollout.
 
 All randomness flows through a SeedTree: a root seed plus a path of
 (label, index) pairs, mapped to independent NumPy generator streams. Every
@@ -118,28 +118,6 @@ def rollout_expert(
     )
 
 
-def _states(
-    system: LinearSystem, A_cl: np.ndarray, noise: NoiseRealization, T: int
-) -> np.ndarray:
-    """Rows x[0..T] of x[t+1] = A_cl x[t] + B z[t] + w[t] per trial, shape
-    (trials, T + 1, n_x), from x[0] = noise.x0.
-
-    The drives B z[t] + w[t] are written into rows 1..T first, and each step
-    adds A_cl x[t] to its row in place. Each product is a stack of
-    matrix-vector products, one per trial and step, so each trial gets the
-    bits of its one-trial rollout whatever the batch size. Steps past an
-    overflow run on through non-finite values.
-    """
-    x = np.empty((noise.x0.shape[0], T + 1, system.n_x, 1))
-    x[:, 0] = noise.x0[..., None]
-    np.matmul(system.B, noise.z[:, :T, :, None], out=x[:, 1:])
-    x[:, 1:] += noise.w[:, :T, :, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            x[:, t + 1] += A_cl @ x[:, t]
-    return x[..., 0]
-
-
 def coupled_rollout(
     system: LinearSystem,
     K_expert: np.ndarray,
@@ -147,60 +125,47 @@ def coupled_rollout(
     noise: NoiseRealization,
     T: int,
 ) -> tuple:
-    """Roll out both controllers on the same noise, all trials at once.
+    """The expert trajectory of each trial and the tracking deviations of c
+    learned gains from it, all on the trial's noise.
 
-    Both trajectories of trial i start at noise.x0[i] and follow
-    x[t+1] = (A + BK) x[t] + B z[t] + w[t]. Returns (expert_states,
-    learned_states, steps): arrays of shape (trials, T + 1, n_x) whose row t
-    is x[t], and per trial the number of steps before either rollout first
-    overflows to non-finite values. Rows past steps[i] are not meaningful;
-    trial i is non-finite exactly when steps[i] < T.
-    """
-    xs = _states(system, system.A + system.B @ K_expert, noise, T)
-    xh = _states(system, system.A + system.B @ K_learned, noise, T)
-    finite = np.isfinite(xs[:, 1:]).all(axis=2) & np.isfinite(xh[:, 1:]).all(axis=2)
-    return xs, xh, np.logical_and.accumulate(finite, axis=1).sum(axis=1)
-
-
-def peak_deviation(
-    system: LinearSystem,
-    K_expert: np.ndarray,
-    K_learned: np.ndarray,
-    noise: NoiseRealization,
-    T: int,
-) -> tuple:
-    """Peak squared tracking deviation of c learned gains per trial, each
-    against the trial's one expert trajectory on the trial's noise.
-
-    K_learned has shape (trials, c, n_u, n_x). The expert trajectory x* is
-    rolled out once per trial, as in `coupled_rollout`. A learned trajectory
-    is x_hat = x* + e, where e[0] = 0 and
+    K_learned has shape (trials, c, n_u, n_x). The expert trajectory follows
+    x*[t+1] = (A + B K*) x*[t] + B z[t] + w[t] from x*[0] = noise.x0: the
+    drives B z[t] + w[t] are written into rows 1..T first, and each step
+    adds (A + B K*) x*[t] to its row in place. A learned trajectory is
+    x_hat = x* + e, where e[0] = 0 and
     e[t+1] = (A + B K_hat) e[t] + B (K_hat - K*) x*[t].
     Both maps land in the span of the plant's basis Q (the identity when it
     has none), so e runs as r-vectors Q'e, with ||e|| = ||Q'e||: every drive
     Q'B (K_hat - K*) x*[t] comes from one GEMM, and each step is an r x r
     product per gain.
 
-    Returns (peak, steps), both of shape (trials, c): the max over
-    t = 1..steps of ||e[t]||^2, and the number of steps before x*[t] or
-    e[t] (and so x_hat[t]) first goes non-finite; trial i's gain j is
-    non-finite exactly when steps[i, j] < T. Every product is per trial and
-    gain, so each entry has the bits of its one-trial, one-gain call.
+    Returns (xs, devs, steps): xs of shape (trials, T + 1, n_x), whose row t
+    is x*[t]; devs of shape (trials, c, T, r), whose row t - 1 is Q'e[t] for
+    t = 1..T; and steps of shape (trials, c), the number of steps before
+    x*[t] or e[t] (and so x_hat[t]) first goes non-finite. Rows past a
+    gain's steps are not meaningful; trial i's gain j is non-finite exactly
+    when steps[i, j] < T. Every product is per trial and gain, so each entry
+    has the bits of its one-trial, one-gain call.
     """
     trials, c = K_learned.shape[:2]
     Q = system.range_basis
-    xs = _states(system, system.A + system.B @ K_expert, noise, T)
+    x = np.empty((trials, T + 1, system.n_x, 1))
+    x[:, 0] = noise.x0[..., None]
+    np.matmul(system.B, noise.z[:, :T, :, None], out=x[:, 1:])
+    x[:, 1:] += noise.w[:, :T, :, None]
+    expert = system.A + system.B @ K_expert
     closed = system.closed_loop_on_range(K_learned)
     gap = (Q.T @ system.B) @ (K_learned - K_expert)
     devs = np.empty((trials, c, T, Q.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            x[:, t + 1] += expert @ x[:, t]
+        xs = x[..., 0]
         pushes = xs[:, None, :T] @ gap.transpose(0, 1, 3, 2)
         e = np.zeros((trials, c, Q.shape[1], 1))
         for t in range(T):
             e = closed @ e
             e += pushes[:, :, t, :, None]
             devs[:, :, t] = e[..., 0]
-        sq = np.sum(devs * devs, axis=3)
     finite = np.isfinite(devs).all(axis=3) & np.isfinite(xs[:, None, 1:]).all(axis=3)
-    alive = np.logical_and.accumulate(finite, axis=2)
-    return np.where(alive, sq, -np.inf).max(axis=2), alive.sum(axis=2)
+    return xs, devs, np.logical_and.accumulate(finite, axis=2).sum(axis=2)

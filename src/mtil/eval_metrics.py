@@ -2,7 +2,7 @@
 
 Excess risk (closed form on the stationary distribution), closed-loop
 tracking error against coupled expert rollouts, parameter error, stability,
-an LQR cost-gap probe, task-diversity constants, and quantile summaries.
+an LQR cost-gap bound, task-diversity constants, and quantile summaries.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control_math
-from .data_gen import NoiseRealization, coupled_rollout, peak_deviation, sample_noise
+from .data_gen import NoiseRealization, coupled_rollout, sample_noise
 from .errors import EmptyInput, RankDeficient
-from .lti_env import ExpertTask, GroundTruthFactors, LinearSystem, TaskEnsemble
+from .lti_env import ExpertTask, LinearSystem, TaskEnsemble
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def evaluate_controller(
     Generator.
 
     A record holds the max squared state deviation over t = 1..T_test,
-    taken in deviation form on the plant's range (`peak_deviation`), along
+    taken in deviation form on the plant's range (`coupled_rollout`), along
     with parameter error, stability of A + B K_hat, and the closed-form
     excess risk. An overflowing rollout carries tracking_err = inf and the
     nonfinite flag.
@@ -85,7 +85,11 @@ def evaluate_controller(
         w=np.concatenate([d.w for d in draws]),
         z=np.concatenate([d.z for d in draws]),
     )
-    peak, steps = peak_deviation(system, target_task.K, K_hat, noise, T_test)
+    _, devs, steps = coupled_rollout(system, target_task.K, K_hat, noise, T_test)
+    # A gain with fewer than T_test finite steps scores inf below, so the
+    # rows past its steps need no mask.
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak = np.sum(devs * devs, axis=3).max(axis=2)
     gains = K_hat.reshape(-1, *K_hat.shape[2:])
     rho = closed_loop_radii(system, gains)
     return [
@@ -112,40 +116,21 @@ def closed_loop_radii(system: LinearSystem, gains: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.eigvals(closed)).max(axis=1)
 
 
-def lqr_cost_gap(
+def lqr_cost_gap_bound(
     system: LinearSystem,
     target_task: ExpertTask,
     K_hat: np.ndarray,
     Q: np.ndarray,
     R: np.ndarray,
     T: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple:
-    """Gap in the max-over-horizon root LQR stage cost, and its bound.
+) -> float:
+    """Bound on the gap |E h(x_hat, K_hat) - E h(x_star, K_star)| in the
+    max-over-horizon root LQR stage cost h = max_t sqrt(x[t]'(Q + K'RK)x[t]).
 
-    gap_estimate = |E h(x_hat, K_hat) - E h(x_star, K_star)| estimated over
-    coupled trials, with h = max_t sqrt(x[t]'(Q + K'RK)x[t]). bound_value =
-    C * sqrt(log T * ER) with C = sqrt(lmax(Q)) J ||B|| +
+    The bound is C * sqrt(log T * ER) with C = sqrt(lmax(Q)) J ||B|| +
     sqrt(lmax(R)) (||K_star|| + sqrt(tr sigma_x / lmin sigma_x)).
     """
     K_star = target_task.K
-    W_hat = Q + K_hat.T @ R @ K_hat
-    W_star = Q + K_star.T @ R @ K_star
-    noise = sample_noise(system, target_task, T, rng, trials=trials)
-    xs, xh, steps = coupled_rollout(system, K_star, K_hat, noise, T)
-    # Rows past a trial's last finite step are left out of its maximum.
-    kept = np.arange(T + 1) <= steps[:, None]
-
-    def peak_cost(x, W):
-        with np.errstate(over="ignore", invalid="ignore"):
-            cost = np.sqrt(np.maximum(np.sum((x @ W) * x, axis=2), 0.0))
-        return np.where(kept, cost, 0.0).max(axis=1)
-
-    h_star = peak_cost(xs, W_star)
-    h_hat = peak_cost(xh, W_hat)
-    gap_estimate = float(abs(h_hat.mean() - h_star.mean()))
-
     profile = control_math.stability_profile(system.A + system.B @ K_star)
     b_norm = np.linalg.norm(system.B, 2)
     eig_x = np.linalg.eigvalsh(target_task.sigma_x)
@@ -155,14 +140,12 @@ def lqr_cost_gap(
         * (np.linalg.norm(K_star, 2) + np.sqrt(eig_x.sum() / eig_x.min()))
     )
     er = excess_risk(K_hat, K_star, target_task.sigma_x)
-    bound_value = const * float(np.sqrt(max(np.log(T), 0.0) * er))
-    return gap_estimate, bound_value
+    return const * float(np.sqrt(max(np.log(T), 0.0) * er))
 
 
-def task_diversity_constants(
-    ensemble: TaskEnsemble, truth: GroundTruthFactors
-) -> DiversityReport:
-    """Diversity constants of the ensemble under a known factorization.
+def task_diversity_constants(ensemble: TaskEnsemble) -> DiversityReport:
+    """Diversity constants of the ensemble under its known factorization,
+    ensemble.truth.
 
     Raises:
         RankDeficient: if the stacked source F matrices have column rank < k.
@@ -176,6 +159,7 @@ def task_diversity_constants(
         float(np.linalg.eigvalsh(whiten @ task.sigma_x @ whiten).min())
         for task in ensemble.sources
     )
+    truth = ensemble.truth
     f_sources = truth.f_stars[:-1]
     f_target = truth.f_stars[-1]
     stack = np.vstack(f_sources)

@@ -173,6 +173,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     # sigma_z is a standard deviation.
     _require(0.0 <= cfg.sigma_z < np.inf, "system.sigma_z", "must be finite and >= 0")
     base = _base_system(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        forcing = np.float64(cfg.sigma_z) ** 2 * (base.B @ base.B.T)
+    _require(
+        np.all(np.isfinite(forcing)), "system.sigma_z", "sigma_z^2 B B' must be finite"
+    )
     state_dim = cfg.lift_dim if cfg.lift_dim is not None else base.n_x
     _require(cfg.H >= 1, "tasks.h", "must be >= 1")
     alphas = _task_alphas(cfg)

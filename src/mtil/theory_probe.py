@@ -388,11 +388,13 @@ def verify_tracking_and_siss(
     for block in _blocks(trials, _block_size(per_trial)):
         n = block.stop - block.start
         noise = sample_noise(system, target_task, T, rng, trials=n)
-        xs, xh, steps = coupled_rollout(system, K_star, K_hat, noise, T)
+        xs, devs, steps = coupled_rollout(
+            system, K_star, np.broadcast_to(K_hat, (n, 1, *K_hat.shape)), noise, T
+        )
         # Per trial, only the steps before its first non-finite state count.
-        kept = np.arange(T) < steps[:, None]
+        kept = np.arange(T) < steps
         with np.errstate(over="ignore", invalid="ignore"):
-            diffs = np.linalg.norm(xh[:, 1:] - xs[:, 1:], axis=2)
+            diffs = np.linalg.norm(devs[:, 0], axis=2)
             deltas = np.linalg.norm(xs[:, :-1] @ (K_hat - K_star).T, axis=2)
         det_rhs = 2.0 * jb * np.maximum.accumulate(deltas, axis=1)
         slack = 1e-9 * np.maximum(1.0, np.where(kept, det_rhs, 0.0).max(axis=1))

@@ -141,6 +141,13 @@ class TestLyapunov:
         with pytest.raises(NotConverged):
             cm.solve_discrete_lyapunov(np.array([[0.999]]), np.eye(1))
 
+    @pytest.mark.parametrize("forcing", [np.inf, np.nan])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_forcing_raises(self, forcing):
+        # A non-finite S leaves a NaN residual, which no tolerance accepts.
+        with pytest.raises(NotConverged):
+            cm.solve_discrete_lyapunov(np.array([[0.5]]), np.array([[forcing]]))
+
     def test_ill_conditioned_similarity_accepted(self):
         # A = G diag(lam) G^-1 with cond(G) = 1e3 has ||A|| ~ 670. Rounding in
         # A S A' scales with ||A||^2 ||S||, so the residual is far above

@@ -1,4 +1,4 @@
-"""Tests for seeded streams, trajectory sampling, and coupled rollouts."""
+"""Tests for seeded streams, trajectory sampling, and the coupled rollout."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from mtil.data_gen import (
     NoiseRealization,
     SeedTree,
     coupled_rollout,
-    peak_deviation,
     rollout_expert,
     sample_noise,
 )
@@ -226,67 +225,105 @@ def scalar_noise(x0, T, w=None):
     )
 
 
+def full_space_rollout(system, K_star, K_hat, noise, T):
+    """Reference for `coupled_rollout`: x* and x_hat of one gain K_hat per
+    trial, each stepped on its own in full space as
+    x[t+1] = (A + B K) x[t] + B z[t] + w[t] from x[0] = noise.x0.
+
+    Returns (xs, xh, steps): both trajectories, of shape (trials, T + 1,
+    n_x), and per trial the number of steps before either first goes
+    non-finite."""
+
+    def states(K):
+        A_cl = system.A + system.B @ K
+        x = np.empty((noise.x0.shape[0], T + 1, system.n_x))
+        x[:, 0] = noise.x0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(T):
+                x[:, t + 1] = (
+                    x[:, t] @ A_cl.T + noise.z[:, t] @ system.B.T + noise.w[:, t]
+                )
+        return x
+
+    xs, xh = states(K_star), states(K_hat)
+    finite = np.isfinite(xs[:, 1:]).all(axis=2) & np.isfinite(xh[:, 1:]).all(axis=2)
+    return xs, xh, np.logical_and.accumulate(finite, axis=1).sum(axis=1)
+
+
+def one_gain(K):
+    """K as the (1, 1, n_u, n_x) stack of one trial's one gain."""
+    return np.asarray(K)[None, None]
+
+
 class TestCoupledRollout:
     def test_identical_gains_identical_paths(self):
         system, task = scalar_setup(sigma_z=0.5)
         noise = sample_noise(system, task, 30, np.random.default_rng(2))
-        xs, xh, steps = coupled_rollout(system, task.K, task.K, noise, 30)
-        assert steps.tolist() == [30]
-        assert np.array_equal(xs, xh)
+        xs, devs, steps = coupled_rollout(system, task.K, one_gain(task.K), noise, 30)
+        assert steps.tolist() == [[30]]
+        assert xs.shape == (1, 31, 1) and devs.shape == (1, 1, 30, 1)
+        assert np.array_equal(xs[:, 0], noise.x0)
+        assert np.all(devs == 0.0)
 
     def test_scalar_closed_form(self):
         system, task = scalar_setup()
         eps = 0.1
-        xs, xh, _ = coupled_rollout(
-            system, task.K, task.K + eps, scalar_noise(1.0, 10), 10
+        xs, devs, _ = coupled_rollout(
+            system, task.K, one_gain(task.K + eps), scalar_noise(1.0, 10), 10
         )
         for t in range(11):
-            expected = 0.5**t - (0.5 + eps) ** t
-            assert xs[0, t, 0] - xh[0, t, 0] == pytest.approx(expected, abs=1e-12)
+            assert xs[0, t, 0] == pytest.approx(0.5**t, abs=1e-12)
+        for t in range(1, 11):
+            expected = (0.5 + eps) ** t - 0.5**t
+            assert devs[0, 0, t - 1, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_noise_cancels_for_equal_gains(self):
         system, task = scalar_setup(sigma_z=1.0)
         noise = sample_noise(system, task, 50, np.random.default_rng(3))
-        xs, xh, _ = coupled_rollout(system, task.K, task.K, noise, 50)
-        assert np.all(xs - xh == 0.0)
+        _, devs, _ = coupled_rollout(system, task.K, one_gain(task.K), noise, 50)
+        assert np.all(devs == 0.0)
 
     def test_divergent_rollout_flags_nonfinite(self):
         system, task = scalar_setup()
-        xs, xh, steps = coupled_rollout(
-            system, task.K, np.array([[10.0]]), scalar_noise(1.0, 5000), 5000
+        xs, devs, steps = coupled_rollout(
+            system, task.K, one_gain([[10.0]]), scalar_noise(1.0, 5000), 5000
         )
-        k = steps[0]
+        k = steps[0, 0]
         assert k < 5000
-        assert xs.shape == xh.shape == (1, 5001, 1)
-        assert np.all(np.isfinite(xh[0, : k + 1]))
+        assert xs.shape == (1, 5001, 1) and devs.shape == (1, 1, 5000, 1)
+        assert np.all(np.isfinite(xs[0, : k + 1]))
+        assert np.all(np.isfinite(devs[0, 0, :k]))
+        assert not np.isfinite(devs[0, 0, k, 0])
 
     def test_overflow_truncates_before_first_nonfinite_row(self):
-        # Closed loop 1e200: x[1] = 1e200 is finite, x[2] overflows.
+        # Closed loop 1e200: x_hat[1] = 1e200 is finite, x_hat[2] overflows.
         system, task = scalar_setup()
-        xs, xh, steps = coupled_rollout(
-            system, task.K, np.array([[1e200 - 0.8]]), scalar_noise(1.0, 50), 50
+        xs, devs, steps = coupled_rollout(
+            system, task.K, one_gain([[1e200 - 0.8]]), scalar_noise(1.0, 50), 50
         )
-        assert steps[0] == 1
-        assert np.all(np.isfinite(xs[0, :2])) and np.all(np.isfinite(xh[0, :2]))
-        assert xh[0, 1, 0] == pytest.approx(1e200)
+        assert steps.tolist() == [[1]]
+        assert np.all(np.isfinite(xs[0, :2])) and np.isfinite(devs[0, 0, 0, 0])
+        assert xs[0, 1, 0] + devs[0, 0, 0, 0] == pytest.approx(1e200)
+        assert not np.isfinite(devs[0, 0, 1, 0])
 
     def test_nonfinite_noise_truncates_at_its_step(self):
         system, task = scalar_setup()
         w = np.zeros((20, 1))
         w[3, 0] = np.nan  # drives x[4]
-        xs, xh, steps = coupled_rollout(
-            system, task.K, task.K, scalar_noise(1.0, 20, w), 20
+        xs, devs, steps = coupled_rollout(
+            system, task.K, one_gain(task.K), scalar_noise(1.0, 20, w), 20
         )
-        assert steps[0] == 3
-        assert np.all(np.isfinite(xs[0, :4])) and np.all(np.isfinite(xh[0, :4]))
+        assert steps.tolist() == [[3]]
+        assert np.all(np.isfinite(xs[0, :4])) and np.all(np.isfinite(devs[0, 0, :3]))
+        assert np.isnan(xs[0, 4, 0])
 
     def test_nonfinite_x0_keeps_only_row_0(self):
         system, task = scalar_setup()
-        xs, xh, steps = coupled_rollout(
-            system, task.K, task.K, scalar_noise(np.inf, 10), 10
+        xs, _, steps = coupled_rollout(
+            system, task.K, one_gain(task.K), scalar_noise(np.inf, 10), 10
         )
-        assert steps[0] == 0
-        assert xs[0, 0, 0] == xh[0, 0, 0] == np.inf
+        assert steps.tolist() == [[0]]
+        assert xs[0, 0, 0] == np.inf
 
     @staticmethod
     def trial(noise, i):
@@ -306,31 +343,34 @@ class TestCoupledRollout:
             system, task = scalar_setup(sigma_z=0.5)
             K_hat = task.K + 0.1
         noise = sample_noise(system, task, 40, np.random.default_rng(8), trials=6)
-        xs, xh, steps = coupled_rollout(system, task.K, K_hat, noise, 40)
-        assert xs.shape == xh.shape == (6, 41, system.n_x)
-        assert np.array_equal(steps, np.full(6, 40))
+        stack = np.broadcast_to(K_hat, (6, 1, *K_hat.shape))
+        xs, devs, steps = coupled_rollout(system, task.K, stack, noise, 40)
+        assert xs.shape == (6, 41, system.n_x)
+        assert devs.shape == (6, 1, 40, system.n_x)
+        assert np.array_equal(steps, np.full((6, 1), 40))
         for i in range(6):
-            xs1, xh1, steps1 = coupled_rollout(
-                system, task.K, K_hat, self.trial(noise, i), 40
+            xs1, devs1, steps1 = coupled_rollout(
+                system, task.K, one_gain(K_hat), self.trial(noise, i), 40
             )
-            assert steps1.tolist() == [40]
+            assert steps1.tolist() == [[40]]
             assert np.array_equal(xs[i], xs1[0])
-            assert np.array_equal(xh[i], xh1[0])
+            assert np.array_equal(devs[i], devs1[0])
 
     def test_one_diverging_trial_flagged_alone(self):
         system, task = scalar_setup()
         noise = sample_noise(system, task, 20, np.random.default_rng(9), trials=3)
         noise.w[1, 3, 0] = np.nan  # drives x[4] of trial 1 only
-        xs, xh, steps = coupled_rollout(system, task.K, task.K + 0.1, noise, 20)
-        assert steps.tolist() == [20, 3, 20]
+        stack = np.broadcast_to(task.K + 0.1, (3, 1, 1, 1))
+        xs, devs, steps = coupled_rollout(system, task.K, stack, noise, 20)
+        assert steps.tolist() == [[20], [3], [20]]
         for i in range(3):
-            xs1, xh1, steps1 = coupled_rollout(
-                system, task.K, task.K + 0.1, self.trial(noise, i), 20
+            xs1, devs1, steps1 = coupled_rollout(
+                system, task.K, stack[:1], self.trial(noise, i), 20
             )
-            assert steps1.tolist() == [steps[i]]
-            keep = steps[i] + 1
-            assert np.array_equal(xs[i, :keep], xs1[0, :keep])
-            assert np.array_equal(xh[i, :keep], xh1[0, :keep])
+            assert steps1[0, 0] == steps[i, 0]
+            keep = steps[i, 0]
+            assert np.array_equal(xs[i, : keep + 1], xs1[0, : keep + 1])
+            assert np.array_equal(devs[i, :, :keep], devs1[0, :, :keep])
 
 
 @st.composite
@@ -384,13 +424,17 @@ class TestPeakRolloutProperty:
         # full-space trajectories, so the peaks match to 1e-9 relative; the
         # steps before an overflow match exactly.
         system, K_star, K_hat, noise, T = problem
-        peak, steps = peak_deviation(system, K_star, K_hat, noise, T)
+        _, devs, steps = coupled_rollout(system, K_star, K_hat, noise, T)
         trials, c = K_hat.shape[:2]
-        assert peak.shape == steps.shape == (trials, c)
+        assert steps.shape == (trials, c)
+        assert devs.shape == (trials, c, T, system.range_basis.shape[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = np.sum(devs * devs, axis=3)
+        peak = np.where(np.arange(T) < steps[..., None], sq, -np.inf).max(axis=2)
         for i in range(trials):
             one = TestCoupledRollout.trial(noise, i)
             for j in range(c):
-                xs, xh, steps1 = coupled_rollout(system, K_star, K_hat[i, j], one, T)
+                xs, xh, steps1 = full_space_rollout(system, K_star, K_hat[i, j], one, T)
                 assert steps[i, j] == steps1[0]
                 kept = slice(1, steps1[0] + 1)
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -407,23 +451,24 @@ class TestPeakRolloutProperty:
         noise = NoiseRealization(
             x0=np.ones((1, 1)), w=np.zeros((1, 6, 1)), z=np.zeros((1, 6, 1))
         )
-        peak, steps = peak_deviation(system, K_star, K_star[None, None], noise, 6)
-        _, _, steps_full = coupled_rollout(system, K_star, K_star, noise, 6)
+        _, devs, steps = coupled_rollout(system, K_star, one_gain(K_star), noise, 6)
+        _, _, steps_full = full_space_rollout(system, K_star, K_star, noise, 6)
         assert steps.tolist() == [[3]] and steps_full.tolist() == [3]
-        assert peak.tolist() == [[0.0]]
+        assert devs[0, 0, :4].tolist() == [[0.0]] * 4
 
     @given(peak_rollout_problems())
     def test_batch_entries_are_one_gain_calls(self, problem):
         system, K_star, K_hat, noise, T = problem
-        peak, steps = peak_deviation(system, K_star, K_hat, noise, T)
+        xs, devs, steps = coupled_rollout(system, K_star, K_hat, noise, T)
         for i in range(K_hat.shape[0]):
             one = TestCoupledRollout.trial(noise, i)
             for j in range(K_hat.shape[1]):
-                peak1, steps1 = peak_deviation(
-                    system, K_star, K_hat[i, j][None, None], one, T
+                xs1, devs1, steps1 = coupled_rollout(
+                    system, K_star, one_gain(K_hat[i, j]), one, T
                 )
                 assert steps1[0, 0] == steps[i, j]
-                assert peak1[0, 0] == peak[i, j]
+                assert np.array_equal(xs1[0], xs[i], equal_nan=True)
+                assert np.array_equal(devs1[0, 0], devs[i, j], equal_nan=True)
 
 
 labels = st.text(alphabet="abcxyz", min_size=1, max_size=3)

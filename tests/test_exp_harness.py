@@ -437,6 +437,9 @@ BAD_INPUTS = [
     (31, "system:\n  sigma_z: true\n", [], "system.sigma_z"),
     (32, "system:\n  sigma_z: '1.0'\n", [], "system.sigma_z"),
     (35, "run:\n  eval_task: target\n", [], "run.eval_task: unknown key"),
+    # sigma_z^2 B B' overflows on the base plant.
+    (37, "system:\n  sigma_z: 1.0e+200\n", [], "system.sigma_z"),
+    (38, "system:\n  sigma_z: 1.0e+154\n", [], "system.sigma_z"),
 ]
 
 
@@ -483,6 +486,22 @@ class TestCli:
         # A row names the field path, or the whole message after "error: ".
         assert err.startswith(f"error: {path}: ") or err == f"error: {path}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_lifted_forcing_overflow_exits_2(self, tmp_path, capsys):
+        # sigma_z^2 B B' is finite on the base plant, but the lifted
+        # Lyapunov solve overflows; the solver refuses it.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "system:\n  sigma_z: 1.2e+153\n"
+            "sweep:\n  trials_system: 1\n  trials_noise: 1\n  n2: [1]\n"
+            "  methods: [direct]\n"
+        )
+        rc = cli.main(
+            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: Lyapunov residual ")
 
     def test_malformed_yaml_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

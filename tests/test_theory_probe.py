@@ -403,12 +403,13 @@ class TestProbeCsv:
 
 class TestVerifyGolden:
     # verify.csv at seed 0 for the probes whose draws and arithmetic are
-    # pinned; the tracking row also pins the batched coupled rollout.
+    # pinned; the tracking row also pins the batched deviation-form
+    # `coupled_rollout`, which the sweep's scoring shares.
     @pytest.mark.parametrize(
         "probe, digest",
         [
             ("tracking",
-             "229a30925bf50a18d5bffd8d7d23264aaf946c9d99daf5d9b9a0fb92e901f0dc"),
+             "57cf6e9da59382c93eddc44c7a67b4d966156f6ee2df37e4796473c71ba891ff"),
             ("sandwich",
              "ce7f0a8cfb044972a87d05410c99121ba1eb7dd9ff4b5ccd68e1ac1c7ce2b424"),
             ("covariance",
@@ -429,7 +430,7 @@ class TestVerifyGolden:
         "probe, digest",
         [
             ("tracking",
-             "6d72001ee1a2acd37a5a479221a7aaa118d08955f3c54ff9280a29fd8df9bc73"),
+             "e8e5c4c562f9c2ef81f75cf0daaafb2950b10df336b407c8c41f7dcf8bb8c5dd"),
             ("sandwich",
              "a702b875877f2b1cb32ca12220201ee58678da33c88aa8a0b2d61385a309b2ba"),
             ("covariance",
