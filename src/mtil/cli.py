@@ -147,9 +147,16 @@ def _cmd_run(args) -> int:
         raw = {**raw, "run": {**raw.get("run", {}), **overrides}}
     cfg = exp_harness.config_from_dict(raw)
     # Created before any compute, so an --out that cannot be made fails at
-    # once, not after the whole sweep.
+    # once, not after the whole sweep. A failed sweep takes it away again if
+    # this command made it and nothing was written to it.
+    made = not os.path.exists(args.out)
     _at_out(os.makedirs, args.out, exist_ok=True)
-    rows = exp_harness.run_sweep(cfg)
+    try:
+        rows = exp_harness.run_sweep(cfg)
+    except BaseException:
+        if made and not os.listdir(args.out):
+            os.rmdir(args.out)
+        raise
     paths = _at_out(exp_harness.write_results, rows, args.out, cfg)
     if args.emit_plot_script:
         paths["plot"] = _at_out(exp_harness.emit_plot_script, args.out)

@@ -125,12 +125,24 @@ def cholesky_factor(S: np.ndarray) -> np.ndarray:
     raise CholeskyFailure("covariance is numerically indefinite")
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """np.linalg.norm(M, "fro"), under the caller's errstate; where its sum
+    of squares overflows, a finite M is scaled by a power of two first, so
+    its norm is not taken as inf."""
+    norm = np.linalg.norm(M, "fro")
+    if norm == np.inf and np.all(np.isfinite(M)):
+        scale = np.ldexp(1.0, -np.frexp(np.abs(M).max())[1])
+        norm = np.linalg.norm(scale * M, "fro") / scale
+    return norm
+
+
 def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve S = A S A' + Q for Schur-stable A via the doubling iteration.
 
     Each step maps (S, M) -> (S + M S M', M^2), which squares the effective
     power of A and converges in O(log(1/tol)) steps. S is symmetrized every
-    step.
+    step. Norms are taken without overflow (`_frobenius`), so a large but
+    finite S converges as a small one does.
 
     Raises:
         UnstableMatrix: if rho(A) >= 1.
@@ -142,27 +154,25 @@ def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     if spectral_radius(A) >= 1.0:
         raise UnstableMatrix("Lyapunov equation requires rho(A) < 1")
-    S = 0.5 * (Q + Q.T)
     M = A.copy()
-    for _ in range(LYAPUNOV_MAX_ITER):
-        update = M @ S @ M.T
-        S_new = S + update
-        S_new = 0.5 * (S_new + S_new.T)
-        if np.linalg.norm(update, "fro") <= 1e-16 * max(
-            1.0, np.linalg.norm(S_new, "fro")
-        ):
+    # An S that overflows ends in a non-finite residual, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = 0.5 * (Q + Q.T)
+        for _ in range(LYAPUNOV_MAX_ITER):
+            update = M @ S @ M.T
+            S_new = S + update
+            S_new = 0.5 * (S_new + S_new.T)
+            if _frobenius(update) <= 1e-16 * max(1.0, _frobenius(S_new)):
+                S = S_new
+                break
             S = S_new
-            break
-        S = S_new
-        M = M @ M
-    # Rounding in A S A' scales with ||A||^2 ||S||, so the residual is judged
-    # against that backward-error scale rather than ||S|| alone.
-    residual = np.linalg.norm(S - (A @ S @ A.T + Q), "fro")
-    scale = np.linalg.norm(A, 2) ** 2 * np.linalg.norm(S, "fro") + np.linalg.norm(
-        Q, "fro"
-    )
-    # Written so that a NaN residual (a non-finite S) is refused too.
-    if not residual <= 1e-10 * scale:
+            M = M @ M
+        # Rounding in A S A' scales with ||A||^2 ||S||, so the residual is
+        # judged against that backward-error scale rather than ||S|| alone.
+        residual = _frobenius(S - (A @ S @ A.T + Q))
+        scale = np.linalg.norm(A, 2) ** 2 * _frobenius(S) + _frobenius(Q)
+    # Written so that a non-finite residual (from a non-finite S) is refused.
+    if not (np.isfinite(residual) and residual <= 1e-10 * scale):
         raise NotConverged(f"Lyapunov residual {residual} above tolerance")
     return S
 

@@ -134,8 +134,8 @@ def coupled_rollout(
     adds (A + B K*) x*[t] to its row in place. A learned trajectory is
     x_hat = x* + e, where e[0] = 0 and
     e[t+1] = (A + B K_hat) e[t] + B (K_hat - K*) x*[t].
-    Both maps land in the span of the plant's basis Q (the identity when it
-    has none), so e runs as r-vectors Q'e, with ||e|| = ||Q'e||: every drive
+    Both maps land in the span of the plant's basis Q, so e runs as
+    r-vectors Q'e, with ||e|| = ||Q'e||: every drive
     Q'B (K_hat - K*) x*[t] comes from one GEMM, and each step is an r x r
     product per gain.
 
@@ -148,7 +148,7 @@ def coupled_rollout(
     has the bits of its one-trial, one-gain call.
     """
     trials, c = K_learned.shape[:2]
-    Q = system.range_basis
+    Q = system.basis
     x = np.empty((trials, T + 1, system.n_x, 1))
     x[:, 0] = noise.x0[..., None]
     np.matmul(system.B, noise.z[:, :T, :, None], out=x[:, 1:])

@@ -29,6 +29,10 @@ class NoFactorization(MtilError):
     """The ensemble carries no known ground-truth factorization."""
 
 
+class NonFiniteData(MtilError):
+    """Data, its Grams or a Lyapunov forcing that must be finite is not."""
+
+
 class SingularBlock(MtilError):
     """A block least-squares normal matrix is singular beyond ridge repair."""
 

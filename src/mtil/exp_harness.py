@@ -22,7 +22,7 @@ from .data_gen import SeedTree, rollout_expert
 from .errors import ParseError, ValidationError
 from .eval_metrics import evaluate_controller, summarize_quantiles
 
-RESULTS_VERSION = "5"
+RESULTS_VERSION = "6"
 
 VALID_METHODS = ("multitask", "direct")
 

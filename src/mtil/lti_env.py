@@ -15,15 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import control_math
-from .errors import NoFactorization, RankDeficientLift
+from .errors import NoFactorization, NonFiniteData, RankDeficientLift
 
 
 @dataclass(frozen=True)
 class LinearSystem:
     """Discrete-time plant x[t+1] = A x[t] + B u[t] + w[t], w[t] ~ N(0, I).
 
-    basis, when given, has orthonormal columns whose span contains range(A)
-    and range(B), as a lifted plant's does; None stands for the whole space.
+    basis has orthonormal columns whose span contains range(A) and range(B):
+    a lifted plant gives its range, any other plant gets the n_x x n_x
+    identity.
 
     Raises:
         ValueError: on mismatched shapes, or a basis whose columns are not
@@ -45,6 +46,8 @@ class LinearSystem:
         object.__setattr__(self, "B", B)
         if self.basis is not None:
             object.__setattr__(self, "basis", _check_basis(self.basis, A, B))
+        else:
+            object.__setattr__(self, "basis", np.eye(A.shape[0]))
 
     @property
     def n_x(self) -> int:
@@ -54,19 +57,14 @@ class LinearSystem:
     def n_u(self) -> int:
         return self.B.shape[1]
 
-    @property
-    def range_basis(self) -> np.ndarray:
-        """The basis, or the n_x x n_x identity when the plant has none."""
-        return np.eye(self.n_x) if self.basis is None else self.basis
-
     def closed_loop_on_range(self, gains: np.ndarray) -> np.ndarray:
         """Q'(A + B K)Q as Q'AQ + (Q'B)(K Q) for each gain of a (..., n_u, n_x)
-        stack, Q the range basis.
+        stack, Q the basis.
 
         A + B K maps into span(Q), so this r x r matrix carries all of its
         nonzero eigenvalues, and it maps Q'e to Q'(A + B K)e for e in span(Q).
         """
-        Q = self.range_basis
+        Q = self.basis
         closed = (Q.T @ self.B) @ (gains @ Q)
         closed += Q.T @ self.A @ Q
         return closed
@@ -149,28 +147,27 @@ def make_task(system: LinearSystem, K: np.ndarray, sigma_z: float = 1.0) -> Expe
     z ~ N(0, sigma_z^2 I); its stationary covariance solves the Lyapunov
     equation Sigma = (A+BK) Sigma (A+BK)' + sigma_z^2 B B' + I.
 
-    On a plant with a basis Q the closed loop maps into span(Q), so
+    The closed loop maps into the span of the plant's basis Q, so
     Sigma = I + Q S Q', where S solves the r x r equation
     S = Abar S Abar' + Q'((A+BK)(A+BK)' + sigma_z^2 B B')Q with
     Abar = Q'(A+BK)Q; the stability check is r x r too.
 
     Raises:
+        NonFiniteData: if that forcing is not finite.
         UnstableMatrix: if rho(A + BK) >= 1.
     """
     K = np.asarray(K, dtype=float)
-    eye = np.eye(system.n_x)
-    if system.basis is None:
-        Q = float(sigma_z) ** 2 * (system.B @ system.B.T) + eye
-        sigma_x = control_math.solve_discrete_lyapunov(system.A + system.B @ K, Q)
-    else:
-        basis = system.basis
-        QB = basis.T @ system.B
-        M = basis.T @ system.A + QB @ K  # Q'(A+BK)
+    basis = system.basis
+    QB = basis.T @ system.B
+    M = basis.T @ system.A + QB @ K  # Q'(A+BK)
+    with np.errstate(over="ignore", invalid="ignore"):
         # Not M @ M.T: numpy runs that as SYRK, which rounds differently.
-        forcing = M.copy() @ M.T + float(sigma_z) ** 2 * (QB @ QB.T)
-        S = control_math.solve_discrete_lyapunov(M @ basis, forcing)
-        P = basis @ S @ basis.T
-        sigma_x = eye + 0.5 * (P + P.T)
+        forcing = M.copy() @ M.T + np.float64(sigma_z) ** 2 * (QB @ QB.T)
+    if not np.all(np.isfinite(forcing)):
+        raise NonFiniteData(f"Lyapunov forcing at sigma_z = {sigma_z} is not finite")
+    S = control_math.solve_discrete_lyapunov(M @ basis, forcing)
+    P = basis @ S @ basis.T
+    sigma_x = np.eye(system.n_x) + 0.5 * (P + P.T)
     return ExpertTask(K=K, sigma_z=float(sigma_z), sigma_x=sigma_x)
 
 

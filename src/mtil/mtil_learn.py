@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_gen import StackedData
-from .errors import DegenerateRank, RankDeficient, SingularBlock
+from .errors import DegenerateRank, NonFiniteData, RankDeficient, SingularBlock
 
 ALS_MAX_SWEEPS = 500
 ALS_REL_TOL = 1e-10
@@ -73,6 +73,14 @@ def _solve_with_ridge_repair(M: np.ndarray, C: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(sol)):
         raise SingularBlock("normal matrix singular beyond ridge repair")
     return sol
+
+
+def _require_finite(what: str, *grams) -> None:
+    """Refuse Grams with a non-finite entry before any solve reads them."""
+    if not all(np.all(np.isfinite(g)) for g in grams):
+        raise NonFiniteData(
+            f"{what} Grams are not finite: the data or its squares overflow"
+        )
 
 
 def _orthonormalize(phi: np.ndarray, f_hats: np.ndarray) -> tuple:
@@ -292,6 +300,7 @@ def pretrain_alternating(
         DegenerateRank: if fewer than k eigenvalues of X'X = sum_h X_h'X_h
             (X: the stacked source states) exceed n * eps times the largest,
             i.e. fewer than k singular values of X exceed sqrt(n * eps) s_1.
+        NonFiniteData: if a source Gram has a non-finite entry.
         SingularBlock: if a block solve is singular beyond ridge repair.
     """
     if not source:
@@ -304,11 +313,13 @@ def pretrain_alternating(
             raise ValueError("each task needs at least k data rows")
     # Per-task Gram matrices stacked over tasks: X'X (H, n, n), X'U
     # (H, n, n_u) and ||U||^2 (H,).
-    grams = (
-        np.stack([d.X.T @ d.X for d in source]),
-        np.stack([d.X.T @ d.U for d in source]),
-        np.array([np.sum(d.U**2) for d in source]),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = (
+            np.stack([d.X.T @ d.X for d in source]),
+            np.stack([d.X.T @ d.U for d in source]),
+            np.array([np.sum(d.U**2) for d in source]),
+        )
+    _require_finite("source", *grams)
     eig = np.linalg.eigvalsh(grams[0].sum(axis=0))
     if np.count_nonzero(eig > n * np.finfo(float).eps * eig[-1]) < k:
         raise DegenerateRank("stacked source states have rank below k")
@@ -352,8 +363,9 @@ def prefix_grams(data: StackedData, T: int, counts) -> PrefixGrams:
         raise ValueError(f"prefix trajectory counts must lie in [1, {N}]")
     X = data.X.reshape(N, T, -1)
     XT = X.transpose(0, 2, 1)
-    XX = np.cumsum(XT @ X, axis=0)
-    XU = np.cumsum(XT @ data.U.reshape(N, T, -1), axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the fits refuse it
+        XX = np.cumsum(XT @ X, axis=0)
+        XU = np.cumsum(XT @ data.U.reshape(N, T, -1), axis=0)
     return PrefixGrams(
         data=data, rows=counts * T, XX=XX[counts - 1], XU=XU[counts - 1]
     )
@@ -365,7 +377,11 @@ def finetune_target(phi_hat: np.ndarray, grams: PrefixGrams) -> np.ndarray:
     Returns the stack of F minimizing ||U - X Phi' F'||_F^2 over each
     prefix, i.e. F' = (Phi X'X Phi')^{-1} Phi X'U from the k x k projected
     Grams, with ridge repair on singular normal matrices.
+
+    Raises:
+        NonFiniteData: if a prefix Gram has a non-finite entry.
     """
+    _require_finite("target", grams.XX, grams.XU)
     return _f_step((grams.XX, grams.XU, None), phi_hat)
 
 
@@ -384,7 +400,11 @@ def direct_ols(grams: PrefixGrams) -> tuple:
     its normal equations lose little; all such prefixes are solved from
     their Grams in one stacked solve. Every other prefix is fitted by
     `lstsq`, which also ranks it.
+
+    Raises:
+        NonFiniteData: if a prefix Gram has a non-finite entry.
     """
+    _require_finite("target", grams.XX, grams.XU)
     data, rows = grams.data, grams.rows
     n_u, n_x = data.U.shape[1], data.X.shape[1]
     K = np.empty((rows.size, n_u, n_x))

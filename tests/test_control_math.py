@@ -148,6 +148,16 @@ class TestLyapunov:
         with pytest.raises(NotConverged):
             cm.solve_discrete_lyapunov(np.array([[0.5]]), np.array([[forcing]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_finite_solution_converges(self):
+        # S near 1e200 has a squared Frobenius norm that overflows; the
+        # doubling must still run to convergence, not stop at its first step.
+        A = np.array([[0.9, 0.5], [0.0, 0.8]])
+        Q = 1e200 * np.eye(2)
+        S = cm.solve_discrete_lyapunov(A, Q)
+        resid = np.abs(S - (A @ S @ A.T + Q)).max()
+        assert resid <= 1e-12 * np.abs(S).max()
+
     def test_ill_conditioned_similarity_accepted(self):
         # A = G diag(lam) G^-1 with cond(G) = 1e3 has ||A|| ~ 670. Rounding in
         # A S A' scales with ||A||^2 ||S||, so the residual is far above

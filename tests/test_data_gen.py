@@ -427,7 +427,7 @@ class TestPeakRolloutProperty:
         _, devs, steps = coupled_rollout(system, K_star, K_hat, noise, T)
         trials, c = K_hat.shape[:2]
         assert steps.shape == (trials, c)
-        assert devs.shape == (trials, c, T, system.range_basis.shape[1])
+        assert devs.shape == (trials, c, T, system.basis.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
             sq = np.sum(devs * devs, axis=3)
         peak = np.where(np.arange(T) < steps[..., None], sq, -np.inf).max(axis=2)

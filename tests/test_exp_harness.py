@@ -141,10 +141,16 @@ class TestRunSweep:
         )
 
 
-# results.csv of this sweep at RESULTS_VERSION "5": a speed-up must keep
+# results.csv of this sweep at RESULTS_VERSION "6": a speed-up must keep
 # these bytes, a change of them needs a RESULTS_VERSION bump.
 GOLDEN_SWEEP = "sweep:\n  trials_system: 2\n  trials_noise: 1\n  n2: [1, 2, 5]\n"
 GOLDEN_DIGEST = "b5afe0d961606cb11dc9773f0128661efd4f2025fea581eb29fe3a2b231cbb95"
+# The same sweep on the unlifted plant. Version 6 moved it by rounding only:
+# its stationary covariances come from the range form, on the identity basis.
+UNLIFTED_SWEEP = "system:\n  lift_dim: null\n" + GOLDEN_SWEEP
+UNLIFTED_GOLDEN_DIGEST = (
+    "664ee2d07d5f277a0264045a3d9be3221d84497e54b6f2922722267d2145e551"
+)
 # Its `direct` rows alone. Version 4 moved them by rounding only: the
 # stationary covariances come from the lift's range, the fits from prefix
 # Grams and the tracking errors from the deviation form. Version 5 changed
@@ -181,8 +187,14 @@ class TestSweepReuse:
         paths = eh.write_results(eh.run_sweep(cfg), str(tmp_path), cfg)
         with open(paths["results"], "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        assert eh.RESULTS_VERSION == "5"
+        assert eh.RESULTS_VERSION == "6"
         assert digest == GOLDEN_DIGEST
+
+    def test_unlifted_golden_results_digest(self, tmp_path):
+        cfg = eh.config_from_dict(yaml.safe_load(UNLIFTED_SWEEP))
+        paths = eh.write_results(eh.run_sweep(cfg), str(tmp_path), cfg)
+        with open(paths["results"], "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == UNLIFTED_GOLDEN_DIGEST
 
     def test_lifted_covariances_digest(self):
         cfg = eh.ExperimentConfig(seed=2)
@@ -219,7 +231,7 @@ class TestSweepReuse:
         digest = hashlib.sha256((tmp_path / "out" / "results.csv").read_bytes())
         assert digest.hexdigest() == GOLDEN_DIGEST
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["version"] == "5"
+        assert manifest["version"] == "6"
         assert manifest["blas_threads"] == 1
 
     @pytest.mark.parametrize("parallelism", [1, 2])
@@ -487,10 +499,11 @@ class TestCli:
         assert err.startswith(f"error: {path}: ") or err == f"error: {path}\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_lifted_forcing_overflow_exits_2(self, tmp_path, capsys):
-        # sigma_z^2 B B' is finite on the base plant, but the lifted
-        # Lyapunov solve overflows; the solver refuses it.
+        # sigma_z^2 B B' is finite on the base plant, but the lifted forcing
+        # overflows; make_task refuses it before the Lyapunov solve, with one
+        # error line and no RuntimeWarning.
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(
             "system:\n  sigma_z: 1.2e+153\n"
@@ -501,7 +514,33 @@ class TestCli:
             ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
         )
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: Lyapunov residual ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: Lyapunov forcing ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "methods, grams", [("[multitask, direct]", "source"), ("[direct]", "target")]
+    )
+    @pytest.mark.parametrize("out_exists", [False, True])
+    def test_nonfinite_grams_exit_2(self, tmp_path, capsys, methods, grams, out_exists):
+        # Every state near 1e153 overflows the Grams of the training data:
+        # one error line names them, and an --out this run made is removed.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "system:\n  sigma_z: 1.0e+152\n"
+            "sweep:\n  trials_system: 1\n  trials_noise: 1\n  n2: [1, 20]\n"
+            f"  methods: {methods}\n"
+        )
+        out = tmp_path / "out"
+        if out_exists:
+            out.mkdir()
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {grams} Grams are not finite")
+        assert err.count("\n") == 1
+        assert out.exists() == out_exists
 
     def test_malformed_yaml_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

@@ -10,6 +10,7 @@ from mtil import lti_env
 from mtil.data_gen import SeedTree
 from mtil.errors import (
     CholeskyFailure,
+    MtilError,
     NoFactorization,
     RankDeficientLift,
     UnstableMatrix,
@@ -170,8 +171,8 @@ class TestSystemBasis:
         np.testing.assert_allclose(Q.T @ Q, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(Q @ (Q.T @ G), G, atol=1e-12)
 
-    def test_unlifted_system_has_no_basis(self):
-        assert lti_env.get_preset("hong2021").basis is None
+    def test_unlifted_system_basis_is_identity(self):
+        assert np.array_equal(lti_env.get_preset("hong2021").basis, np.eye(4))
 
     @pytest.mark.parametrize(
         "A, B, basis, message",
@@ -191,42 +192,52 @@ class TestSystemBasis:
 
 
 @st.composite
-def lifted_plants_and_gains(draw):
-    """(system, K, sigma_z): a random stable plant (n <= 6 states) lifted
-    through a Gaussian m x n map (m in [n, 50]), a random m-D gain that
-    keeps the closed loop stable, and an actuator-noise level."""
+def plants_and_gains(draw):
+    """(system, K, sigma_z): a random stable plant (n <= 6 states), either
+    unlifted or lifted through a Gaussian m x n map (m in [n, 50]), a random
+    gain that keeps the closed loop stable, and an actuator-noise level."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 6))
-    m = draw(st.integers(n, 50))
     n_u = draw(st.integers(1, 3))
     rho = draw(st.floats(0.1, 0.98))
     rng = np.random.default_rng(seed)
     A0 = rng.standard_normal((n, n))
     A0 *= rho / max(cm.spectral_radius(A0), 1e-9)
-    base = lti_env.LinearSystem(A=A0, B=rng.standard_normal((n, n_u)))
-    family = lti_env.build_ensemble(base, [np.zeros((n_u, n))] * 2)
-    system = lti_env.lift_ensemble(family, lti_env.sample_lift_map(n, m, rng)).system
-    K = 0.1 * rng.standard_normal((n_u, m)) / np.sqrt(m)
+    system = lti_env.LinearSystem(A=A0, B=rng.standard_normal((n, n_u)))
+    if draw(st.booleans()):
+        m = draw(st.integers(n, 50))
+        family = lti_env.build_ensemble(system, [np.zeros((n_u, n))] * 2)
+        G = lti_env.sample_lift_map(n, m, rng)
+        system = lti_env.lift_ensemble(family, G).system
+    K = 0.1 * rng.standard_normal((n_u, system.n_x)) / np.sqrt(system.n_x)
     assume(cm.spectral_radius(system.closed_loop_on_range(K)) < 0.99)
     return system, K, draw(st.floats(0.0, 2.0))
 
 
 class TestTaskOnRange:
-    @given(lifted_plants_and_gains())
+    @given(plants_and_gains())
     def test_range_and_full_space_covariances_agree(self, problem):
-        # The r x r equation on the lift's range and the full n_x x n_x one
+        # The r x r equation on the plant's basis and the full n_x x n_x one
         # give the same stationary covariance, up to rounding: 1e-12
         # relative, scaled by ||A + BK||^2 as the Lyapunov solver's own
         # residual check is (an ill-conditioned square G gives ~100).
         system, K, sigma_z = problem
-        on_range = lti_env.make_task(system, K, sigma_z)
-        full_space = lti_env.make_task(
-            lti_env.LinearSystem(A=system.A, B=system.B), K, sigma_z
+        on_range = lti_env.make_task(system, K, sigma_z).sigma_x
+        A_cl = system.A + system.B @ K
+        full_space = cm.solve_discrete_lyapunov(
+            A_cl, sigma_z**2 * (system.B @ system.B.T) + np.eye(system.n_x)
         )
-        gap = np.linalg.norm(on_range.sigma_x - full_space.sigma_x)
-        scale = max(1.0, np.linalg.norm(system.A + system.B @ K, 2) ** 2)
-        assert gap <= 1e-12 * scale * np.linalg.norm(full_space.sigma_x)
-        assert np.array_equal(on_range.sigma_x, on_range.sigma_x.T)
+        gap = np.linalg.norm(on_range - full_space)
+        scale = max(1.0, np.linalg.norm(A_cl, 2) ** 2)
+        assert gap <= 1e-12 * scale * np.linalg.norm(full_space)
+        assert np.array_equal(on_range, on_range.T)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_forcing_refused(self):
+        # sigma_z^2 overflows; make_task names it, with no RuntimeWarning.
+        system = lti_env.get_preset("hong2021")
+        with pytest.raises(MtilError, match="Lyapunov forcing"):
+            lti_env.make_task(system, np.zeros((2, 4)), 1e200)
 
     def test_unstable_closed_loop_on_range_refused(self):
         Q = np.linalg.qr(np.random.default_rng(8).standard_normal((5, 2)))[0]

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 from mtil import exp_harness, mtil_learn
 from mtil.data_gen import SeedTree, StackedData, rollout_expert
-from mtil.errors import DegenerateRank, RankDeficient, SingularBlock
+from mtil.errors import (
+    DegenerateRank,
+    NonFiniteData,
+    RankDeficient,
+    SingularBlock,
+)
 from mtil.mtil_learn import _orthonormalize, _phi_step_normal
 
 
@@ -622,6 +627,22 @@ class TestPrefixGrams:
         for j, c in enumerate(counts):
             sol = np.linalg.lstsq(X[:c], U[:c], rcond=None)[0]
             np.testing.assert_array_equal(K[j], sol.T)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [1e160, np.nan])
+    def test_nonfinite_grams_refused(self, bad):
+        # Rows near 1e160 overflow X'X; a NaN row makes it NaN. Each fit
+        # names the Grams instead of solving with them, and warns of nothing.
+        X = np.eye(4, 2)
+        X[3, 0] = bad
+        data = StackedData(X=X, U=np.ones((4, 1)))
+        grams = mtil_learn.prefix_grams(data, 2, [1, 2])
+        with pytest.raises(NonFiniteData, match="target Grams"):
+            mtil_learn.direct_ols(grams)
+        with pytest.raises(NonFiniteData, match="target Grams"):
+            mtil_learn.finetune_target(np.array([[1.0, 0.0]]), grams)
+        with pytest.raises(NonFiniteData, match="source Grams"):
+            mtil_learn.pretrain_alternating([data], 1, np.random.default_rng(0))
 
     def test_counts_outside_the_pool_are_refused(self):
         pool = StackedData(X=np.zeros((6, 2)), U=np.zeros((6, 1)))
