@@ -1,7 +1,7 @@
 """Multi-task imitation learning workbench for linear dynamical systems.
 
 Modules:
-    control_math: Lyapunov/Riccati solvers, stability profiles.
+    control_math: Lyapunov/Riccati solvers, the transient gain J.
     lti_env: plants, expert task ensembles, LQR synthesis, perceptual lifting.
     data_gen: seeded trajectory sampling and coupled rollouts.
     mtil_learn: two-stage representation learner and direct-OLS baseline.

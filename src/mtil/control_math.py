@@ -1,6 +1,6 @@
 """Core matrix and control-theoretic computations.
 
-Spectral radius, transient-gain profile (J(A), tau(A, nu)), discrete
+Spectral radius, the transient gain J(A) = sum_t ||A^t||, discrete
 Lyapunov and Riccati solvers, and the Cholesky factor of a covariance. All
 of these are pure and operate on float64 NumPy arrays. The module also pins
 numpy's bundled OpenBLAS to BLAS_THREADS for sweeps and probes.
@@ -15,7 +15,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import CholeskyFailure, NotConverged, NotStabilizing, UnstableMatrix
+from .errors import (
+    CholeskyFailure,
+    NonFiniteData,
+    NotConverged,
+    NotStabilizing,
+    UnstableMatrix,
+)
 
 PROFILE_MAX_TERMS = 1_000_000
 PROFILE_TAIL_TOL = 1e-10
@@ -30,35 +36,16 @@ BLAS_THREADS = 1
 
 
 @dataclass(frozen=True)
-class StabilityProfile:
-    """Transient-gain summary of a Schur-stable matrix.
-
-    Attributes:
-        rho: spectral radius of A.
-        j_gain: truncated sum_{t >= 0} ||A^t|| (spectral norm), >= 1.
-        tau: max over computed k of ||A^k|| / nu^k, >= 1.
-        nu: decay rate (1 + rho) / 2 of the tau envelope, rho < nu < 1.
-    """
-
-    rho: float
-    j_gain: float
-    tau: float
-    nu: float
-
-
-@dataclass(frozen=True)
 class RiccatiSolution:
     """Solution of a discrete algebraic Riccati equation.
 
     Attributes:
         P: symmetric PSD value matrix (n_x x n_x).
         K: state-feedback gain (n_u x n_x), K = -(B'PB + R)^{-1} B'PA.
-        rho_closed: spectral radius of A + BK.
     """
 
     P: np.ndarray
     K: np.ndarray
-    rho_closed: float
 
 
 def spectral_radius(A: np.ndarray) -> float:
@@ -71,13 +58,13 @@ def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def stability_profile(A: np.ndarray) -> StabilityProfile:
-    """Compute rho(A), the truncated series J(A) = sum_t ||A^t||, and tau(A, nu)
-    for nu = (1 + rho(A)) / 2.
+def stability_profile(A: np.ndarray) -> float:
+    """The transient gain J(A) = sum_t ||A^t|| (spectral norm), truncated.
 
-    The series is truncated once the running tail bound tau * nu^(k+1) / (1 - nu)
-    falls below PROFILE_TAIL_TOL; by construction ||A^t|| <= tau * nu^t for all
-    computed t, so the truncation error is at most PROFILE_TAIL_TOL.
+    With nu = (1 + rho(A)) / 2 and tau the largest ||A^t|| / nu^t so far,
+    ||A^t|| <= tau nu^t holds for every computed t. The series stops once
+    the tail bound tau * nu^(k+1) / (1 - nu) falls below PROFILE_TAIL_TOL,
+    so the truncation error is at most PROFILE_TAIL_TOL.
 
     Raises:
         UnstableMatrix: if rho(A) >= 1, or so near 1 that nu rounds to 1.
@@ -98,7 +85,7 @@ def stability_profile(A: np.ndarray) -> StabilityProfile:
         j_gain += nrm
         tau = max(tau, nrm / nu_k)
         if nrm == 0.0 or tau * nu_k * nu / (1.0 - nu) < PROFILE_TAIL_TOL:
-            return StabilityProfile(rho=rho, j_gain=j_gain, tau=tau, nu=nu)
+            return j_gain
         M = M @ A
         nu_k *= nu
     raise NotConverged("stability_profile hit the term cap before the tail bound")
@@ -107,17 +94,29 @@ def stability_profile(A: np.ndarray) -> StabilityProfile:
 def cholesky_factor(S: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor with diagonal jitter escalation (0, 1e-12, 1e-10).
 
-    Jitter is relative to the mean diagonal. An all-zero covariance returns
-    the zero factor.
+    Jitter is relative to the mean diagonal, which is read only when S
+    itself does not factor, so a finite S whose trace overflows factors as
+    it is. An all-zero covariance returns the zero factor.
 
     Raises:
-        CholeskyFailure: if the matrix stays numerically indefinite.
+        NonFiniteData: if S has a non-finite entry.
+        CholeskyFailure: if the matrix stays numerically indefinite, or
+            needs jitter and its trace overflows.
     """
     S = np.asarray(S, dtype=float)
+    if not np.all(np.isfinite(S)):
+        raise NonFiniteData("covariance is not finite")
     if not np.any(S):
         return np.zeros_like(S)
-    scale = np.trace(S) / S.shape[0]
-    for jitter in (0.0, 1e-12, 1e-10):
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        pass
+    with np.errstate(over="ignore"):  # an overflowing trace is refused below
+        scale = np.trace(S) / S.shape[0]
+    if not np.isfinite(scale):
+        raise CholeskyFailure("covariance does not factor, and its trace overflows")
+    for jitter in (1e-12, 1e-10):
         try:
             return np.linalg.cholesky(S + jitter * scale * np.eye(S.shape[0]))
         except np.linalg.LinAlgError:
@@ -235,7 +234,7 @@ def solve_dare(
     rho_closed = spectral_radius(A + B @ K)
     if rho_closed >= 1.0:
         raise NotStabilizing(f"closed-loop spectral radius {rho_closed} >= 1")
-    return RiccatiSolution(P=P, K=K, rho_closed=rho_closed)
+    return RiccatiSolution(P=P, K=K)
 
 
 def blas_threads():

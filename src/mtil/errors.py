@@ -25,12 +25,9 @@ class RankDeficientLift(MtilError):
     """The lifting map G is not injective (full column rank required)."""
 
 
-class NoFactorization(MtilError):
-    """The ensemble carries no known ground-truth factorization."""
-
-
 class NonFiniteData(MtilError):
-    """Data, its Grams or a Lyapunov forcing that must be finite is not."""
+    """Data, its Grams, a covariance or a Lyapunov forcing that must be
+    finite is not."""
 
 
 class SingularBlock(MtilError):

@@ -52,7 +52,8 @@ def excess_risk(K_hat: np.ndarray, K_star: np.ndarray, sigma_x: np.ndarray) -> f
     Closed form (1/2) trace((K_hat - K_star) sigma_x (K_hat - K_star)').
     """
     delta = np.asarray(K_hat, dtype=float) - np.asarray(K_star, dtype=float)
-    return 0.5 * float(np.sum((delta @ sigma_x) * delta))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads inf or nan
+        return 0.5 * float(np.sum((delta @ sigma_x) * delta))
 
 
 def evaluate_controller(
@@ -131,11 +132,11 @@ def lqr_cost_gap_bound(
     sqrt(lmax(R)) (||K_star|| + sqrt(tr sigma_x / lmin sigma_x)).
     """
     K_star = target_task.K
-    profile = control_math.stability_profile(system.A + system.B @ K_star)
+    j_gain = control_math.stability_profile(system.A + system.B @ K_star)
     b_norm = np.linalg.norm(system.B, 2)
     eig_x = np.linalg.eigvalsh(target_task.sigma_x)
     const = float(
-        np.sqrt(max(np.linalg.eigvalsh(Q).max(), 0.0)) * profile.j_gain * b_norm
+        np.sqrt(max(np.linalg.eigvalsh(Q).max(), 0.0)) * j_gain * b_norm
         + np.sqrt(max(np.linalg.eigvalsh(R).max(), 0.0))
         * (np.linalg.norm(K_star, 2) + np.sqrt(eig_x.sum() / eig_x.min()))
     )

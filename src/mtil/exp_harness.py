@@ -266,7 +266,7 @@ def expert_family(cfg: ExperimentConfig) -> tuple:
     R = I, unlifted."""
     base = _base_system(cfg)
     alphas = _task_alphas(cfg)
-    gains = lti_env.synthesize_expert_family(base, alphas, np.eye(base.n_u))
+    gains = lti_env.synthesize_expert_family(base, alphas)
     return lti_env.build_ensemble(base, gains, sigma_z=cfg.sigma_z), alphas
 
 

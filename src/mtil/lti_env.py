@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import control_math
-from .errors import NoFactorization, NonFiniteData, RankDeficientLift
+from .errors import NonFiniteData, RankDeficientLift
 
 
 @dataclass(frozen=True)
@@ -171,12 +171,10 @@ def make_task(system: LinearSystem, K: np.ndarray, sigma_z: float = 1.0) -> Expe
     return ExpertTask(K=K, sigma_z=float(sigma_z), sigma_x=sigma_x)
 
 
-def synthesize_expert_family(
-    system: LinearSystem, alphas: np.ndarray, R: np.ndarray
-) -> list:
-    """One LQR gain per alpha, from the DARE with Q = alpha * I and cost R."""
+def synthesize_expert_family(system: LinearSystem, alphas: np.ndarray) -> list:
+    """One LQR gain per alpha, from the DARE with Q = alpha * I and R = I."""
     gains = []
-    eye = np.eye(system.n_x)
+    eye, R = np.eye(system.n_x), np.eye(system.n_u)
     for alpha in np.asarray(alphas, dtype=float):
         sol = control_math.solve_dare(system.A, system.B, float(alpha) * eye, R)
         gains.append(sol.K)
@@ -240,34 +238,14 @@ def _require_tall(m: int, n_x: int) -> None:
 def sample_lift_map(n_x: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Draw an m x n_x lift map with i.i.d. standard-normal entries.
 
-    Injectivity is asserted; one resample is attempted before failing.
+    For m >= n_x such a draw is injective with probability 1; `lift_ensemble`
+    refuses one that is not.
 
     Raises:
-        RankDeficientLift: if m < n_x or both draws are rank deficient.
+        RankDeficientLift: if m < n_x.
     """
     _require_tall(m, n_x)
-    for _ in range(2):
-        G = rng.standard_normal((m, n_x))
-        s = np.linalg.svd(G, compute_uv=False)
-        if s[-1] > 1e-10 * s[0]:
-            return G
-    raise RankDeficientLift("failed to draw an injective lift map")
-
-
-def ground_truth_factors(ensemble: TaskEnsemble) -> GroundTruthFactors:
-    """Return the recorded factorization, verifying its consistency.
-
-    Raises:
-        NoFactorization: the ensemble was built from raw gains.
-    """
-    if ensemble.truth is None:
-        raise NoFactorization("ensemble carries no known factorization")
-    truth = ensemble.truth
-    for F, task in zip(truth.f_stars, ensemble.tasks):
-        resid = np.linalg.norm(F @ truth.phi_star - task.K)
-        if resid > 1e-10 * max(1.0, np.linalg.norm(task.K)):
-            raise NoFactorization(f"recorded factors do not compose (resid {resid})")
-    return truth
+    return rng.standard_normal((m, n_x))
 
 
 # Plant used throughout the numerical experiments: a 4-state, 2-input

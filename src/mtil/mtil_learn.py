@@ -84,26 +84,15 @@ def _require_finite(what: str, *grams) -> None:
 
 
 def _orthonormalize(phi: np.ndarray, f_hats: np.ndarray) -> tuple:
-    """Canonicalize: orthonormal rows of Phi, change of basis absorbed into F.
+    """Orthonormal rows of Phi, the change of basis absorbed into F.
 
     Thin QR of Phi' gives Phi = R' Q', so replacing Phi by Q' and each F by
-    F R' leaves every product F Phi unchanged. Rows are sign-fixed so the
-    first entry of each row with magnitude above 1e-12 of the row norm is
-    positive.
+    F R' leaves every product F Phi unchanged.
     """
     Q, R = np.linalg.qr(phi.T)
-    phi_new = Q.T.copy()
-    f_new = f_hats @ R.T
-    for j in range(phi_new.shape[0]):
-        row = phi_new[j]
-        row_scale = np.linalg.norm(row)
-        if row_scale == 0.0:
-            continue
-        idx = np.flatnonzero(np.abs(row) > 1e-12 * row_scale)
-        if idx.size and row[idx[0]] < 0.0:
-            phi_new[j] = -row
-            f_new[:, :, j] = -f_new[:, :, j]
-    return phi_new, f_new
+    # A C-ordered copy, not the view Q.T: BLAS rounds the later products
+    # of a Fortran-ordered Phi otherwise, and results.csv would move.
+    return Q.T.copy(), f_hats @ R.T
 
 
 def _objective(grams: tuple, phi: np.ndarray, f_hats: np.ndarray) -> float:
@@ -129,9 +118,16 @@ def _phi_step_normal(Gx: np.ndarray, f_hats: np.ndarray) -> np.ndarray:
 
 
 def _f_step(grams: tuple, phi: np.ndarray) -> np.ndarray:
-    """Per-task exact least squares for F given Phi, all tasks at once."""
+    """Per-task exact least squares for F given Phi, all tasks at once.
+
+    Raises:
+        NonFiniteData: if a projected Gram Phi X'X Phi' overflows.
+    """
     Gx, Cxu, _ = grams
-    M = phi @ Gx @ phi.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = phi @ Gx @ phi.T
+    if not np.all(np.isfinite(M)):
+        raise NonFiniteData("projected Grams Phi X'X Phi' overflow")
     return _solve_with_ridge_repair(M, phi @ Cxu).transpose(0, 2, 1)
 
 
@@ -228,25 +224,59 @@ def _newton_step(grams: tuple, phi: np.ndarray, f_hats: np.ndarray):
     return phi + y.reshape(grad.shape, order="F") @ Q.T
 
 
-def _als_once(
-    grams: tuple, k: int, rng: np.random.Generator, min_norm: bool
-) -> tuple:
-    """One run from a random orthonormal start; returns raw factors.
+def pretrain_alternating(
+    source: list,
+    k: int,
+    rng: np.random.Generator,
+) -> PretrainResult:
+    """Fit a shared representation to the source tasks by exact ALS.
 
-    Extrapolated ALS sweeps (`_als_sweep`) run until one lowers the
-    objective by less than NEWTON_START_REL relative; Newton steps on the
-    reduced objective (`_chart_newton`) then take over while each has a
-    positive definite chart Hessian and lowers the objective. A refused step
-    hands back to ALS for at least NEWTON_RETRY_SWEEPS sweeps. Problems on
-    the minimum-norm Phi-step path, and k == n, take ALS sweeps only. An
-    iterate above the best objective so far is never kept, so the trace is
-    non-increasing; the run stops once a step lowers it by at most
-    ALS_REL_TOL relative.
+    Alternates (a) the per-task closed form F^h' = (Phi X'X Phi')^{-1}
+    Phi X'U and (b) the joint linear least squares for vec(Phi), minimum
+    norm when a source task has fewer rows than n_x, from one random
+    orthonormal Phi drawn from rng. Extrapolated ALS sweeps (`_als_sweep`)
+    run until one lowers the objective by less than NEWTON_START_REL
+    relative; Newton steps on the reduced objective (`_chart_newton`) then
+    take over while each has a positive definite chart Hessian and lowers
+    the objective. A refused step hands back to ALS for at least
+    NEWTON_RETRY_SWEEPS sweeps. Problems on the minimum-norm Phi-step path,
+    and k == n, take ALS sweeps only. An iterate above the best objective so
+    far is never kept, so the trace is non-increasing; the run stops once a
+    step lowers it by at most ALS_REL_TOL relative. The returned Phi has
+    orthonormal rows with the change of basis absorbed into each F^h.
+
+    Raises:
+        DegenerateRank: if fewer than k eigenvalues of X'X = sum_h X_h'X_h
+            (X: the stacked source states) exceed n * eps times the largest,
+            i.e. fewer than k singular values of X exceed sqrt(n * eps) s_1.
+        NonFiniteData: if a source Gram, or one projected on an iterate Phi,
+            has a non-finite entry.
+        SingularBlock: if a block solve is singular beyond ridge repair.
     """
-    H, n, n_u = grams[1].shape
-    phi0 = rng.standard_normal((k, n))
-    phi = np.linalg.qr(phi0.T)[0].T
-    trace = [_objective(grams, phi, np.zeros((H, n_u, k)))]
+    if not source:
+        raise ValueError("need at least one source task")
+    n = source[0].X.shape[1]
+    if k > n:
+        raise ValueError("k must not exceed the state dimension")
+    for data in source:
+        if data.X.shape[0] < k:
+            raise ValueError("each task needs at least k data rows")
+    # Per-task Gram matrices stacked over tasks: X'X (H, n, n), X'U
+    # (H, n, n_u) and ||U||^2 (H,).
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = (
+            np.stack([d.X.T @ d.X for d in source]),
+            np.stack([d.X.T @ d.U for d in source]),
+            np.array([np.sum(d.U**2) for d in source]),
+        )
+    _require_finite("source", *grams)
+    eig = np.linalg.eigvalsh(grams[0].sum(axis=0))
+    if np.count_nonzero(eig > n * np.finfo(float).eps * eig[-1]) < k:
+        raise DegenerateRank("stacked source states have rank below k")
+    min_norm = any(d.X.shape[0] < n for d in source)
+    phi = np.linalg.qr(rng.standard_normal((k, n)).T)[0].T
+    f_zero = np.zeros((len(source), source[0].U.shape[1], k))
+    trace = [_objective(grams, phi, f_zero)]
     f_hats = _f_step(grams, phi)
     finisher = not min_norm and k < n
     newton = False
@@ -277,59 +307,11 @@ def _als_once(
         newton = newton or (
             finisher and sweeps >= retry_at and drop < NEWTON_START_REL
         )
-    return phi, f_hats, np.array(trace), sweeps, newton_steps
-
-
-def pretrain_alternating(
-    source: list,
-    k: int,
-    rng: np.random.Generator,
-) -> PretrainResult:
-    """Fit a shared representation to the source tasks by exact ALS.
-
-    Alternates (a) the per-task closed form F^h' = (Phi X'X Phi')^{-1}
-    Phi X'U and (b) the joint linear least squares for vec(Phi), minimum
-    norm when a source task has fewer rows than n_x, in the extrapolated
-    sweeps of `_als_once`, which finishes with safeguarded Newton steps on
-    Phi and stops when the relative objective decrease falls below
-    ALS_REL_TOL. The returned Phi has orthonormal,
-    sign-canonicalized rows with the change of basis absorbed into each F^h.
-    The run starts from one random orthonormal Phi drawn from rng.
-
-    Raises:
-        DegenerateRank: if fewer than k eigenvalues of X'X = sum_h X_h'X_h
-            (X: the stacked source states) exceed n * eps times the largest,
-            i.e. fewer than k singular values of X exceed sqrt(n * eps) s_1.
-        NonFiniteData: if a source Gram has a non-finite entry.
-        SingularBlock: if a block solve is singular beyond ridge repair.
-    """
-    if not source:
-        raise ValueError("need at least one source task")
-    n = source[0].X.shape[1]
-    if k > n:
-        raise ValueError("k must not exceed the state dimension")
-    for data in source:
-        if data.X.shape[0] < k:
-            raise ValueError("each task needs at least k data rows")
-    # Per-task Gram matrices stacked over tasks: X'X (H, n, n), X'U
-    # (H, n, n_u) and ||U||^2 (H,).
-    with np.errstate(over="ignore", invalid="ignore"):
-        grams = (
-            np.stack([d.X.T @ d.X for d in source]),
-            np.stack([d.X.T @ d.U for d in source]),
-            np.array([np.sum(d.U**2) for d in source]),
-        )
-    _require_finite("source", *grams)
-    eig = np.linalg.eigvalsh(grams[0].sum(axis=0))
-    if np.count_nonzero(eig > n * np.finfo(float).eps * eig[-1]) < k:
-        raise DegenerateRank("stacked source states have rank below k")
-    min_norm = any(d.X.shape[0] < n for d in source)
-    phi, f_hats, trace, sweeps, newton_steps = _als_once(grams, k, rng, min_norm)
     phi, f_hats = _orthonormalize(phi, f_hats)
     return PretrainResult(
         phi_hat=phi,
         f_hats=f_hats,
-        objective_trace=trace,
+        objective_trace=np.array(trace),
         sweeps_used=sweeps,
         newton_steps=newton_steps,
     )
@@ -379,7 +361,8 @@ def finetune_target(phi_hat: np.ndarray, grams: PrefixGrams) -> np.ndarray:
     Grams, with ridge repair on singular normal matrices.
 
     Raises:
-        NonFiniteData: if a prefix Gram has a non-finite entry.
+        NonFiniteData: if a prefix Gram, or one projected on phi_hat, has a
+            non-finite entry.
     """
     _require_finite("target", grams.XX, grams.XU)
     return _f_step((grams.XX, grams.XU, None), phi_hat)

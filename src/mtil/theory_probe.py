@@ -364,10 +364,10 @@ def verify_tracking_and_siss(
           * ER may fail on at most a delta' fraction of trials.
     """
     K_star = target_task.K
-    profile = control_math.stability_profile(system.A + system.B @ K_star)
+    j_gain = control_math.stability_profile(system.A + system.B @ K_star)
     b_norm = np.linalg.norm(system.B, 2)
     gain_dev = float(np.linalg.norm(K_hat - K_star, 2))
-    if gain_dev > 1.0 / (2.0 * profile.j_gain * b_norm):
+    if gain_dev > 1.0 / (2.0 * j_gain * b_norm):
         return ProbeReport(
             name="tracking_siss",
             trials=0,
@@ -378,7 +378,7 @@ def verify_tracking_and_siss(
             details={"precondition_met": False, "gain_dev": gain_dev},
         )
     er = excess_risk(K_hat, K_star, target_task.sigma_x)
-    jb = profile.j_gain * b_norm
+    jb = j_gain * b_norm
     bound_hp = 4.0 * jb * jb * (1.0 + 4.0 * np.log(T / delta_prime)) * er
     max_sq = np.empty(trials)
     det_violations = 0
@@ -418,7 +418,7 @@ def verify_tracking_and_siss(
         details={
             "precondition_met": True,
             "det_violations": det_violations,
-            "j_gain": profile.j_gain,
+            "j_gain": j_gain,
             "bound_hp": bound_hp,
             "excess_risk": er,
         },

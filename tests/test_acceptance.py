@@ -99,13 +99,11 @@ def test_criterion_2_noiseless_identifiability():
     t0 = time.perf_counter()
     tree = SeedTree(root=1)
     base = lti_env.get_preset("hong2021")
-    gains = lti_env.synthesize_expert_family(
-        base, np.logspace(-2.0, 2.0, 10), np.eye(2)
-    )
+    gains = lti_env.synthesize_expert_family(base, np.logspace(-2.0, 2.0, 10))
     ens = lti_env.build_ensemble(base, gains)
     G = lti_env.sample_lift_map(4, 50, tree.child("lift").stream())
     lifted = lti_env.lift_ensemble(ens, G)
-    truth = lti_env.ground_truth_factors(lifted)
+    truth = lifted.truth
     system = lifted.system
     noiseless = [
         lti_env.make_task(system, t.K, sigma_z=0.0)
@@ -173,9 +171,7 @@ def test_criterion_4_excess_risk_rate():
     t0 = time.perf_counter()
     tree = SeedTree(root=7)
     base = lti_env.get_preset("hong2021")
-    gains = lti_env.synthesize_expert_family(
-        base, np.logspace(-2.0, 2.0, 10), np.eye(2)
-    )
+    gains = lti_env.synthesize_expert_family(base, np.logspace(-2.0, 2.0, 10))
     ens = lti_env.lift_ensemble(
         lti_env.build_ensemble(base, gains),
         lti_env.sample_lift_map(4, 50, tree.child("lift").stream()),

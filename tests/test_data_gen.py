@@ -14,7 +14,7 @@ from mtil.data_gen import (
     rollout_expert,
     sample_noise,
 )
-from mtil.errors import CholeskyFailure
+from mtil.errors import CholeskyFailure, NonFiniteData
 
 
 def scalar_setup(a=0.8, k=-0.3, sigma_z=0.0):
@@ -68,6 +68,24 @@ class TestCholeskyFactor:
     def test_indefinite_fails(self):
         with pytest.raises(CholeskyFailure):
             cholesky_factor(np.diag([1.0, -1.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_trace_factors(self):
+        # The trace overflows, but S factors without jitter; the jitter
+        # scale used to turn S into NaN (0 * inf).
+        L = cholesky_factor(np.diag([1e308, 1e308]))
+        assert np.array_equal(L, np.diag([1e154, 1e154]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_with_overflowing_trace_fails(self):
+        # Jitter would be scaled by an infinite mean diagonal.
+        with pytest.raises(CholeskyFailure, match="trace overflows"):
+            cholesky_factor(np.full((2, 2), 1e308))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_refused(self):
+        with pytest.raises(NonFiniteData, match="covariance is not finite"):
+            cholesky_factor(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 class TestSampleNoise:
@@ -148,7 +166,7 @@ class TestRolloutExpert:
         # w[t] from its drawn x[0], on the replayed draws; the batched
         # products round differently from one trajectory's in 4-D.
         base = lti_env.get_preset("hong2021")
-        gains = lti_env.synthesize_expert_family(base, [1.0, 2.0], np.eye(2))
+        gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
         task = lti_env.make_task(base, gains[0], sigma_z=1.0)
         T, N = 6, 3
         data = rollout_expert(base, task, T, N, np.random.default_rng(0))
@@ -206,7 +224,7 @@ class TestStacking:
 
     def test_first_row_of_each_block_is_its_initial_draw(self):
         base = lti_env.get_preset("hong2021")
-        gains = lti_env.synthesize_expert_family(base, [1.0, 2.0], np.eye(2))
+        gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
         task = lti_env.make_task(base, gains[0], sigma_z=1.0)
         T, N = 5, 4
         data = rollout_expert(base, task, T, N, np.random.default_rng(3))
@@ -335,7 +353,7 @@ class TestCoupledRollout:
     def test_batch_rows_match_batch_of_one(self, lifted):
         if lifted:
             base = lti_env.get_preset("hong2021")
-            gains = lti_env.synthesize_expert_family(base, [1.0, 2.0], np.eye(2))
+            gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
             system = base
             task = lti_env.make_task(base, gains[0], sigma_z=1.0)
             K_hat = gains[1]

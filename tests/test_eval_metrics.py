@@ -112,7 +112,7 @@ class TestEvaluateController:
         # bit for bit, the tracking errors of five successive evaluations on
         # the same stream; the full-space trajectories agree to rounding.
         base = lti_env.get_preset("hong2021")
-        gains = lti_env.synthesize_expert_family(base, [1.0, 2.0], np.eye(2))
+        gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
         task = lti_env.make_task(base, gains[0], sigma_z=1.0)
         rng = SeedTree(root=4).child("e").stream()
         noise = sample_noise(base, task, 30, rng, trials=5)
@@ -133,7 +133,7 @@ class TestEvaluateController:
         # A cell scores c gains per draw in one pass; each record must be the
         # bits of a one-gain call on its draw's stream, a diverging gain too.
         base = lti_env.get_preset("hong2021")
-        gains = lti_env.synthesize_expert_family(base, [0.5, 1.0, 2.0], np.eye(2))
+        gains = lti_env.synthesize_expert_family(base, [0.5, 1.0, 2.0])
         task = lti_env.make_task(base, gains[0], sigma_z=1.0)
         diverging = gains[0] + 1e8  # overflows within the 60 steps
         K_hats = np.array(
@@ -156,8 +156,8 @@ class TestEvaluateController:
         # Deterministic consequence of the incremental-stability display.
         system, task = scalar_setup(sigma_z=0.2)
         K_hat = task.K + 0.02
-        profile = cm.stability_profile(system.A + system.B @ task.K)
-        jb = profile.j_gain * np.linalg.norm(system.B, 2)
+        j_gain = cm.stability_profile(system.A + system.B @ task.K)
+        jb = j_gain * np.linalg.norm(system.B, 2)
         rng = SeedTree(root=3).child("b").stream()
         for _ in range(50):
             noise = sample_noise(system, task, 40, rng)
@@ -208,7 +208,7 @@ class TestClosedLoopRadii:
             lti_env.build_ensemble(
                 lti_env.get_preset("hong2021"),
                 lti_env.synthesize_expert_family(
-                    lti_env.get_preset("hong2021"), [0.1, 10.0], np.eye(2)
+                    lti_env.get_preset("hong2021"), [0.1, 10.0]
                 ),
             ),
             SeedTree(root=3).child("lift").stream().standard_normal((50, 4)),

@@ -1,5 +1,6 @@
 """Tests for config loading, sweep execution, persistence, and the CLI."""
 
+import csv
 import filecmp
 import hashlib
 import json
@@ -541,6 +542,59 @@ class TestCli:
         assert err.startswith(f"error: {grams} Grams are not finite")
         assert err.count("\n") == 1
         assert out.exists() == out_exists
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unfactorable_covariance_exits_2(self, tmp_path, capsys):
+        # A lifted stationary covariance near 1e305 is numerically singular
+        # and its trace overflows: one error line, no RuntimeWarning, and no
+        # NaN factor passed on to the rollouts.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "system:\n  sigma_z: 3.0e+152\n"
+            "sweep:\n  trials_system: 1\n  trials_noise: 1\n  n2: [1, 20]\n"
+        )
+        rc = cli.main(
+            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: covariance does not factor, and its trace overflows\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_projected_gram_overflow_exits_2(self, tmp_path, capsys):
+        # Every source Gram is finite, but Phi X'X Phi' overflows in an ALS
+        # step: one error line names it, with no RuntimeWarning.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "system:\n  sigma_z: 1.0e+147\n"
+            "sweep:\n  trials_system: 4\n  trials_noise: 3\n  n2: [1, 5, 20]\n"
+        )
+        rc = cli.main(
+            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: projected Grams Phi X'X Phi' overflow\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_excess_risk_is_quiet(self, tmp_path, capsys):
+        # delta @ sigma_x overflows in the excess risk: the run writes its
+        # rows (excess_risk nan, as README says) and prints nothing to stderr.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "system:\n  sigma_z: 1.0e+151\n"
+            "sweep:\n  trials_system: 1\n  trials_noise: 1\n  n2: [1, 20]\n"
+            "  methods: [direct]\n"
+        )
+        out = tmp_path / "out"
+        rc = cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        with open(out / "results.csv") as f:
+            risks = [row["excess_risk"] for row in csv.DictReader(f)]
+        assert "nan" in risks
 
     def test_malformed_yaml_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

@@ -11,7 +11,6 @@ from mtil.data_gen import SeedTree
 from mtil.errors import (
     CholeskyFailure,
     MtilError,
-    NoFactorization,
     RankDeficientLift,
     UnstableMatrix,
 )
@@ -20,7 +19,7 @@ from mtil.errors import (
 def small_ensemble(H=3, sigma_z=1.0):
     base = lti_env.get_preset("hong2021")
     alphas = np.logspace(-1, 1, H + 1)
-    gains = lti_env.synthesize_expert_family(base, alphas, np.eye(base.n_u))
+    gains = lti_env.synthesize_expert_family(base, alphas)
     return lti_env.build_ensemble(base, gains, sigma_z=sigma_z)
 
 
@@ -82,23 +81,21 @@ class TestTaskFactors:
 class TestSynthesizeFamily:
     def test_preset_family_all_stabilizing(self):
         base = lti_env.get_preset("hong2021")
-        gains = lti_env.synthesize_expert_family(
-            base, np.logspace(-2, 2, 10), np.eye(2)
-        )
+        gains = lti_env.synthesize_expert_family(base, np.logspace(-2, 2, 10))
         assert len(gains) == 10
         for K in gains:
             assert cm.spectral_radius(base.A + base.B @ K) < 1.0
 
     def test_scalar_gain_matches_oracle(self):
         system = lti_env.LinearSystem(A=np.array([[0.5]]), B=np.array([[1.0]]))
-        gains = lti_env.synthesize_expert_family(system, [1.0], np.eye(1))
+        gains = lti_env.synthesize_expert_family(system, [1.0])
         assert len(gains) == 1
         assert gains[0][0, 0] == pytest.approx(-0.265565, abs=1e-5)
 
     def test_deterministic(self):
         base = lti_env.get_preset("hong2021")
-        g1 = lti_env.synthesize_expert_family(base, [0.5, 2.0], np.eye(2))
-        g2 = lti_env.synthesize_expert_family(base, [0.5, 2.0], np.eye(2))
+        g1 = lti_env.synthesize_expert_family(base, [0.5, 2.0])
+        g2 = lti_env.synthesize_expert_family(base, [0.5, 2.0])
         for a, b in zip(g1, g2):
             assert np.array_equal(a, b)
 
@@ -253,13 +250,16 @@ class TestGroundTruth:
         ens = small_ensemble()
         G = SeedTree(root=7).child("lift").stream().standard_normal((50, 4))
         lifted = lti_env.lift_ensemble(ens, G)
-        truth = lti_env.ground_truth_factors(lifted)
+        truth = lifted.truth
         assert truth.k == 4
         np.testing.assert_allclose(truth.phi_star, np.linalg.pinv(G), atol=1e-12)
+        # The recorded factors compose to each lifted gain: F_h Phi* = K_h.
+        for F, task in zip(truth.f_stars, lifted.tasks):
+            resid = np.linalg.norm(F @ truth.phi_star - task.K)
+            assert resid <= 1e-10 * max(1.0, np.linalg.norm(task.K))
 
     def test_raw_ensemble_has_no_factors(self):
-        with pytest.raises(NoFactorization):
-            lti_env.ground_truth_factors(small_ensemble())
+        assert small_ensemble().truth is None
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):

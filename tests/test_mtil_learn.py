@@ -274,7 +274,7 @@ class TestAlsProperties:
     @given(als_problems(), st.integers(0, 2**32 - 1))
     def test_orthonormalize_keeps_products(self, problem, gauge_seed):
         # A random change of basis M leaves every F Phi as it is; so must
-        # the canonical form _orthonormalize picks.
+        # _orthonormalize.
         tasks, k, seed = problem
         result = mtil_learn.pretrain_alternating(
             tasks, k, rng=np.random.default_rng(seed)

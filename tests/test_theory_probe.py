@@ -31,7 +31,7 @@ class TestCovarianceConcentration:
 
     def test_single_sample_fails_rank(self):
         base = lti_env.get_preset("hong2021")
-        gains = lti_env.synthesize_expert_family(base, [1.0, 2.0], np.eye(2))
+        gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
         task = lti_env.make_task(base, gains[0], sigma_z=1.0)
         report = theory_probe.verify_covariance_concentration(
             base, task, N=1, T=1, trials=20,
