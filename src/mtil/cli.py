@@ -48,9 +48,9 @@ PROBE_NAMES = (
 
 
 def _scalar_task(a_cl: float):
-    """Plant a = a_cl + 0.3 with w ~ N(0, 1), expert gain -0.3 and sigma_z = 0."""
-    system = lti_env.LinearSystem(A=np.array([[a_cl + 0.3]]), B=np.array([[1.0]]))
-    return system, lti_env.make_task(system, np.array([[-0.3]]), sigma_z=0.0)
+    """Plant a = a_cl + 0.3 with w ~ N(0, 1) and sigma_z = 0; expert gain -0.3."""
+    system = lti_env.LinearSystem(A=np.array([[a_cl + 0.3]]), B=np.eye(1), sigma_z=0.0)
+    return system, lti_env.make_task(system, np.array([[-0.3]]))
 
 
 def _require_seed(seed: int) -> None:
@@ -191,6 +191,10 @@ def _cmd_synth(args) -> int:
     from . import exp_harness
 
     _require_seed(args.seed)
+    try:  # named as the flag, not as the config key expert_family would name
+        lti_env.get_preset(args.preset)
+    except KeyError as exc:
+        raise ValidationError(f"--preset: {exc.args[0]}") from exc
     # The family and lift of system trial 0 of `mtil run --seed S`.
     cfg = exp_harness.ExperimentConfig(
         preset=args.preset, lift_dim=args.lift_dim, seed=args.seed

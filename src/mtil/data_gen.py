@@ -80,7 +80,7 @@ def sample_noise(
     # one-trajectory call.
     x0 = (task.chol_x @ g[:, :n_x, None])[..., 0]
     w = g[:, n_x : n_x + T * n_x].reshape(-1, T, n_x)
-    z = task.sigma_z * g[:, n_x + T * n_x :].reshape(-1, T, n_u)
+    z = system.sigma_z * g[:, n_x + T * n_x :].reshape(-1, T, n_u)
     return NoiseRealization(x0=x0, w=w, z=z)
 
 
@@ -104,7 +104,7 @@ def rollout_expert(
         raise ValueError("T and N must be >= 1")
     x = rng.standard_normal((N, system.n_x)) @ task.chol_x.T
     W = rng.standard_normal((N, T, system.n_x))
-    Z = task.sigma_z * rng.standard_normal((N, T, system.n_u))
+    Z = system.sigma_z * rng.standard_normal((N, T, system.n_u))
 
     states = np.empty((N, T, system.n_x))
     inputs = np.empty((N, T, system.n_u))

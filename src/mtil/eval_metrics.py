@@ -92,7 +92,9 @@ def evaluate_controller(
     with np.errstate(over="ignore", invalid="ignore"):
         peak = np.sum(devs * devs, axis=3).max(axis=2)
     gains = K_hat.reshape(-1, *K_hat.shape[2:])
-    rho = closed_loop_radii(system, gains)
+    # rho(A + B K) from the r x r block on the plant's range: A + B K maps
+    # into span(Q), so its other eigenvalues are zero.
+    rho = np.abs(np.linalg.eigvals(system.closed_loop_on_range(gains))).max(axis=1)
     return [
         MetricsRecord(
             tracking_err=float(np.inf if n_steps < T_test else sq),
@@ -103,18 +105,6 @@ def evaluate_controller(
         )
         for K, sq, n_steps, r in zip(gains, peak.ravel(), steps.ravel(), rho)
     ]
-
-
-def closed_loop_radii(system: LinearSystem, gains: np.ndarray) -> np.ndarray:
-    """rho(A + B K) for each gain of a (c, n_u, n_x) stack.
-
-    Taken on the plant's basis Q as rho(Q'AQ + (Q'B)(K Q)): A + B K maps
-    into span(Q), so its other eigenvalues are zero. On a lifted plant that
-    is a k x k problem in place of an n_x x n_x one. A plant without a basis
-    uses Q = I, which gives the bits of the full-space form.
-    """
-    closed = system.closed_loop_on_range(gains)
-    return np.abs(np.linalg.eigvals(closed)).max(axis=1)
 
 
 def lqr_cost_gap_bound(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -248,11 +248,12 @@ def _base_system(cfg: ExperimentConfig) -> lti_env.LinearSystem:
             "system.b", cfg.B, lambda B: lti_env.LinearSystem(A=A, B=np.array(B))
         )
         _require(np.all(np.isfinite(system.B)), "system.b", "must be finite")
-        return system
-    try:
-        return lti_env.get_preset(cfg.preset)
-    except KeyError as exc:
-        raise ValidationError(f"system.preset: {exc}") from exc
+    else:
+        try:
+            system = lti_env.get_preset(cfg.preset)
+        except KeyError as exc:
+            raise ValidationError(f"system.preset: {exc.args[0]}") from exc
+    return replace(system, sigma_z=cfg.sigma_z)
 
 
 def _task_alphas(cfg: ExperimentConfig) -> np.ndarray:
@@ -267,7 +268,7 @@ def expert_family(cfg: ExperimentConfig) -> tuple:
     base = _base_system(cfg)
     alphas = _task_alphas(cfg)
     gains = lti_env.synthesize_expert_family(base, alphas)
-    return lti_env.build_ensemble(base, gains, sigma_z=cfg.sigma_z), alphas
+    return lti_env.build_ensemble(base, gains), alphas
 
 
 def lift_trial(cfg: ExperimentConfig, family, system_trial: int):

@@ -1,16 +1,16 @@
 """Plant definitions, expert task ensembles, LQR synthesis, and lifting.
 
-A task ensemble bundles one linear plant, driven by process noise w ~ N(0, I),
-with H source expert controllers and one target expert controller, each
-carrying its actuator-noise level and the stationary state covariance of its
-closed loop with its Cholesky factor. Ensembles can be lifted into a
+A task ensemble bundles one linear plant, which carries the process noise
+w ~ N(0, I) and the experts' actuator-noise level, with H source expert
+controllers and one target, each carrying the stationary state covariance
+of its closed loop with its Cholesky factor. Ensembles can be lifted into a
 higher-dimensional observation space through an injective linear map, in
 which case the ground-truth factorization K = F Phi is recorded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .errors import NonFiniteData, RankDeficientLift
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Discrete-time plant x[t+1] = A x[t] + B u[t] + w[t], w[t] ~ N(0, I).
+    """Discrete-time plant x[t+1] = A x[t] + B u[t] + w[t], w[t] ~ N(0, I),
+    driven by experts u[t] = K x[t] + z[t] with z[t] ~ N(0, sigma_z^2 I).
 
     basis has orthonormal columns whose span contains range(A) and range(B):
     a lifted plant gives its range, any other plant gets the n_x x n_x
@@ -34,6 +35,7 @@ class LinearSystem:
     A: np.ndarray
     B: np.ndarray
     basis: np.ndarray | None = None
+    sigma_z: float = 1.0
 
     def __post_init__(self) -> None:
         A = np.asarray(self.A, dtype=float)
@@ -86,11 +88,10 @@ def _check_basis(basis, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExpertTask:
-    """One expert controller together with its actuator noise.
+    """One expert controller, without its noise: the plant carries that.
 
     Attributes:
         K: stabilizing state-feedback gain (n_u x n_x).
-        sigma_z: actuator-noise standard deviation (scalar, >= 0).
         sigma_x: stationary state covariance of the closed loop.
         chol_x: lower Cholesky factor of sigma_x, set from it when the task
             is built.
@@ -100,7 +101,6 @@ class ExpertTask:
     """
 
     K: np.ndarray
-    sigma_z: float
     sigma_x: np.ndarray
     chol_x: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -142,10 +142,10 @@ class TaskEnsemble:
         return list(self.sources) + [self.target]
 
 
-def make_task(system: LinearSystem, K: np.ndarray, sigma_z: float = 1.0) -> ExpertTask:
-    """Build an ExpertTask for process noise w ~ N(0, I) and actuator noise
-    z ~ N(0, sigma_z^2 I); its stationary covariance solves the Lyapunov
-    equation Sigma = (A+BK) Sigma (A+BK)' + sigma_z^2 B B' + I.
+def make_task(system: LinearSystem, K: np.ndarray) -> ExpertTask:
+    """Build an ExpertTask for process noise w ~ N(0, I) and the plant's
+    actuator noise z ~ N(0, sigma_z^2 I); its stationary covariance solves the
+    Lyapunov equation Sigma = (A+BK) Sigma (A+BK)' + sigma_z^2 B B' + I.
 
     The closed loop maps into the span of the plant's basis Q, so
     Sigma = I + Q S Q', where S solves the r x r equation
@@ -157,6 +157,7 @@ def make_task(system: LinearSystem, K: np.ndarray, sigma_z: float = 1.0) -> Expe
         UnstableMatrix: if rho(A + BK) >= 1.
     """
     K = np.asarray(K, dtype=float)
+    sigma_z = system.sigma_z
     basis = system.basis
     QB = basis.T @ system.B
     M = basis.T @ system.A + QB @ K  # Q'(A+BK)
@@ -168,7 +169,7 @@ def make_task(system: LinearSystem, K: np.ndarray, sigma_z: float = 1.0) -> Expe
     S = control_math.solve_discrete_lyapunov(M @ basis, forcing)
     P = basis @ S @ basis.T
     sigma_x = np.eye(system.n_x) + 0.5 * (P + P.T)
-    return ExpertTask(K=K, sigma_z=float(sigma_z), sigma_x=sigma_x)
+    return ExpertTask(K=K, sigma_x=sigma_x)
 
 
 def synthesize_expert_family(system: LinearSystem, alphas: np.ndarray) -> list:
@@ -182,16 +183,14 @@ def synthesize_expert_family(system: LinearSystem, alphas: np.ndarray) -> list:
 
 
 def build_ensemble(
-    system: LinearSystem,
-    gains: list,
-    sigma_z: float = 1.0,
+    system: LinearSystem, gains: list, truth: GroundTruthFactors | None = None
 ) -> TaskEnsemble:
-    """Assemble an ensemble from gains, each with process noise w ~ N(0, I)
-    and actuator noise z ~ N(0, sigma_z^2 I); the last is the target."""
+    """Assemble an ensemble on one plant from gains, the last the target's;
+    each task's noise is the plant's."""
     if len(gains) < 2:
         raise ValueError("need at least one source gain plus the target gain")
-    tasks = [make_task(system, K, sigma_z=sigma_z) for K in gains]
-    return TaskEnsemble(system=system, sources=tasks[:-1], target=tasks[-1])
+    tasks = [make_task(system, K) for K in gains]
+    return TaskEnsemble(system, tasks[:-1], tasks[-1], truth)
 
 
 def lift_ensemble(ensemble: TaskEnsemble, G: np.ndarray) -> TaskEnsemble:
@@ -199,8 +198,8 @@ def lift_ensemble(ensemble: TaskEnsemble, G: np.ndarray) -> TaskEnsemble:
 
     The lifted plant is (G A G+, G B) and each gain becomes K G+, where G+ is
     the pseudo-inverse; its basis is the left singular vectors of G, which
-    span range(G). Stationary covariances are recomputed for process noise
-    w ~ N(0, I) in the lifted space and unchanged sigma_z. The
+    span range(G), and it keeps the plant's sigma_z. Stationary covariances
+    are recomputed for process noise w ~ N(0, I) in the lifted space. The
     ground truth records Phi = G+ and F^(h) equal to the original gains.
 
     Raises:
@@ -214,19 +213,10 @@ def lift_ensemble(ensemble: TaskEnsemble, G: np.ndarray) -> TaskEnsemble:
     # Not np.linalg.pinv(G): that rounds differently and changes results.csv.
     G_pinv = (Vt.T * (1.0 / s)) @ U.T
     system = ensemble.system
-    lifted_system = LinearSystem(A=G @ system.A @ G_pinv, B=G @ system.B, basis=U)
+    lifted = replace(system, A=G @ system.A @ G_pinv, B=G @ system.B, basis=U)
     original_gains = [t.K for t in ensemble.tasks]
-    lifted_tasks = [
-        make_task(lifted_system, K @ G_pinv, t.sigma_z)
-        for K, t in zip(original_gains, ensemble.tasks)
-    ]
     truth = GroundTruthFactors(phi_star=G_pinv, f_stars=original_gains)
-    return TaskEnsemble(
-        system=lifted_system,
-        sources=lifted_tasks[:-1],
-        target=lifted_tasks[-1],
-        truth=truth,
-    )
+    return build_ensemble(lifted, [K @ G_pinv for K in original_gains], truth)
 
 
 def _require_tall(m: int, n_x: int) -> None:

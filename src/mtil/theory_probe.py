@@ -204,7 +204,7 @@ def verify_self_normalized(
     delta: float,
     trials: int,
     rng: np.random.Generator,
-    regressor_kind: str = "gaussian-iid",
+    regressor_kind: str,
 ) -> ProbeReport:
     """Probe the generalized self-normalized martingale inequality.
 

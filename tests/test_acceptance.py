@@ -6,6 +6,7 @@ and prints a single PASS/FAIL line (visible with pytest -s or on failure).
 
 import filecmp
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,11 +105,8 @@ def test_criterion_2_noiseless_identifiability():
     G = lti_env.sample_lift_map(4, 50, tree.child("lift").stream())
     lifted = lti_env.lift_ensemble(ens, G)
     truth = lifted.truth
-    system = lifted.system
-    noiseless = [
-        lti_env.make_task(system, t.K, sigma_z=0.0)
-        for t in lifted.tasks
-    ]
+    system = replace(lifted.system, sigma_z=0.0)
+    noiseless = [lti_env.make_task(system, t.K) for t in lifted.tasks]
     stacks = [
         rollout_expert(system, t, 20, 2, tree.child("d", i).stream())
         for i, t in enumerate(noiseless[:9])

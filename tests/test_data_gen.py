@@ -18,8 +18,10 @@ from mtil.errors import CholeskyFailure, NonFiniteData
 
 
 def scalar_setup(a=0.8, k=-0.3, sigma_z=0.0):
-    system = lti_env.LinearSystem(A=np.array([[a]]), B=np.array([[1.0]]))
-    task = lti_env.make_task(system, np.array([[k]]), sigma_z=sigma_z)
+    system = lti_env.LinearSystem(
+        A=np.array([[a]]), B=np.array([[1.0]]), sigma_z=sigma_z
+    )
+    task = lti_env.make_task(system, np.array([[k]]))
     return system, task
 
 
@@ -101,8 +103,10 @@ class TestSampleNoise:
     def test_process_noise_is_its_slice_of_the_standard_normals(self):
         # Each trial's block is x0 (n_x), then w (T x n_x), then z (T x n_u);
         # w ~ N(0, I) is its slice as drawn, z its slice times sigma_z.
-        system = lti_env.LinearSystem(A=0.5 * np.eye(3), B=np.ones((3, 2)))
-        task = lti_env.make_task(system, np.zeros((2, 3)), sigma_z=0.7)
+        system = lti_env.LinearSystem(
+            A=0.5 * np.eye(3), B=np.ones((3, 2)), sigma_z=0.7
+        )
+        task = lti_env.make_task(system, np.zeros((2, 3)))
         T, trials = 6, 4
         noise = sample_noise(system, task, T, np.random.default_rng(9), trials)
         g = np.random.default_rng(9).standard_normal((trials, 3 + T * 5))
@@ -121,8 +125,10 @@ class TestSampleNoise:
 
     @pytest.mark.parametrize("n_x", [1, 4])
     def test_batched_draws_match_successive_calls(self, n_x):
-        system = lti_env.LinearSystem(A=0.5 * np.eye(n_x), B=np.ones((n_x, 2)))
-        task = lti_env.make_task(system, np.zeros((2, n_x)), sigma_z=0.7)
+        system = lti_env.LinearSystem(
+            A=0.5 * np.eye(n_x), B=np.ones((n_x, 2)), sigma_z=0.7
+        )
+        task = lti_env.make_task(system, np.zeros((2, n_x)))
         batch = sample_noise(system, task, 12, np.random.default_rng(7), trials=3)
         rng = np.random.default_rng(7)
         singles = [sample_noise(system, task, 12, rng) for _ in range(3)]
@@ -141,7 +147,7 @@ def replayed_draws(system, task, T, N, seed):
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal((N, system.n_x)) @ cholesky_factor(task.sigma_x).T
     w = rng.standard_normal((N, T, system.n_x))
-    z = task.sigma_z * rng.standard_normal((N, T, system.n_u))
+    z = system.sigma_z * rng.standard_normal((N, T, system.n_u))
     return x0, w, z
 
 
@@ -167,7 +173,7 @@ class TestRolloutExpert:
         # products round differently from one trajectory's in 4-D.
         base = lti_env.get_preset("hong2021")
         gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
-        task = lti_env.make_task(base, gains[0], sigma_z=1.0)
+        task = lti_env.make_task(base, gains[0])
         T, N = 6, 3
         data = rollout_expert(base, task, T, N, np.random.default_rng(0))
         X, U = replayed_rollout(base, task, T, N, seed=0)
@@ -225,7 +231,7 @@ class TestStacking:
     def test_first_row_of_each_block_is_its_initial_draw(self):
         base = lti_env.get_preset("hong2021")
         gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
-        task = lti_env.make_task(base, gains[0], sigma_z=1.0)
+        task = lti_env.make_task(base, gains[0])
         T, N = 5, 4
         data = rollout_expert(base, task, T, N, np.random.default_rng(3))
         Lx = cholesky_factor(task.sigma_x)
@@ -355,7 +361,7 @@ class TestCoupledRollout:
             base = lti_env.get_preset("hong2021")
             gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
             system = base
-            task = lti_env.make_task(base, gains[0], sigma_z=1.0)
+            task = lti_env.make_task(base, gains[0])
             K_hat = gains[1]
         else:
             system, task = scalar_setup(sigma_z=0.5)

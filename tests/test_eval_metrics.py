@@ -14,8 +14,8 @@ from test_data_gen import full_space_rollout
 
 
 def scalar_setup(sigma_z=0.0):
-    system = LinearSystem(A=np.array([[0.8]]), B=np.array([[1.0]]))
-    task = lti_env.make_task(system, np.array([[-0.3]]), sigma_z=sigma_z)
+    system = LinearSystem(A=np.array([[0.8]]), B=np.array([[1.0]]), sigma_z=sigma_z)
+    task = lti_env.make_task(system, np.array([[-0.3]]))
     return system, task
 
 
@@ -32,7 +32,7 @@ def manual_ensemble(sigmas_x, f_stars, phi_star):
     system = LinearSystem(A=np.zeros((phi_star.shape[1], phi_star.shape[1])),
                           B=np.zeros((phi_star.shape[1], f_stars[0].shape[0])))
     tasks = [
-        ExpertTask(K=F @ phi_star, sigma_z=1.0, sigma_x=S.copy())
+        ExpertTask(K=F @ phi_star, sigma_x=S.copy())
         for F, S in zip(f_stars, sigmas_x)
     ]
     truth = lti_env.GroundTruthFactors(phi_star=phi_star, f_stars=list(f_stars))
@@ -113,7 +113,7 @@ class TestEvaluateController:
         # the same stream; the full-space trajectories agree to rounding.
         base = lti_env.get_preset("hong2021")
         gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
-        task = lti_env.make_task(base, gains[0], sigma_z=1.0)
+        task = lti_env.make_task(base, gains[0])
         rng = SeedTree(root=4).child("e").stream()
         noise = sample_noise(base, task, 30, rng, trials=5)
         K_hats = np.broadcast_to(gains[1], (5, 1, *gains[1].shape))
@@ -134,7 +134,7 @@ class TestEvaluateController:
         # bits of a one-gain call on its draw's stream, a diverging gain too.
         base = lti_env.get_preset("hong2021")
         gains = lti_env.synthesize_expert_family(base, [0.5, 1.0, 2.0])
-        task = lti_env.make_task(base, gains[0], sigma_z=1.0)
+        task = lti_env.make_task(base, gains[0])
         diverging = gains[0] + 1e8  # overflows within the 60 steps
         K_hats = np.array(
             [[gains[1], gains[2]], [gains[2], diverging], [task.K, gains[1]]]
@@ -193,8 +193,10 @@ def lifted_gain_stacks(draw):
 class TestClosedLoopRadii:
     @given(lifted_gain_stacks())
     def test_matches_full_space_eigvals(self, problem):
+        # evaluate_controller's stable verdicts read rho off the r x r block.
         system, gains = problem
-        rho = eval_metrics.closed_loop_radii(system, gains)
+        on_range = system.closed_loop_on_range(gains)
+        rho = np.abs(np.linalg.eigvals(on_range)).max(axis=1)
         closed = [system.A + system.B @ K for K in gains]
         full = np.array([np.abs(np.linalg.eigvals(M)).max() for M in closed])
         # Full-space eigvals is accurate to rounding of ||A + BK||, not of

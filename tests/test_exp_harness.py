@@ -182,6 +182,29 @@ def cli_env(threads):
     return env
 
 
+INLINE_SWEEP = (
+    "system:\n  a: [[0.9, 0.5], [0.0, 0.8]]\n  b: [[0.0], [1.0]]\n"
+    "  lift_dim: {lift_dim}\ntasks:\n  h: 3\n  k: 1\n"
+    "sweep:\n  n2: [1, 5]\n  trials_system: 2\n  trials_noise: 2\n"
+)
+
+
+class TestInlinePlant:
+    @pytest.mark.parametrize("lift_dim", ["null", "6"])
+    def test_sweep_is_the_same_at_any_parallelism(self, tmp_path, lift_dim):
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(INLINE_SWEEP.format(lift_dim=lift_dim))
+        for p in ("1", "2"):
+            out = str(tmp_path / f"p{p}")
+            argv = ["run", "--config", str(cfg_path), "--out", out]
+            assert cli.main(argv + ["--parallelism", p]) == 0
+        assert filecmp.cmp(
+            str(tmp_path / "p1" / "results.csv"),
+            str(tmp_path / "p2" / "results.csv"),
+            shallow=False,
+        )
+
+
 class TestSweepReuse:
     def test_golden_results_digest(self, tmp_path):
         cfg = eh.config_from_dict(yaml.safe_load(GOLDEN_SWEEP))
@@ -453,6 +476,18 @@ BAD_INPUTS = [
     # sigma_z^2 B B' overflows on the base plant.
     (37, "system:\n  sigma_z: 1.0e+200\n", [], "system.sigma_z"),
     (38, "system:\n  sigma_z: 1.0e+154\n", [], "system.sigma_z"),
+    (
+        39,
+        "system:\n  preset: bogus\n",
+        [],
+        "system.preset: unknown preset 'bogus'; known: ['hong2021']",
+    ),
+    (
+        40,
+        "system:\n  a: [[0.9, 0.5], [0.0, 0.8]]\n  b: [[1.0]]\n",
+        [],
+        "system.b: B must have the same row count as A",
+    ),
 ]
 
 
@@ -818,9 +853,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
-    def test_synth_unknown_preset(self):
-        rc = cli.main(["synth", "--preset", "unknown"])
+    def test_synth_unknown_preset(self, capsys):
+        # Named as the flag typed, not as the config key system.preset.
+        rc = cli.main(["synth", "--preset", "bogus"])
+        captured = capsys.readouterr()
         assert rc == 2
+        assert captured.err == (
+            "error: --preset: unknown preset 'bogus'; known: ['hong2021']\n"
+        )
+        assert captured.out == ""
 
 
 class TestFactoredAdvantage:

@@ -1,5 +1,7 @@
 """Tests for plants, expert synthesis, ensembles, and lifting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -16,28 +18,30 @@ from mtil.errors import (
 )
 
 
-def small_ensemble(H=3, sigma_z=1.0):
+def small_ensemble(H=3):
     base = lti_env.get_preset("hong2021")
     alphas = np.logspace(-1, 1, H + 1)
     gains = lti_env.synthesize_expert_family(base, alphas)
-    return lti_env.build_ensemble(base, gains, sigma_z=sigma_z)
+    return lti_env.build_ensemble(base, gains)
 
 
 class TestStationaryCovariance:
     def test_scalar_geometric(self):
-        system = lti_env.LinearSystem(A=np.array([[0.8]]), B=np.array([[1.0]]))
-        task = lti_env.make_task(system, np.array([[-0.3]]), sigma_z=0.0)
+        system = lti_env.LinearSystem(
+            A=np.array([[0.8]]), B=np.array([[1.0]]), sigma_z=0.0
+        )
+        task = lti_env.make_task(system, np.array([[-0.3]]))
         assert task.sigma_x[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-10)
 
     def test_pure_noise(self):
         system = lti_env.LinearSystem(A=np.zeros((2, 2)), B=np.zeros((2, 1)))
-        task = lti_env.make_task(system, np.zeros((1, 2)), sigma_z=1.0)
+        task = lti_env.make_task(system, np.zeros((1, 2)))
         np.testing.assert_allclose(task.sigma_x, np.eye(2), atol=1e-12)
 
     def test_rejects_unstable_closed_loop(self):
         system = lti_env.LinearSystem(A=np.array([[1.5]]), B=np.array([[0.0]]))
         with pytest.raises(UnstableMatrix):
-            lti_env.make_task(system, np.zeros((1, 1)), 1.0)
+            lti_env.make_task(system, np.zeros((1, 1)))
 
     def test_lifted_preset_residual(self):
         ens = small_ensemble()
@@ -49,7 +53,7 @@ class TestStationaryCovariance:
             A_cl = lifted.system.A + lifted.system.B @ task.K
             rhs = (
                 A_cl @ task.sigma_x @ A_cl.T
-                + task.sigma_z**2 * lifted.system.B @ lifted.system.B.T
+                + lifted.system.sigma_z**2 * lifted.system.B @ lifted.system.B.T
                 + np.eye(lifted.system.n_x)
             )
             resid = np.linalg.norm(task.sigma_x - rhs, "fro")
@@ -66,16 +70,12 @@ class TestTaskFactors:
 
     def test_hand_built_task_gets_factors(self):
         sigma_x = np.array([[2.0, 0.5], [0.5, 1.0]])
-        task = lti_env.ExpertTask(K=np.zeros((1, 2)), sigma_z=0.0, sigma_x=sigma_x)
+        task = lti_env.ExpertTask(K=np.zeros((1, 2)), sigma_x=sigma_x)
         assert np.array_equal(task.chol_x, cm.cholesky_factor(sigma_x))
 
     def test_indefinite_sigma_x_refused_at_build(self):
         with pytest.raises(CholeskyFailure):
-            lti_env.ExpertTask(
-                K=np.zeros((1, 2)),
-                sigma_z=0.0,
-                sigma_x=np.diag([1.0, -1.0]),
-            )
+            lti_env.ExpertTask(K=np.zeros((1, 2)), sigma_x=np.diag([1.0, -1.0]))
 
 
 class TestSynthesizeFamily:
@@ -190,9 +190,10 @@ class TestSystemBasis:
 
 @st.composite
 def plants_and_gains(draw):
-    """(system, K, sigma_z): a random stable plant (n <= 6 states), either
-    unlifted or lifted through a Gaussian m x n map (m in [n, 50]), a random
-    gain that keeps the closed loop stable, and an actuator-noise level."""
+    """(system, K): a random stable plant (n <= 6 states), either unlifted
+    or lifted through a Gaussian m x n map (m in [n, 50]), with a random
+    actuator-noise level, and a random gain that keeps the closed loop
+    stable."""
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(st.integers(1, 6))
     n_u = draw(st.integers(1, 3))
@@ -208,7 +209,7 @@ def plants_and_gains(draw):
         system = lti_env.lift_ensemble(family, G).system
     K = 0.1 * rng.standard_normal((n_u, system.n_x)) / np.sqrt(system.n_x)
     assume(cm.spectral_radius(system.closed_loop_on_range(K)) < 0.99)
-    return system, K, draw(st.floats(0.0, 2.0))
+    return replace(system, sigma_z=draw(st.floats(0.0, 2.0))), K
 
 
 class TestTaskOnRange:
@@ -218,11 +219,11 @@ class TestTaskOnRange:
         # give the same stationary covariance, up to rounding: 1e-12
         # relative, scaled by ||A + BK||^2 as the Lyapunov solver's own
         # residual check is (an ill-conditioned square G gives ~100).
-        system, K, sigma_z = problem
-        on_range = lti_env.make_task(system, K, sigma_z).sigma_x
+        system, K = problem
+        on_range = lti_env.make_task(system, K).sigma_x
         A_cl = system.A + system.B @ K
         full_space = cm.solve_discrete_lyapunov(
-            A_cl, sigma_z**2 * (system.B @ system.B.T) + np.eye(system.n_x)
+            A_cl, system.sigma_z**2 * (system.B @ system.B.T) + np.eye(system.n_x)
         )
         gap = np.linalg.norm(on_range - full_space)
         scale = max(1.0, np.linalg.norm(A_cl, 2) ** 2)
@@ -232,9 +233,9 @@ class TestTaskOnRange:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_forcing_refused(self):
         # sigma_z^2 overflows; make_task names it, with no RuntimeWarning.
-        system = lti_env.get_preset("hong2021")
+        system = replace(lti_env.get_preset("hong2021"), sigma_z=1e200)
         with pytest.raises(MtilError, match="Lyapunov forcing"):
-            lti_env.make_task(system, np.zeros((2, 4)), 1e200)
+            lti_env.make_task(system, np.zeros((2, 4)))
 
     def test_unstable_closed_loop_on_range_refused(self):
         Q = np.linalg.qr(np.random.default_rng(8).standard_normal((5, 2)))[0]

@@ -14,8 +14,10 @@ from mtil.theory_probe import MartingaleSetup
 
 
 def scalar_task(a_cl=0.5):
-    system = LinearSystem(A=np.array([[a_cl + 0.3]]), B=np.array([[1.0]]))
-    task = lti_env.make_task(system, np.array([[-0.3]]), sigma_z=0.0)
+    system = LinearSystem(
+        A=np.array([[a_cl + 0.3]]), B=np.array([[1.0]]), sigma_z=0.0
+    )
+    task = lti_env.make_task(system, np.array([[-0.3]]))
     return system, task
 
 
@@ -32,7 +34,7 @@ class TestCovarianceConcentration:
     def test_single_sample_fails_rank(self):
         base = lti_env.get_preset("hong2021")
         gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
-        task = lti_env.make_task(base, gains[0], sigma_z=1.0)
+        task = lti_env.make_task(base, gains[0])
         report = theory_probe.verify_covariance_concentration(
             base, task, N=1, T=1, trials=20,
             rng=SeedTree(root=2).child("c").stream(),
@@ -87,6 +89,7 @@ class TestSelfNormalized:
         report = theory_probe.verify_self_normalized(
             setup, delta=0.05, trials=200,
             rng=SeedTree(root=8).child("m").stream(),
+            regressor_kind="gaussian-iid",
         )
         assert report.details["mean_statistic"] == 0.0
         assert report.details["mean_bound_joint"] == 0.0
@@ -98,6 +101,7 @@ class TestSelfNormalized:
         report = theory_probe.verify_self_normalized(
             setup, delta=0.05, trials=500,
             rng=SeedTree(root=10).child("m").stream(),
+            regressor_kind="gaussian-iid",
         )
         assert report.details["mean_bound_joint"] < report.details["mean_bound_union"]
 
@@ -192,7 +196,7 @@ class TestSelfNormalized:
         trials, delta = 200_000, 0.3
         tree = SeedTree(root=23).child("law", H * T)
         report = theory_probe.verify_self_normalized(
-            setup, delta, trials, tree.child("exact").stream()
+            setup, delta, trials, tree.child("exact").stream(), "gaussian-iid"
         )
         stat, bound = self.path_reference(
             setup, delta, trials, tree.child("paths").stream()
