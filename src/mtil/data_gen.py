@@ -71,16 +71,21 @@ def sample_noise(
 
     Draw order per trajectory is fixed: x0 ~ N(0, sigma_x), then w ~ N(0, I)
     row-major (T x n_x), the standard normals as drawn, then z row-major
-    (T x n_u) with z[t] ~ N(0, sigma_z^2 I). Trajectory i takes the i-th block
-    of draws: the same numbers, bit for bit, as `trials` successive calls.
+    (T x n_u) with z[t] ~ N(0, sigma_z^2 I). A plant with sigma_z = 0 draws
+    no z, and z is zeros. Trajectory i takes the i-th block of draws: the
+    same numbers, bit for bit, as `trials` successive calls.
     """
     n_x, n_u = system.n_x, system.n_u
-    g = rng.standard_normal((trials, n_x + T * (n_x + n_u)))
+    n_z = T * n_u if system.sigma_z else 0
+    g = rng.standard_normal((trials, n_x + T * n_x + n_z))
     # A stack of matrix-vector products: each trajectory gets the bits of a
     # one-trajectory call.
     x0 = (task.chol_x @ g[:, :n_x, None])[..., 0]
     w = g[:, n_x : n_x + T * n_x].reshape(-1, T, n_x)
-    z = system.sigma_z * g[:, n_x + T * n_x :].reshape(-1, T, n_u)
+    if n_z:
+        z = system.sigma_z * g[:, n_x + T * n_x :].reshape(-1, T, n_u)
+    else:
+        z = np.zeros((trials, T, n_u))
     return NoiseRealization(x0=x0, w=w, z=z)
 
 
@@ -97,14 +102,18 @@ def rollout_expert(
     draws x_i[0] ~ N(0, sigma_x) (no burn-in); inputs are u_i[t] = K x_i[t] +
     z_i[t]. Draw order: all initial states (N x n_x, row-major), then process
     noise w ~ N(0, I), the standard normals as drawn (N x T x n_x), then
-    actuator noise (N x T x n_u). K is taken to be stabilizing, as
-    `make_task` checks when it builds the task.
+    actuator noise (N x T x n_u), which a plant with sigma_z = 0 does not
+    draw. K is taken to be stabilizing, as `make_task` checks when it builds
+    the task.
     """
     if T < 1 or N < 1:
         raise ValueError("T and N must be >= 1")
     x = rng.standard_normal((N, system.n_x)) @ task.chol_x.T
     W = rng.standard_normal((N, T, system.n_x))
-    Z = system.sigma_z * rng.standard_normal((N, T, system.n_u))
+    if system.sigma_z:
+        Z = system.sigma_z * rng.standard_normal((N, T, system.n_u))
+    else:
+        Z = np.zeros((N, T, system.n_u))
 
     states = np.empty((N, T, system.n_x))
     inputs = np.empty((N, T, system.n_u))

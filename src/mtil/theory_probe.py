@@ -6,12 +6,19 @@ displayed bound with no hidden constants, and reports the empirical failure
 rate with a 3-binomial-standard-error slack. A probe failure therefore
 localizes either a transcription error or a genuinely violated statement.
 
+A probe draws only what its statistic reads: the 'gaussian-iid'
+self-normalized probe draws (V, S) rather than paths, and the maximal probe
+with a one-row D draws one uniform per trial and inverts the CDF of the
+maximum.
+
 Memory follows one budget, BLOCK_DOUBLES: a probe draws and reduces its
 trials in blocks whose buffers hold at most that many doubles each; only a
 few doubles per trial are kept whole. Block cuts only decide where a
 reduction starts, so the draws, their order and every report are the same
-for any budget. The covariance probe (one N x T batch per trial) and the
-scalar sandwich (step-major draws) say in their docstrings what they keep.
+for any budget. Three probes keep other state and say in their docstrings
+what: the covariance probe (one N x T batch per trial), and the scalar
+sandwich and the 'state-feedback' self-normalized probe, which draw step by
+step across all trials and so keep O(trials) state.
 """
 
 from __future__ import annotations
@@ -173,22 +180,31 @@ def verify_hanson_wright(
     )
 
 
-def _state_feedback_regressors(eta: np.ndarray) -> np.ndarray:
-    """'state-feedback' regressors (trials, H, T, d) driven by the noise eta
-    (trials, H, T, d): x_{t+1} = 0.5 x_t + eta_t from x_0 = all-ones, so
-    each regressor is causally dependent on past noise.
+def _state_feedback_sums(
+    setup: MartingaleSetup, trials: int, rng: np.random.Generator
+):
+    """Vbar = I + sum_t x_t x_t' and S = sum_t x_t eta_t', stacks of shape
+    (trials, H, d, d) and (trials, H, d, m), for 'state-feedback' regressors
+    x_{t+1} = 0.5 x_t + eta_t from x_0 = all-ones, so each regressor is
+    causally dependent on past noise.
+
+    Streams the T steps across all trials, as the paths run: step t draws
+    eta_t ~ N(0, sigma^2 I) of shape (trials, H, m), adds x_t x_t' and
+    x_t eta_t', then moves x on in place. No path is stored.
     """
-    trials, H, T, d = eta.shape
-    # Time-major, so each step is two in-place operations on a contiguous
-    # slice, with the bits of 0.5 x_t + eta_t; then copied to
-    # (trials, H, T, d), the layout the statistic's products read.
-    x = np.empty((T, trials, H, d))
-    x[0] = 1.0
-    eta_steps = np.moveaxis(eta, 2, 0)
-    for t in range(T - 1):
-        np.multiply(x[t], 0.5, out=x[t + 1])
-        x[t + 1] += eta_steps[t]
-    return np.ascontiguousarray(np.moveaxis(x, 0, 2))
+    H, T, d, m = setup.H, setup.T, setup.dim_x, setup.dim_eta
+    Vbar = np.tile(np.eye(d), (trials, H, 1, 1))
+    S = np.zeros((trials, H, d, m))
+    x = np.ones((trials, H, d))
+    eta = np.empty((trials, H, m))
+    for _ in range(T):
+        rng.standard_normal(out=eta)
+        eta *= setup.sigma
+        Vbar += x[..., :, None] * x[..., None, :]
+        S += x[..., :, None] * eta[..., None, :]
+        x *= 0.5
+        x += eta
+    return Vbar, S
 
 
 def _reduce_statistic(Vbar: np.ndarray, S: np.ndarray, m: int):
@@ -226,19 +242,21 @@ def verify_self_normalized(
     Draw order: every chi-square diagonal (trials, H, r), then the strictly
     upper normals (trials, H, row by row), then Z (trials, H, r, m). Those
     first two are held for all trials; Z is drawn and reduced in blocks of
-    trials. 'state-feedback', which needs dim_x == dim_eta, draws the noise,
-    turns it into regressors and reduces it in blocks of trials. Any other
-    kind is a ValueError. Blocks follow BLOCK_DOUBLES and only decide where
-    a reduction starts: the report is the same for any budget.
+    trials; blocks follow BLOCK_DOUBLES and only decide where a reduction
+    starts, so the report is the same for any budget. 'state-feedback',
+    which needs dim_x == dim_eta, streams its sums step by step across all
+    trials (`_state_feedback_sums`, draw order eta_0 of every trial, then
+    eta_1, and so on), so it keeps H (d^2 + d m + d + m) doubles a trial and
+    no path. Any other kind is a ValueError.
     """
     H, T, d, m, sigma = setup.H, setup.T, setup.dim_x, setup.dim_eta, setup.sigma
     if regressor_kind not in ("gaussian-iid", "state-feedback"):
         raise ValueError(f"unknown regressor kind {regressor_kind!r}")
     if regressor_kind == "state-feedback" and d != m:
         raise ValueError("state-feedback regressors require dim_x == dim_eta")
-    stat = np.empty(trials)
-    logdet_sum = np.empty(trials)
     if regressor_kind == "gaussian-iid":
+        stat = np.empty(trials)
+        logdet_sum = np.empty(trials)
         r = min(T, d)
         rows, cols = np.triu_indices(r, 1, d)
         diag = np.sqrt(rng.chisquare(T - np.arange(r), size=(trials, H, r)))
@@ -254,13 +272,8 @@ def verify_self_normalized(
                 np.eye(d) + R_t @ R, R_t @ Z, m
             )
     else:
-        for block in _blocks(trials, _block_size(H * T * d)):
-            eta = sigma * rng.standard_normal((block.stop - block.start, H, T, m))
-            x = _state_feedback_regressors(eta)
-            x_t = np.swapaxes(x, -1, -2)  # (trials, H, d, T)
-            stat[block], logdet_sum[block] = _reduce_statistic(
-                np.eye(d) + x_t @ x, x_t @ eta, m
-            )
+        Vbar, S = _state_feedback_sums(setup, trials, rng)
+        stat, logdet_sum = _reduce_statistic(Vbar, S, m)
     two_sigma_sq = 2.0 * sigma**2
     bound = two_sigma_sq * (logdet_sum + np.log(1.0 / delta))
     union_bound = two_sigma_sq * (logdet_sum + H * np.log(H / delta))
@@ -285,6 +298,59 @@ def verify_self_normalized(
     )
 
 
+# Wichura's AS241 (PPND16) rational approximations of the standard normal
+# quantile, as `statistics.NormalDist.inv_cdf` evaluates them; numerator and
+# denominator coefficients, highest power first for np.polyval.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_AS241_NEAR_TAIL = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e0, 3.6478483247632046050e0, 5.7694972214606914055e0,
+     4.6303378461565452959e0, 1.4234371107496835773e0),
+    (1.05075007164441684324e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e0,
+     2.0531916266377588219e0, 1.0),
+)
+_AS241_FAR_TAIL = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
+
+
+def _normal_upper_quantile(q: np.ndarray) -> np.ndarray:
+    """Phi-bar^{-1}(q) = -Phi^{-1}(q), the upper-tail standard normal
+    quantile, for q in (0, 0.5]: AS241 (Wichura, Applied Statistics 37(3),
+    1988) with the operation order of `statistics.NormalDist().inv_cdf`,
+    whose value it negates."""
+    z = np.empty_like(q)
+    c = q - 0.5
+    central = np.abs(c) <= 0.425
+    c = c[central]
+    r = 0.180625 - c * c
+    num, den = _AS241_CENTRAL
+    z[central] = -(np.polyval(num, r) * c) / np.polyval(den, r)
+    s = np.sqrt(-np.log(q[~central]))
+    tail = np.empty_like(s)
+    for region, shift, (num, den) in (
+        (s <= 5.0, 1.6, _AS241_NEAR_TAIL),
+        (s > 5.0, 5.0, _AS241_FAR_TAIL),
+    ):
+        r = s[region] - shift
+        tail[region] = np.polyval(num, r) / np.polyval(den, r)
+    z[~central] = tail
+    return z
+
+
 def verify_maximal_inequality(
     delta_gain: np.ndarray,
     sigma_x: np.ndarray,
@@ -302,6 +368,14 @@ def verify_maximal_inequality(
     F is the triangular factor of a thin QR of (D L)' (L the Cholesky factor
     of sigma_x), so r = min(rows of D, dim x). QR, unlike a Cholesky factor
     of D sigma_x D', also serves a rank-deficient D.
+
+    When D has one row, F is 1 x 1 and the statistic F^2 max_t h_t^2 has
+    the CDF P(|h| <= sqrt(s) / |F|)^T, so the probe draws it exactly by
+    inversion: one uniform V per trial, z = Phi-bar^{-1}(q) with
+    q = (1 - V^(1/T)) / 2, and the statistic F^2 z^2. Otherwise it draws
+    every h_t, T r normals per trial. Either way it works in blocks of
+    BLOCK_DOUBLES, each drawn into the same buffers (a leading slice for the
+    last one), where a draw into a slice gives the numbers of a fresh draw.
     """
     D = np.asarray(delta_gain, dtype=float)
     L = control_math.cholesky_factor(np.asarray(sigma_x, dtype=float))
@@ -309,19 +383,30 @@ def verify_maximal_inequality(
     bound = 3.0 * (1.0 + np.log(T)) * float(np.sum(DL * DL))
     F = np.linalg.qr(DL.T, mode="r")
     stats = np.empty(trials)
-    # Every block reuses the same three buffers (a leading slice for the
-    # last one), and a draw into a slice gives the numbers of a fresh draw.
-    size = min(_block_size(T * F.shape[1]), trials)
-    h = np.empty((size, T, F.shape[0]))
-    y = np.empty((size, T, F.shape[1]))
-    sq_norms = np.empty((size, T))
-    for block in _blocks(trials, size):
-        n = block.stop - block.start
-        rng.standard_normal(out=h[:n])
-        np.matmul(h[:n], F, out=y[:n])
-        np.square(y[:n], out=y[:n])
-        np.sum(y[:n], axis=2, out=sq_norms[:n])
-        sq_norms[:n].max(axis=1, out=stats[block])
+    if D.shape[0] == 1:
+        f_sq = F.item() ** 2
+        # The quantile holds up to eight temporaries of a block's length, so
+        # all of them together stay within BLOCK_DOUBLES.
+        v = np.empty(min(_block_size(8), trials))
+        for block in _blocks(trials, v.size):
+            u = v[: block.stop - block.start]
+            rng.random(out=u)
+            with np.errstate(divide="ignore"):  # V = 0 gives q = 1/2, z = 0
+                q = -0.5 * np.expm1(np.log(u) / T)
+            z = _normal_upper_quantile(q)
+            stats[block] = f_sq * (z * z)
+    else:
+        size = min(_block_size(T * F.shape[1]), trials)
+        h = np.empty((size, T, F.shape[0]))
+        y = np.empty((size, T, F.shape[1]))
+        sq_norms = np.empty((size, T))
+        for block in _blocks(trials, size):
+            n = block.stop - block.start
+            rng.standard_normal(out=h[:n])
+            np.matmul(h[:n], F, out=y[:n])
+            np.square(y[:n], out=y[:n])
+            np.sum(y[:n], axis=2, out=sq_norms[:n])
+            sq_norms[:n].max(axis=1, out=stats[block])
     estimate = float(stats.mean())
     se = float(stats.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     failed = estimate > bound + 3.0 * se
@@ -330,7 +415,7 @@ def verify_maximal_inequality(
     else:
         margin = 0.0 if estimate == 0.0 else float("inf")
     return ProbeReport(
-        name="maximal_inequality",
+        name=f"maximal_inequality[T={T}]",
         trials=trials,
         failures=int(failed),
         delta_target=0.05,

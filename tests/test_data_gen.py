@@ -123,6 +123,28 @@ class TestSampleNoise:
             target, "fro"
         )
 
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_zero_sigma_z_draws_no_actuator_noise(self, trials):
+        # z is zeros, and the generator moves on by x0 and w alone: each
+        # trial's block is x0 (n_x), then w (T x n_x).
+        system = lti_env.LinearSystem(
+            A=0.5 * np.eye(3), B=np.ones((3, 2)), sigma_z=0.0
+        )
+        task = lti_env.make_task(system, np.zeros((2, 3)))
+        T = 6
+        rng = np.random.default_rng(10)
+        noise = sample_noise(system, task, T, rng, trials)
+        ref = np.random.default_rng(10)
+        g = ref.standard_normal((trials, 3 + 3 * T))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(noise.w, g[:, 3:].reshape(trials, T, 3))
+        assert np.array_equal(noise.z, np.zeros((trials, T, 2)))
+        # Still the same numbers as `trials` successive calls.
+        rng = np.random.default_rng(10)
+        singles = [sample_noise(system, task, T, rng) for _ in range(trials)]
+        assert np.array_equal(noise.x0, np.concatenate([n.x0 for n in singles]))
+        assert np.array_equal(noise.w, np.concatenate([n.w for n in singles]))
+
     @pytest.mark.parametrize("n_x", [1, 4])
     def test_batched_draws_match_successive_calls(self, n_x):
         system = lti_env.LinearSystem(
@@ -179,6 +201,19 @@ class TestRolloutExpert:
         X, U = replayed_rollout(base, task, T, N, seed=0)
         np.testing.assert_allclose(data.X, X, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(data.U, U, rtol=1e-12, atol=1e-12)
+
+    def test_zero_sigma_z_draws_no_actuator_noise(self):
+        # The generator moves on by the initial states and the process noise
+        # alone, and the inputs are K x exactly.
+        system, task = scalar_setup(sigma_z=0.0)
+        T, N = 7, 4
+        rng = np.random.default_rng(12)
+        data = rollout_expert(system, task, T, N, rng)
+        ref = np.random.default_rng(12)
+        ref.standard_normal((N, system.n_x))
+        ref.standard_normal((N, T, system.n_x))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(data.U, data.X @ task.K.T)
 
     def test_replay_bit_identical(self):
         system, task = scalar_setup(sigma_z=0.5)

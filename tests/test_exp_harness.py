@@ -742,6 +742,22 @@ class TestCli:
         assert proc.stdout.splitlines()[-1] == "False"
         assert (tmp_path / "out" / "results.csv").exists()
 
+    def test_maximal_probe_loads_no_scipy(self, tmp_path):
+        # The maximal probe's normal quantile is numpy code; importing
+        # scipy.special alone would cost more than the probe's work.
+        code = (
+            "import sys, mtil.cli\n"
+            "mtil.cli.main(['verify', '--probe', 'maximal', '--out', sys.argv[1]])\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path)],
+            env=cli_env(None), check=True, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "verify.csv").exists()
+
     def test_run_does_not_import_numpy_ma(self, tmp_path):
         # np.quantile imports numpy.ma through np.unique; summary.csv's
         # quantiles are taken without it.

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo bound probes at reduced desk scale."""
 
 import hashlib
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -143,9 +144,9 @@ class TestSelfNormalized:
             Vbar = np.eye(2) + np.einsum("bhki,bhkj->bhij", R, R)
             S = np.einsum("bhki,bhkj->bhij", R, Z)
         else:
-            shape = (2_000, 3, 40, 2)
-            eta = rng.standard_normal(shape)
-            x = np.empty(shape)
+            # Step-major draws: eta_t of every trial, then eta_{t+1}.
+            eta = np.moveaxis(rng.standard_normal((40, 2_000, 3, 2)), 0, 2)
+            x = np.empty(eta.shape)
             x[:, :, 0, :] = 1.0
             for t in range(39):
                 x[:, :, t + 1, :] = 0.5 * x[:, :, t, :] + eta[:, :, t, :]
@@ -161,6 +162,28 @@ class TestSelfNormalized:
         assert details["mean_bound_union"] == pytest.approx(np.mean(union), rel=1e-9)
         assert report.margin == pytest.approx(np.max(stat / bound), rel=1e-9)
         assert report.failures == np.count_nonzero(stat > bound)
+
+    def test_state_feedback_sums_match_paths(self):
+        # The streamed sums against the path formula, x_t' x and x_t' eta of
+        # whole paths, on the same step-major draws.
+        setup = MartingaleSetup(H=3, T=40, dim_x=2, dim_eta=2, sigma=0.7)
+        Vbar, S = theory_probe._state_feedback_sums(
+            setup, 500, np.random.default_rng(31)
+        )
+        draws = np.random.default_rng(31).standard_normal((40, 500, 3, 2))
+        eta = 0.7 * np.moveaxis(draws, 0, 2)  # (trials, H, T, m)
+        x = np.empty(eta.shape)
+        x[:, :, 0] = 1.0
+        for t in range(39):
+            x[:, :, t + 1] = 0.5 * x[:, :, t] + eta[:, :, t]
+        x_t = np.swapaxes(x, -1, -2)
+        ref_V, ref_S = np.eye(2) + x_t @ x, x_t @ eta
+        assert np.abs(Vbar - ref_V).max() <= 1e-12 * np.abs(ref_V).max()
+        assert np.abs(S - ref_S).max() <= 1e-12 * np.abs(ref_S).max()
+        stat, logdet = theory_probe._reduce_statistic(Vbar, S, 2)
+        ref_stat, ref_logdet = theory_probe._reduce_statistic(ref_V, ref_S, 2)
+        np.testing.assert_allclose(stat, ref_stat, rtol=1e-12)
+        np.testing.assert_allclose(logdet, ref_logdet, rtol=1e-12)
 
     @staticmethod
     def path_reference(setup, delta, trials, rng):
@@ -294,6 +317,48 @@ class TestMaximalInequality:
             )
         assert report.passed
 
+    def test_upper_quantile_matches_stdlib(self):
+        # The AS241 port against statistics.NormalDist, which evaluates the
+        # same rational functions: Phi-bar^{-1}(q) = -inv_cdf(q).
+        inv_cdf = statistics.NormalDist().inv_cdf
+        q = np.concatenate(
+            [
+                np.logspace(-300, np.log10(0.5), 3000),
+                np.random.default_rng(32).uniform(0.0, 0.5, 3000),
+                [0.075, 0.5],
+            ]
+        )
+        z = theory_probe._normal_upper_quantile(q)
+        ref = np.array([-inv_cdf(p) for p in q])
+        assert np.all(np.abs(z - ref) <= 4.0 * np.spacing(np.abs(ref)))
+
+    @pytest.mark.parametrize("T", [1, 10, 100])
+    def test_one_row_law_matches_paths(self, T):
+        # With one row in D the probe inverts the CDF of F^2 max_t h_t^2;
+        # paths that draw every h_t agree with it in the mean within 4
+        # combined standard errors.
+        M = np.random.default_rng(33).standard_normal((4, 4))
+        sigma = M @ M.T + 0.5 * np.eye(4)
+        D = np.array([[0.6, -1.3, 0.4, 0.0]])
+        trials = 40_000
+        report = theory_probe.verify_maximal_inequality(
+            D, sigma, T=T, trials=trials,
+            rng=SeedTree(root=34).child("x", T).stream(),
+        )
+        f_sq = (D @ sigma @ D.T).item()
+        rng = np.random.default_rng(35)
+        ref = np.concatenate(
+            [
+                f_sq * np.square(rng.standard_normal((2_000, T))).max(axis=1)
+                for _ in range(trials // 2_000)
+            ]
+        )
+        ref_se = ref.std(ddof=1) / np.sqrt(trials)
+        gap = abs(report.details["estimate"] - ref.mean())
+        assert gap <= 4.0 * np.hypot(report.details["se"], ref_se)
+        assert report.name == f"maximal_inequality[T={T}]"
+        assert report.passed
+
     def test_blocks_draw_as_one_fresh_draw(self):
         # Two full blocks and a short last one, all drawn into the same
         # buffers; each trial takes T doubles per row of D.
@@ -413,17 +478,17 @@ class TestVerifyGolden:
         "probe, digest",
         [
             ("tracking",
-             "57cf6e9da59382c93eddc44c7a67b4d966156f6ee2df37e4796473c71ba891ff"),
+             "cac47e59ccd5d0c31d21f6bb2cb77a82faafa6b2f2bd8a8b7a7a7946e5453cef"),
             ("sandwich",
              "ce7f0a8cfb044972a87d05410c99121ba1eb7dd9ff4b5ccd68e1ac1c7ce2b424"),
             ("covariance",
-             "c9a977a21c98d0675e7915cb9c9a5baac4c47cb7b72ca709741919c6bdca79a6"),
+             "dc974d5e4e88d670f9055deba71f99e83108deb51668efc605336473f5cea4bf"),
             ("hanson_wright",
              "7d8491d43650ebb36741b954ca1b786cf00075ad2837d4b9884dc6cc7acd8de1"),
             ("self_normalized",
-             "4b10d5473b50623dcc28910a9c598102b3e929979761c824394b4d136f1f9a29"),
+             "0696c2cd7fa9501ad029ca1098cabf1ee11553118ff0c8524e2997c7c5636b3e"),
             ("maximal",
-             "020195db82789a6e90740e3bf93f41ac36c25da8487f4ce6d4b2f3e48e5c0a54"),
+             "653fc016f0dca4b40188c50d8dc2c64aa6cea7b9517f3f9a24a884067ad3f595"),
         ],
     )
     def test_verify_csv_digest(self, tmp_path, probe, digest):
@@ -434,17 +499,17 @@ class TestVerifyGolden:
         "probe, digest",
         [
             ("tracking",
-             "e8e5c4c562f9c2ef81f75cf0daaafb2950b10df336b407c8c41f7dcf8bb8c5dd"),
+             "2d6a0ab8c969617cceba95a8c6467e05a107ef611edd491addbfa7b0a41d9c01"),
             ("sandwich",
              "a702b875877f2b1cb32ca12220201ee58678da33c88aa8a0b2d61385a309b2ba"),
             ("covariance",
-             "3d7c1a4a3c657e127d143ad2490c5d507713fca17ee85a2a230172cf3c67c938"),
+             "3aafbfd531fe31fad5f39999db8b5496556115cb4b379ef33ca92e0e2f22debf"),
             ("hanson_wright",
              "d04f0491770114c5f762d81c58fcacf020f52df53830a7380fef724903b6eaab"),
             ("self_normalized",
-             "7918b16c2f184c9d2cecb51afc48d0d78363b8a7aacbd255b5cc7b704e42296b"),
+             "960a7f31cd83e0a8a05dc1e613927ce6f57d435d464be1837336bd74f1729a8e"),
             ("maximal",
-             "e54549e548c1bbc499d3731c1504da46e4368423d94b61f2275ff7383aea0894"),
+             "d7e1587f1d9539ca50c9142cb3b2598257e0ca76bdef517bed06c12ebf7e5d7c"),
         ],
     )
     def test_verify_csv_digest_seed_3(self, tmp_path, probe, digest):
@@ -459,15 +524,16 @@ class TestVerifyGolden:
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_state_feedback_rows(self, tmp_path):
-        # The state-feedback rows simulate full paths and keep their bits
-        # whatever the gaussian-iid sampler does; pinned row by row so that a
-        # change to one regressor kind cannot hide a drift in the other.
+        # The state-feedback rows stream their sums along the paths and keep
+        # their bits whatever the gaussian-iid sampler does; pinned row by row
+        # so that a change to one regressor kind cannot hide a drift in the
+        # other.
         path = tmp_path / "verify.csv"
         theory_probe.write_probe_csv(
             cli.run_probe_battery(("self_normalized",), 0), str(path)
         )
         rows = [r for r in path.read_text().splitlines() if "state-feedback" in r]
         assert rows == [
-            '"self_normalized[state-feedback,H=1]",10000,7,0.05,1.22064335977944,true',
-            '"self_normalized[state-feedback,H=4]",10000,2,0.05,1.0403961484238198,true',
+            '"self_normalized[state-feedback,H=1]",10000,7,0.05,1.5440081108052015,true',
+            '"self_normalized[state-feedback,H=4]",10000,1,0.05,1.024504017664607,true',
         ]
