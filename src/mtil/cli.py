@@ -1,7 +1,9 @@
 """Command-line entry points: `mtil run`, `mtil verify`, `mtil synth`.
 
-Each command imports the modules it alone uses: `verify` loads no sweep
-module (`exp_harness`, `mtil_learn`) and `run` no probe module
+The module and its parser load only the standard library and `.errors`:
+`mtil --help`, an argparse error and a bad `--seed` answer before numpy
+loads. Each command imports the modules it alone uses: `verify` loads no
+sweep module (`exp_harness`, `mtil_learn`) and `run` no probe module
 (`theory_probe`).
 
 Imported before numpy, this module starts numpy's bundled OpenBLAS on one
@@ -19,19 +21,15 @@ import sys
 
 # OpenBLAS reads this once, when numpy first loads it. Unset, it starts one
 # worker thread per core, and each idle worker spins for ~0.1 s of CPU that
-# no command uses. At module level because `python -m mtil.cli` and the
-# `mtil` script both load numpy through the import below, before `main()`
-# runs; pool workers inherit it. A process whose numpy loaded first keeps
-# its threads and relies on `control_math.pinned_blas_threads` for the bits.
+# no command uses. At module level, not in `main()`, so that it also holds
+# for a caller that imports this module and then numpy itself; the commands
+# load numpy inside their functions, after it is set, and pool workers
+# inherit it. A process whose numpy loaded first keeps its threads and
+# relies on `control_math.pinned_blas_threads` for the bits.
 if "numpy" not in sys.modules:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-import numpy as np
-
-from . import control_math, lti_env
-from .data_gen import SeedTree
 from .errors import MtilError, ValidationError
-from .eval_metrics import task_diversity_constants
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -49,6 +47,10 @@ PROBE_NAMES = (
 
 def _scalar_task(a_cl: float):
     """Plant a = a_cl + 0.3 with w ~ N(0, 1) and sigma_z = 0; expert gain -0.3."""
+    import numpy as np
+
+    from . import lti_env
+
     system = lti_env.LinearSystem(A=np.array([[a_cl + 0.3]]), B=np.eye(1), sigma_z=0.0)
     return system, lti_env.make_task(system, np.array([[-0.3]]))
 
@@ -71,7 +73,10 @@ def _at_out(write, *args, **kwargs):
 
 def run_probe_battery(names, seed: int) -> list:
     """Run the named probes at their reference scales."""
+    import numpy as np
+
     from . import theory_probe
+    from .data_gen import SeedTree
 
     tree = SeedTree(root=seed)
     reports = []
@@ -169,12 +174,14 @@ def _cmd_verify(args) -> int:
     names = PROBE_NAMES if args.probe == "all" else (args.probe,)
     _require_seed(args.seed)
     _at_out(os.makedirs, args.out, exist_ok=True)  # before the battery
-    from . import theory_probe
+    from . import control_math, theory_probe
 
     with control_math.pinned_blas_threads():
         reports = run_probe_battery(names, args.seed)
     path = os.path.join(args.out, "verify.csv")
     _at_out(theory_probe.write_probe_csv, reports, path)
+    details_path = os.path.join(args.out, "verify_details.json")
+    _at_out(theory_probe.write_probe_details, reports, details_path)
     all_passed = True
     for r in reports:
         status = "pass" if r.passed else "FAIL"
@@ -184,11 +191,15 @@ def _cmd_verify(args) -> int:
         )
         all_passed = all_passed and r.passed
     print(f"wrote {path}")
+    print(f"wrote {details_path}")
     return EXIT_OK if all_passed else EXIT_PROBE_FAILURE
 
 
 def _cmd_synth(args) -> int:
-    from . import exp_harness
+    import numpy as np
+
+    from . import control_math, exp_harness, lti_env
+    from .eval_metrics import task_diversity_constants
 
     _require_seed(args.seed)
     try:  # named as the flag, not as the config key expert_family would name

@@ -89,6 +89,65 @@ def sample_noise(
     return NoiseRealization(x0=x0, w=w, z=z)
 
 
+def sample_rollout_noise(
+    system: LinearSystem,
+    task: ExpertTask,
+    T: int,
+    N: int,
+    rng: np.random.Generator,
+    trials: int = 1,
+) -> tuple:
+    """The draws of `trials` successive `rollout_expert` calls, stacked.
+
+    Returns (x0, W, Z) of shapes (trials, N, n_x), (trials, N, T, n_x) and
+    (trials, N, T, n_u). Draw order per trial: all initial states
+    x0 ~ N(0, sigma_x) (N x n_x, row-major), then process noise w ~ N(0, I),
+    the standard normals as drawn (N x T x n_x), then actuator noise
+    (N x T x n_u), which a plant with sigma_z = 0 does not draw (Z is zeros).
+    One draw serves all trials, so trial i takes the numbers, bit for bit,
+    of the i-th of `trials` successive calls.
+    """
+    n_x, n_u = system.n_x, system.n_u
+    n_w = N * T * n_x
+    n_z = N * T * n_u if system.sigma_z else 0
+    g = rng.standard_normal((trials, N * n_x + n_w + n_z))
+    x0 = g[:, : N * n_x].reshape(trials, N, n_x) @ task.chol_x.T
+    W = g[:, N * n_x : N * n_x + n_w].reshape(trials, N, T, n_x)
+    if n_z:
+        Z = system.sigma_z * g[:, N * n_x + n_w :].reshape(trials, N, T, n_u)
+    else:
+        Z = np.zeros((trials, N, T, n_u))
+    return x0, W, Z
+
+
+def expert_recurrence(
+    system: LinearSystem,
+    task: ExpertTask,
+    x0: np.ndarray,
+    W: np.ndarray,
+    Z: np.ndarray,
+) -> tuple:
+    """States and inputs of closed-loop expert trajectories, any leading
+    batch axes.
+
+    From x[0] = x0 (..., n_x), under process noise W (..., T, n_x) and
+    actuator noise Z (..., T, n_u): u[t] = K x[t] + z[t] and
+    x[t+1] = A x[t] + B u[t] + w[t]. Returns (states, inputs), shaped as W
+    and Z. Every product is per trajectory batch, so each batch gets the
+    bits of a call on it alone.
+    """
+    T = W.shape[-2]
+    states = np.empty(W.shape)
+    inputs = np.empty(Z.shape)
+    x = x0
+    for t in range(T):
+        u = x @ task.K.T + Z[..., t, :]
+        states[..., t, :] = x
+        inputs[..., t, :] = u
+        x = x @ system.A.T + u @ system.B.T + W[..., t, :]
+    return states, inputs
+
+
 def rollout_expert(
     system: LinearSystem,
     task: ExpertTask,
@@ -100,28 +159,15 @@ def rollout_expert(
 
     Row i*T + t holds (x_i[t], u_i[t]). Initial states are exact stationary
     draws x_i[0] ~ N(0, sigma_x) (no burn-in); inputs are u_i[t] = K x_i[t] +
-    z_i[t]. Draw order: all initial states (N x n_x, row-major), then process
-    noise w ~ N(0, I), the standard normals as drawn (N x T x n_x), then
-    actuator noise (N x T x n_u), which a plant with sigma_z = 0 does not
-    draw. K is taken to be stabilizing, as `make_task` checks when it builds
-    the task.
+    z_i[t]. Draws as `sample_rollout_noise` documents them: all initial
+    states, then process noise, then actuator noise, which a plant with
+    sigma_z = 0 does not draw. K is taken to be stabilizing, as `make_task`
+    checks when it builds the task.
     """
     if T < 1 or N < 1:
         raise ValueError("T and N must be >= 1")
-    x = rng.standard_normal((N, system.n_x)) @ task.chol_x.T
-    W = rng.standard_normal((N, T, system.n_x))
-    if system.sigma_z:
-        Z = system.sigma_z * rng.standard_normal((N, T, system.n_u))
-    else:
-        Z = np.zeros((N, T, system.n_u))
-
-    states = np.empty((N, T, system.n_x))
-    inputs = np.empty((N, T, system.n_u))
-    for t in range(T):
-        u = x @ task.K.T + Z[:, t, :]
-        states[:, t, :] = x
-        inputs[:, t, :] = u
-        x = x @ system.A.T + u @ system.B.T + W[:, t, :]
+    x0, W, Z = sample_rollout_noise(system, task, T, N, rng)
+    states, inputs = expert_recurrence(system, task, x0[0], W[0], Z[0])
     return StackedData(
         X=states.reshape(N * T, system.n_x), U=inputs.reshape(N * T, system.n_u)
     )

@@ -15,21 +15,27 @@ Memory follows one budget, BLOCK_DOUBLES: a probe draws and reduces its
 trials in blocks whose buffers hold at most that many doubles each; only a
 few doubles per trial are kept whole. Block cuts only decide where a
 reduction starts, so the draws, their order and every report are the same
-for any budget. Three probes keep other state and say in their docstrings
-what: the covariance probe (one N x T batch per trial), and the scalar
-sandwich and the 'state-feedback' self-normalized probe, which draw step by
-step across all trials and so keep O(trials) state.
+for any budget. Two probes keep other state and say in their docstrings
+what: the scalar sandwich and the 'state-feedback' self-normalized probe,
+which draw step by step across all trials and so keep O(trials) state.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import json
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import control_math
-from .data_gen import coupled_rollout, rollout_expert, sample_noise
+from .data_gen import (
+    coupled_rollout,
+    expert_recurrence,
+    sample_noise,
+    sample_rollout_noise,
+)
 from .errors import UnstablePair
 from .eval_metrics import excess_risk
 from .lti_env import ExpertTask, LinearSystem
@@ -90,6 +96,33 @@ def _blocks(n: int, size: int):
         yield slice(start, min(start + size, n))
 
 
+def _empirical_covariances(
+    system: LinearSystem,
+    task: ExpertTask,
+    N: int,
+    T: int,
+    trials: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """(1/NT) X'X of each trial's fresh batch of N trajectories of length T,
+    a stack of shape (trials, n_x, n_x).
+
+    Each block of trials is drawn by one `sample_rollout_noise` call, whose
+    buffer is its largest and follows BLOCK_DOUBLES, and rolled by one
+    `expert_recurrence`: trial i gets the numbers and the bits of the i-th
+    of `trials` successive `rollout_expert` calls.
+    """
+    n_x = system.n_x
+    n_u = system.n_u if system.sigma_z else 0
+    covs = np.empty((trials, n_x, n_x))
+    for block in _blocks(trials, _block_size(N * n_x + N * T * (n_x + n_u))):
+        n = block.stop - block.start
+        x0, W, Z = sample_rollout_noise(system, task, T, N, rng, trials=n)
+        X = expert_recurrence(system, task, x0, W, Z)[0].reshape(n, N * T, n_x)
+        covs[block] = (np.swapaxes(X, 1, 2) @ X) / (N * T)
+    return covs
+
+
 def verify_covariance_concentration(
     system: LinearSystem,
     task: ExpertTask,
@@ -104,22 +137,19 @@ def verify_covariance_concentration(
     0.9 S <= (1/NT) X'X <= 1.1 S in the PSD order, where S is the task's
     stationary covariance sigma_x, via the eigenvalues of the whitened
     empirical matrix. The probe passes when at most a 0.1 fraction of trials
-    fails, within 3 SE. Trials run one at a time, each on its own batch of
-    N x T states, so its memory follows N T rather than BLOCK_DOUBLES.
+    fails, within 3 SE. Trials run in blocks of BLOCK_DOUBLES
+    (`_empirical_covariances`), with the draws of one `rollout_expert` call
+    per trial.
     """
     delta_target = 0.1
     eig_s, V = np.linalg.eigh(task.sigma_x)
     whiten = V @ np.diag(eig_s**-0.5) @ V.T
-    failures = 0
-    margin = 0.0
-    for _ in range(trials):
-        X = rollout_expert(system, task, T, N, rng).X
-        E = (X.T @ X) / X.shape[0]
-        eigs = np.linalg.eigvalsh(whiten @ E @ whiten)
-        dev = float(np.max(np.abs(eigs - 1.0)))
-        margin = max(margin, dev / 0.1)
-        if dev > 0.1:
-            failures += 1
+    eigs = np.linalg.eigvalsh(
+        whiten @ _empirical_covariances(system, task, N, T, trials, rng) @ whiten
+    )
+    devs = np.max(np.abs(eigs - 1.0), axis=1)
+    failures = int(np.count_nonzero(devs > 0.1))
+    margin = float(np.max(devs / 0.1))
     rate = failures / trials
     passed = rate <= delta_target + 3.0 * _binomial_se(delta_target, trials)
     return ProbeReport(
@@ -599,3 +629,29 @@ def write_probe_csv(reports: list, path: str) -> None:
                     str(bool(r.passed)).lower(),
                 ]
             )
+
+
+def _json_safe(value):
+    """value with float dict keys as their repr, tuples as lists and
+    non-finite floats as their repr ('nan', 'inf'), so that strict JSON can
+    hold it."""
+    if isinstance(value, dict):
+        return {
+            repr(k) if isinstance(k, float) else k: _json_safe(v)
+            for k, v in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    return value
+
+
+def write_probe_details(reports: list, path: str) -> None:
+    """Serialize probe reports as a JSON list, one object per report in the
+    order of `write_probe_csv`'s rows: every ProbeReport field, `details`
+    included, made JSON-safe by `_json_safe`."""
+    entries = _json_safe([asdict(r) for r in reports])
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entries, fh, indent=2, allow_nan=False)
+        fh.write("\n")

@@ -690,6 +690,12 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --out: ")
 
+    def test_verify_details_write_failure_exits_2(self, tmp_path, capsys):
+        (tmp_path / "verify_details.json").mkdir()
+        rc = cli.main(["verify", "--probe", "hanson_wright", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --out: ")
+
     @pytest.mark.parametrize("taken", ["results.csv", "plot_summary.gp"])
     def test_run_write_failure_exits_2(self, tmp_path, capsys, taken):
         cfg_path = tmp_path / "cfg.yaml"
@@ -722,6 +728,59 @@ class TestCli:
             timeout=300,
         )
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_parser_and_argument_errors_load_no_numpy(self, tmp_path):
+        # The parser and argument validation answer before any command
+        # imports numpy: parsing, a negative --seed (exit 2) and an unknown
+        # --probe (argparse's SystemExit 2).
+        code = (
+            "import contextlib, io, sys, mtil.cli\n"
+            "loaded = []\n"
+            "mtil.cli.build_parser().parse_args("
+            "['verify', '--probe', 'sandwich', '--out', 'x'])\n"
+            "loaded.append('numpy' in sys.modules)\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = mtil.cli.main("
+            "['verify', '--seed', '-1', '--out', sys.argv[1]])\n"
+            "loaded.append((code, 'numpy' in sys.modules))\n"
+            "try:\n"
+            "    with contextlib.redirect_stderr(io.StringIO()):\n"
+            "        mtil.cli.main(['verify', '--probe', 'bogus', '--out', 'x'])\n"
+            "except SystemExit as exc:\n"
+            "    loaded.append((exc.code, 'numpy' in sys.modules))\n"
+            "print(loaded)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out")],
+            env=cli_env(None), check=True, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.stdout.splitlines()[-1] == "[False, (2, False), (2, False)]"
+        assert not (tmp_path / "out").exists()
+
+    def test_exp_harness_reachable_through_cli(self, tmp_path):
+        # A config shaped as the benchmark's sweep config loads through
+        # `mtil.cli.exp_harness`, the attribute its setup command reads.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "system:\n  preset: hong2021\n  lift_dim: 50\n  sigma_z: 1.0\n"
+            "tasks:\n  h: 9\n  k: 4\n"
+            "sweep:\n  n1: 10\n  n2: 20\n  t: 20\n  t_test: 100\n"
+            "  trials_system: 2\n  trials_noise: 2\n"
+            "  methods: [multitask, direct]\n"
+            "run:\n  seed: 7\n  parallelism: 1\n"
+        )
+        code = (
+            "import sys, mtil.cli\n"
+            "cfg = mtil.cli.exp_harness.load_config(sys.argv[1])\n"
+            "print(cfg.seed, cfg.lift_dim)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(cfg_path)],
+            env=cli_env(None), check=True, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.stdout.splitlines()[-1] == "7 50"
 
     def test_run_loads_no_probe_module(self, tmp_path):
         cfg_path = tmp_path / "cfg.yaml"

@@ -1,6 +1,8 @@
 """Tests for the Monte-Carlo bound probes at reduced desk scale."""
 
+import csv
 import hashlib
+import json
 import statistics
 import tracemalloc
 
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 from mtil import cli, lti_env, theory_probe
-from mtil.data_gen import SeedTree
+from mtil.data_gen import SeedTree, rollout_expert
 from mtil.errors import UnstablePair
 from mtil.lti_env import ExpertTask, LinearSystem
 from mtil.theory_probe import MartingaleSetup
@@ -41,6 +43,43 @@ class TestCovarianceConcentration:
             rng=SeedTree(root=2).child("c").stream(),
         )
         assert report.failures == 20
+
+    @staticmethod
+    def planar_task():
+        # Two states, one input and sigma_z > 0, so that every block also
+        # draws actuator noise.
+        system = LinearSystem(
+            A=np.array([[0.6, 0.2], [-0.1, 0.4]]), B=np.array([[1.0], [0.5]]),
+            sigma_z=0.7,
+        )
+        return system, lti_env.make_task(system, np.array([[-0.2, 0.1]]))
+
+    @pytest.mark.parametrize("budget", [2**16, 500, 1])
+    def test_blocks_match_successive_rollouts(self, budget, monkeypatch):
+        # Each trial's covariance has the bits of its own `rollout_expert`
+        # call, whatever number of trials a block rolls at once.
+        system, task = self.planar_task()
+        N, T, trials = 7, 5, 30
+        monkeypatch.setattr(theory_probe, "BLOCK_DOUBLES", budget)
+        covs = theory_probe._empirical_covariances(
+            system, task, N, T, trials, np.random.default_rng(4)
+        )
+        rng = np.random.default_rng(4)
+        for cov in covs:
+            X = rollout_expert(system, task, T, N, rng).X
+            assert np.array_equal(cov, (X.T @ X) / X.shape[0])
+
+    def test_report_does_not_depend_on_the_budget(self, monkeypatch):
+        system, task = self.planar_task()
+
+        def report():
+            return theory_probe.verify_covariance_concentration(
+                system, task, N=7, T=5, trials=30, rng=np.random.default_rng(5)
+            )
+
+        default = report()
+        monkeypatch.setattr(theory_probe, "BLOCK_DOUBLES", 200)
+        assert report() == default
 
 
 class TestHansonWright:
@@ -468,6 +507,60 @@ class TestProbeCsv:
         assert lines[0] == "name,trials,failures,delta_target,margin,pass"
         assert lines[1].startswith("scalar_sandwich,100,0,")
         assert lines[1].endswith("true")
+
+
+class TestProbeDetails:
+    def test_json_safe(self):
+        value = {0.5: (1, np.float64(2.0)), "flag": True,
+                 "bad": np.float64("nan"), "big": -np.inf}
+        assert theory_probe._json_safe(value) == {
+            "0.5": [1, 2.0], "flag": True, "bad": "nan", "big": "-inf"
+        }
+
+    def test_one_entry_per_csv_row(self, tmp_path):
+        # verify_details.json lists the reports of verify.csv in its row
+        # order, and is the same bytes at one seed.
+        digests = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert cli.main(
+                ["verify", "--probe", "hanson_wright", "--out", str(out)]
+            ) == 0
+            with open(out / "verify.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            entries = json.loads((out / "verify_details.json").read_text())
+            assert [e["name"] for e in entries] == [r["name"] for r in rows]
+            assert list(entries[0]) == [
+                "name", "trials", "failures", "delta_target", "margin",
+                "passed", "details",
+            ]
+            assert entries[0]["trials"] == int(rows[0]["trials"])
+            assert entries[0]["margin"] == float(rows[0]["margin"])
+            assert list(entries[0]["details"]["per_eps"]) == ["0.5", "1.0", "2.0"]
+            digests.append(hashlib.sha256(
+                (out / "verify_details.json").read_bytes()
+            ).hexdigest())
+        assert digests[0] == digests[1]
+
+    def test_all_probes_write_strict_json(self, tmp_path):
+        # Every probe's details, a precondition-not-met tracking report
+        # (margin nan) included, load back under strict JSON.
+        system, task = scalar_task()
+        reports = cli.run_probe_battery(
+            ("covariance", "self_normalized", "maximal", "sandwich"), 0
+        ) + [theory_probe.verify_tracking_and_siss(
+            system, task, K_hat=np.array([[5.0]]), T=10, delta_prime=0.05,
+            trials=10, rng=np.random.default_rng(0),
+        )]
+        path = tmp_path / "verify_details.json"
+        theory_probe.write_probe_details(reports, str(path))
+
+        def refuse(constant):
+            raise ValueError(constant)
+
+        entries = json.loads(path.read_text(), parse_constant=refuse)
+        assert [e["name"] for e in entries] == [r.name for r in reports]
+        assert entries[-1]["margin"] == "nan"
 
 
 class TestVerifyGolden:
