@@ -44,15 +44,6 @@ class SeedTree:
 
 
 @dataclass(frozen=True)
-class NoiseRealization:
-    """One realization of initial state, process noise, and actuator noise."""
-
-    x0: np.ndarray
-    w: np.ndarray
-    z: np.ndarray
-
-
-@dataclass(frozen=True)
 class StackedData:
     """Row-stacked demonstration data; row i*T + t holds (x_i[t], u_i[t])."""
 
@@ -64,49 +55,26 @@ def sample_noise(
     system: LinearSystem,
     task: ExpertTask,
     T: int,
-    rng: np.random.Generator,
-    trials: int = 1,
-) -> NoiseRealization:
-    """Draw (x0, w, z) for `trials` trajectories, with a leading trial axis.
-
-    Draw order per trajectory is fixed: x0 ~ N(0, sigma_x), then w ~ N(0, I)
-    row-major (T x n_x), the standard normals as drawn, then z row-major
-    (T x n_u) with z[t] ~ N(0, sigma_z^2 I). A plant with sigma_z = 0 draws
-    no z, and z is zeros. Trajectory i takes the i-th block of draws: the
-    same numbers, bit for bit, as `trials` successive calls.
-    """
-    n_x, n_u = system.n_x, system.n_u
-    n_z = T * n_u if system.sigma_z else 0
-    g = rng.standard_normal((trials, n_x + T * n_x + n_z))
-    # A stack of matrix-vector products: each trajectory gets the bits of a
-    # one-trajectory call.
-    x0 = (task.chol_x @ g[:, :n_x, None])[..., 0]
-    w = g[:, n_x : n_x + T * n_x].reshape(-1, T, n_x)
-    if n_z:
-        z = system.sigma_z * g[:, n_x + T * n_x :].reshape(-1, T, n_u)
-    else:
-        z = np.zeros((trials, T, n_u))
-    return NoiseRealization(x0=x0, w=w, z=z)
-
-
-def sample_rollout_noise(
-    system: LinearSystem,
-    task: ExpertTask,
-    T: int,
     N: int,
     rng: np.random.Generator,
     trials: int = 1,
 ) -> tuple:
-    """The draws of `trials` successive `rollout_expert` calls, stacked.
+    """The noise of `trials` batches of N trajectories of length T: the draws
+    of `trials` successive `rollout_expert` calls, stacked.
 
     Returns (x0, W, Z) of shapes (trials, N, n_x), (trials, N, T, n_x) and
     (trials, N, T, n_u). Draw order per trial: all initial states
     x0 ~ N(0, sigma_x) (N x n_x, row-major), then process noise w ~ N(0, I),
     the standard normals as drawn (N x T x n_x), then actuator noise
-    (N x T x n_u), which a plant with sigma_z = 0 does not draw (Z is zeros).
-    One draw serves all trials, so trial i takes the numbers, bit for bit,
-    of the i-th of `trials` successive calls.
+    z ~ N(0, sigma_z^2 I) (N x T x n_u), which a plant with sigma_z = 0 does
+    not draw (Z is zeros). One draw serves all trials, so trial i takes the
+    numbers, bit for bit, of the i-th of `trials` successive calls.
+
+    Raises:
+        ValueError: if T, N or trials is below 1.
     """
+    if min(T, N, trials) < 1:
+        raise ValueError("T, N and trials must be >= 1")
     n_x, n_u = system.n_x, system.n_u
     n_w = N * T * n_x
     n_z = N * T * n_u if system.sigma_z else 0
@@ -159,14 +127,12 @@ def rollout_expert(
 
     Row i*T + t holds (x_i[t], u_i[t]). Initial states are exact stationary
     draws x_i[0] ~ N(0, sigma_x) (no burn-in); inputs are u_i[t] = K x_i[t] +
-    z_i[t]. Draws as `sample_rollout_noise` documents them: all initial
-    states, then process noise, then actuator noise, which a plant with
-    sigma_z = 0 does not draw. K is taken to be stabilizing, as `make_task`
-    checks when it builds the task.
+    z_i[t]. Draws as `sample_noise` documents them: all initial states,
+    then process noise, then actuator noise, which a plant with sigma_z = 0
+    does not draw. K is taken to be stabilizing, as `make_task` checks when
+    it builds the task.
     """
-    if T < 1 or N < 1:
-        raise ValueError("T and N must be >= 1")
-    x0, W, Z = sample_rollout_noise(system, task, T, N, rng)
+    x0, W, Z = sample_noise(system, task, T, N, rng)
     states, inputs = expert_recurrence(system, task, x0[0], W[0], Z[0])
     return StackedData(
         X=states.reshape(N * T, system.n_x), U=inputs.reshape(N * T, system.n_u)
@@ -177,14 +143,17 @@ def coupled_rollout(
     system: LinearSystem,
     K_expert: np.ndarray,
     K_learned: np.ndarray,
-    noise: NoiseRealization,
-    T: int,
+    x0: np.ndarray,
+    W: np.ndarray,
+    Z: np.ndarray,
 ) -> tuple:
     """The expert trajectory of each trial and the tracking deviations of c
     learned gains from it, all on the trial's noise.
 
-    K_learned has shape (trials, c, n_u, n_x). The expert trajectory follows
-    x*[t+1] = (A + B K*) x*[t] + B z[t] + w[t] from x*[0] = noise.x0: the
+    K_learned has shape (trials, c, n_u, n_x); the noise is x0 (trials, n_x),
+    W (trials, T, n_x) and Z (trials, T, n_u), and T is read off W. The
+    expert trajectory follows
+    x*[t+1] = (A + B K*) x*[t] + B z[t] + w[t] from x*[0] = x0: the
     drives B z[t] + w[t] are written into rows 1..T first, and each step
     adds (A + B K*) x*[t] to its row in place. A learned trajectory is
     x_hat = x* + e, where e[0] = 0 and
@@ -203,11 +172,12 @@ def coupled_rollout(
     has the bits of its one-trial, one-gain call.
     """
     trials, c = K_learned.shape[:2]
+    T = W.shape[1]
     Q = system.basis
     x = np.empty((trials, T + 1, system.n_x, 1))
-    x[:, 0] = noise.x0[..., None]
-    np.matmul(system.B, noise.z[:, :T, :, None], out=x[:, 1:])
-    x[:, 1:] += noise.w[:, :T, :, None]
+    x[:, 0] = x0[..., None]
+    np.matmul(system.B, Z[..., None], out=x[:, 1:])
+    x[:, 1:] += W[..., None]
     expert = system.A + system.B @ K_expert
     closed = system.closed_loop_on_range(K_learned)
     gap = (Q.T @ system.B) @ (K_learned - K_expert)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control_math
-from .data_gen import NoiseRealization, coupled_rollout, sample_noise
+from .data_gen import coupled_rollout, sample_noise
 from .errors import EmptyInput, RankDeficient
 from .lti_env import ExpertTask, LinearSystem, TaskEnsemble
 
@@ -78,15 +78,9 @@ def evaluate_controller(
     excess risk. An overflowing rollout carries tracking_err = inf and the
     nonfinite flag.
     """
-    if T_test < 1:
-        raise ValueError("T_test must be >= 1")
-    draws = [sample_noise(system, target_task, T_test, g) for g in rngs]
-    noise = NoiseRealization(
-        x0=np.concatenate([d.x0 for d in draws]),
-        w=np.concatenate([d.w for d in draws]),
-        z=np.concatenate([d.z for d in draws]),
-    )
-    _, devs, steps = coupled_rollout(system, target_task.K, K_hat, noise, T_test)
+    draws = [sample_noise(system, target_task, T_test, 1, g) for g in rngs]
+    x0, W, Z = (np.concatenate(parts)[:, 0] for parts in zip(*draws))
+    _, devs, steps = coupled_rollout(system, target_task.K, K_hat, x0, W, Z)
     # A gain with fewer than T_test finite steps scores inf below, so the
     # rows past its steps need no mask.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -358,14 +358,23 @@ def finetune_target(phi_hat: np.ndarray, grams: PrefixGrams) -> np.ndarray:
 
     Returns the stack of F minimizing ||U - X Phi' F'||_F^2 over each
     prefix, i.e. F' = (Phi X'X Phi')^{-1} Phi X'U from the k x k projected
-    Grams, with ridge repair on singular normal matrices.
+    Grams, with ridge repair on singular normal matrices. A prefix with
+    fewer rows than k leaves Phi X'X Phi' singular, so it gets the
+    minimum-norm solution `lstsq(X Phi', U)` on its rows instead.
 
     Raises:
         NonFiniteData: if a prefix Gram, or one projected on phi_hat, has a
             non-finite entry.
     """
     _require_finite("target", grams.XX, grams.XU)
-    return _f_step((grams.XX, grams.XU, None), phi_hat)
+    full = grams.rows >= phi_hat.shape[0]
+    f_hats = np.empty((full.size, grams.XU.shape[2], phi_hat.shape[0]))
+    f_hats[full] = _f_step((grams.XX[full], grams.XU[full], None), phi_hat)
+    X, U = grams.data.X, grams.data.U
+    for j in np.flatnonzero(~full):
+        rows = grams.rows[j]
+        f_hats[j] = np.linalg.lstsq(X[:rows] @ phi_hat.T, U[:rows], rcond=None)[0].T
+    return f_hats
 
 
 def direct_ols(grams: PrefixGrams) -> tuple:

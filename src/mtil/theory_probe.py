@@ -30,12 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import control_math
-from .data_gen import (
-    coupled_rollout,
-    expert_recurrence,
-    sample_noise,
-    sample_rollout_noise,
-)
+from .data_gen import coupled_rollout, expert_recurrence, sample_noise
 from .errors import UnstablePair
 from .eval_metrics import excess_risk
 from .lti_env import ExpertTask, LinearSystem
@@ -107,7 +102,7 @@ def _empirical_covariances(
     """(1/NT) X'X of each trial's fresh batch of N trajectories of length T,
     a stack of shape (trials, n_x, n_x).
 
-    Each block of trials is drawn by one `sample_rollout_noise` call, whose
+    Each block of trials is drawn by one `sample_noise` call, whose
     buffer is its largest and follows BLOCK_DOUBLES, and rolled by one
     `expert_recurrence`: trial i gets the numbers and the bits of the i-th
     of `trials` successive `rollout_expert` calls.
@@ -117,7 +112,7 @@ def _empirical_covariances(
     covs = np.empty((trials, n_x, n_x))
     for block in _blocks(trials, _block_size(N * n_x + N * T * (n_x + n_u))):
         n = block.stop - block.start
-        x0, W, Z = sample_rollout_noise(system, task, T, N, rng, trials=n)
+        x0, W, Z = sample_noise(system, task, T, N, rng, trials=n)
         X = expert_recurrence(system, task, x0, W, Z)[0].reshape(n, N * T, n_x)
         covs[block] = (np.swapaxes(X, 1, 2) @ X) / (N * T)
     return covs
@@ -502,9 +497,10 @@ def verify_tracking_and_siss(
     per_trial = system.n_x + T * (system.n_x + system.n_u)
     for block in _blocks(trials, _block_size(per_trial)):
         n = block.stop - block.start
-        noise = sample_noise(system, target_task, T, rng, trials=n)
+        x0, W, Z = sample_noise(system, target_task, T, 1, rng, trials=n)
+        gains = np.broadcast_to(K_hat, (n, 1, *K_hat.shape))
         xs, devs, steps = coupled_rollout(
-            system, K_star, np.broadcast_to(K_hat, (n, 1, *K_hat.shape)), noise, T
+            system, K_star, gains, x0[:, 0], W[:, 0], Z[:, 0]
         )
         # Per trial, only the steps before its first non-finite state count.
         kept = np.arange(T) < steps

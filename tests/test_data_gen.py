@@ -7,14 +7,9 @@ from hypothesis import strategies as st
 
 from mtil import lti_env
 from mtil.control_math import cholesky_factor
-from mtil.data_gen import (
-    NoiseRealization,
-    SeedTree,
-    coupled_rollout,
-    rollout_expert,
-    sample_noise,
-)
+from mtil.data_gen import SeedTree, coupled_rollout, rollout_expert, sample_noise
 from mtil.errors import CholeskyFailure, NonFiniteData
+from mtil.eval_metrics import evaluate_controller
 
 
 def scalar_setup(a=0.8, k=-0.3, sigma_z=0.0):
@@ -94,29 +89,34 @@ class TestSampleNoise:
     def test_repeatable(self):
         system, task = scalar_setup(sigma_z=0.5)
         tree = SeedTree(root=4)
-        n1 = sample_noise(system, task, 10, tree.child("n").stream())
-        n2 = sample_noise(system, task, 10, tree.child("n").stream())
-        assert np.array_equal(n1.x0, n2.x0)
-        assert np.array_equal(n1.w, n2.w)
-        assert np.array_equal(n1.z, n2.z)
+        n1 = sample_noise(system, task, 10, 2, tree.child("n").stream())
+        n2 = sample_noise(system, task, 10, 2, tree.child("n").stream())
+        for a, b in zip(n1, n2):
+            assert np.array_equal(a, b)
 
     def test_process_noise_is_its_slice_of_the_standard_normals(self):
-        # Each trial's block is x0 (n_x), then w (T x n_x), then z (T x n_u);
-        # w ~ N(0, I) is its slice as drawn, z its slice times sigma_z.
+        # Each trial's block is x0 (N x n_x), then w (N x T x n_x), then z
+        # (N x T x n_u); x0 is its slice times the factor of sigma_x, w ~ N(0, I)
+        # its slice as drawn, z its slice times sigma_z.
         system = lti_env.LinearSystem(
             A=0.5 * np.eye(3), B=np.ones((3, 2)), sigma_z=0.7
         )
         task = lti_env.make_task(system, np.zeros((2, 3)))
         T, trials = 6, 4
-        noise = sample_noise(system, task, T, np.random.default_rng(9), trials)
-        g = np.random.default_rng(9).standard_normal((trials, 3 + T * 5))
-        assert np.array_equal(noise.w, g[:, 3 : 3 + 3 * T].reshape(trials, T, 3))
-        assert np.array_equal(noise.z, 0.7 * g[:, 3 + 3 * T :].reshape(trials, T, 2))
+        for N in (1, 3):
+            rng = np.random.default_rng(9)
+            x0, W, Z = sample_noise(system, task, T, N, rng, trials)
+            g = np.random.default_rng(9).standard_normal((trials, N * (3 + T * 5)))
+            x0_ref = g[:, : 3 * N].reshape(trials, N, 3) @ task.chol_x.T
+            assert np.array_equal(x0, x0_ref)
+            w = g[:, 3 * N : 3 * N + 3 * N * T]
+            assert np.array_equal(W, w.reshape(trials, N, T, 3))
+            z = 0.7 * g[:, 3 * N + 3 * N * T :]
+            assert np.array_equal(Z, z.reshape(trials, N, T, 2))
 
     def test_actuator_noise_covariance(self):
         system, task = scalar_setup(sigma_z=0.7)
-        noise = sample_noise(system, task, 100_000, np.random.default_rng(1))
-        z = noise.z[0]
+        z = sample_noise(system, task, 100_000, 1, np.random.default_rng(1))[2][0, 0]
         emp = z.T @ z / z.shape[0]
         target = 0.49 * np.eye(1)
         assert np.linalg.norm(emp - target, "fro") <= 0.05 * np.linalg.norm(
@@ -125,25 +125,26 @@ class TestSampleNoise:
 
     @pytest.mark.parametrize("trials", [1, 3])
     def test_zero_sigma_z_draws_no_actuator_noise(self, trials):
-        # z is zeros, and the generator moves on by x0 and w alone: each
-        # trial's block is x0 (n_x), then w (T x n_x).
+        # Z is zeros, and the generator moves on by x0 and w alone: each
+        # trial's block is x0 (N x n_x), then w (N x T x n_x).
         system = lti_env.LinearSystem(
             A=0.5 * np.eye(3), B=np.ones((3, 2)), sigma_z=0.0
         )
         task = lti_env.make_task(system, np.zeros((2, 3)))
         T = 6
-        rng = np.random.default_rng(10)
-        noise = sample_noise(system, task, T, rng, trials)
-        ref = np.random.default_rng(10)
-        g = ref.standard_normal((trials, 3 + 3 * T))
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert np.array_equal(noise.w, g[:, 3:].reshape(trials, T, 3))
-        assert np.array_equal(noise.z, np.zeros((trials, T, 2)))
-        # Still the same numbers as `trials` successive calls.
-        rng = np.random.default_rng(10)
-        singles = [sample_noise(system, task, T, rng) for _ in range(trials)]
-        assert np.array_equal(noise.x0, np.concatenate([n.x0 for n in singles]))
-        assert np.array_equal(noise.w, np.concatenate([n.w for n in singles]))
+        for N in (1, 3):
+            rng = np.random.default_rng(10)
+            x0, W, Z = sample_noise(system, task, T, N, rng, trials)
+            ref = np.random.default_rng(10)
+            g = ref.standard_normal((trials, N * (3 + 3 * T)))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(W, g[:, 3 * N :].reshape(trials, N, T, 3))
+            assert np.array_equal(Z, np.zeros((trials, N, T, 2)))
+            # Still the same numbers as `trials` successive calls.
+            rng = np.random.default_rng(10)
+            singles = [sample_noise(system, task, T, N, rng) for _ in range(trials)]
+            assert np.array_equal(x0, np.concatenate([one[0] for one in singles]))
+            assert np.array_equal(W, np.concatenate([one[1] for one in singles]))
 
     @pytest.mark.parametrize("n_x", [1, 4])
     def test_batched_draws_match_successive_calls(self, n_x):
@@ -151,16 +152,38 @@ class TestSampleNoise:
             A=0.5 * np.eye(n_x), B=np.ones((n_x, 2)), sigma_z=0.7
         )
         task = lti_env.make_task(system, np.zeros((2, n_x)))
-        batch = sample_noise(system, task, 12, np.random.default_rng(7), trials=3)
-        rng = np.random.default_rng(7)
-        singles = [sample_noise(system, task, 12, rng) for _ in range(3)]
-        assert batch.x0.shape == (3, n_x)
-        assert batch.w.shape == (3, 12, n_x)
-        assert batch.z.shape == (3, 12, 2)
-        for i, one in enumerate(singles):
-            assert np.array_equal(batch.x0[i : i + 1], one.x0)
-            assert np.array_equal(batch.w[i : i + 1], one.w)
-            assert np.array_equal(batch.z[i : i + 1], one.z)
+        for N in (1, 3):
+            rng = np.random.default_rng(7)
+            batch = sample_noise(system, task, 12, N, rng, trials=3)
+            rng = np.random.default_rng(7)
+            singles = [sample_noise(system, task, 12, N, rng) for _ in range(3)]
+            shapes = [(3, N, n_x), (3, N, 12, n_x), (3, N, 12, 2)]
+            assert [a.shape for a in batch] == shapes
+            for i, one in enumerate(singles):
+                for a, b in zip(batch, one):
+                    assert np.array_equal(a[i : i + 1], b)
+
+
+class TestRangeCheck:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, t, g: sample_noise(s, t, 0, 1, g),
+            lambda s, t, g: sample_noise(s, t, 1, 0, g),
+            lambda s, t, g: sample_noise(s, t, 1, 1, g, trials=0),
+            lambda s, t, g: rollout_expert(s, t, 0, 1, g),
+            lambda s, t, g: rollout_expert(s, t, 1, 0, g),
+            lambda s, t, g: evaluate_controller(s, t, t.K[None, None], 0, [g]),
+        ],
+        ids=["sample_T", "sample_N", "sample_trials", "rollout_T", "rollout_N",
+             "eval_T"],
+    )
+    def test_counts_below_one_raise_before_any_draw(self, call):
+        system, task = scalar_setup(sigma_z=0.5)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="T, N and trials must be >= 1"):
+            call(system, task, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def replayed_draws(system, task, T, N, seed):
@@ -277,31 +300,36 @@ class TestStacking:
 
 
 def scalar_noise(x0, T, w=None):
-    """One trial of scalar noise: initial state x0, zero actuator noise."""
+    """One trial of scalar noise (x0, W, Z): initial state x0, zero actuator
+    noise."""
     w = np.zeros((T, 1)) if w is None else w
-    return NoiseRealization(
-        x0=np.array([[x0]]), w=w[None], z=np.zeros((1, T, 1))
-    )
+    return np.array([[x0]]), w[None], np.zeros((1, T, 1))
 
 
-def full_space_rollout(system, K_star, K_hat, noise, T):
+def trial_noise(system, task, T, rng, trials=1):
+    """(x0, W, Z) of `trials` single trajectories, as `evaluate_controller`
+    draws them: `sample_noise` with N = 1, the N axis dropped."""
+    return tuple(a[:, 0] for a in sample_noise(system, task, T, 1, rng, trials))
+
+
+def full_space_rollout(system, K_star, K_hat, x0, W, Z):
     """Reference for `coupled_rollout`: x* and x_hat of one gain K_hat per
     trial, each stepped on its own in full space as
-    x[t+1] = (A + B K) x[t] + B z[t] + w[t] from x[0] = noise.x0.
+    x[t+1] = (A + B K) x[t] + B z[t] + w[t] from x[0] = x0.
 
     Returns (xs, xh, steps): both trajectories, of shape (trials, T + 1,
     n_x), and per trial the number of steps before either first goes
     non-finite."""
 
+    T = W.shape[1]
+
     def states(K):
         A_cl = system.A + system.B @ K
-        x = np.empty((noise.x0.shape[0], T + 1, system.n_x))
-        x[:, 0] = noise.x0
+        x = np.empty((x0.shape[0], T + 1, system.n_x))
+        x[:, 0] = x0
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(T):
-                x[:, t + 1] = (
-                    x[:, t] @ A_cl.T + noise.z[:, t] @ system.B.T + noise.w[:, t]
-                )
+                x[:, t + 1] = x[:, t] @ A_cl.T + Z[:, t] @ system.B.T + W[:, t]
         return x
 
     xs, xh = states(K_star), states(K_hat)
@@ -317,18 +345,18 @@ def one_gain(K):
 class TestCoupledRollout:
     def test_identical_gains_identical_paths(self):
         system, task = scalar_setup(sigma_z=0.5)
-        noise = sample_noise(system, task, 30, np.random.default_rng(2))
-        xs, devs, steps = coupled_rollout(system, task.K, one_gain(task.K), noise, 30)
+        noise = trial_noise(system, task, 30, np.random.default_rng(2))
+        xs, devs, steps = coupled_rollout(system, task.K, one_gain(task.K), *noise)
         assert steps.tolist() == [[30]]
         assert xs.shape == (1, 31, 1) and devs.shape == (1, 1, 30, 1)
-        assert np.array_equal(xs[:, 0], noise.x0)
+        assert np.array_equal(xs[:, 0], noise[0])
         assert np.all(devs == 0.0)
 
     def test_scalar_closed_form(self):
         system, task = scalar_setup()
         eps = 0.1
         xs, devs, _ = coupled_rollout(
-            system, task.K, one_gain(task.K + eps), scalar_noise(1.0, 10), 10
+            system, task.K, one_gain(task.K + eps), *scalar_noise(1.0, 10)
         )
         for t in range(11):
             assert xs[0, t, 0] == pytest.approx(0.5**t, abs=1e-12)
@@ -338,14 +366,14 @@ class TestCoupledRollout:
 
     def test_noise_cancels_for_equal_gains(self):
         system, task = scalar_setup(sigma_z=1.0)
-        noise = sample_noise(system, task, 50, np.random.default_rng(3))
-        _, devs, _ = coupled_rollout(system, task.K, one_gain(task.K), noise, 50)
+        noise = trial_noise(system, task, 50, np.random.default_rng(3))
+        _, devs, _ = coupled_rollout(system, task.K, one_gain(task.K), *noise)
         assert np.all(devs == 0.0)
 
     def test_divergent_rollout_flags_nonfinite(self):
         system, task = scalar_setup()
         xs, devs, steps = coupled_rollout(
-            system, task.K, one_gain([[10.0]]), scalar_noise(1.0, 5000), 5000
+            system, task.K, one_gain([[10.0]]), *scalar_noise(1.0, 5000)
         )
         k = steps[0, 0]
         assert k < 5000
@@ -358,7 +386,7 @@ class TestCoupledRollout:
         # Closed loop 1e200: x_hat[1] = 1e200 is finite, x_hat[2] overflows.
         system, task = scalar_setup()
         xs, devs, steps = coupled_rollout(
-            system, task.K, one_gain([[1e200 - 0.8]]), scalar_noise(1.0, 50), 50
+            system, task.K, one_gain([[1e200 - 0.8]]), *scalar_noise(1.0, 50)
         )
         assert steps.tolist() == [[1]]
         assert np.all(np.isfinite(xs[0, :2])) and np.isfinite(devs[0, 0, 0, 0])
@@ -370,7 +398,7 @@ class TestCoupledRollout:
         w = np.zeros((20, 1))
         w[3, 0] = np.nan  # drives x[4]
         xs, devs, steps = coupled_rollout(
-            system, task.K, one_gain(task.K), scalar_noise(1.0, 20, w), 20
+            system, task.K, one_gain(task.K), *scalar_noise(1.0, 20, w)
         )
         assert steps.tolist() == [[3]]
         assert np.all(np.isfinite(xs[0, :4])) and np.all(np.isfinite(devs[0, 0, :3]))
@@ -379,16 +407,14 @@ class TestCoupledRollout:
     def test_nonfinite_x0_keeps_only_row_0(self):
         system, task = scalar_setup()
         xs, _, steps = coupled_rollout(
-            system, task.K, one_gain(task.K), scalar_noise(np.inf, 10), 10
+            system, task.K, one_gain(task.K), *scalar_noise(np.inf, 10)
         )
         assert steps.tolist() == [[0]]
         assert xs[0, 0, 0] == np.inf
 
     @staticmethod
     def trial(noise, i):
-        return NoiseRealization(
-            x0=noise.x0[i : i + 1], w=noise.w[i : i + 1], z=noise.z[i : i + 1]
-        )
+        return tuple(a[i : i + 1] for a in noise)
 
     @pytest.mark.parametrize("lifted", [False, True])
     def test_batch_rows_match_batch_of_one(self, lifted):
@@ -401,15 +427,15 @@ class TestCoupledRollout:
         else:
             system, task = scalar_setup(sigma_z=0.5)
             K_hat = task.K + 0.1
-        noise = sample_noise(system, task, 40, np.random.default_rng(8), trials=6)
+        noise = trial_noise(system, task, 40, np.random.default_rng(8), trials=6)
         stack = np.broadcast_to(K_hat, (6, 1, *K_hat.shape))
-        xs, devs, steps = coupled_rollout(system, task.K, stack, noise, 40)
+        xs, devs, steps = coupled_rollout(system, task.K, stack, *noise)
         assert xs.shape == (6, 41, system.n_x)
         assert devs.shape == (6, 1, 40, system.n_x)
         assert np.array_equal(steps, np.full((6, 1), 40))
         for i in range(6):
             xs1, devs1, steps1 = coupled_rollout(
-                system, task.K, one_gain(K_hat), self.trial(noise, i), 40
+                system, task.K, one_gain(K_hat), *self.trial(noise, i)
             )
             assert steps1.tolist() == [[40]]
             assert np.array_equal(xs[i], xs1[0])
@@ -417,14 +443,14 @@ class TestCoupledRollout:
 
     def test_one_diverging_trial_flagged_alone(self):
         system, task = scalar_setup()
-        noise = sample_noise(system, task, 20, np.random.default_rng(9), trials=3)
-        noise.w[1, 3, 0] = np.nan  # drives x[4] of trial 1 only
+        noise = trial_noise(system, task, 20, np.random.default_rng(9), trials=3)
+        noise[1][1, 3, 0] = np.nan  # drives x[4] of trial 1 only
         stack = np.broadcast_to(task.K + 0.1, (3, 1, 1, 1))
-        xs, devs, steps = coupled_rollout(system, task.K, stack, noise, 20)
+        xs, devs, steps = coupled_rollout(system, task.K, stack, *noise)
         assert steps.tolist() == [[20], [3], [20]]
         for i in range(3):
             xs1, devs1, steps1 = coupled_rollout(
-                system, task.K, stack[:1], self.trial(noise, i), 20
+                system, task.K, stack[:1], *self.trial(noise, i)
             )
             assert steps1[0, 0] == steps[i, 0]
             keep = steps[i, 0]
@@ -468,12 +494,12 @@ def peak_rollout_problems(draw):
     K_star = 0.1 * rng.standard_normal((n_u, n))
     scale = 10.0 ** np.reshape(exponents, (trials, c, 1, 1))
     K_hat = K_star + scale * rng.standard_normal((trials, c, n_u, n))
-    noise = NoiseRealization(
-        x0=rng.standard_normal((trials, n)),
-        w=rng.standard_normal((trials, T, n)),
-        z=rng.standard_normal((trials, T, n_u)),
+    noise = (
+        rng.standard_normal((trials, n)),
+        rng.standard_normal((trials, T, n)),
+        rng.standard_normal((trials, T, n_u)),
     )
-    return system, K_star, K_hat, noise, T
+    return system, K_star, K_hat, noise
 
 
 class TestPeakRolloutProperty:
@@ -482,9 +508,10 @@ class TestPeakRolloutProperty:
         # The deviation form rounds otherwise than the difference of two
         # full-space trajectories, so the peaks match to 1e-9 relative; the
         # steps before an overflow match exactly.
-        system, K_star, K_hat, noise, T = problem
-        _, devs, steps = coupled_rollout(system, K_star, K_hat, noise, T)
+        system, K_star, K_hat, noise = problem
+        _, devs, steps = coupled_rollout(system, K_star, K_hat, *noise)
         trials, c = K_hat.shape[:2]
+        T = noise[1].shape[1]
         assert steps.shape == (trials, c)
         assert devs.shape == (trials, c, T, system.basis.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -493,7 +520,7 @@ class TestPeakRolloutProperty:
         for i in range(trials):
             one = TestCoupledRollout.trial(noise, i)
             for j in range(c):
-                xs, xh, steps1 = full_space_rollout(system, K_star, K_hat[i, j], one, T)
+                xs, xh, steps1 = full_space_rollout(system, K_star, K_hat[i, j], *one)
                 assert steps[i, j] == steps1[0]
                 kept = slice(1, steps1[0] + 1)
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -507,23 +534,21 @@ class TestPeakRolloutProperty:
         # expert's own gain until the step after: steps end at x*'s overflow.
         system = lti_env.LinearSystem(A=np.array([[2.0]]), B=np.array([[1.0]]))
         K_star = np.array([[1e100]])
-        noise = NoiseRealization(
-            x0=np.ones((1, 1)), w=np.zeros((1, 6, 1)), z=np.zeros((1, 6, 1))
-        )
-        _, devs, steps = coupled_rollout(system, K_star, one_gain(K_star), noise, 6)
-        _, _, steps_full = full_space_rollout(system, K_star, K_star, noise, 6)
+        noise = np.ones((1, 1)), np.zeros((1, 6, 1)), np.zeros((1, 6, 1))
+        _, devs, steps = coupled_rollout(system, K_star, one_gain(K_star), *noise)
+        _, _, steps_full = full_space_rollout(system, K_star, K_star, *noise)
         assert steps.tolist() == [[3]] and steps_full.tolist() == [3]
         assert devs[0, 0, :4].tolist() == [[0.0]] * 4
 
     @given(peak_rollout_problems())
     def test_batch_entries_are_one_gain_calls(self, problem):
-        system, K_star, K_hat, noise, T = problem
-        xs, devs, steps = coupled_rollout(system, K_star, K_hat, noise, T)
+        system, K_star, K_hat, noise = problem
+        xs, devs, steps = coupled_rollout(system, K_star, K_hat, *noise)
         for i in range(K_hat.shape[0]):
             one = TestCoupledRollout.trial(noise, i)
             for j in range(K_hat.shape[1]):
                 xs1, devs1, steps1 = coupled_rollout(
-                    system, K_star, one_gain(K_hat[i, j]), one, T
+                    system, K_star, one_gain(K_hat[i, j]), *one
                 )
                 assert steps1[0, 0] == steps[i, j]
                 assert np.array_equal(xs1[0], xs[i], equal_nan=True)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from mtil import control_math as cm
 from mtil import eval_metrics, lti_env
-from mtil.data_gen import NoiseRealization, SeedTree, coupled_rollout, sample_noise
+from mtil.data_gen import SeedTree, coupled_rollout
 from mtil.errors import EmptyInput, RankDeficient
 from mtil.lti_env import ExpertTask, LinearSystem, TaskEnsemble
-from test_data_gen import full_space_rollout
+from test_data_gen import full_space_rollout, trial_noise
 
 
 def scalar_setup(sigma_z=0.0):
@@ -89,11 +89,9 @@ class TestEvaluateController:
     def test_scalar_zero_noise_closed_form(self):
         system, task = scalar_setup()
         eps = 0.05
-        noise = NoiseRealization(
-            x0=np.array([[1.0]]), w=np.zeros((1, 50, 1)), z=np.zeros((1, 50, 1))
-        )
+        noise = np.array([[1.0]]), np.zeros((1, 50, 1)), np.zeros((1, 50, 1))
         K_hat = (task.K + eps)[None, None]
-        _, devs, _ = coupled_rollout(system, task.K, K_hat, noise, 50)
+        _, devs, _ = coupled_rollout(system, task.K, K_hat, *noise)
         tracking = np.max(np.sum(devs[0, 0] ** 2, axis=1))
         ts = np.arange(1, 51)
         expected = np.max((0.5**ts - 0.55**ts) ** 2)
@@ -115,16 +113,16 @@ class TestEvaluateController:
         gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
         task = lti_env.make_task(base, gains[0])
         rng = SeedTree(root=4).child("e").stream()
-        noise = sample_noise(base, task, 30, rng, trials=5)
+        noise = trial_noise(base, task, 30, rng, trials=5)
         K_hats = np.broadcast_to(gains[1], (5, 1, *gains[1].shape))
-        _, devs, steps = coupled_rollout(base, task.K, K_hats, noise, 30)
+        _, devs, steps = coupled_rollout(base, task.K, K_hats, *noise)
         assert steps.ravel().tolist() == [30] * 5
         batch = np.sum(devs * devs, axis=3).max(axis=2).ravel()
         rng = SeedTree(root=4).child("e").stream()
         singles = [evaluate_one(base, task, gains[1], 30, rng) for _ in range(5)]
         assert [r.tracking_err for r in singles] == batch.tolist()
         assert not any(r.nonfinite for r in singles)
-        xs, xh, _ = full_space_rollout(base, task.K, gains[1], noise, 30)
+        xs, xh, _ = full_space_rollout(base, task.K, gains[1], *noise)
         diff = xh[:, 1:] - xs[:, 1:]
         full = np.max(np.sum(diff * diff, axis=2), axis=1)
         np.testing.assert_allclose(batch, full, rtol=1e-9, atol=0.0)
@@ -160,8 +158,8 @@ class TestEvaluateController:
         jb = j_gain * np.linalg.norm(system.B, 2)
         rng = SeedTree(root=3).child("b").stream()
         for _ in range(50):
-            noise = sample_noise(system, task, 40, rng)
-            xs, devs, _ = coupled_rollout(system, task.K, K_hat[None, None], noise, 40)
+            noise = trial_noise(system, task, 40, rng)
+            xs, devs, _ = coupled_rollout(system, task.K, K_hat[None, None], *noise)
             tracking = np.max(np.sum(devs[0, 0] ** 2, axis=1))
             delta_max = np.max(
                 np.linalg.norm(xs[0, :-1] @ (K_hat - task.K).T, axis=1)

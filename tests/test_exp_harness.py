@@ -142,8 +142,9 @@ class TestRunSweep:
         )
 
 
-# results.csv of this sweep at RESULTS_VERSION "6": a speed-up must keep
-# these bytes, a change of them needs a RESULTS_VERSION bump.
+# results.csv of this sweep, the same bytes at RESULTS_VERSION "6" and "7": a
+# speed-up must keep these bytes, a change of them needs a RESULTS_VERSION
+# bump.
 GOLDEN_SWEEP = "sweep:\n  trials_system: 2\n  trials_noise: 1\n  n2: [1, 2, 5]\n"
 GOLDEN_DIGEST = "b5afe0d961606cb11dc9773f0128661efd4f2025fea581eb29fe3a2b231cbb95"
 # The same sweep on the unlifted plant. Version 6 moved it by rounding only:
@@ -211,7 +212,7 @@ class TestSweepReuse:
         paths = eh.write_results(eh.run_sweep(cfg), str(tmp_path), cfg)
         with open(paths["results"], "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        assert eh.RESULTS_VERSION == "6"
+        assert eh.RESULTS_VERSION == "7"
         assert digest == GOLDEN_DIGEST
 
     def test_unlifted_golden_results_digest(self, tmp_path):
@@ -255,7 +256,7 @@ class TestSweepReuse:
         digest = hashlib.sha256((tmp_path / "out" / "results.csv").read_bytes())
         assert digest.hexdigest() == GOLDEN_DIGEST
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["version"] == "6"
+        assert manifest["version"] == "7"
         assert manifest["blas_threads"] == 1
 
     @pytest.mark.parametrize("parallelism", [1, 2])
@@ -367,6 +368,34 @@ class TestSweepReuse:
         calls = log.read_text(encoding="utf-8").split()
         assert calls.count("synthesize_expert_family") == 1
         assert calls.count("lift_ensemble") == lifts
+
+
+class TestFewerTargetRowsThanK:
+    # With T = 2 the N2 = 1 prefix holds 2 target rows for k = 4, so the
+    # fine-tune system Phi X'X Phi' is singular.
+    def test_multitask_fit_is_minimum_norm(self):
+        # An LU solve of the singular system returns finite rounding noise
+        # here, an excess risk of 432, against 4.6 for the minimum-norm fit
+        # and 1.4 for direct.
+        rows = eh.run_sweep(tiny_cfg(t=2, n2=[1, 2, 3]))
+        (row,) = [r for r in rows if r.method == "multitask" and r.N2 == 1]
+        assert row.underdetermined
+        assert row.excess_risk == pytest.approx(4.604812972445015, rel=1e-9)
+
+    def test_full_rank_representation_fits_the_direct_gain(self):
+        # Unlifted with k = n_x = 4, Phi is orthogonal: the minimum-norm
+        # F Phi is the minimum-norm gain that the direct baseline fits.
+        cfg = eh.config_from_dict(
+            {"system": {"lift_dim": None},
+             "sweep": {"t": 2, "n2": [1, 2, 3], "trials_system": 3,
+                       "trials_noise": 1}}
+        )
+        rows = {(r.method, r.system_trial, r.N2): r for r in eh.run_sweep(cfg)}
+        for trial in range(3):
+            multi, direct = rows["multitask", trial, 1], rows["direct", trial, 1]
+            assert multi.underdetermined and direct.underdetermined
+            assert multi.excess_risk == pytest.approx(direct.excess_risk, rel=1e-9)
+            assert multi.param_err == pytest.approx(direct.param_err, rel=1e-9)
 
 
 class TestWriteResults:
