@@ -29,7 +29,7 @@ import sys
 if "numpy" not in sys.modules:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .errors import MtilError, ValidationError
+from .errors import MtilError, RankDeficientLift, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -211,7 +211,10 @@ def _cmd_synth(args) -> int:
         preset=args.preset, lift_dim=args.lift_dim, seed=args.seed
     )
     family, alphas = exp_harness.expert_family(cfg)
-    ensemble = exp_harness.lift_trial(cfg, family, 0)
+    try:
+        ensemble = exp_harness.lift_trial(cfg, family, 0)
+    except RankDeficientLift as exc:
+        raise ValidationError(f"--lift-dim: {exc}") from exc
     print(f"{'task':>6} {'alpha':>12} {'|K|_F':>12} {'rho_cl':>10} {'tr(Sx)':>12}")
     for h, (task, alpha) in enumerate(zip(ensemble.tasks, alphas)):
         rho = control_math.spectral_radius(

@@ -323,7 +323,10 @@ def _fit_grid(
             for h, task in enumerate(ensemble.sources)
         ]
         phi_hat = mtil_learn.pretrain_alternating(
-            source_stacks, cfg.k, rng=source_tree.child("init").stream()
+            mtil_learn.stacked_grams(source_stacks),
+            cfg.N1 * cfg.T,
+            cfg.k,
+            rng=source_tree.child("init").stream(),
         ).phi_hat
         f_hats = mtil_learn.finetune_target(phi_hat, grams)
         fits["multitask"] = (f_hats @ phi_hat, grams.rows < cfg.k)
@@ -383,18 +386,21 @@ def run_sweep(cfg: ExperimentConfig) -> list:
     """Execute the full sweep; output is deterministic given (config, seed).
 
     Ensembles are built in this process and sent to the cells that use them.
-    The sweep runs under `control_math.pinned_blas_threads`, its pool
-    workers too.
+    The cells run in a pool of min(parallelism, cells, os.cpu_count())
+    processes, or serially when that is 1. The sweep runs under
+    `control_math.pinned_blas_threads`, its pool workers too.
     """
     rows = []
+    cells = cfg.trials_system * cfg.trials_noise
+    workers = min(cfg.parallelism, cells, os.cpu_count() or 1)
     with control_math.pinned_blas_threads():
-        if cfg.parallelism <= 1 or cfg.trials_system * cfg.trials_noise <= 1:
+        if workers <= 1:
             outputs = list(map(_cell_worker, _cells(cfg)))
         else:
             import concurrent.futures  # a serial sweep or `mtil verify` never pools
 
             with concurrent.futures.ProcessPoolExecutor(
-                max_workers=cfg.parallelism,
+                max_workers=workers,
                 initializer=control_math.pin_blas_threads,
             ) as pool:
                 outputs = list(pool.map(_cell_worker, _cells(cfg)))

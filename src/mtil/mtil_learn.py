@@ -224,26 +224,39 @@ def _newton_step(grams: tuple, phi: np.ndarray, f_hats: np.ndarray):
     return phi + y.reshape(grad.shape, order="F") @ Q.T
 
 
+def stacked_grams(stacks: list) -> tuple:
+    """Per-task Grams of row-stacked source data, stacked over tasks.
+
+    Returns X'X (H, n, n), X'U (H, n, n_u) and ||U||^2 (H,), one GEMM per
+    task. An overflow is left in place for `pretrain_alternating` to refuse.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            np.stack([d.X.T @ d.X for d in stacks]),
+            np.stack([d.X.T @ d.U for d in stacks]),
+            np.array([np.sum(d.U**2) for d in stacks]),
+        )
+
+
 def pretrain_alternating(
-    source: list,
-    k: int,
-    rng: np.random.Generator,
+    grams: tuple, rows: int, k: int, rng: np.random.Generator
 ) -> PretrainResult:
     """Fit a shared representation to the source tasks by exact ALS.
 
-    Alternates (a) the per-task closed form F^h' = (Phi X'X Phi')^{-1}
+    grams are the source Grams of `stacked_grams`, each over `rows` data
+    rows. Alternates (a) the per-task closed form F^h' = (Phi X'X Phi')^{-1}
     Phi X'U and (b) the joint linear least squares for vec(Phi), minimum
-    norm when a source task has fewer rows than n_x, from one random
-    orthonormal Phi drawn from rng. Extrapolated ALS sweeps (`_als_sweep`)
-    run until one lowers the objective by less than NEWTON_START_REL
-    relative; Newton steps on the reduced objective (`_chart_newton`) then
-    take over while each has a positive definite chart Hessian and lowers
-    the objective. A refused step hands back to ALS for at least
-    NEWTON_RETRY_SWEEPS sweeps. Problems on the minimum-norm Phi-step path,
-    and k == n, take ALS sweeps only. An iterate above the best objective so
-    far is never kept, so the trace is non-increasing; the run stops once a
-    step lowers it by at most ALS_REL_TOL relative. The returned Phi has
-    orthonormal rows with the change of basis absorbed into each F^h.
+    norm when rows < n_x, from one random orthonormal Phi drawn from rng.
+    Extrapolated ALS sweeps (`_als_sweep`) run until one lowers the
+    objective by less than NEWTON_START_REL relative; Newton steps on the
+    reduced objective (`_chart_newton`) then take over while each has a
+    positive definite chart Hessian and lowers the objective. A refused step
+    hands back to ALS for at least NEWTON_RETRY_SWEEPS sweeps. Problems on
+    the minimum-norm Phi-step path, and k == n, take ALS sweeps only. An
+    iterate above the best objective so far is never kept, so the trace is
+    non-increasing; the run stops once a step lowers it by at most
+    ALS_REL_TOL relative. The returned Phi has orthonormal rows with the
+    change of basis absorbed into each F^h.
 
     Raises:
         DegenerateRank: if fewer than k eigenvalues of X'X = sum_h X_h'X_h
@@ -253,29 +266,19 @@ def pretrain_alternating(
             has a non-finite entry.
         SingularBlock: if a block solve is singular beyond ridge repair.
     """
-    if not source:
-        raise ValueError("need at least one source task")
-    n = source[0].X.shape[1]
+    Gx, Cxu, _ = grams
+    H, n, _ = Gx.shape
     if k > n:
         raise ValueError("k must not exceed the state dimension")
-    for data in source:
-        if data.X.shape[0] < k:
-            raise ValueError("each task needs at least k data rows")
-    # Per-task Gram matrices stacked over tasks: X'X (H, n, n), X'U
-    # (H, n, n_u) and ||U||^2 (H,).
-    with np.errstate(over="ignore", invalid="ignore"):
-        grams = (
-            np.stack([d.X.T @ d.X for d in source]),
-            np.stack([d.X.T @ d.U for d in source]),
-            np.array([np.sum(d.U**2) for d in source]),
-        )
+    if rows < k:
+        raise ValueError("each task needs at least k data rows")
     _require_finite("source", *grams)
-    eig = np.linalg.eigvalsh(grams[0].sum(axis=0))
+    eig = np.linalg.eigvalsh(Gx.sum(axis=0))
     if np.count_nonzero(eig > n * np.finfo(float).eps * eig[-1]) < k:
         raise DegenerateRank("stacked source states have rank below k")
-    min_norm = any(d.X.shape[0] < n for d in source)
+    min_norm = rows < n
     phi = np.linalg.qr(rng.standard_normal((k, n)).T)[0].T
-    f_zero = np.zeros((len(source), source[0].U.shape[1], k))
+    f_zero = np.zeros((H, Cxu.shape[2], k))
     trace = [_objective(grams, phi, f_zero)]
     f_hats = _f_step(grams, phi)
     finisher = not min_norm and k < n

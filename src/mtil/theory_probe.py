@@ -8,8 +8,7 @@ localizes either a transcription error or a genuinely violated statement.
 
 A probe draws only what its statistic reads: the 'gaussian-iid'
 self-normalized probe draws (V, S) rather than paths, and the maximal probe
-with a one-row D draws one uniform per trial and inverts the CDF of the
-maximum.
+draws one uniform per trial and inverts the CDF of the maximum.
 
 Memory follows one budget, BLOCK_DOUBLES: a probe draws and reduces its
 trials in blocks whose buffers hold at most that many doubles each; only a
@@ -71,11 +70,11 @@ def _binomial_se(p: float, n: int) -> float:
 
 # The one block budget: the probes stream their draws and reductions in
 # blocks of trials, and no buffer of a block holds more than this many
-# doubles (512 KiB). The three buffers of a maximal-probe block (1.5 MiB)
-# fit in a 2 MiB L2 cache. At the reference scales 2**16 ran as fast as
-# 1e5 and 1.3e5 (within run-to-run spread; the maximal probe ~15% faster
-# than with its former 1e6-normal blocks), and it keeps each probe's traced
-# peak at or under 3.6 MiB, against 4.9 MiB at 1e5.
+# doubles (512 KiB), so the buffers of a block fit in a 2 MiB L2 cache. At
+# the reference scales 2**16 ran as fast as 1e5 and 1.3e5 (within run-to-run
+# spread; the maximal probe ~15% faster than with its former 1e6-normal
+# blocks), and it keeps each probe's traced peak at or under 3.6 MiB,
+# against 4.9 MiB at 1e5.
 BLOCK_DOUBLES = 2**16
 
 
@@ -385,53 +384,40 @@ def verify_maximal_inequality(
 ) -> ProbeReport:
     """Check E[max_{t<T} ||D x_t||^2] <= 3 (1 + log T) tr(D sigma_x D').
 
-    x_t are i.i.d. N(0, sigma_x). Fails when the Monte-Carlo estimate
-    exceeds the bound by more than 3 standard errors of the estimate.
+    x_t are i.i.d. N(0, sigma_x) and D has one row. Fails when the
+    Monte-Carlo estimate exceeds the bound by more than 3 standard errors of
+    the estimate.
 
-    Only D x_t enters the statistic, and D x_t ~ N(0, D sigma_x D'), so the
-    probe draws y_t = F' h_t with h_t ~ N(0, I_r) and F'F = D sigma_x D':
-    F is the triangular factor of a thin QR of (D L)' (L the Cholesky factor
-    of sigma_x), so r = min(rows of D, dim x). QR, unlike a Cholesky factor
-    of D sigma_x D', also serves a rank-deficient D.
-
-    When D has one row, F is 1 x 1 and the statistic F^2 max_t h_t^2 has
-    the CDF P(|h| <= sqrt(s) / |F|)^T, so the probe draws it exactly by
+    Only D x_t enters the statistic, and D x_t ~ N(0, f^2) with
+    f^2 = D sigma_x D', so the statistic f^2 max_t h_t^2 (h_t ~ N(0, 1)) has
+    the CDF P(|h| <= sqrt(s) / |f|)^T. The probe draws it exactly by
     inversion: one uniform V per trial, z = Phi-bar^{-1}(q) with
-    q = (1 - V^(1/T)) / 2, and the statistic F^2 z^2. Otherwise it draws
-    every h_t, T r normals per trial. Either way it works in blocks of
-    BLOCK_DOUBLES, each drawn into the same buffers (a leading slice for the
-    last one), where a draw into a slice gives the numbers of a fresh draw.
+    q = (1 - V^(1/T)) / 2, and the statistic f^2 z^2. It works in blocks of
+    BLOCK_DOUBLES / 8 trials, each drawn into the same buffer (a leading
+    slice for the last one), where a draw into a slice gives the numbers of
+    a fresh draw.
+
+    Raises:
+        ValueError: if D does not have exactly one row.
     """
     D = np.asarray(delta_gain, dtype=float)
+    if D.shape[0] != 1:
+        raise ValueError("the maximal probe takes a one-row D")
     L = control_math.cholesky_factor(np.asarray(sigma_x, dtype=float))
     DL = D @ L
-    bound = 3.0 * (1.0 + np.log(T)) * float(np.sum(DL * DL))
-    F = np.linalg.qr(DL.T, mode="r")
+    f_sq = float(np.sum(DL * DL))
+    bound = 3.0 * (1.0 + np.log(T)) * f_sq
     stats = np.empty(trials)
-    if D.shape[0] == 1:
-        f_sq = F.item() ** 2
-        # The quantile holds up to eight temporaries of a block's length, so
-        # all of them together stay within BLOCK_DOUBLES.
-        v = np.empty(min(_block_size(8), trials))
-        for block in _blocks(trials, v.size):
-            u = v[: block.stop - block.start]
-            rng.random(out=u)
-            with np.errstate(divide="ignore"):  # V = 0 gives q = 1/2, z = 0
-                q = -0.5 * np.expm1(np.log(u) / T)
-            z = _normal_upper_quantile(q)
-            stats[block] = f_sq * (z * z)
-    else:
-        size = min(_block_size(T * F.shape[1]), trials)
-        h = np.empty((size, T, F.shape[0]))
-        y = np.empty((size, T, F.shape[1]))
-        sq_norms = np.empty((size, T))
-        for block in _blocks(trials, size):
-            n = block.stop - block.start
-            rng.standard_normal(out=h[:n])
-            np.matmul(h[:n], F, out=y[:n])
-            np.square(y[:n], out=y[:n])
-            np.sum(y[:n], axis=2, out=sq_norms[:n])
-            sq_norms[:n].max(axis=1, out=stats[block])
+    # The quantile holds up to eight temporaries of a block's length, so
+    # all of them together stay within BLOCK_DOUBLES.
+    v = np.empty(min(_block_size(8), trials))
+    for block in _blocks(trials, v.size):
+        u = v[: block.stop - block.start]
+        rng.random(out=u)
+        with np.errstate(divide="ignore"):  # V = 0 gives q = 1/2, z = 0
+            q = -0.5 * np.expm1(np.log(u) / T)
+        z = _normal_upper_quantile(q)
+        stats[block] = f_sq * (z * z)
     estimate = float(stats.mean())
     se = float(stats.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     failed = estimate > bound + 3.0 * se

@@ -112,7 +112,7 @@ def test_criterion_2_noiseless_identifiability():
         for i, t in enumerate(noiseless[:9])
     ]
     pre = mtil_learn.pretrain_alternating(
-        stacks, 4, rng=tree.child("init").stream()
+        mtil_learn.stacked_grams(stacks), 2 * 20, 4, rng=tree.child("init").stream()
     )
     cos_min = mtil_learn.principal_cosines(pre.phi_hat, truth.phi_star)[-1]
     sub = np.sqrt(1.0 - cos_min**2)

@@ -1,5 +1,6 @@
 """Tests for config loading, sweep execution, persistence, and the CLI."""
 
+import concurrent.futures
 import csv
 import filecmp
 import hashlib
@@ -140,6 +141,39 @@ class TestRunSweep:
             str(tmp_path / "p4" / "results.csv"),
             shallow=False,
         )
+
+    @pytest.mark.parametrize(
+        "parallelism, cpus, workers",
+        [(100_000, 2, 2), (100_000, 8, 4), (3, 8, 3), (2, 1, None), (9, None, None)],
+    )
+    def test_pool_size_is_capped(self, monkeypatch, parallelism, cpus, workers):
+        # The fork start method launches every worker at the first map, so the
+        # pool holds at most one worker per cell and per CPU; at one worker the
+        # sweep runs serially. A fake pool records its size and maps serially.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = eh.config_from_dict(
+            {"sweep": {"trials_system": 2, "trials_noise": 2, "n2": [1],
+                       "methods": ["direct"]},
+             "run": {"parallelism": parallelism}}
+        )
+        assert len(eh.run_sweep(cfg)) == 4
+        assert sizes == ([] if workers is None else [workers])
 
 
 # results.csv of this sweep, the same bytes at RESULTS_VERSION "6" and "7": a
@@ -887,12 +921,15 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("lift_dim", ["3", "2", "0"])
+    @pytest.mark.parametrize("lift_dim", ["3", "2", "0", "-1"])
     def test_synth_wide_lift_exits_2(self, capsys, lift_dim):
+        # Named as the flag, as --preset is.
         rc = cli.main(["synth", "--lift-dim", lift_dim])
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err.startswith(f"error: lift dimension {lift_dim} ")
+        assert captured.err == (
+            f"error: --lift-dim: lift dimension {lift_dim} is below n_x = 4\n"
+        )
         assert captured.out == ""
 
     def test_poorly_conditioned_lift_runs(self, tmp_path):

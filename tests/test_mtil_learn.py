@@ -30,6 +30,14 @@ def synthetic_tasks(rng, H=3, n=10, k=2, n_u=2, rows=100, noise=0.0):
     return tasks, phi_star, f_stars
 
 
+def pretrain(tasks, k, rng):
+    """pretrain_alternating on the Grams of source tasks of equal length."""
+    (rows,) = {d.X.shape[0] for d in tasks}
+    return mtil_learn.pretrain_alternating(
+        mtil_learn.stacked_grams(tasks), rows, k, rng
+    )
+
+
 def whole(data):
     """The prefix Grams of one prefix that holds every row of data."""
     return mtil_learn.prefix_grams(data, data.X.shape[0], [1])
@@ -39,9 +47,7 @@ class TestPretrainAlternating:
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(0)
         tasks, phi_star, _ = synthetic_tasks(rng, H=3)
-        result = mtil_learn.pretrain_alternating(
-            tasks, k=2, rng=np.random.default_rng(1)
-        )
+        result = pretrain(tasks, k=2, rng=np.random.default_rng(1))
         total_u = sum(np.sum(d.U**2) for d in tasks)
         assert result.objective_trace[-1] <= 1e-16 * total_u
         cosines = mtil_learn.principal_cosines(result.phi_hat, phi_star)
@@ -52,9 +58,7 @@ class TestPretrainAlternating:
         X = rng.standard_normal((40, 4))
         U = X @ rng.standard_normal((4, 2)) + 0.1 * rng.standard_normal((40, 2))
         data = StackedData(X=X, U=U)
-        result = mtil_learn.pretrain_alternating(
-            [data], k=4, rng=np.random.default_rng(3)
-        )
+        result = pretrain([data], k=4, rng=np.random.default_rng(3))
         K_als = result.f_hats[0] @ result.phi_hat
         (K_ols,), _ = mtil_learn.direct_ols(whole(data))
         np.testing.assert_allclose(K_als, K_ols, atol=1e-8)
@@ -63,9 +67,7 @@ class TestPretrainAlternating:
     def test_zero_targets(self):
         rng = np.random.default_rng(4)
         data = StackedData(X=rng.standard_normal((30, 5)), U=np.zeros((30, 2)))
-        result = mtil_learn.pretrain_alternating(
-            [data], k=2, rng=np.random.default_rng(5)
-        )
+        result = pretrain([data], k=2, rng=np.random.default_rng(5))
         assert result.objective_trace[-1] == 0.0
         np.testing.assert_allclose(result.f_hats[0], 0.0, atol=1e-14)
 
@@ -73,9 +75,7 @@ class TestPretrainAlternating:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             tasks, _, _ = synthetic_tasks(rng, H=4, noise=0.3)
-            result = mtil_learn.pretrain_alternating(
-                tasks, k=2, rng=np.random.default_rng(seed + 100)
-            )
+            result = pretrain(tasks, k=2, rng=np.random.default_rng(seed + 100))
             trace = result.objective_trace
             assert np.all(np.diff(trace) <= 1e-9 * np.maximum(trace[:-1], 1.0))
             assert trace[-1] <= trace[0]
@@ -83,9 +83,7 @@ class TestPretrainAlternating:
     def test_finalized_phi_orthonormal(self):
         rng = np.random.default_rng(6)
         tasks, _, _ = synthetic_tasks(rng, noise=0.1)
-        result = mtil_learn.pretrain_alternating(
-            tasks, k=2, rng=np.random.default_rng(7)
-        )
+        result = pretrain(tasks, k=2, rng=np.random.default_rng(7))
         np.testing.assert_allclose(
             result.phi_hat @ result.phi_hat.T, np.eye(2), atol=1e-10
         )
@@ -93,9 +91,7 @@ class TestPretrainAlternating:
     def test_refinalization_is_gauge_stable(self):
         rng = np.random.default_rng(8)
         tasks, _, _ = synthetic_tasks(rng, noise=0.2)
-        result = mtil_learn.pretrain_alternating(
-            tasks, k=2, rng=np.random.default_rng(9)
-        )
+        result = pretrain(tasks, k=2, rng=np.random.default_rng(9))
         phi2, f2 = _orthonormalize(result.phi_hat, result.f_hats)
         for F_old, F_new in zip(result.f_hats, f2):
             gain_old = F_old @ result.phi_hat
@@ -109,9 +105,7 @@ class TestPretrainAlternating:
         tasks, _, _ = synthetic_tasks(
             rng, H=1, n=2, k=2, n_u=1, rows=2, noise=0.2632965
         )
-        result = mtil_learn.pretrain_alternating(
-            tasks, k=2, rng=np.random.default_rng(152971)
-        )
+        result = pretrain(tasks, k=2, rng=np.random.default_rng(152971))
         trace = result.objective_trace
         assert_trace_non_increasing(trace)
         assert trace[-1] == trace.min()
@@ -123,7 +117,17 @@ class TestPretrainAlternating:
         X = np.ones((20, 5))
         data = StackedData(X=X, U=np.ones((20, 1)))
         with pytest.raises(DegenerateRank):
-            mtil_learn.pretrain_alternating([data], k=3, rng=np.random.default_rng(0))
+            pretrain([data], k=3, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "rows, k, match",
+        [(3, 4, "at least k data rows"), (10, 6, "must not exceed the state")],
+    )
+    def test_refuses_k_above_rows_or_n(self, rows, k, match):
+        rng = np.random.default_rng(10)
+        tasks = [StackedData(X=rng.standard_normal((rows, 5)), U=np.ones((rows, 1)))]
+        with pytest.raises(ValueError, match=match):
+            pretrain(tasks, k, rng)
 
     @pytest.mark.parametrize("above_band", [True, False])
     def test_rank_guard_outside_its_band(self, above_band):
@@ -143,12 +147,10 @@ class TestPretrainAlternating:
         U = rng.standard_normal((rows, 1))
         source = [StackedData(X=X[:10], U=U[:10]), StackedData(X=X[10:], U=U[10:])]
         if above_band:
-            mtil_learn.pretrain_alternating(source, k=k, rng=np.random.default_rng(0))
+            pretrain(source, k=k, rng=np.random.default_rng(0))
         else:
             with pytest.raises(DegenerateRank):
-                mtil_learn.pretrain_alternating(
-                    source, k=k, rng=np.random.default_rng(0)
-                )
+                pretrain(source, k=k, rng=np.random.default_rng(0))
 
 
 @st.composite
@@ -217,9 +219,7 @@ class TestAlsProperties:
     @given(als_problems())
     def test_objective_non_increasing(self, problem):
         tasks, k, seed = problem
-        result = mtil_learn.pretrain_alternating(
-            tasks, k, rng=np.random.default_rng(seed)
-        )
+        result = pretrain(tasks, k, rng=np.random.default_rng(seed))
         trace = result.objective_trace
         # The trace holds every ALS sweep and every Newton step.
         assert trace.size == 1 + result.sweeps_used + result.newton_steps
@@ -233,9 +233,7 @@ class TestAlsProperties:
     @given(als_problems_few_rows())
     def test_objective_non_increasing_with_fewer_rows_than_n(self, problem):
         tasks, k, seed = problem
-        result = mtil_learn.pretrain_alternating(
-            tasks, k, rng=np.random.default_rng(seed)
-        )
+        result = pretrain(tasks, k, rng=np.random.default_rng(seed))
         assert_trace_non_increasing(result.objective_trace)
         assert np.all(np.isfinite(result.f_hats))
         # The minimum-norm Phi-step path takes ALS sweeps only.
@@ -246,12 +244,10 @@ class TestAlsProperties:
         # The min-norm solve is the only lstsq in pretraining; it must not run.
         tasks, k, seed = problem
         with mock.patch.object(np.linalg, "lstsq", side_effect=AssertionError):
-            result = mtil_learn.pretrain_alternating(
-                tasks, k, rng=np.random.default_rng(seed)
-            )
+            result = pretrain(tasks, k, rng=np.random.default_rng(seed))
         assert_trace_non_increasing(result.objective_trace)
         assert np.all(np.isfinite(result.f_hats))
-        Gx = np.stack([d.X.T @ d.X for d in tasks])
+        Gx = mtil_learn.stacked_grams(tasks)[0]
         normal = _phi_step_normal(Gx, result.f_hats)
         assert np.linalg.matrix_rank(normal) < normal.shape[0]
 
@@ -263,9 +259,7 @@ class TestAlsProperties:
         # sweeps gave |F| of 2.7e4 (seed 13).
         rng = np.random.default_rng(seed)
         tasks, _, _ = synthetic_tasks(rng, H=3, n=10, k=1, rows=2, noise=0.5)
-        result = mtil_learn.pretrain_alternating(
-            tasks, 1, rng=np.random.default_rng(seed)
-        )
+        result = pretrain(tasks, 1, rng=np.random.default_rng(seed))
         assert_trace_non_increasing(result.objective_trace)
         u_scale = max(np.linalg.norm(d.U) for d in tasks)
         assert np.all(np.isfinite(result.f_hats))
@@ -276,9 +270,7 @@ class TestAlsProperties:
         # A random change of basis M leaves every F Phi as it is; so must
         # _orthonormalize.
         tasks, k, seed = problem
-        result = mtil_learn.pretrain_alternating(
-            tasks, k, rng=np.random.default_rng(seed)
-        )
+        result = pretrain(tasks, k, rng=np.random.default_rng(seed))
         M = np.random.default_rng(gauge_seed).standard_normal((k, k)) + 2 * np.eye(k)
         phi = M @ result.phi_hat
         f_hats = result.f_hats @ np.linalg.inv(M)
@@ -423,14 +415,6 @@ class TestPrincipalCosines:
             mtil_learn.principal_cosines(np.zeros((2, 4)), np.eye(4)[:2])
 
 
-def stacked_grams(tasks):
-    return (
-        np.stack([d.X.T @ d.X for d in tasks]),
-        np.stack([d.X.T @ d.U for d in tasks]),
-        np.array([np.sum(d.U**2) for d in tasks]),
-    )
-
-
 def reduced_gradient(tasks, phi):
     """Gradient in Phi of sum_h min_F ||U^h - X^h Phi' F'||^2, from data rows."""
     grad = np.zeros_like(phi)
@@ -461,7 +445,7 @@ class TestNewtonFinisher:
     def test_hessian_vector_product_matches_gradient_difference(self):
         rng = np.random.default_rng(22)
         tasks, _, _ = synthetic_tasks(rng, H=3, n=7, k=2, rows=30, noise=0.5)
-        grams = stacked_grams(tasks)
+        grams = mtil_learn.stacked_grams(tasks)
         phi = rng.standard_normal((2, 7))
         Q, grad, hess = mtil_learn._chart_newton(
             grams, phi, mtil_learn._f_step(grams, phi)
@@ -482,7 +466,7 @@ class TestNewtonFinisher:
     def test_horizontal_gradient_vanishes_on_reference_cells(self):
         # Extrapolated ALS alone stopped with this ratio at 3e-7 to 6e-7.
         for stacks, k, rng in reference_cells([0, 1, 2]):
-            result = mtil_learn.pretrain_alternating(stacks, k, rng=rng)
+            result = pretrain(stacks, k, rng=rng)
             assert result.newton_steps > 0
             phi = result.phi_hat
             grad = reduced_gradient(stacks, phi)
@@ -500,9 +484,7 @@ class TestNewtonFinisher:
         with mock.patch.object(
             mtil_learn, "_newton_step", side_effect=AssertionError
         ):
-            result = mtil_learn.pretrain_alternating(
-                tasks, k, rng=np.random.default_rng(24)
-            )
+            result = pretrain(tasks, k, rng=np.random.default_rng(24))
         assert result.newton_steps == 0
 
     def test_indefinite_chart_hessian_resumes_als(self):
@@ -526,9 +508,7 @@ class TestNewtonFinisher:
 
         with mock.patch.object(mtil_learn, "_newton_step", logged_newton), \
                 mock.patch.object(mtil_learn, "_als_sweep", logged_sweep):
-            result = mtil_learn.pretrain_alternating(
-                tasks, 3, rng=np.random.default_rng(215)
-            )
+            result = pretrain(tasks, 3, rng=np.random.default_rng(215))
         refused = [i for i, e in enumerate(events) if e == "refused"]
         assert refused
         retry = mtil_learn.NEWTON_RETRY_SWEEPS
@@ -537,16 +517,14 @@ class TestNewtonFinisher:
             assert after == ["sweep"] * len(after)
         assert events[-1] == "newton"
         assert_trace_non_increasing(result.objective_trace)
-        grams = stacked_grams(tasks)
+        grams = mtil_learn.stacked_grams(tasks)
         phi = result.phi_hat
         _, _, hess = mtil_learn._chart_newton(
             grams, phi, mtil_learn._f_step(grams, phi)
         )
         np.linalg.cholesky(hess)
         with mock.patch.object(mtil_learn, "NEWTON_START_REL", 0.0):
-            als_only = mtil_learn.pretrain_alternating(
-                tasks, 3, rng=np.random.default_rng(215)
-            )
+            als_only = pretrain(tasks, 3, rng=np.random.default_rng(215))
         assert als_only.newton_steps == 0
         assert result.objective_trace[-1] <= als_only.objective_trace[-1]
 
@@ -648,7 +626,7 @@ class TestPrefixGrams:
         with pytest.raises(NonFiniteData, match="target Grams"):
             mtil_learn.finetune_target(np.array([[1.0, 0.0]]), grams)
         with pytest.raises(NonFiniteData, match="source Grams"):
-            mtil_learn.pretrain_alternating([data], 1, np.random.default_rng(0))
+            pretrain([data], 1, np.random.default_rng(0))
 
     def test_counts_outside_the_pool_are_refused(self):
         pool = StackedData(X=np.zeros((6, 2)), U=np.zeros((6, 1)))

@@ -302,7 +302,7 @@ class TestMaximalInequality:
 
     def test_zero_gain(self):
         report = theory_probe.verify_maximal_inequality(
-            np.zeros((2, 3)), np.eye(3), T=5, trials=100,
+            np.zeros((1, 3)), np.eye(3), T=5, trials=100,
             rng=SeedTree(root=14).child("x").stream(),
         )
         assert report.details["estimate"] == 0.0
@@ -320,17 +320,11 @@ class TestMaximalInequality:
 
     @staticmethod
     def gains(name):
-        rng = np.random.default_rng(22)
         if name == "random":
-            return rng.standard_normal((2, 6))
-        if name == "repeated-row":
-            row = rng.standard_normal(6)
-            return np.vstack([row, row])
-        if name == "tall":
-            return rng.standard_normal((8, 6))
-        return np.zeros((2, 6))
+            return np.random.default_rng(22).standard_normal((1, 6))
+        return np.zeros((1, 6))
 
-    @pytest.mark.parametrize("name", ["random", "repeated-row", "tall", "zero"])
+    @pytest.mark.parametrize("name", ["random", "zero"])
     @pytest.mark.parametrize("T", [1, 10])
     def test_matches_x_space_sampler(self, name, T):
         M = np.random.default_rng(23).standard_normal((6, 6))
@@ -400,19 +394,28 @@ class TestMaximalInequality:
 
     def test_blocks_draw_as_one_fresh_draw(self):
         # Two full blocks and a short last one, all drawn into the same
-        # buffers; each trial takes T doubles per row of D.
-        D = np.random.default_rng(26).standard_normal((2, 3))
-        T, trials = 100, 700
-        size = theory_probe._block_size(T * 2)
+        # buffer; the quantile takes eight doubles a trial.
+        D = np.array([[2.0, 0.0, 0.0]])
+        T, trials = 100, 20_000
+        size = theory_probe._block_size(8)
         assert 2 * size < trials < 3 * size
         report = theory_probe.verify_maximal_inequality(
             D, np.eye(3), T=T, trials=trials, rng=np.random.default_rng(27)
         )
-        F = np.linalg.qr(D.T, mode="r")
-        h = np.random.default_rng(27).standard_normal((trials, T, 2))
-        stats = np.sum((h @ F) ** 2, axis=2).max(axis=1)
+        u = np.random.default_rng(27).random(trials)
+        with np.errstate(divide="ignore"):
+            z = theory_probe._normal_upper_quantile(-0.5 * np.expm1(np.log(u) / T))
+        stats = 4.0 * (z * z)
         assert report.details["estimate"] == float(stats.mean())
         assert report.details["se"] == float(stats.std(ddof=1) / np.sqrt(trials))
+
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_refuses_a_d_without_exactly_one_row(self, rows):
+        with pytest.raises(ValueError, match="one-row D"):
+            theory_probe.verify_maximal_inequality(
+                np.ones((rows, 3)), np.eye(3), T=5, trials=10,
+                rng=np.random.default_rng(0),
+            )
 
 
 class TestBlockBudget:
