@@ -140,17 +140,12 @@ def run_probe_battery(names, seed: int) -> list:
 def _cmd_run(args) -> int:
     from . import exp_harness
 
-    raw = {} if args.config is None else exp_harness.read_config(args.config)
     overrides = {
         key: getattr(args, key)
         for key in ("seed", "parallelism")
         if getattr(args, key) is not None
     }
-    # Merged before validation, so an override is checked like a file value.
-    # A malformed file is left as it is for config_from_dict to reject.
-    if overrides and isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
-        raw = {**raw, "run": {**raw.get("run", {}), **overrides}}
-    cfg = exp_harness.config_from_dict(raw)
+    cfg = exp_harness.load_config(args.config, **overrides)
     # Created before any compute, so an --out that cannot be made fails at
     # once, not after the whole sweep. A failed sweep takes it away again if
     # this command made it and nothing was written to it.

@@ -58,8 +58,13 @@ def spectral_radius(A: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def stability_profile(A: np.ndarray) -> float:
+def stability_profile(A: np.ndarray, basis: np.ndarray) -> float:
     """The transient gain J(A) = sum_t ||A^t|| (spectral norm), truncated.
+
+    `basis` Q has orthonormal columns whose span contains range(A), as a
+    plant's basis does for its closed loops A + BK. Then ||A^t|| = ||Q'A^t||
+    for every t, so the powers run as r x n products R_t = R_{t-1} A from
+    R_0 = Q'. With Q = I they are the full powers, with the same bits.
 
     With nu = (1 + rho(A)) / 2 and tau the largest ||A^t|| / nu^t so far,
     ||A^t|| <= tau nu^t holds for every computed t. The series stops once
@@ -78,7 +83,7 @@ def stability_profile(A: np.ndarray) -> float:
 
     j_gain = 0.0
     tau = 0.0
-    M = np.eye(A.shape[0])
+    M = np.asarray(basis, dtype=float).T
     nu_k = 1.0
     for _ in range(PROFILE_MAX_TERMS):
         nrm = float(np.linalg.norm(M, 2))

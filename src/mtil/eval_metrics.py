@@ -116,7 +116,7 @@ def lqr_cost_gap_bound(
     sqrt(lmax(R)) (||K_star|| + sqrt(tr sigma_x / lmin sigma_x)).
     """
     K_star = target_task.K
-    j_gain = control_math.stability_profile(system.A + system.B @ K_star)
+    j_gain = control_math.stability_profile(system.A + system.B @ K_star, system.basis)
     b_norm = np.linalg.norm(system.B, 2)
     eig_x = np.linalg.eigvalsh(target_task.sigma_x)
     const = float(

@@ -225,14 +225,20 @@ def read_config(path: str) -> dict:
     return {} if raw is None else raw
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate a YAML config file; an empty file yields the defaults.
+def load_config(path: str | None, **overrides) -> ExperimentConfig:
+    """Parse and validate a YAML config file; an empty file, or no path,
+    yields the defaults. `overrides` (seed, parallelism) go into `run`
+    before validation, so an override is checked like a file value; a
+    malformed file is left as it is for config_from_dict to reject.
 
     Raises:
         ParseError: unreadable or malformed file.
         ValidationError: invalid value, message carries the field path.
     """
-    return config_from_dict(read_config(path))
+    raw = {} if path is None else read_config(path)
+    if overrides and isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
+        raw = {**raw, "run": {**raw.get("run", {}), **overrides}}
+    return config_from_dict(raw)
 
 
 def _base_system(cfg: ExperimentConfig) -> lti_env.LinearSystem:

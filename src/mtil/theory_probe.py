@@ -1,10 +1,15 @@
 """Monte-Carlo falsification probes for the concentration and tracking bounds.
 
 Each probe samples either the exact setting of one probabilistic statement
-or the exact joint law of the quantities its statistic reads, evaluates the
-displayed bound with no hidden constants, and reports the empirical failure
-rate with a 3-binomial-standard-error slack. A probe failure therefore
+or the exact joint law of the quantities its statistic reads, and evaluates
+the displayed bound with no hidden constants. A probe failure therefore
 localizes either a transcription error or a genuinely violated statement.
+
+Every verdict is one of two rules. The rate rule (`_rate_holds`): a failure
+rate passes up to 3 binomial standard errors above its target. The mean rule
+(`_mean_verdict`): a Monte-Carlo mean passes up to 3 of its standard errors
+outside [lower, upper]. Every margin is the largest statistic / bound
+(`_margin`): 0 at 0/0, inf where only the bound is 0 or below.
 
 A probe draws only what its statistic reads: the 'gaussian-iid'
 self-normalized probe draws (V, S) rather than paths, and the maximal probe
@@ -64,8 +69,27 @@ class MartingaleSetup:
     sigma: float
 
 
-def _binomial_se(p: float, n: int) -> float:
-    return float(np.sqrt(max(p * (1.0 - p), 0.0) / max(n, 1)))
+def _rate_holds(failures: int, trials: int, p: float) -> bool:
+    """The rate rule: failures / trials <= p + 3 sqrt(p (1 - p) / trials)."""
+    se = float(np.sqrt(max(p * (1.0 - p), 0.0) / max(trials, 1)))
+    return bool(failures / trials <= p + 3.0 * se)
+
+
+def _mean_verdict(stats: np.ndarray, lower: float, upper: float) -> tuple:
+    """The mean rule: (estimate, se, passed) for the mean of stats, which
+    fails only more than 3 se (0 for one sample) outside [lower, upper]."""
+    estimate = float(stats.mean())
+    se = float(stats.std(ddof=1) / np.sqrt(stats.size)) if stats.size > 1 else 0.0
+    failed = (estimate < lower - 3.0 * se) or (estimate > upper + 3.0 * se)
+    return estimate, se, not failed
+
+
+def _margin(stat, bound) -> float:
+    """The largest stat / bound, elementwise: where the bound is not
+    positive, inf for a positive statistic and 0 otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(stat, bound)
+    return float(np.max(np.where(bound > 0, ratio, np.where(stat > 0, np.inf, 0.0))))
 
 
 # The one block budget: the probes stream their draws and reductions in
@@ -131,7 +155,7 @@ def verify_covariance_concentration(
     0.9 S <= (1/NT) X'X <= 1.1 S in the PSD order, where S is the task's
     stationary covariance sigma_x, via the eigenvalues of the whitened
     empirical matrix. The probe passes when at most a 0.1 fraction of trials
-    fails, within 3 SE. Trials run in blocks of BLOCK_DOUBLES
+    fails, by the rate rule. Trials run in blocks of BLOCK_DOUBLES
     (`_empirical_covariances`), with the draws of one `rollout_expert` call
     per trial.
     """
@@ -143,17 +167,10 @@ def verify_covariance_concentration(
     )
     devs = np.max(np.abs(eigs - 1.0), axis=1)
     failures = int(np.count_nonzero(devs > 0.1))
-    margin = float(np.max(devs / 0.1))
-    rate = failures / trials
-    passed = rate <= delta_target + 3.0 * _binomial_se(delta_target, trials)
     return ProbeReport(
-        name="covariance_concentration",
-        trials=trials,
-        failures=failures,
-        delta_target=delta_target,
-        margin=margin,
-        passed=passed,
-        details={"N": N, "T": T},
+        name="covariance_concentration", trials=trials, failures=failures,
+        delta_target=delta_target, margin=_margin(devs, 0.1),
+        passed=_rate_holds(failures, trials, delta_target), details={"N": N, "T": T},
     )
 
 
@@ -168,8 +185,8 @@ def verify_hanson_wright(
     For each eps, compares the empirical frequency of
     ||Rz||^2 >= (1 + eps) ||R||_F^2 over z ~ N(0, I) against
     exp(-(1/4) min(eps^2/4, eps) ||R||_F^2 / ||R||^2). A grid point fails
-    when the frequency exceeds the bound by more than 3 binomial standard
-    errors. The two-sided variant of the statement carries a prefactor 2;
+    when its frequency fails the rate rule with the bound as target. The
+    two-sided variant of the statement carries a prefactor 2;
     the one-sided form probed here is recorded in details.
     """
     R = np.asarray(R, dtype=float)
@@ -186,20 +203,14 @@ def verify_hanson_wright(
     margin = 0.0
     per_eps = {}
     for eps in eps_grid:
-        freq = float(np.mean(stats >= (1.0 + eps) * fro_sq))
+        exceeded = int(np.count_nonzero(stats >= (1.0 + eps) * fro_sq))
         bound = float(np.exp(-0.25 * min(eps * eps / 4.0, eps) * fro_sq / op_sq))
-        se = _binomial_se(bound, trials)
-        if freq > bound + 3.0 * se:
-            failures += 1
-        margin = max(margin, freq / bound if bound > 0 else float("inf"))
-        per_eps[eps] = (freq, bound)
+        failures += not _rate_holds(exceeded, trials, bound)
+        margin = max(margin, _margin(exceeded / trials, bound))
+        per_eps[eps] = (exceeded / trials, bound)
     return ProbeReport(
-        name="hanson_wright",
-        trials=trials,
-        failures=failures,
-        delta_target=0.05,
-        margin=margin,
-        passed=failures == 0,
+        name="hanson_wright", trials=trials, failures=failures, delta_target=0.05,
+        margin=margin, passed=failures == 0,
         details={"per_eps": per_eps, "form": "one-sided upper tail"},
     )
 
@@ -301,19 +312,11 @@ def verify_self_normalized(
     two_sigma_sq = 2.0 * sigma**2
     bound = two_sigma_sq * (logdet_sum + np.log(1.0 / delta))
     union_bound = two_sigma_sq * (logdet_sum + H * np.log(H / delta))
-    fail_mask = stat > bound
-    failures = int(np.count_nonzero(fail_mask))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bound > 0, stat / bound, np.where(stat > 0, np.inf, 0.0))
-    rate = failures / trials
-    passed = rate <= delta + 3.0 * _binomial_se(delta, trials)
+    failures = int(np.count_nonzero(stat > bound))
     return ProbeReport(
-        name=f"self_normalized[{regressor_kind},H={H}]",
-        trials=trials,
-        failures=failures,
-        delta_target=delta,
-        margin=float(np.max(ratios)),
-        passed=passed,
+        name=f"self_normalized[{regressor_kind},H={H}]", trials=trials,
+        failures=failures, delta_target=delta, margin=_margin(stat, bound),
+        passed=_rate_holds(failures, trials, delta),
         details={
             "mean_bound_joint": float(np.mean(bound)),
             "mean_bound_union": float(np.mean(union_bound)),
@@ -385,8 +388,7 @@ def verify_maximal_inequality(
     """Check E[max_{t<T} ||D x_t||^2] <= 3 (1 + log T) tr(D sigma_x D').
 
     x_t are i.i.d. N(0, sigma_x) and D has one row. Fails when the
-    Monte-Carlo estimate exceeds the bound by more than 3 standard errors of
-    the estimate.
+    Monte-Carlo estimate fails the mean rule with no lower bound.
 
     Only D x_t enters the statistic, and D x_t ~ N(0, f^2) with
     f^2 = D sigma_x D', so the statistic f^2 max_t h_t^2 (h_t ~ N(0, 1)) has
@@ -418,20 +420,10 @@ def verify_maximal_inequality(
             q = -0.5 * np.expm1(np.log(u) / T)
         z = _normal_upper_quantile(q)
         stats[block] = f_sq * (z * z)
-    estimate = float(stats.mean())
-    se = float(stats.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    failed = estimate > bound + 3.0 * se
-    if bound > 0:
-        margin = estimate / bound
-    else:
-        margin = 0.0 if estimate == 0.0 else float("inf")
+    estimate, se, passed = _mean_verdict(stats, -np.inf, bound)
     return ProbeReport(
-        name=f"maximal_inequality[T={T}]",
-        trials=trials,
-        failures=int(failed),
-        delta_target=0.05,
-        margin=margin,
-        passed=not failed,
+        name=f"maximal_inequality[T={T}]", trials=trials, failures=int(not passed),
+        delta_target=0.05, margin=_margin(estimate, bound), passed=passed,
         details={"estimate": estimate, "bound": bound, "se": se, "T": T},
     )
 
@@ -457,20 +449,17 @@ def verify_tracking_and_siss(
           incremental-stability display with zero initial offset; the factor
           2 absorbs the self-referencing term under the precondition);
       (b) max_t ||x_hat - x_star||^2 <= 4 J^2 ||B||^2 (1 + 4 log(T/delta'))
-          * ER may fail on at most a delta' fraction of trials.
+          * ER may fail on at most a delta' fraction of trials, by the rate
+          rule.
     """
     K_star = target_task.K
-    j_gain = control_math.stability_profile(system.A + system.B @ K_star)
+    j_gain = control_math.stability_profile(system.A + system.B @ K_star, system.basis)
     b_norm = np.linalg.norm(system.B, 2)
     gain_dev = float(np.linalg.norm(K_hat - K_star, 2))
     if gain_dev > 1.0 / (2.0 * j_gain * b_norm):
         return ProbeReport(
-            name="tracking_siss",
-            trials=0,
-            failures=0,
-            delta_target=delta_prime,
-            margin=float("nan"),
-            passed=False,
+            name="tracking_siss", trials=0, failures=0, delta_target=delta_prime,
+            margin=float("nan"), passed=False,
             details={"precondition_met": False, "gain_dev": gain_dev},
         )
     er = excess_risk(K_hat, K_star, target_task.sigma_x)
@@ -499,19 +488,11 @@ def verify_tracking_and_siss(
         det_violations += int(np.count_nonzero(violated.any(axis=1)))
         # A trial with no finite step has max_sq = inf and counts as a failure.
         max_sq[block] = np.where(kept, diffs, -np.inf).max(axis=1) ** 2
-    margin = float(np.max(max_sq / bound_hp)) if bound_hp > 0 else 0.0
     hp_failures = int(np.count_nonzero(max_sq > bound_hp))
-    rate = hp_failures / trials
-    passed = det_violations == 0 and rate <= delta_prime + 3.0 * _binomial_se(
-        delta_prime, trials
-    )
     return ProbeReport(
-        name="tracking_siss",
-        trials=trials,
-        failures=hp_failures,
-        delta_target=delta_prime,
-        margin=margin,
-        passed=passed,
+        name="tracking_siss", trials=trials, failures=hp_failures,
+        delta_target=delta_prime, margin=_margin(max_sq, bound_hp),
+        passed=det_violations == 0 and _rate_holds(hp_failures, trials, delta_prime),
         details={
             "precondition_met": True,
             "det_violations": det_violations,
@@ -537,7 +518,7 @@ def verify_scalar_sandwich(
     checks that the Monte-Carlo estimate of E[max_{1<=t<=T} |x_star -
     x_hat|^2] lies in
         [0.5/(1-a_cl)^2 * ER_app, 12 (1 + log T)/(1-a_cl)^2 * ER_app]
-    within 3 standard errors, where ER_app = eps^2/(1-a_cl^2) (the
+    by the mean rule, where ER_app = eps^2/(1-a_cl^2) (the
     appendix's excess-risk convention, without the 1/2 factor; it equals
     twice the canonical excess risk).
 
@@ -568,20 +549,13 @@ def verify_scalar_sandwich(
         np.subtract(xs, xh, out=sq)
         np.square(sq, out=sq)
         np.maximum(max_sq, sq, out=max_sq)
-    estimate = float(max_sq.mean())
-    se = float(max_sq.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     er_app = eps * eps / (1.0 - a_cl * a_cl)
     lower = 0.5 / (1.0 - a_cl) ** 2 * er_app
     upper = 12.0 * (1.0 + np.log(T)) / (1.0 - a_cl) ** 2 * er_app
-    failed = (estimate < lower - 3.0 * se) or (estimate > upper + 3.0 * se)
-    margin = estimate / upper if upper > 0 else 0.0
+    estimate, se, passed = _mean_verdict(max_sq, lower, upper)
     return ProbeReport(
-        name="scalar_sandwich",
-        trials=trials,
-        failures=int(failed),
-        delta_target=0.05,
-        margin=margin,
-        passed=not failed,
+        name="scalar_sandwich", trials=trials, failures=int(not passed),
+        delta_target=0.05, margin=_margin(estimate, upper), passed=passed,
         details={
             "estimate": estimate,
             "lower": lower,

@@ -18,7 +18,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mtil"
 ALLOWED = {
     "principal_cosines": "ROADMAP item 1's per-cell diagnostics (slice A) call it",
     "lqr_cost_gap_bound": "ROADMAP item 1's cost-gap column (slice E) calls it",
-    "load_config": "bench/run.py's setup command calls it",
 }
 
 

@@ -30,22 +30,22 @@ class TestSpectralBasics:
 
 class TestStabilityProfile:
     def test_zero_matrix(self):
-        assert cm.stability_profile(np.zeros((2, 2))) == pytest.approx(1.0)
+        assert cm.stability_profile(np.zeros((2, 2)), np.eye(2)) == pytest.approx(1.0)
 
     def test_nilpotent(self):
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert cm.stability_profile(A) == pytest.approx(2.0)
+        assert cm.stability_profile(A, np.eye(2)) == pytest.approx(2.0)
 
     def test_diagonal_geometric_sum(self):
         # Direct summation oracle: ||A^t|| = 0.9^t, sum = 1 / (1 - 0.9) = 10.
-        j_gain = cm.stability_profile(np.diag([0.5, -0.9]))
+        j_gain = cm.stability_profile(np.diag([0.5, -0.9]), np.eye(2))
         assert j_gain == pytest.approx(10.0, abs=1e-8)
 
     def test_rejects_unstable(self):
         with pytest.raises(UnstableMatrix):
-            cm.stability_profile(np.diag([1.0, 0.5]))
+            cm.stability_profile(np.diag([1.0, 0.5]), np.eye(2))
         with pytest.raises(UnstableMatrix):  # (1 + rho) / 2 rounds to 1
-            cm.stability_profile(np.diag([1.0 - 2.0**-53, 0.5]))
+            cm.stability_profile(np.diag([1.0 - 2.0**-53, 0.5]), np.eye(2))
 
     def test_tail_within_tolerance(self):
         # Direct-sum oracle: 5000 terms of ||A^t||, past which the terms
@@ -58,7 +58,22 @@ class TestStabilityProfile:
             for _ in range(5000):
                 direct += np.linalg.norm(M, 2)
                 M = M @ A
-            assert abs(direct - cm.stability_profile(A)) <= cm.PROFILE_TAIL_TOL
+            j_gain = cm.stability_profile(A, np.eye(4))
+            assert abs(direct - j_gain) <= cm.PROFILE_TAIL_TOL
+
+    def test_range_basis_matches_full_space(self):
+        # A = Q C maps into span(Q), so ||A^t|| = ||Q'A^t||: J on the range
+        # agrees with J in the full space (basis I) to rounding, and a basis
+        # with a column outside range(A) changes nothing either.
+        rng = np.random.default_rng(12)
+        for r, n in ((1, 3), (2, 6), (4, 50)):
+            Q = np.linalg.qr(rng.standard_normal((n, r)))[0]
+            A = Q @ rng.standard_normal((r, n))
+            A *= 0.95 / cm.spectral_radius(A)
+            full = cm.stability_profile(A, np.eye(n))
+            assert cm.stability_profile(A, Q) == pytest.approx(full, rel=1e-13)
+            wider = np.linalg.qr(np.hstack([Q, rng.standard_normal((n, 1))]))[0]
+            assert cm.stability_profile(A, wider) == pytest.approx(full, rel=1e-13)
 
 
 class TestLyapunov:

@@ -154,7 +154,7 @@ class TestEvaluateController:
         # Deterministic consequence of the incremental-stability display.
         system, task = scalar_setup(sigma_z=0.2)
         K_hat = task.K + 0.02
-        j_gain = cm.stability_profile(system.A + system.B @ task.K)
+        j_gain = cm.stability_profile(system.A + system.B @ task.K, system.basis)
         jb = j_gain * np.linalg.norm(system.B, 2)
         rng = SeedTree(root=3).child("b").stream()
         for _ in range(50):

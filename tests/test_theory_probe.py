@@ -24,6 +24,48 @@ def scalar_task(a_cl=0.5):
     return system, task
 
 
+class TestVerdictRules:
+    def test_rate_at_three_se_passes_one_more_failure_fails(self):
+        # p (1 - p) / n = 2^-8, so se = 1/16 and p + 3 se = 0.6875 = 44/64,
+        # all exact.
+        assert theory_probe._rate_holds(44, 64, 0.5) is True
+        assert theory_probe._rate_holds(45, 64, 0.5) is False
+
+    def test_mean_at_three_se_passes_just_beyond_fails(self):
+        # Mean 1 and se = sqrt(2) / sqrt(2) = 1, exactly.
+        stats = np.array([0.0, 2.0])
+        assert theory_probe._mean_verdict(stats, -np.inf, -2.0) == (1.0, 1.0, True)
+        assert theory_probe._mean_verdict(stats, 4.0, np.inf) == (1.0, 1.0, True)
+        _, _, passed = theory_probe._mean_verdict(
+            stats, -np.inf, np.nextafter(-2.0, -np.inf)
+        )
+        assert passed is False
+        _, _, passed = theory_probe._mean_verdict(
+            stats, np.nextafter(4.0, np.inf), np.inf
+        )
+        assert passed is False
+
+    def test_one_sample_has_no_slack(self):
+        assert theory_probe._mean_verdict(np.array([3.0]), 0.0, 2.0) == (
+            3.0, 0.0, False
+        )
+
+    @pytest.mark.parametrize(
+        "stat, bound, margin",
+        [
+            (0.0, 0.0, 0.0),
+            (2.0, 0.0, np.inf),
+            (2.0, -1.0, np.inf),
+            (3.0, 2.0, 1.5),
+            (np.array([0.0, 1.0, 0.0]), np.array([0.0, 4.0, 1.0]), 0.25),
+            (np.array([0.0, 1.0]), np.array([0.0, 0.0]), np.inf),
+        ],
+    )
+    def test_margin(self, stat, bound, margin):
+        value = theory_probe._margin(stat, bound)
+        assert type(value) is float and value == margin
+
+
 class TestCovarianceConcentration:
     def test_scalar_small(self):
         system, task = scalar_task()
@@ -104,6 +146,16 @@ class TestHansonWright:
         )
         freq, _ = report.details["per_eps"][50.0]
         assert freq == 0.0
+        assert report.passed
+
+    def test_zero_bound_zero_frequency_margin(self):
+        # exp(-2500 eps) underflows to 0 and no draw reaches the threshold:
+        # the margin is 0 at 0/0 (inf before the shared margin rule).
+        report = theory_probe.verify_hanson_wright(
+            np.eye(2), [1e4], trials=100, rng=np.random.default_rng(0)
+        )
+        assert report.details["per_eps"][1e4] == (0.0, 0.0)
+        assert report.margin == 0.0
         assert report.passed
 
     def test_identity_grid(self):
@@ -461,6 +513,28 @@ class TestTrackingSiss:
         assert report.details["det_violations"] == 0
         assert report.passed
 
+    def test_zero_bound_margin_is_inf(self):
+        # delta' = T e^(1/4) makes 1 + 4 log(T / delta') exactly 0, so the
+        # bound is 0 under a positive statistic: margin inf (0.0 before the
+        # shared margin rule).
+        system, task = scalar_task()
+        report = theory_probe.verify_tracking_and_siss(
+            system, task, task.K + 0.02, T=50, delta_prime=50 * np.exp(0.25),
+            trials=10, rng=SeedTree(root=16).child("t").stream(),
+        )
+        assert report.details["bound_hp"] == 0.0
+        assert report.margin == np.inf
+
+    def test_perfect_gain_margin_is_zero(self):
+        # K_hat = K_star: no deviation and a zero bound, 0/0.
+        system, task = scalar_task()
+        report = theory_probe.verify_tracking_and_siss(
+            system, task, task.K, T=20, delta_prime=0.05, trials=10,
+            rng=SeedTree(root=15).child("t").stream(),
+        )
+        assert report.details["bound_hp"] == 0.0
+        assert report.margin == 0.0
+
     def test_precondition_not_met(self):
         system, task = scalar_task()
         report = theory_probe.verify_tracking_and_siss(
@@ -488,6 +562,8 @@ class TestScalarSandwich:
             rng=SeedTree(root=19).child("s").stream(),
         )
         assert report.details["estimate"] == 0.0
+        assert report.details["upper"] == 0.0
+        assert report.margin == 0.0  # 0/0
         assert report.passed
 
     def test_unstable_pair(self):
@@ -618,6 +694,22 @@ class TestVerifyGolden:
             cli.run_probe_battery((probe,), seed), str(path)
         )
         return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    # verify_details.json of `mtil verify --probe all`: every report's
+    # fields and details, so a change to a decision rule, a margin or a
+    # detail key or its order shows here even where verify.csv keeps.
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (0, "692fbfb5214587c2881614258b3b06ccd9c0bbd91413cd6fa89d50bc62110a36"),
+            (3, "09585bdeebc643d1f4fb218226b11a5cb5101bc9bd13f1b2c9b8a1b9f984a352"),
+        ],
+    )
+    def test_verify_details_digest(self, tmp_path, seed, digest):
+        cli.main(["verify", "--probe", "all", "--out", str(tmp_path),
+                  "--seed", str(seed)])
+        path = tmp_path / "verify_details.json"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_state_feedback_rows(self, tmp_path):
         # The state-feedback rows stream their sums along the paths and keep
