@@ -224,7 +224,7 @@ def _cmd_synth(args) -> int:
         report = task_diversity_constants(ensemble)
         print(
             f"diversity: c {report.c:.6g}  nu {report.nu:.6g}  "
-            f"nu*H {report.nu_times_H:.6g}  lambda_bar {report.lambda_bar:.6g}  "
+            f"nu*H {report.nu * ensemble.H:.6g}  lambda_bar {report.lambda_bar:.6g}  "
             f"lambda_under {report.lambda_under:.6g}"
         )
     return EXIT_OK

@@ -41,7 +41,6 @@ class DiversityReport:
 
     c: float
     nu: float
-    nu_times_H: float
     lambda_bar: float
     lambda_under: float
 
@@ -155,7 +154,6 @@ def task_diversity_constants(ensemble: TaskEnsemble) -> DiversityReport:
     return DiversityReport(
         c=c,
         nu=float(nu),
-        nu_times_H=float(nu) * ensemble.H,
         lambda_bar=float(max(e.max() for e in lambdas)),
         lambda_under=float(min(e.min() for e in lambdas)),
     )

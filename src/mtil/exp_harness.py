@@ -22,7 +22,7 @@ from .data_gen import SeedTree, rollout_expert
 from .errors import ParseError, ValidationError
 from .eval_metrics import evaluate_controller, summarize_quantiles
 
-RESULTS_VERSION = "7"
+RESULTS_VERSION = "8"
 
 VALID_METHODS = ("multitask", "direct")
 
@@ -309,8 +309,8 @@ def _fit_grid(
 ) -> dict:
     """method -> (K_hat per N2, underdetermined per N2) for one cell.
 
-    The N2 grid takes nested prefixes of the one target pool: each method
-    fits every grid point from the pool's prefix Grams at once.
+    The N2 grid takes nested prefixes of the one target pool: `direct_ols`
+    fits every grid point at once, on x (direct) or phi_hat x (multitask).
     """
     tree = SeedTree(root=cfg.seed)
     system = ensemble.system
@@ -334,8 +334,8 @@ def _fit_grid(
             cfg.k,
             rng=source_tree.child("init").stream(),
         ).phi_hat
-        f_hats = mtil_learn.finetune_target(phi_hat, grams)
-        fits["multitask"] = (f_hats @ phi_hat, grams.rows < cfg.k)
+        F, underdetermined = mtil_learn.direct_ols(grams.project(phi_hat))
+        fits["multitask"] = (F @ phi_hat, underdetermined)
     if "direct" in cfg.methods:
         fits["direct"] = mtil_learn.direct_ols(grams)
     return fits

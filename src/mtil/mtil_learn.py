@@ -5,14 +5,13 @@ k x n_x representation Phi and per-task weights F^h by exact alternating
 least squares, each sweep extrapolated along its Phi move when that fits
 better (Bro 1998), and finishes with Newton steps on Phi once the sweeps
 slow down. No iterate above the best objective so far is kept, so the
-objective is non-increasing step by step. Fine-tuning solves the target
-ordinary least squares on the frozen representation. A direct OLS baseline
-that ignores the source data is included.
+objective is non-increasing step by step. Both target fits are `direct_ols`:
+behavioral cloning regresses on x, fine-tuning on the frozen features Phi x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +25,8 @@ ALS_REL_TOL = 1e-10
 # least NEWTON_RETRY_SWEEPS more sweeps before trying again.
 NEWTON_START_REL = 1e-5
 NEWTON_RETRY_SWEEPS = 10
-# `direct_ols` solves a prefix's normal equations only where cond(X)^2 is
-# certified below this; they lose about eps cond(X)^2, at most ~2e-8.
+# `direct_ols` solves a prefix's normal equations only where cond(Z)^2 of its
+# regressors Z (x or Phi x) is certified below this; they lose eps cond(Z)^2.
 GRAM_COND_LIMIT = 1e8
 
 
@@ -333,6 +332,15 @@ class PrefixGrams:
     XX: np.ndarray
     XU: np.ndarray
 
+    def project(self, phi: np.ndarray) -> PrefixGrams:
+        """The same prefixes with regressors Phi x: data X Phi', Grams
+        Phi X'X Phi' and Phi X'U. An overflow is left for the fit to refuse."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return replace(
+                self, data=StackedData(X=self.data.X @ phi.T, U=self.data.U),
+                XX=phi @ self.XX @ phi.T, XU=phi @ self.XU,
+            )
+
 
 def prefix_grams(data: StackedData, T: int, counts) -> PrefixGrams:
     """The Grams of the first counts[j] trajectories of a pool, for each j.
@@ -356,37 +364,13 @@ def prefix_grams(data: StackedData, T: int, counts) -> PrefixGrams:
     )
 
 
-def finetune_target(phi_hat: np.ndarray, grams: PrefixGrams) -> np.ndarray:
-    """Target-task least squares on the frozen representation, per prefix.
-
-    Returns the stack of F minimizing ||U - X Phi' F'||_F^2 over each
-    prefix, i.e. F' = (Phi X'X Phi')^{-1} Phi X'U from the k x k projected
-    Grams, with ridge repair on singular normal matrices. A prefix with
-    fewer rows than k leaves Phi X'X Phi' singular, so it gets the
-    minimum-norm solution `lstsq(X Phi', U)` on its rows instead.
-
-    Raises:
-        NonFiniteData: if a prefix Gram, or one projected on phi_hat, has a
-            non-finite entry.
-    """
-    _require_finite("target", grams.XX, grams.XU)
-    full = grams.rows >= phi_hat.shape[0]
-    f_hats = np.empty((full.size, grams.XU.shape[2], phi_hat.shape[0]))
-    f_hats[full] = _f_step((grams.XX[full], grams.XU[full], None), phi_hat)
-    X, U = grams.data.X, grams.data.U
-    for j in np.flatnonzero(~full):
-        rows = grams.rows[j]
-        f_hats[j] = np.linalg.lstsq(X[:rows] @ phi_hat.T, U[:rows], rcond=None)[0].T
-    return f_hats
-
-
 def direct_ols(grams: PrefixGrams) -> tuple:
-    """Direct behavioral cloning baseline ignoring the source data, per prefix.
+    """Ordinary least squares of U on a prefix's regressors X, per prefix.
 
-    Returns (K, underdetermined), stacked over the prefixes: the
-    least-squares gain K' = (X'X)^{-1} X'U where X has full column rank,
-    otherwise the minimum-norm solution with underdetermined = True, as
-    `lstsq` ranks X.
+    X is x for direct behavioral cloning, Phi x for fine-tuning
+    (`grams.project(phi_hat)`). Returns (K, underdetermined) per prefix: the
+    least-squares gain K' = (X'X)^{-1} X'U where X has full column rank, else
+    the minimum-norm solution with underdetermined = True, as `lstsq` ranks X.
 
     Prefixes are taken in order of size. A prefix nests every smaller one,
     so its smallest singular value is at least s_min, that of the largest

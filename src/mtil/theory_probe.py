@@ -9,7 +9,8 @@ Every verdict is one of two rules. The rate rule (`_rate_holds`): a failure
 rate passes up to 3 binomial standard errors above its target. The mean rule
 (`_mean_verdict`): a Monte-Carlo mean passes up to 3 of its standard errors
 outside [lower, upper]. Every margin is the largest statistic / bound
-(`_margin`): 0 at 0/0, inf where only the bound is 0 or below.
+(`_margin`): 0 at 0/0, inf where only the bound is 0 or below. Every probe
+refuses trials < 1 and a target outside (0, 1) (`_check_inputs`).
 
 A probe draws only what its statistic reads: the 'gaussian-iid'
 self-normalized probe draws (V, S) rather than paths, and the maximal probe
@@ -71,8 +72,17 @@ class MartingaleSetup:
 
 def _rate_holds(failures: int, trials: int, p: float) -> bool:
     """The rate rule: failures / trials <= p + 3 sqrt(p (1 - p) / trials)."""
-    se = float(np.sqrt(max(p * (1.0 - p), 0.0) / max(trials, 1)))
-    return bool(failures / trials <= p + 3.0 * se)
+    return bool(failures / trials <= p + 3.0 * np.sqrt(p * (1.0 - p) / trials))
+
+
+def _check_inputs(trials: int, **targets: float) -> None:
+    """ValueError for what no verdict can judge: no trials, or a target
+    probability outside (0, 1), where the rate rule passes any count."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    for name, p in targets.items():
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1), got {p}")
 
 
 def _mean_verdict(stats: np.ndarray, lower: float, upper: float) -> tuple:
@@ -159,6 +169,7 @@ def verify_covariance_concentration(
     (`_empirical_covariances`), with the draws of one `rollout_expert` call
     per trial.
     """
+    _check_inputs(trials)
     delta_target = 0.1
     eig_s, V = np.linalg.eigh(task.sigma_x)
     whiten = V @ np.diag(eig_s**-0.5) @ V.T
@@ -189,6 +200,7 @@ def verify_hanson_wright(
     two-sided variant of the statement carries a prefactor 2;
     the one-sided form probed here is recorded in details.
     """
+    _check_inputs(trials)
     R = np.asarray(R, dtype=float)
     fro_sq = float(np.sum(R * R))
     if fro_sq == 0.0:
@@ -284,6 +296,7 @@ def verify_self_normalized(
     eta_1, and so on), so it keeps H (d^2 + d m + d + m) doubles a trial and
     no path. Any other kind is a ValueError.
     """
+    _check_inputs(trials, delta=delta)
     H, T, d, m, sigma = setup.H, setup.T, setup.dim_x, setup.dim_eta, setup.sigma
     if regressor_kind not in ("gaussian-iid", "state-feedback"):
         raise ValueError(f"unknown regressor kind {regressor_kind!r}")
@@ -402,6 +415,7 @@ def verify_maximal_inequality(
     Raises:
         ValueError: if D does not have exactly one row.
     """
+    _check_inputs(trials)
     D = np.asarray(delta_gain, dtype=float)
     if D.shape[0] != 1:
         raise ValueError("the maximal probe takes a one-row D")
@@ -452,6 +466,7 @@ def verify_tracking_and_siss(
           * ER may fail on at most a delta' fraction of trials, by the rate
           rule.
     """
+    _check_inputs(trials, delta_prime=delta_prime)
     K_star = target_task.K
     j_gain = control_math.stability_profile(system.A + system.B @ K_star, system.basis)
     b_norm = np.linalg.norm(system.B, 2)
@@ -529,6 +544,7 @@ def verify_scalar_sandwich(
     Raises:
         UnstablePair: unless 0 < a_cl and a_cl + eps < 1.
     """
+    _check_inputs(trials)
     a_cl = a + k_star
     a_hat = a_cl + eps
     if not (0.0 < a_cl < 1.0 and a_hat < 1.0):

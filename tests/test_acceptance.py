@@ -117,9 +117,9 @@ def test_criterion_2_noiseless_identifiability():
     cos_min = mtil_learn.principal_cosines(pre.phi_hat, truth.phi_star)[-1]
     sub = np.sqrt(1.0 - cos_min**2)
     tgt = rollout_expert(system, noiseless[9], 20, 2, tree.child("t").stream())
-    F = mtil_learn.finetune_target(
-        pre.phi_hat, mtil_learn.prefix_grams(tgt, 20, [2])
-    )[0]
+    (F,), _ = mtil_learn.direct_ols(
+        mtil_learn.prefix_grams(tgt, 20, [2]).project(pre.phi_hat)
+    )
     param = np.linalg.norm(F @ pre.phi_hat - noiseless[9].K)
     elapsed = time.perf_counter() - t0
     ok = param <= 1e-6 and sub <= 1e-6 and elapsed < 30.0
@@ -184,9 +184,9 @@ def test_criterion_4_excess_risk_rate():
             data = rollout_expert(
                 ens.system, tgt, 20, n2, tree.child("d", s).child("n", n2).stream()
             )
-            F = mtil_learn.finetune_target(
-                phi, mtil_learn.prefix_grams(data, 20, [n2])
-            )[0]
+            (F,), _ = mtil_learn.direct_ols(
+                mtil_learn.prefix_grams(data, 20, [n2]).project(phi)
+            )
             ers.append(excess_risk(F @ phi, tgt.K, tgt.sigma_x))
         medians.append(np.median(ers))
     slope = np.polyfit(np.log(n2_grid), np.log(medians), 1)[0]

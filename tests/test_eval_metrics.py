@@ -270,7 +270,7 @@ class TestTaskDiversity:
         ens = manual_ensemble([np.eye(4)] * (H + 1), f, phi)
         report = eval_metrics.task_diversity_constants(ens)
         assert report.nu == pytest.approx(1.0 / H, rel=1e-10)
-        assert report.nu_times_H == pytest.approx(1.0, rel=1e-10)
+        assert report.nu * H == pytest.approx(1.0, rel=1e-10)
 
     def test_dominating_source(self):
         phi = np.eye(2, 4)

@@ -15,7 +15,11 @@ from mtil.errors import (
     RankDeficient,
     SingularBlock,
 )
-from mtil.mtil_learn import _orthonormalize, _phi_step_normal
+from mtil.mtil_learn import (
+    _orthonormalize,
+    _phi_step_normal,
+    _solve_with_ridge_repair,
+)
 
 
 def synthetic_tasks(rng, H=3, n=10, k=2, n_u=2, rows=100, noise=0.0):
@@ -301,35 +305,31 @@ class TestPhiStepNormal:
 
 
 class TestFinetuneTarget:
-    def test_noiseless_recovery(self):
-        rng = np.random.default_rng(12)
-        tasks, phi_star, f_stars = synthetic_tasks(rng, H=1)
-        F = mtil_learn.finetune_target(phi_star, whole(tasks[0]))[0]
-        np.testing.assert_allclose(F, f_stars[0], atol=1e-8)
-
-    def test_zero_targets(self):
-        rng = np.random.default_rng(13)
-        phi = np.linalg.qr(rng.standard_normal((6, 2)))[0].T
-        data = StackedData(X=rng.standard_normal((30, 6)), U=np.zeros((30, 2)))
-        np.testing.assert_allclose(mtil_learn.finetune_target(phi, whole(data)), 0.0)
-
-    def test_zero_states_raise_singular_block(self):
-        # All-zero states give a zero normal matrix: no ridge can repair it.
+    # Fine-tuning is `direct_ols` on the Grams projected onto Phi; the fits
+    # themselves are checked in TestDirectOls and TestPrefixGrams.
+    def test_zero_states_give_a_zero_flagged_fit(self):
+        # All-zero states leave X Phi' of rank 0: the minimum-norm fit is 0.
         data = StackedData(X=np.zeros((20, 5)), U=np.ones((20, 1)))
-        grams = mtil_learn.prefix_grams(data, 10, [1, 2])
-        with pytest.raises(SingularBlock, match="singular with zero trace"):
-            mtil_learn.finetune_target(np.eye(5)[:2], grams)
+        grams = mtil_learn.prefix_grams(data, 10, [1, 2]).project(np.eye(5)[:2])
+        F, underdetermined = mtil_learn.direct_ols(grams)
+        np.testing.assert_array_equal(F, 0.0)
+        assert underdetermined.tolist() == [True, True]
 
-    def test_residual_orthogonality(self):
-        rng = np.random.default_rng(14)
-        tasks, phi_star, _ = synthetic_tasks(rng, H=1, noise=0.5)
-        data = tasks[0]
-        F = mtil_learn.finetune_target(phi_star, whole(data))[0]
-        Z = data.X @ phi_star.T
-        resid = data.U - Z @ F.T
-        assert np.abs(Z.T @ resid).max() <= 1e-8 * max(
-            1.0, np.abs(data.U).max() * np.abs(Z).max() * Z.shape[0]
-        )
+    def test_rank_deficient_features_with_enough_rows_are_flagged(self):
+        # 20 rows for k = 2, but every state is orthogonal to Phi's second
+        # row, so X Phi' has rank 1: the fit is the minimum-norm lstsq fit
+        # and is flagged, although rows >= k.
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((20, 5))
+        X[:, 4] = 0.0
+        U = rng.standard_normal((20, 2))
+        phi = np.eye(5)[[0, 4]]
+        grams = whole(StackedData(X=X, U=U)).project(phi)
+        (F,), (underdetermined,) = mtil_learn.direct_ols(grams)
+        assert underdetermined
+        ref = np.linalg.lstsq(X @ phi.T, U, rcond=None)[0].T
+        np.testing.assert_array_equal(F, ref)
+        np.testing.assert_array_equal(F[:, 1], 0.0)
 
     def test_error_halves_when_samples_quadruple(self):
         rng = np.random.default_rng(15)
@@ -342,11 +342,35 @@ class TestFinetuneTarget:
             for rows in (40, 160):
                 X = local.standard_normal((rows, n))
                 U = X @ (f_star @ phi_star).T + local.standard_normal((rows, n_u))
-                data = whole(StackedData(X=X, U=U))
-                F = mtil_learn.finetune_target(phi_star, data)[0]
+                data = whole(StackedData(X=X, U=U)).project(phi_star)
+                (F,), _ = mtil_learn.direct_ols(data)
                 errs[rows].append(np.linalg.norm(F - f_star))
         ratio = np.median(errs[160]) / np.median(errs[40])
         assert 0.35 <= ratio <= 0.65
+
+
+class TestRidgeRepair:
+    def test_zero_matrix_raises_singular_block(self):
+        with pytest.raises(SingularBlock, match="singular with zero trace"):
+            _solve_with_ridge_repair(np.zeros((3, 3)), np.ones((3, 1)))
+
+    def test_singular_psd_matrix_gets_the_ridge_solution(self):
+        # An exact zero pivot fails the LU solve; lambda = 1e-12 tr(M) / 2.
+        M = np.diag([1.0, 0.0])
+        C = np.ones((2, 1))
+        sol = _solve_with_ridge_repair(M, C)
+        ridge = np.linalg.solve(M + 0.5e-12 * np.eye(2), C)
+        assert np.all(np.isfinite(sol))
+        np.testing.assert_array_equal(sol, ridge)
+
+    def test_stacked_call_repairs_only_its_singular_block(self):
+        M = np.stack([2.0 * np.eye(2), np.diag([1.0, 0.0])])
+        C = np.ones((2, 2, 1))
+        sol = _solve_with_ridge_repair(M, C)
+        np.testing.assert_array_equal(sol[0], np.linalg.solve(M[0], C[0]))
+        np.testing.assert_array_equal(
+            sol[1], np.linalg.solve(M[1] + 0.5e-12 * np.eye(2), C[1])
+        )
 
 
 class TestDirectOls:
@@ -567,35 +591,19 @@ def relative_gap(a, b):
 class TestPrefixGrams:
     @given(nested_pools())
     def test_direct_fits_match_per_prefix_lstsq(self, problem):
-        pool, T, counts, _ = problem
-        K, underdetermined = mtil_learn.direct_ols(
-            mtil_learn.prefix_grams(pool, T, counts)
-        )
-        for j, c in enumerate(counts):
-            sol, _, rank, _ = np.linalg.lstsq(
-                pool.X[: c * T], pool.U[: c * T], rcond=None
-            )
-            assert underdetermined[j] == (rank < pool.X.shape[1])
-            assert relative_gap(K[j], sol.T) <= 1e-9
-
-    @given(nested_pools())
-    def test_finetune_fits_match_per_prefix_solves(self, problem):
+        # Regressors x (Phi = I, the direct fit) and Phi x (fine-tuning).
         pool, T, counts, phi = problem
-        F = mtil_learn.finetune_target(phi, mtil_learn.prefix_grams(pool, T, counts))
-        for j, c in enumerate(counts):
-            Z = pool.X[: c * T] @ phi.T
-            if c * T < phi.shape[0]:
-                # Fewer rows than k: Z'Z is singular, and the fit is the
-                # minimum-norm least-squares solution.
-                ref = np.linalg.lstsq(Z, pool.U[: c * T], rcond=None)[0].T
-                assert np.array_equal(F[j], ref)
-                continue
-            # Both forms solve normal equations, which round to about
-            # eps cond(Z'Z) apart; singular and near-singular ones are left out.
-            if np.linalg.cond(Z.T @ Z) > 1e6:
-                continue
-            ref = np.linalg.solve(Z.T @ Z, Z.T @ pool.U[: c * T]).T
-            assert relative_gap(F[j], ref) <= 1e-9
+        grams = mtil_learn.prefix_grams(pool, T, counts)
+        eye = np.eye(pool.X.shape[1])
+        for fit_grams, phi in ((grams, eye), (grams.project(phi), phi)):
+            K, underdetermined = mtil_learn.direct_ols(fit_grams)
+            Z = pool.X @ phi.T
+            for j, c in enumerate(counts):
+                sol, _, rank, _ = np.linalg.lstsq(
+                    Z[: c * T], pool.U[: c * T], rcond=None
+                )
+                assert underdetermined[j] == (rank < phi.shape[0])
+                assert relative_gap(K[j], sol.T) <= 1e-9
 
     def test_near_singular_full_rank_prefix_keeps_lstsq(self):
         # lstsq ranks the first two rows full (cond ~2e15), but their Gram is
@@ -624,7 +632,7 @@ class TestPrefixGrams:
         with pytest.raises(NonFiniteData, match="target Grams"):
             mtil_learn.direct_ols(grams)
         with pytest.raises(NonFiniteData, match="target Grams"):
-            mtil_learn.finetune_target(np.array([[1.0, 0.0]]), grams)
+            mtil_learn.direct_ols(grams.project(np.array([[1.0, 0.0]])))
         with pytest.raises(NonFiniteData, match="source Grams"):
             pretrain([data], 1, np.random.default_rng(0))
 

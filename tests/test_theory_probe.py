@@ -66,6 +66,65 @@ class TestVerdictRules:
         assert type(value) is float and value == margin
 
 
+PROBES = ["covariance", "hanson_wright", "self_normalized", "maximal", "tracking",
+          "sandwich"]
+
+
+def call_probe(probe, trials=5, target=0.05):
+    """One probe at desk scale with the given trial count and, for the two
+    probes that take one, target probability."""
+    system, task = scalar_task()
+    rng = np.random.default_rng(0)
+    if probe == "covariance":
+        return theory_probe.verify_covariance_concentration(
+            system, task, 5, 5, trials, rng
+        )
+    if probe == "hanson_wright":
+        return theory_probe.verify_hanson_wright(np.eye(2), [0.5], trials, rng)
+    if probe == "self_normalized":
+        setup = MartingaleSetup(H=1, T=5, dim_x=2, dim_eta=2, sigma=1.0)
+        return theory_probe.verify_self_normalized(
+            setup, target, trials, rng, "gaussian-iid"
+        )
+    if probe == "maximal":
+        return theory_probe.verify_maximal_inequality(
+            np.ones((1, 2)), np.eye(2), 5, trials, rng
+        )
+    if probe == "tracking":
+        return theory_probe.verify_tracking_and_siss(
+            system, task, task.K + 0.02, 5, target, trials, rng
+        )
+    return theory_probe.verify_scalar_sandwich(0.8, -0.3, 0.05, 5, trials, rng)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_desk_inputs_run(self, probe):
+        assert call_probe(probe).trials == 5
+
+    # No verdict can judge an empty run; each probe says so by name rather
+    # than fail inside numpy or pass with margin nan.
+    @pytest.mark.parametrize("trials", [0, -1])
+    @pytest.mark.parametrize("probe", PROBES)
+    def test_refuses_fewer_than_one_trial(self, probe, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            call_probe(probe, trials=trials)
+
+    # At a target of 1 or more the rate rule passes any count (delta' =
+    # T e^(1/4) makes the tracking bound 0), and a target of 0 divides by 0.
+    @pytest.mark.parametrize(
+        "target",
+        [0.0, 1.0, 1.5, 5 * np.exp(0.25), -0.1, np.nan],
+        ids=["0", "1", "1.5", "T-e-quarter", "-0.1", "nan"],
+    )
+    @pytest.mark.parametrize(
+        "probe, name", [("self_normalized", "delta"), ("tracking", "delta_prime")]
+    )
+    def test_refuses_a_target_outside_zero_one(self, probe, name, target):
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            call_probe(probe, target=target)
+
+
 class TestCovarianceConcentration:
     def test_scalar_small(self):
         system, task = scalar_task()
@@ -512,18 +571,6 @@ class TestTrackingSiss:
         )
         assert report.details["det_violations"] == 0
         assert report.passed
-
-    def test_zero_bound_margin_is_inf(self):
-        # delta' = T e^(1/4) makes 1 + 4 log(T / delta') exactly 0, so the
-        # bound is 0 under a positive statistic: margin inf (0.0 before the
-        # shared margin rule).
-        system, task = scalar_task()
-        report = theory_probe.verify_tracking_and_siss(
-            system, task, task.K + 0.02, T=50, delta_prime=50 * np.exp(0.25),
-            trials=10, rng=SeedTree(root=16).child("t").stream(),
-        )
-        assert report.details["bound_hp"] == 0.0
-        assert report.margin == np.inf
 
     def test_perfect_gain_margin_is_zero(self):
         # K_hat = K_star: no deviation and a zero bound, 0/0.
