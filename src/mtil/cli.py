@@ -7,9 +7,10 @@ sweep module (`exp_harness`, `mtil_learn`) and `run` no probe module
 (`theory_probe`).
 
 Imported before numpy, this module starts numpy's bundled OpenBLAS on one
-thread, whatever `OPENBLAS_NUM_THREADS` the caller set: `run` and `verify`
-pin BLAS to one thread for all their work anyway, and `synth` handles
-matrices too small to gain from more.
+thread, whatever `OPENBLAS_NUM_THREADS` the caller set: `run` pins BLAS to
+one thread for all its work anyway, and `verify` and `synth` handle
+matrices too small to gain from more. `verify` runs unpinned: its files
+have the same bytes on one BLAS thread and on two.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import sys
 # no command uses. At module level, not in `main()`, so that it also holds
 # for a caller that imports this module and then numpy itself; the commands
 # load numpy inside their functions, after it is set, and pool workers
-# inherit it. A process whose numpy loaded first keeps its threads and
-# relies on `control_math.pinned_blas_threads` for the bits.
+# inherit it. A process whose numpy loaded first keeps its threads; its
+# sweeps rely on `control_math.pinned_blas_threads` for the bits.
 if "numpy" not in sys.modules:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -169,10 +170,9 @@ def _cmd_verify(args) -> int:
     names = PROBE_NAMES if args.probe == "all" else (args.probe,)
     _require_seed(args.seed)
     _at_out(os.makedirs, args.out, exist_ok=True)  # before the battery
-    from . import control_math, theory_probe
+    from . import theory_probe
 
-    with control_math.pinned_blas_threads():
-        reports = run_probe_battery(names, args.seed)
+    reports = run_probe_battery(names, args.seed)
     path = os.path.join(args.out, "verify.csv")
     _at_out(theory_probe.write_probe_csv, reports, path)
     details_path = os.path.join(args.out, "verify_details.json")

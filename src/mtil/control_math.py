@@ -3,7 +3,7 @@
 Spectral radius, the transient gain J(A) = sum_t ||A^t||, discrete
 Lyapunov and Riccati solvers, and the Cholesky factor of a covariance. All
 of these are pure and operate on float64 NumPy arrays. The module also pins
-numpy's bundled OpenBLAS to BLAS_THREADS for sweeps and probes.
+numpy's bundled OpenBLAS to BLAS_THREADS for sweeps.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ LYAPUNOV_MAX_ITER = 200
 DARE_REL_TOL = 1e-10
 DARE_MAX_ITER = 100
 
-# OpenBLAS threads inside `mtil run` sweeps and `mtil verify`: the LU of the
-# ALS Phi-step gives other bits on more than one thread, and the cells are
-# too small to gain by them.
+# OpenBLAS threads inside `mtil run` sweeps: the LU of the ALS Phi-step
+# gives other bits on more than one thread, and the cells are too small to
+# gain by them.
 BLAS_THREADS = 1
 
 

@@ -90,30 +90,30 @@ def sample_noise(
 
 def expert_recurrence(
     system: LinearSystem,
-    task: ExpertTask,
+    K: np.ndarray,
     x0: np.ndarray,
     W: np.ndarray,
     Z: np.ndarray,
-) -> tuple:
-    """States and inputs of closed-loop expert trajectories, any leading
-    batch axes.
+) -> np.ndarray:
+    """States of closed-loop expert trajectories, any leading batch axes.
 
     From x[0] = x0 (..., n_x), under process noise W (..., T, n_x) and
-    actuator noise Z (..., T, n_u): u[t] = K x[t] + z[t] and
-    x[t+1] = A x[t] + B u[t] + w[t]. Returns (states, inputs), shaped as W
-    and Z. Every product is per trajectory batch, so each batch gets the
-    bits of a call on it alone.
+    actuator noise Z (..., T, n_u): x[t+1] = x[t] (A + B K)' + (z[t] B' +
+    w[t]), the input of step t being u[t] = K x[t] + z[t]. Returns the
+    states x[0..T], of shape (..., T + 1, n_x): the drives z B' + w are
+    written into rows 1..T first, and each step adds x[t] (A + B K)' to its
+    row in place. Every product is per trajectory batch, so each batch gets
+    the bits of a call on it alone.
     """
     T = W.shape[-2]
-    states = np.empty(W.shape)
-    inputs = np.empty(Z.shape)
-    x = x0
+    states = np.empty(W.shape[:-2] + (T + 1, W.shape[-1]))
+    states[..., 0, :] = x0
+    np.matmul(Z, system.B.T, out=states[..., 1:, :])
+    states[..., 1:, :] += W
+    closed = (system.A + system.B @ K).T
     for t in range(T):
-        u = x @ task.K.T + Z[..., t, :]
-        states[..., t, :] = x
-        inputs[..., t, :] = u
-        x = x @ system.A.T + u @ system.B.T + W[..., t, :]
-    return states, inputs
+        states[..., t + 1, :] += states[..., t, :] @ closed
+    return states
 
 
 def rollout_expert(
@@ -130,13 +130,13 @@ def rollout_expert(
     z_i[t]. Draws as `sample_noise` documents them: all initial states,
     then process noise, then actuator noise, which a plant with sigma_z = 0
     does not draw. K is taken to be stabilizing, as `make_task` checks when
-    it builds the task.
+    it builds the task. The states are `expert_recurrence`'s rows 0..T-1,
+    and the inputs U = X K' + Z come from one product.
     """
     x0, W, Z = sample_noise(system, task, T, N, rng)
-    states, inputs = expert_recurrence(system, task, x0[0], W[0], Z[0])
-    return StackedData(
-        X=states.reshape(N * T, system.n_x), U=inputs.reshape(N * T, system.n_u)
-    )
+    X = expert_recurrence(system, task.K, x0[0], W[0], Z[0])[:, :T]
+    U = X @ task.K.T + Z[0]
+    return StackedData(X=X.reshape(N * T, system.n_x), U=U.reshape(N * T, system.n_u))
 
 
 def coupled_rollout(
@@ -152,11 +152,9 @@ def coupled_rollout(
 
     K_learned has shape (trials, c, n_u, n_x); the noise is x0 (trials, n_x),
     W (trials, T, n_x) and Z (trials, T, n_u), and T is read off W. The
-    expert trajectory follows
-    x*[t+1] = (A + B K*) x*[t] + B z[t] + w[t] from x*[0] = x0: the
-    drives B z[t] + w[t] are written into rows 1..T first, and each step
-    adds (A + B K*) x*[t] to its row in place. A learned trajectory is
-    x_hat = x* + e, where e[0] = 0 and
+    expert trajectory x* of a trial is its own `expert_recurrence` call
+    under K*, so it has the bits that the training data's recurrence gives
+    it. A learned trajectory is x_hat = x* + e, where e[0] = 0 and
     e[t+1] = (A + B K_hat) e[t] + B (K_hat - K*) x*[t].
     Both maps land in the span of the plant's basis Q, so e runs as
     r-vectors Q'e, with ||e|| = ||Q'e||: every drive
@@ -174,18 +172,13 @@ def coupled_rollout(
     trials, c = K_learned.shape[:2]
     T = W.shape[1]
     Q = system.basis
-    x = np.empty((trials, T + 1, system.n_x, 1))
-    x[:, 0] = x0[..., None]
-    np.matmul(system.B, Z[..., None], out=x[:, 1:])
-    x[:, 1:] += W[..., None]
-    expert = system.A + system.B @ K_expert
     closed = system.closed_loop_on_range(K_learned)
     gap = (Q.T @ system.B) @ (K_learned - K_expert)
     devs = np.empty((trials, c, T, Q.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
-            x[:, t + 1] += expert @ x[:, t]
-        xs = x[..., 0]
+        xs = expert_recurrence(
+            system, K_expert, x0[:, None], W[:, None], Z[:, None]
+        )[:, 0]
         pushes = xs[:, None, :T] @ gap.transpose(0, 1, 3, 2)
         e = np.zeros((trials, c, Q.shape[1], 1))
         for t in range(T):

@@ -10,7 +10,7 @@ rate passes up to 3 binomial standard errors above its target. The mean rule
 (`_mean_verdict`): a Monte-Carlo mean passes up to 3 of its standard errors
 outside [lower, upper]. Every margin is the largest statistic / bound
 (`_margin`): 0 at 0/0, inf where only the bound is 0 or below. Every probe
-refuses trials < 1 and a target outside (0, 1) (`_check_inputs`).
+refuses trials < 1, T < 1 and a target outside (0, 1) (`_check_inputs`).
 
 A probe draws only what its statistic reads: the 'gaussian-iid'
 self-normalized probe draws (V, S) rather than paths, and the maximal probe
@@ -75,11 +75,14 @@ def _rate_holds(failures: int, trials: int, p: float) -> bool:
     return bool(failures / trials <= p + 3.0 * np.sqrt(p * (1.0 - p) / trials))
 
 
-def _check_inputs(trials: int, **targets: float) -> None:
-    """ValueError for what no verdict can judge: no trials, or a target
-    probability outside (0, 1), where the rate rule passes any count."""
+def _check_inputs(trials: int, T: int | None = None, **targets: float) -> None:
+    """ValueError for what no verdict can judge: no trials, a horizon T < 1
+    (log T = -inf, empty sums), or a target probability outside (0, 1),
+    where the rate rule passes any count."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if T is not None and T < 1:
+        raise ValueError(f"T must be at least 1, got {T}")
     for name, p in targets.items():
         if not 0.0 < p < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {p}")
@@ -107,8 +110,8 @@ def _margin(stat, bound) -> float:
 # doubles (512 KiB), so the buffers of a block fit in a 2 MiB L2 cache. At
 # the reference scales 2**16 ran as fast as 1e5 and 1.3e5 (within run-to-run
 # spread; the maximal probe ~15% faster than with its former 1e6-normal
-# blocks), and it keeps each probe's traced peak at or under 3.6 MiB,
-# against 4.9 MiB at 1e5.
+# blocks), and it keeps each blocked probe's traced peak at or under
+# 3.61 MiB, against 4.9 MiB at 1e5; sandwich, unblocked, peaks at 4.58 MiB.
 BLOCK_DOUBLES = 2**16
 
 
@@ -145,8 +148,10 @@ def _empirical_covariances(
     covs = np.empty((trials, n_x, n_x))
     for block in _blocks(trials, _block_size(N * n_x + N * T * (n_x + n_u))):
         n = block.stop - block.start
-        x0, W, Z = sample_noise(system, task, T, N, rng, trials=n)
-        X = expert_recurrence(system, task, x0, W, Z)[0].reshape(n, N * T, n_x)
+        # Only X outlives the call: no name holds noise or states.
+        X = expert_recurrence(
+            system, task.K, *sample_noise(system, task, T, N, rng, trials=n)
+        )[:, :, :T].reshape(n, N * T, n_x)
         covs[block] = (np.swapaxes(X, 1, 2) @ X) / (N * T)
     return covs
 
@@ -169,7 +174,7 @@ def verify_covariance_concentration(
     (`_empirical_covariances`), with the draws of one `rollout_expert` call
     per trial.
     """
-    _check_inputs(trials)
+    _check_inputs(trials, T)
     delta_target = 0.1
     eig_s, V = np.linalg.eigh(task.sigma_x)
     whiten = V @ np.diag(eig_s**-0.5) @ V.T
@@ -296,7 +301,7 @@ def verify_self_normalized(
     eta_1, and so on), so it keeps H (d^2 + d m + d + m) doubles a trial and
     no path. Any other kind is a ValueError.
     """
-    _check_inputs(trials, delta=delta)
+    _check_inputs(trials, setup.T, delta=delta)
     H, T, d, m, sigma = setup.H, setup.T, setup.dim_x, setup.dim_eta, setup.sigma
     if regressor_kind not in ("gaussian-iid", "state-feedback"):
         raise ValueError(f"unknown regressor kind {regressor_kind!r}")
@@ -415,7 +420,7 @@ def verify_maximal_inequality(
     Raises:
         ValueError: if D does not have exactly one row.
     """
-    _check_inputs(trials)
+    _check_inputs(trials, T)
     D = np.asarray(delta_gain, dtype=float)
     if D.shape[0] != 1:
         raise ValueError("the maximal probe takes a one-row D")
@@ -466,7 +471,7 @@ def verify_tracking_and_siss(
           * ER may fail on at most a delta' fraction of trials, by the rate
           rule.
     """
-    _check_inputs(trials, delta_prime=delta_prime)
+    _check_inputs(trials, T, delta_prime=delta_prime)
     K_star = target_task.K
     j_gain = control_math.stability_profile(system.A + system.B @ K_star, system.basis)
     b_norm = np.linalg.norm(system.B, 2)
@@ -544,7 +549,7 @@ def verify_scalar_sandwich(
     Raises:
         UnstablePair: unless 0 < a_cl and a_cl + eps < 1.
     """
-    _check_inputs(trials)
+    _check_inputs(trials, T)
     a_cl = a + k_star
     a_hat = a_cl + eps
     if not (0.0 < a_cl < 1.0 and a_hat < 1.0):

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from mtil import lti_env
 from mtil.control_math import cholesky_factor
-from mtil.data_gen import SeedTree, coupled_rollout, rollout_expert, sample_noise
+from mtil.data_gen import (
+    SeedTree,
+    coupled_rollout,
+    expert_recurrence,
+    rollout_expert,
+    sample_noise,
+)
 from mtil.errors import CholeskyFailure, NonFiniteData
 from mtil.eval_metrics import evaluate_controller
 
@@ -198,23 +204,25 @@ def replayed_draws(system, task, T, N, seed):
 
 def replayed_rollout(system, task, T, N, seed):
     """The rows that the replayed draws give when each trajectory is stepped
-    on its own by matrix-vector products: in 1-D, scalar arithmetic."""
+    on its own by matrix-vector products, as
+    x[t+1] = (A + B K) x[t] + (B z[t] + w[t]) and u[t] = K x[t] + z[t]: in
+    1-D, scalar arithmetic."""
     x0, w, z = replayed_draws(system, task, T, N, seed)
+    closed = system.A + system.B @ task.K
     X, U = [], []
     for i in range(N):
         x = x0[i]
         for t in range(T):
-            u = task.K @ x + z[i, t]
             X.append(x)
-            U.append(u)
-            x = system.A @ x + system.B @ u + w[i, t]
+            U.append(task.K @ x + z[i, t])
+            x = closed @ x + (system.B @ z[i, t] + w[i, t])
     return np.array(X), np.array(U)
 
 
 class TestRolloutExpert:
     def test_closed_loop_recurrence_replays_the_draws(self):
-        # Each block of T rows follows x[t+1] = A x[t] + B (K x[t] + z[t]) +
-        # w[t] from its drawn x[0], on the replayed draws; the batched
+        # Each block of T rows follows x[t+1] = (A + B K) x[t] + (B z[t] +
+        # w[t]) from its drawn x[0], on the replayed draws; the batched
         # products round differently from one trajectory's in 4-D.
         base = lti_env.get_preset("hong2021")
         gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
@@ -247,18 +255,38 @@ class TestRolloutExpert:
         assert np.array_equal(d1.U, d2.U)
 
     def test_plant_recurrence_exact_with_replayed_process_noise(self):
-        # x[t+1] = A x[t] + B u[t] + w[t] exactly within a block, w the
-        # replayed process-noise draws.
+        # x[t+1] = (A + B K) x[t] + (B z[t] + w[t]) exactly within a block,
+        # w and z the replayed noise draws.
         system, task = scalar_setup(a=0.5, k=-0.2, sigma_z=1.0)
         T = 8
         data = rollout_expert(system, task, T, 2, np.random.default_rng(5))
-        _, w, _ = replayed_draws(system, task, T, 2, seed=5)
+        _, w, z = replayed_draws(system, task, T, 2, seed=5)
+        closed = system.A + system.B @ task.K
         for i in range(2):
             for t in range(T - 1):
                 row = i * T + t
                 lhs = data.X[row + 1]
-                rhs = system.A @ data.X[row] + system.B @ data.U[row] + w[i, t]
+                rhs = closed @ data.X[row] + (system.B @ z[i, t] + w[i, t])
                 assert np.array_equal(lhs, rhs)
+
+    def test_expert_recurrence_is_the_closed_loop_recurrence(self):
+        # States x[0..T] of every trajectory of a (2, 3) batch, each stepped
+        # in scalar arithmetic as x[t+1] = (a + b k) x[t] + (b z[t] + w[t]).
+        a, b, k = 0.9, 0.7, -0.4
+        system = lti_env.LinearSystem(A=np.array([[a]]), B=np.array([[b]]))
+        rng = np.random.default_rng(13)
+        x0 = rng.standard_normal((2, 3, 1))
+        W = rng.standard_normal((2, 3, 9, 1))
+        Z = rng.standard_normal((2, 3, 9, 1))
+        states = expert_recurrence(system, np.array([[k]]), x0, W, Z)
+        assert states.shape == (2, 3, 10, 1)
+        for i in np.ndindex(2, 3):
+            x = float(x0[i][0])
+            path = [x]
+            for t in range(9):
+                x = (a + b * k) * x + (b * float(Z[i][t, 0]) + float(W[i][t, 0]))
+                path.append(x)
+            assert states[i][:, 0].tolist() == path
 
     def test_controller_recurrence_exact_without_actuator_noise(self):
         # With sigma_z = 0, u[t] = K x[t] exactly.
@@ -416,17 +444,31 @@ class TestCoupledRollout:
     def trial(noise, i):
         return tuple(a[i : i + 1] for a in noise)
 
+    @staticmethod
+    def plant(lifted):
+        """(system, task, K_hat): the hong2021 plant with two family gains, or
+        a scalar one with actuator noise and K_hat = K* + 0.1."""
+        if lifted:
+            system = lti_env.get_preset("hong2021")
+            gains = lti_env.synthesize_expert_family(system, [1.0, 2.0])
+            return system, lti_env.make_task(system, gains[0]), gains[1]
+        system, task = scalar_setup(sigma_z=0.5)
+        return system, task, task.K + 0.1
+
+    @pytest.mark.parametrize("lifted", [False, True])
+    def test_expert_path_is_expert_recurrence(self, lifted):
+        # x* of each trial is its own `expert_recurrence` call, bit for bit:
+        # the training data and the scoring step one recurrence.
+        system, task, K_hat = self.plant(lifted)
+        x0, W, Z = trial_noise(system, task, 40, np.random.default_rng(8), trials=6)
+        stack = np.broadcast_to(K_hat, (6, 1, *K_hat.shape))
+        xs, _, _ = coupled_rollout(system, task.K, stack, x0, W, Z)
+        ref = expert_recurrence(system, task.K, x0[:, None], W[:, None], Z[:, None])
+        assert np.array_equal(xs, ref[:, 0])
+
     @pytest.mark.parametrize("lifted", [False, True])
     def test_batch_rows_match_batch_of_one(self, lifted):
-        if lifted:
-            base = lti_env.get_preset("hong2021")
-            gains = lti_env.synthesize_expert_family(base, [1.0, 2.0])
-            system = base
-            task = lti_env.make_task(base, gains[0])
-            K_hat = gains[1]
-        else:
-            system, task = scalar_setup(sigma_z=0.5)
-            K_hat = task.K + 0.1
+        system, task, K_hat = self.plant(lifted)
         noise = trial_noise(system, task, 40, np.random.default_rng(8), trials=6)
         stack = np.broadcast_to(K_hat, (6, 1, *K_hat.shape))
         xs, devs, steps = coupled_rollout(system, task.K, stack, *noise)

@@ -176,26 +176,30 @@ class TestRunSweep:
         assert sizes == ([] if workers is None else [workers])
 
 
-# results.csv of this sweep at RESULTS_VERSION "8": a speed-up must keep these
+# results.csv of this sweep at RESULTS_VERSION "9": a speed-up must keep these
 # bytes, a change of them needs a RESULTS_VERSION bump. Version 8 moved its
 # multitask N2 = 1 rows by rounding only (2.5e-14 relative): fine-tuning went
 # from an LU solve of the projected Grams to `direct_ols`, whose first prefix
-# is an `lstsq` fit.
+# is an `lstsq` fit. Version 9 moved every row by rounding: the expert
+# trajectories, of the training data and of the scoring alike, follow one
+# closed-loop recurrence, x[t+1] = (A + B K) x[t] + (B z[t] + w[t]).
 GOLDEN_SWEEP = "sweep:\n  trials_system: 2\n  trials_noise: 1\n  n2: [1, 2, 5]\n"
-GOLDEN_DIGEST = "f352cd77af33e3dc1fa67047a129af2f546135ce852686b51d0662e5c327fff8"
+GOLDEN_DIGEST = "51d70e2e0fe82a005deeb1a7b1ca43885367323ea7aa9f6b7f7bebec5ba2d648"
 # The same sweep on the unlifted plant. Version 6 moved it by rounding only:
 # its stationary covariances come from the range form, on the identity basis.
-# Version 8 moved its multitask N2 = 1 rows as above (1.8e-14 relative).
+# Version 8 moved its multitask N2 = 1 rows as above (1.8e-14 relative), and
+# version 9 every row, as above.
 UNLIFTED_SWEEP = "system:\n  lift_dim: null\n" + GOLDEN_SWEEP
 UNLIFTED_GOLDEN_DIGEST = (
-    "c04449aed99c87aaf80c8f20768f75a8c2d3c05bcf36c46ec662f5c7ede3afc8"
+    "a5a2af5f4b2c89e471242eb3bcf36a89b7b23199d7e7d523c2bfdc6586a87d01"
 )
 # Its `direct` rows alone. Version 4 moved them by rounding only: the
 # stationary covariances come from the lift's range, the fits from prefix
 # Grams and the tracking errors from the deviation form. Version 5 changed
-# pretraining alone and kept them, and so did version 8.
+# pretraining alone and kept them, and so did version 8. Version 9 moved them
+# by rounding only: one expert recurrence for the data and the scoring.
 GOLDEN_DIRECT_DIGEST = (
-    "cdd1f595b3affaa6994f2d7690f6a97fee58c7be138907208b657ef426f985af"
+    "e9dbaad3af08f8bee98e55d4b76dfa031d58e7161558ec0780decd84f7c3f892"
 )
 # sha256 of the sigma_x bytes of the lifted tasks of system trial 0 at
 # run.seed 2 (reference config). At seed 0 the lifted forcing Q'A_cl A_cl'Q
@@ -249,7 +253,7 @@ class TestSweepReuse:
         paths = eh.write_results(eh.run_sweep(cfg), str(tmp_path), cfg)
         with open(paths["results"], "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-        assert eh.RESULTS_VERSION == "8"
+        assert eh.RESULTS_VERSION == "9"
         assert digest == GOLDEN_DIGEST
 
     def test_unlifted_golden_results_digest(self, tmp_path):
@@ -293,7 +297,7 @@ class TestSweepReuse:
         digest = hashlib.sha256((tmp_path / "out" / "results.csv").read_bytes())
         assert digest.hexdigest() == GOLDEN_DIGEST
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["version"] == "8"
+        assert manifest["version"] == "9"
         assert manifest["blas_threads"] == 1
 
     @pytest.mark.parametrize("parallelism", [1, 2])
@@ -350,9 +354,13 @@ class TestSweepReuse:
             written.append((out / "verify.csv").read_bytes())
         assert written[0] == written[1] == written[2]
 
-    def test_verify_runs_pinned_and_restores_blas_threads(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    def test_verify_in_process_under_two_blas_threads(
+        self, tmp_path, monkeypatch, seed
     ):
+        # numpy loaded before mtil.cli here, and `mtil verify` does not pin
+        # BLAS: its probes run on the caller's two threads and must still
+        # write the bytes of a one-thread run.
         blas = control_math.blas_threads()
         if blas is None:
             pytest.skip("numpy's BLAS exports no thread-count symbols")
@@ -364,15 +372,19 @@ class TestSweepReuse:
             return battery(names, seed)
 
         monkeypatch.setattr(cli, "run_probe_battery", recording)
+        files = ("verify.csv", "verify_details.json")
+        written = []
         before = blas.get()
         try:
-            blas.set(3)
-            argv = ["verify", "--probe", "sandwich", "--out", str(tmp_path)]
-            assert cli.main(argv) == 0
-            assert seen == [control_math.BLAS_THREADS]
-            assert blas.get() == 3
+            for threads in (1, 2):
+                blas.set(threads)
+                out = tmp_path / f"threads-{threads}"
+                assert cli.main(["verify", "--seed", seed, "--out", str(out)]) == 0
+                written.append([(out / name).read_bytes() for name in files])
         finally:
             blas.set(before)
+        assert seen == [1, 2]
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize(
         "parallelism, lift_dim, lifts", [(1, 50, 3), (2, 50, 3), (1, None, 0)]
@@ -417,7 +429,7 @@ class TestFewerTargetRowsThanK:
         rows = eh.run_sweep(tiny_cfg(t=2, n2=[1, 2, 3]))
         (row,) = [r for r in rows if r.method == "multitask" and r.N2 == 1]
         assert row.underdetermined
-        assert row.excess_risk == pytest.approx(4.604812972445015, rel=1e-9)
+        assert row.excess_risk == pytest.approx(4.604812963446886, rel=1e-9)
 
     def test_full_rank_representation_fits_the_direct_gain(self):
         # Unlifted with k = n_x = 4, Phi is orthogonal: the minimum-norm

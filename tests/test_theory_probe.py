@@ -70,31 +70,31 @@ PROBES = ["covariance", "hanson_wright", "self_normalized", "maximal", "tracking
           "sandwich"]
 
 
-def call_probe(probe, trials=5, target=0.05):
-    """One probe at desk scale with the given trial count and, for the two
-    probes that take one, target probability."""
+def call_probe(probe, trials=5, target=0.05, T=5, rng=None):
+    """One probe at desk scale with the given trial count and, for the
+    probes that take them, target probability and horizon T."""
     system, task = scalar_task()
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0) if rng is None else rng
     if probe == "covariance":
         return theory_probe.verify_covariance_concentration(
-            system, task, 5, 5, trials, rng
+            system, task, 5, T, trials, rng
         )
     if probe == "hanson_wright":
         return theory_probe.verify_hanson_wright(np.eye(2), [0.5], trials, rng)
     if probe == "self_normalized":
-        setup = MartingaleSetup(H=1, T=5, dim_x=2, dim_eta=2, sigma=1.0)
+        setup = MartingaleSetup(H=1, T=T, dim_x=2, dim_eta=2, sigma=1.0)
         return theory_probe.verify_self_normalized(
             setup, target, trials, rng, "gaussian-iid"
         )
     if probe == "maximal":
         return theory_probe.verify_maximal_inequality(
-            np.ones((1, 2)), np.eye(2), 5, trials, rng
+            np.ones((1, 2)), np.eye(2), T, trials, rng
         )
     if probe == "tracking":
         return theory_probe.verify_tracking_and_siss(
-            system, task, task.K + 0.02, 5, target, trials, rng
+            system, task, task.K + 0.02, T, target, trials, rng
         )
-    return theory_probe.verify_scalar_sandwich(0.8, -0.3, 0.05, 5, trials, rng)
+    return theory_probe.verify_scalar_sandwich(0.8, -0.3, 0.05, T, trials, rng)
 
 
 class TestInputChecks:
@@ -109,6 +109,20 @@ class TestInputChecks:
     def test_refuses_fewer_than_one_trial(self, probe, trials):
         with pytest.raises(ValueError, match="trials must be at least 1"):
             call_probe(probe, trials=trials)
+
+    # At T = 0 log T is -inf and every sum over the steps is empty: the
+    # maximal and sandwich bounds would be -inf, and self_normalized would
+    # pass a statistic of 0. Each probe with a horizon refuses it by name,
+    # before it draws.
+    @pytest.mark.parametrize("T", [0, -1])
+    @pytest.mark.parametrize(
+        "probe", [p for p in PROBES if p != "hanson_wright"]
+    )
+    def test_refuses_a_horizon_below_one(self, probe, T):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"T must be at least 1, got {T}"):
+            call_probe(probe, T=T, rng=rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     # At a target of 1 or more the rate rule passes any count (delta' =
     # T e^(1/4) makes the tracking bound 0), and a target of 0 divides by 0.
