@@ -11,3 +11,7 @@ Modules:
 """
 
 __version__ = "0.1.0"
+
+# The version of the code's numbers: a change to the bytes of results.csv
+# bumps it. manifest.json and verify_details.json record it.
+RESULTS_VERSION = "9"

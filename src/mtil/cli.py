@@ -110,13 +110,10 @@ def run_probe_battery(names, seed: int) -> list:
                     )
                 )
     if "maximal" in names:
-        delta_gain = np.zeros((1, 10))
-        delta_gain[0, 0] = 1.0
         for i, T in enumerate((1, 10, 100)):
             reports.append(
                 theory_probe.verify_maximal_inequality(
-                    delta_gain, np.eye(10), T=T, trials=100_000,
-                    rng=tree.child("maximal", i).stream(),
+                    T=T, trials=100_000, rng=tree.child("maximal", i).stream()
                 )
             )
     if "tracking" in names:
@@ -131,7 +128,7 @@ def run_probe_battery(names, seed: int) -> list:
     if "sandwich" in names:
         reports.append(
             theory_probe.verify_scalar_sandwich(
-                a=0.8, k_star=-0.3, eps=0.05, T=200, trials=100_000,
+                a_cl=0.5, eps=0.05, T=200, trials=100_000,
                 rng=tree.child("sandwich").stream(),
             )
         )

@@ -150,12 +150,13 @@ def coupled_rollout(
     """The expert trajectory of each trial and the tracking deviations of c
     learned gains from it, all on the trial's noise.
 
-    K_learned has shape (trials, c, n_u, n_x); the noise is x0 (trials, n_x),
-    W (trials, T, n_x) and Z (trials, T, n_u), and T is read off W. The
-    expert trajectory x* of a trial is its own `expert_recurrence` call
-    under K*, so it has the bits that the training data's recurrence gives
-    it. A learned trajectory is x_hat = x* + e, where e[0] = 0 and
-    e[t+1] = (A + B K_hat) e[t] + B (K_hat - K*) x*[t].
+    K_learned has shape (trials, c, n_u, n_x); the noise is one trajectory
+    a trial as `sample_noise(..., N=1, ..., trials)` draws it: x0
+    (trials, 1, n_x), W (trials, 1, T, n_x) and Z (trials, 1, T, n_u), and T
+    is read off W. The expert trajectory x* of a trial is its own
+    `expert_recurrence` call under K*, so it has the bits that the training
+    data's recurrence gives it. A learned trajectory is x_hat = x* + e,
+    where e[0] = 0 and e[t+1] = (A + B K_hat) e[t] + B (K_hat - K*) x*[t].
     Both maps land in the span of the plant's basis Q, so e runs as
     r-vectors Q'e, with ||e|| = ||Q'e||: every drive
     Q'B (K_hat - K*) x*[t] comes from one GEMM, and each step is an r x r
@@ -170,15 +171,13 @@ def coupled_rollout(
     has the bits of its one-trial, one-gain call.
     """
     trials, c = K_learned.shape[:2]
-    T = W.shape[1]
+    T = W.shape[-2]
     Q = system.basis
     closed = system.closed_loop_on_range(K_learned)
     gap = (Q.T @ system.B) @ (K_learned - K_expert)
     devs = np.empty((trials, c, T, Q.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        xs = expert_recurrence(
-            system, K_expert, x0[:, None], W[:, None], Z[:, None]
-        )[:, 0]
+        xs = expert_recurrence(system, K_expert, x0, W, Z)[:, 0]
         pushes = xs[:, None, :T] @ gap.transpose(0, 1, 3, 2)
         e = np.zeros((trials, c, Q.shape[1], 1))
         for t in range(T):

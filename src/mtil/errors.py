@@ -47,7 +47,7 @@ class EmptyInput(MtilError):
 
 
 class UnstablePair(MtilError):
-    """A scalar closed-loop pair (a + k, a + k + eps) is not contractive."""
+    """A scalar closed-loop pair (a_cl, a_cl + eps) is not contractive."""
 
 
 class ParseError(MtilError):

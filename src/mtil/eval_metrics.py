@@ -78,8 +78,8 @@ def evaluate_controller(
     nonfinite flag.
     """
     draws = [sample_noise(system, target_task, T_test, 1, g) for g in rngs]
-    x0, W, Z = (np.concatenate(parts)[:, 0] for parts in zip(*draws))
-    _, devs, steps = coupled_rollout(system, target_task.K, K_hat, x0, W, Z)
+    noise = (np.concatenate(parts) for parts in zip(*draws))
+    _, devs, steps = coupled_rollout(system, target_task.K, K_hat, *noise)
     # A gain with fewer than T_test finite steps scores inf below, so the
     # rows past its steps need no mask.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -17,12 +17,10 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import __version__, control_math, lti_env, mtil_learn
+from . import RESULTS_VERSION, __version__, control_math, lti_env, mtil_learn
 from .data_gen import SeedTree, rollout_expert
-from .errors import ParseError, ValidationError
+from .errors import NotConverged, NotStabilizing, ParseError, ValidationError
 from .eval_metrics import evaluate_controller, summarize_quantiles
-
-RESULTS_VERSION = "9"
 
 VALID_METHODS = ("multitask", "direct")
 
@@ -115,6 +113,13 @@ def _unchanged(value):
     return value
 
 
+def _strict_list(value) -> list:
+    """A list as written: a mapping, whose keys would iterate, is refused."""
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list, got {value!r}")
+    return value
+
+
 # Config field path -> (ExperimentConfig attribute, conversion of the raw
 # value). An absent key keeps the ExperimentConfig default. a and b stay as
 # given so the manifest records them as written; _base_system converts them.
@@ -126,14 +131,14 @@ _FIELDS = {
     "system.sigma_z": ("sigma_z", _strict_float),
     "tasks.h": ("H", _strict_int),
     "tasks.k": ("k", _strict_int),
-    "tasks.alphas": ("alphas", lambda v: tuple(_strict_float(e) for e in v)),
+    "tasks.alphas": ("alphas", lambda v: tuple(map(_strict_float, _strict_list(v)))),
     "sweep.n1": ("N1", _strict_int),
     "sweep.n2": ("N2", _n2_grid),
     "sweep.t": ("T", _strict_int),
     "sweep.t_test": ("T_test", _strict_int),
     "sweep.trials_system": ("trials_system", _strict_int),
     "sweep.trials_noise": ("trials_noise", _strict_int),
-    "sweep.methods": ("methods", tuple),
+    "sweep.methods": ("methods", lambda v: tuple(_strict_list(v))),
     "run.seed": ("seed", _strict_int),
     "run.parallelism": ("parallelism", _strict_int),
 }
@@ -270,10 +275,15 @@ def _task_alphas(cfg: ExperimentConfig) -> np.ndarray:
 
 def expert_family(cfg: ExperimentConfig) -> tuple:
     """(family, alphas): task h is the LQR expert for Q = alphas[h] I and
-    R = I, unlifted."""
+    R = I, unlifted. A family without an expert for some alpha is a
+    ValidationError naming tasks.alphas (and system.a/system.b if inline)."""
     base = _base_system(cfg)
     alphas = _task_alphas(cfg)
-    gains = lti_env.synthesize_expert_family(base, alphas)
+    try:
+        gains = lti_env.synthesize_expert_family(base, alphas)
+    except (NotConverged, NotStabilizing) as exc:
+        where = "tasks.alphas" if cfg.A is None else "tasks.alphas, system.a/system.b"
+        raise ValidationError(f"{where}: {exc}") from exc
     return lti_env.build_ensemble(base, gains), alphas
 
 
@@ -454,16 +464,6 @@ def write_results(rows: list, out_dir: str, cfg: ExperimentConfig):
     for row in rows:
         groups.setdefault((row.method, row.N1, row.N2), []).append(row)
     metrics = ("tracking_err", "param_err", "excess_risk")
-    # One quantile pass per group size; run_sweep gives every group one row
-    # per cell, so a sweep takes a single pass.
-    by_size = {}
-    for key in groups:
-        by_size.setdefault(len(groups[key]), []).append(key)
-    quantiles = {}
-    for keys in by_size.values():
-        values = [[[getattr(r, m) for r in groups[k]] for m in metrics] for k in keys]
-        stacked = summarize_quantiles(values, [0.5, 0.2, 0.8])
-        quantiles.update(zip(keys, stacked.reshape(len(keys), -1).tolist()))
     with open(summary_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         header = ["method", "N1", "N2"]
@@ -473,7 +473,9 @@ def write_results(rows: list, out_dir: str, cfg: ExperimentConfig):
         writer.writerow(header)
         for key in sorted(groups):
             group = groups[key]
-            out = [key[0], key[1], key[2]] + [_fmt(v) for v in quantiles[key]]
+            values = [[getattr(r, m) for r in group] for m in metrics]
+            quantiles = summarize_quantiles(values, [0.5, 0.2, 0.8]).ravel().tolist()
+            out = [key[0], key[1], key[2]] + [_fmt(v) for v in quantiles]
             out.append(_fmt(sum(r.stable for r in group) / len(group)))
             writer.writerow(out)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import control_math
-from .errors import NonFiniteData, RankDeficientLift
+from .errors import NonFiniteData, NotConverged, NotStabilizing, RankDeficientLift
 
 
 @dataclass(frozen=True)
@@ -173,11 +173,15 @@ def make_task(system: LinearSystem, K: np.ndarray) -> ExpertTask:
 
 
 def synthesize_expert_family(system: LinearSystem, alphas: np.ndarray) -> list:
-    """One LQR gain per alpha, from the DARE with Q = alpha * I and R = I."""
+    """One LQR gain per alpha, from the DARE with Q = alpha * I and R = I;
+    a `solve_dare` failure is raised again with its alpha in the message."""
     gains = []
     eye, R = np.eye(system.n_x), np.eye(system.n_u)
     for alpha in np.asarray(alphas, dtype=float):
-        sol = control_math.solve_dare(system.A, system.B, float(alpha) * eye, R)
+        try:
+            sol = control_math.solve_dare(system.A, system.B, float(alpha) * eye, R)
+        except (NotConverged, NotStabilizing) as exc:
+            raise type(exc)(f"no LQR expert at alpha = {alpha:.6g}: {exc}") from exc
         gains.append(sol.K)
     return gains
 

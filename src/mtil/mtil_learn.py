@@ -265,8 +265,8 @@ def pretrain_alternating(
             has a non-finite entry.
         SingularBlock: if a block solve is singular beyond ridge repair.
     """
-    Gx, Cxu, _ = grams
-    H, n, _ = Gx.shape
+    Gx, _, u_sq = grams
+    n = Gx.shape[1]
     if k > n:
         raise ValueError("k must not exceed the state dimension")
     if rows < k:
@@ -277,8 +277,7 @@ def pretrain_alternating(
         raise DegenerateRank("stacked source states have rank below k")
     min_norm = rows < n
     phi = np.linalg.qr(rng.standard_normal((k, n)).T)[0].T
-    f_zero = np.zeros((H, Cxu.shape[2], k))
-    trace = [_objective(grams, phi, f_zero)]
+    trace = [float(np.sum(u_sq))]  # the objective at all F^h = 0
     f_hats = _f_step(grams, phi)
     finisher = not min_norm and k < n
     newton = False

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import control_math
+from . import RESULTS_VERSION, control_math
 from .data_gen import coupled_rollout, expert_recurrence, sample_noise
 from .errors import UnstablePair
 from .eval_metrics import excess_risk
@@ -397,37 +397,26 @@ def _normal_upper_quantile(q: np.ndarray) -> np.ndarray:
 
 
 def verify_maximal_inequality(
-    delta_gain: np.ndarray,
-    sigma_x: np.ndarray,
     T: int,
     trials: int,
     rng: np.random.Generator,
 ) -> ProbeReport:
-    """Check E[max_{t<T} ||D x_t||^2] <= 3 (1 + log T) tr(D sigma_x D').
-
-    x_t are i.i.d. N(0, sigma_x) and D has one row. Fails when the
-    Monte-Carlo estimate fails the mean rule with no lower bound.
+    """Check E[max_{t<T} ||D x_t||^2] <= 3 (1 + log T) tr(D sigma_x D') for
+    i.i.d. x_t ~ N(0, sigma_x) and a one-row D. Fails when the Monte-Carlo
+    estimate fails the mean rule with no lower bound.
 
     Only D x_t enters the statistic, and D x_t ~ N(0, f^2) with
-    f^2 = D sigma_x D', so the statistic f^2 max_t h_t^2 (h_t ~ N(0, 1)) has
-    the CDF P(|h| <= sqrt(s) / |f|)^T. The probe draws it exactly by
-    inversion: one uniform V per trial, z = Phi-bar^{-1}(q) with
-    q = (1 - V^(1/T)) / 2, and the statistic f^2 z^2. It works in blocks of
-    BLOCK_DOUBLES / 8 trials, each drawn into the same buffer (a leading
-    slice for the last one), where a draw into a slice gives the numbers of
-    a fresh draw.
-
-    Raises:
-        ValueError: if D does not have exactly one row.
+    f^2 = D sigma_x D' = tr(D sigma_x D'), so both sides carry the one
+    factor f^2 and the probe checks the display at f^2 = 1: the statistic
+    max_t h_t^2 (h_t ~ N(0, 1)) against 3 (1 + log T). Its CDF is
+    P(|h| <= sqrt(s))^T, and the probe draws it exactly by inversion: one
+    uniform V per trial, z = Phi-bar^{-1}(q) with q = (1 - V^(1/T)) / 2,
+    and the statistic z^2. It works in blocks of BLOCK_DOUBLES / 8 trials,
+    each drawn into the same buffer (a leading slice for the last one),
+    where a draw into a slice gives the numbers of a fresh draw.
     """
     _check_inputs(trials, T)
-    D = np.asarray(delta_gain, dtype=float)
-    if D.shape[0] != 1:
-        raise ValueError("the maximal probe takes a one-row D")
-    L = control_math.cholesky_factor(np.asarray(sigma_x, dtype=float))
-    DL = D @ L
-    f_sq = float(np.sum(DL * DL))
-    bound = 3.0 * (1.0 + np.log(T)) * f_sq
+    bound = 3.0 * (1.0 + np.log(T))
     stats = np.empty(trials)
     # The quantile holds up to eight temporaries of a block's length, so
     # all of them together stay within BLOCK_DOUBLES.
@@ -438,7 +427,7 @@ def verify_maximal_inequality(
         with np.errstate(divide="ignore"):  # V = 0 gives q = 1/2, z = 0
             q = -0.5 * np.expm1(np.log(u) / T)
         z = _normal_upper_quantile(q)
-        stats[block] = f_sq * (z * z)
+        stats[block] = z * z
     estimate, se, passed = _mean_verdict(stats, -np.inf, bound)
     return ProbeReport(
         name=f"maximal_inequality[T={T}]", trials=trials, failures=int(not passed),
@@ -492,11 +481,9 @@ def verify_tracking_and_siss(
     per_trial = system.n_x + T * (system.n_x + system.n_u)
     for block in _blocks(trials, _block_size(per_trial)):
         n = block.stop - block.start
-        x0, W, Z = sample_noise(system, target_task, T, 1, rng, trials=n)
+        noise = sample_noise(system, target_task, T, 1, rng, trials=n)
         gains = np.broadcast_to(K_hat, (n, 1, *K_hat.shape))
-        xs, devs, steps = coupled_rollout(
-            system, K_star, gains, x0[:, 0], W[:, 0], Z[:, 0]
-        )
+        xs, devs, steps = coupled_rollout(system, K_star, gains, *noise)
         # Per trial, only the steps before its first non-finite state count.
         kept = np.arange(T) < steps
         with np.errstate(over="ignore", invalid="ignore"):
@@ -524,8 +511,7 @@ def verify_tracking_and_siss(
 
 
 def verify_scalar_sandwich(
-    a: float,
-    k_star: float,
+    a_cl: float,
     eps: float,
     T: int,
     trials: int,
@@ -533,9 +519,10 @@ def verify_scalar_sandwich(
 ) -> ProbeReport:
     """Two-sided scalar tracking-error sandwich in the closed-loop radius.
 
-    Couples x_star (rate a_cl = a + k_star) and x_hat (rate a_cl + eps) on a
-    shared stationary initial state and unit-variance process noise, and
-    checks that the Monte-Carlo estimate of E[max_{1<=t<=T} |x_star -
+    Couples x_star (rate a_cl, the closed loop a + k_star of plant and
+    expert, which enter only through their sum) and x_hat (rate a_cl + eps)
+    on a shared stationary initial state and unit-variance process noise,
+    and checks that the Monte-Carlo estimate of E[max_{1<=t<=T} |x_star -
     x_hat|^2] lies in
         [0.5/(1-a_cl)^2 * ER_app, 12 (1 + log T)/(1-a_cl)^2 * ER_app]
     by the mean rule, where ER_app = eps^2/(1-a_cl^2) (the
@@ -550,7 +537,6 @@ def verify_scalar_sandwich(
         UnstablePair: unless 0 < a_cl and a_cl + eps < 1.
     """
     _check_inputs(trials, T)
-    a_cl = a + k_star
     a_hat = a_cl + eps
     if not (0.0 < a_cl < 1.0 and a_hat < 1.0):
         raise UnstablePair(f"need 0 < {a_cl} and {a_hat} < 1")
@@ -625,10 +611,11 @@ def _json_safe(value):
 
 
 def write_probe_details(reports: list, path: str) -> None:
-    """Serialize probe reports as a JSON list, one object per report in the
-    order of `write_probe_csv`'s rows: every ProbeReport field, `details`
-    included, made JSON-safe by `_json_safe`."""
-    entries = _json_safe([asdict(r) for r in reports])
+    """Serialize probe reports as a JSON object: `version`, the
+    RESULTS_VERSION of the code that made them, and `reports`, one object
+    per report in the order of `write_probe_csv`'s rows: every ProbeReport
+    field, `details` included, made JSON-safe by `_json_safe`."""
+    entries = {"version": RESULTS_VERSION, "reports": [asdict(r) for r in reports]}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=2, allow_nan=False)
+        json.dump(_json_safe(entries), fh, indent=2, allow_nan=False)
         fh.write("\n")

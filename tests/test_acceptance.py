@@ -264,15 +264,12 @@ def test_criterion_7_self_normalized():
 
 def test_criterion_8_maximal_inequality():
     t0 = time.perf_counter()
-    delta_gain = np.zeros((1, 10))
-    delta_gain[0, 0] = 1.0
     tree = SeedTree(root=0)
     margins = []
     all_passed = True
     for i, T in enumerate((1, 10, 100)):
         report = theory_probe.verify_maximal_inequality(
-            delta_gain, np.eye(10), T=T, trials=100_000,
-            rng=tree.child("maximal", i).stream(),
+            T=T, trials=100_000, rng=tree.child("maximal", i).stream()
         )
         all_passed = all_passed and report.passed
         margins.append(f"T={T}: {report.margin:.3f}")
@@ -284,7 +281,7 @@ def test_criterion_8_maximal_inequality():
 def test_criterion_9_scalar_sandwich():
     t0 = time.perf_counter()
     report = theory_probe.verify_scalar_sandwich(
-        a=0.8, k_star=-0.3, eps=0.05, T=200, trials=100_000,
+        a_cl=0.5, eps=0.05, T=200, trials=100_000,
         rng=SeedTree(root=0).child("sandwich").stream(),
     )
     elapsed = time.perf_counter() - t0

@@ -328,16 +328,16 @@ class TestStacking:
 
 
 def scalar_noise(x0, T, w=None):
-    """One trial of scalar noise (x0, W, Z): initial state x0, zero actuator
-    noise."""
+    """One trial of scalar noise (x0, W, Z), shaped as `sample_noise` with
+    N = 1 shapes it: initial state x0, zero actuator noise."""
     w = np.zeros((T, 1)) if w is None else w
-    return np.array([[x0]]), w[None], np.zeros((1, T, 1))
+    return np.array([[[x0]]]), w[None, None], np.zeros((1, 1, T, 1))
 
 
 def trial_noise(system, task, T, rng, trials=1):
     """(x0, W, Z) of `trials` single trajectories, as `evaluate_controller`
-    draws them: `sample_noise` with N = 1, the N axis dropped."""
-    return tuple(a[:, 0] for a in sample_noise(system, task, T, 1, rng, trials))
+    draws them: `sample_noise` with N = 1."""
+    return sample_noise(system, task, T, 1, rng, trials)
 
 
 def full_space_rollout(system, K_star, K_hat, x0, W, Z):
@@ -347,8 +347,9 @@ def full_space_rollout(system, K_star, K_hat, x0, W, Z):
 
     Returns (xs, xh, steps): both trajectories, of shape (trials, T + 1,
     n_x), and per trial the number of steps before either first goes
-    non-finite."""
+    non-finite. The noise is `coupled_rollout`'s, one trajectory a trial."""
 
+    x0, W, Z = x0[:, 0], W[:, 0], Z[:, 0]
     T = W.shape[1]
 
     def states(K):
@@ -377,7 +378,7 @@ class TestCoupledRollout:
         xs, devs, steps = coupled_rollout(system, task.K, one_gain(task.K), *noise)
         assert steps.tolist() == [[30]]
         assert xs.shape == (1, 31, 1) and devs.shape == (1, 1, 30, 1)
-        assert np.array_equal(xs[:, 0], noise[0])
+        assert np.array_equal(xs[:, 0], noise[0][:, 0])
         assert np.all(devs == 0.0)
 
     def test_scalar_closed_form(self):
@@ -463,7 +464,7 @@ class TestCoupledRollout:
         x0, W, Z = trial_noise(system, task, 40, np.random.default_rng(8), trials=6)
         stack = np.broadcast_to(K_hat, (6, 1, *K_hat.shape))
         xs, _, _ = coupled_rollout(system, task.K, stack, x0, W, Z)
-        ref = expert_recurrence(system, task.K, x0[:, None], W[:, None], Z[:, None])
+        ref = expert_recurrence(system, task.K, x0, W, Z)
         assert np.array_equal(xs, ref[:, 0])
 
     @pytest.mark.parametrize("lifted", [False, True])
@@ -486,7 +487,7 @@ class TestCoupledRollout:
     def test_one_diverging_trial_flagged_alone(self):
         system, task = scalar_setup()
         noise = trial_noise(system, task, 20, np.random.default_rng(9), trials=3)
-        noise[1][1, 3, 0] = np.nan  # drives x[4] of trial 1 only
+        noise[1][1, 0, 3, 0] = np.nan  # drives x[4] of trial 1 only
         stack = np.broadcast_to(task.K + 0.1, (3, 1, 1, 1))
         xs, devs, steps = coupled_rollout(system, task.K, stack, *noise)
         assert steps.tolist() == [[20], [3], [20]]
@@ -537,9 +538,9 @@ def peak_rollout_problems(draw):
     scale = 10.0 ** np.reshape(exponents, (trials, c, 1, 1))
     K_hat = K_star + scale * rng.standard_normal((trials, c, n_u, n))
     noise = (
-        rng.standard_normal((trials, n)),
-        rng.standard_normal((trials, T, n)),
-        rng.standard_normal((trials, T, n_u)),
+        rng.standard_normal((trials, 1, n)),
+        rng.standard_normal((trials, 1, T, n)),
+        rng.standard_normal((trials, 1, T, n_u)),
     )
     return system, K_star, K_hat, noise
 
@@ -553,7 +554,7 @@ class TestPeakRolloutProperty:
         system, K_star, K_hat, noise = problem
         _, devs, steps = coupled_rollout(system, K_star, K_hat, *noise)
         trials, c = K_hat.shape[:2]
-        T = noise[1].shape[1]
+        T = noise[1].shape[-2]
         assert steps.shape == (trials, c)
         assert devs.shape == (trials, c, T, system.basis.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -576,7 +577,7 @@ class TestPeakRolloutProperty:
         # expert's own gain until the step after: steps end at x*'s overflow.
         system = lti_env.LinearSystem(A=np.array([[2.0]]), B=np.array([[1.0]]))
         K_star = np.array([[1e100]])
-        noise = np.ones((1, 1)), np.zeros((1, 6, 1)), np.zeros((1, 6, 1))
+        noise = np.ones((1, 1, 1)), np.zeros((1, 1, 6, 1)), np.zeros((1, 1, 6, 1))
         _, devs, steps = coupled_rollout(system, K_star, one_gain(K_star), *noise)
         _, _, steps_full = full_space_rollout(system, K_star, K_star, *noise)
         assert steps.tolist() == [[3]] and steps_full.tolist() == [3]

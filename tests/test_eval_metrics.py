@@ -89,7 +89,7 @@ class TestEvaluateController:
     def test_scalar_zero_noise_closed_form(self):
         system, task = scalar_setup()
         eps = 0.05
-        noise = np.array([[1.0]]), np.zeros((1, 50, 1)), np.zeros((1, 50, 1))
+        noise = np.ones((1, 1, 1)), np.zeros((1, 1, 50, 1)), np.zeros((1, 1, 50, 1))
         K_hat = (task.K + eps)[None, None]
         _, devs, _ = coupled_rollout(system, task.K, K_hat, *noise)
         tracking = np.max(np.sum(devs[0, 0] ** 2, axis=1))

@@ -566,6 +566,35 @@ BAD_INPUTS = [
         [],
         "system.b: B must have the same row count as A",
     ),
+    # A mapping where a list is expected would run as its keys.
+    (
+        41,
+        "sweep:\n  methods: {direct: 1}\n",
+        [],
+        "sweep.methods: must be a list, got {'direct': 1}",
+    ),
+    (
+        42,
+        "tasks:\n  alphas: {-2: 0, 2: 0}\n",
+        [],
+        "tasks.alphas: must be a list, got {-2: 0, 2: 0}",
+    ),
+    # Valid values whose expert family cannot be synthesized.
+    (
+        43,
+        "tasks:\n  alphas: [-300, 300]\n  h: 1\n",
+        [],
+        "tasks.alphas: no LQR expert at alpha = 1e+300: "
+        "DARE doubling met a singular I + GH",
+    ),
+    (
+        44,
+        "system:\n  a: [[2, 0], [0, 0.5]]\n  b: [[0], [1]]\n  lift_dim: null\n"
+        "tasks:\n  k: 1\n",
+        [],
+        "tasks.alphas, system.a/system.b: no LQR expert at alpha = 0.01: "
+        "closed-loop spectral radius 2.0 >= 1",
+    ),
 ]
 
 

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mtil import cli, lti_env, theory_probe
+from mtil import RESULTS_VERSION, cli, lti_env, theory_probe
 from mtil.data_gen import SeedTree, rollout_expert
 from mtil.errors import UnstablePair
 from mtil.lti_env import ExpertTask, LinearSystem
@@ -87,14 +87,12 @@ def call_probe(probe, trials=5, target=0.05, T=5, rng=None):
             setup, target, trials, rng, "gaussian-iid"
         )
     if probe == "maximal":
-        return theory_probe.verify_maximal_inequality(
-            np.ones((1, 2)), np.eye(2), T, trials, rng
-        )
+        return theory_probe.verify_maximal_inequality(T, trials, rng)
     if probe == "tracking":
         return theory_probe.verify_tracking_and_siss(
             system, task, task.K + 0.02, T, target, trials, rng
         )
-    return theory_probe.verify_scalar_sandwich(0.8, -0.3, 0.05, T, trials, rng)
+    return theory_probe.verify_scalar_sandwich(0.5, 0.05, T, trials, rng)
 
 
 class TestInputChecks:
@@ -405,35 +403,20 @@ class TestSelfNormalized:
 
 class TestMaximalInequality:
     def test_single_step(self):
-        D = np.zeros((1, 4))
-        D[0, 0] = 2.0
         report = theory_probe.verify_maximal_inequality(
-            D, np.eye(4), T=1, trials=20_000,
-            rng=SeedTree(root=12).child("x").stream(),
+            T=1, trials=20_000, rng=SeedTree(root=12).child("x").stream()
         )
-        # With T = 1 the estimate is just E||Dx||^2 = trace, a third of the bound.
-        assert report.details["estimate"] == pytest.approx(4.0, rel=0.05)
+        # With T = 1 the estimate is just E h^2 = 1, a third of the bound.
+        assert report.details["estimate"] == pytest.approx(1.0, rel=0.05)
+        assert report.details["bound"] == 3.0
         assert report.passed
 
     def test_rank_one_t10(self):
-        D = np.zeros((1, 10))
-        D[0, 0] = 1.0
         report = theory_probe.verify_maximal_inequality(
-            D, np.eye(10), T=10, trials=20_000,
-            rng=SeedTree(root=13).child("x").stream(),
+            T=10, trials=20_000, rng=SeedTree(root=13).child("x").stream()
         )
         assert report.margin < 1.0
         assert report.passed
-
-    def test_zero_gain(self):
-        report = theory_probe.verify_maximal_inequality(
-            np.zeros((1, 3)), np.eye(3), T=5, trials=100,
-            rng=SeedTree(root=14).child("x").stream(),
-        )
-        assert report.details["estimate"] == 0.0
-        assert report.margin == 0.0
-        assert report.passed
-
 
     @staticmethod
     def x_space_reference(D, sigma, T, trials, rng):
@@ -452,26 +435,27 @@ class TestMaximalInequality:
     @pytest.mark.parametrize("name", ["random", "zero"])
     @pytest.mark.parametrize("T", [1, 10])
     def test_matches_x_space_sampler(self, name, T):
+        # The display for a one-row D and any sigma is the probe's, scaled
+        # by f^2 = tr(D sigma D') on both sides.
         M = np.random.default_rng(23).standard_normal((6, 6))
         sigma = M @ M.T + 0.5 * np.eye(6)
         D = self.gains(name)
         report = theory_probe.verify_maximal_inequality(
-            D, sigma, T=T, trials=20_000,
-            rng=SeedTree(root=24).child("x", T).stream(),
+            T=T, trials=20_000, rng=SeedTree(root=24).child("x", T).stream()
         )
         ref, ref_se = self.x_space_reference(
             D, sigma, T, 20_000, np.random.default_rng(25)
         )
-        gap = abs(report.details["estimate"] - ref)
-        assert gap <= 4.0 * np.hypot(report.details["se"], ref_se)
-        trace = float(np.trace(D @ sigma @ D.T))
+        f_sq = float(np.trace(D @ sigma @ D.T))
+        gap = abs(f_sq * report.details["estimate"] - ref)
+        assert gap <= 4.0 * np.hypot(f_sq * report.details["se"], ref_se)
         assert report.details["bound"] == pytest.approx(
-            3.0 * (1.0 + np.log(T)) * trace, rel=1e-12
+            3.0 * (1.0 + np.log(T)), rel=1e-12
         )
         if T == 1:
-            # With one step the estimate is E||Dx||^2 = tr(D sigma D').
+            # With one step the estimate is E h^2 = 1.
             assert report.details["estimate"] == pytest.approx(
-                trace, rel=4.0 * report.details["se"] / max(trace, 1e-300)
+                1.0, rel=4.0 * report.details["se"]
             )
         assert report.passed
 
@@ -492,22 +476,16 @@ class TestMaximalInequality:
 
     @pytest.mark.parametrize("T", [1, 10, 100])
     def test_one_row_law_matches_paths(self, T):
-        # With one row in D the probe inverts the CDF of F^2 max_t h_t^2;
-        # paths that draw every h_t agree with it in the mean within 4
-        # combined standard errors.
-        M = np.random.default_rng(33).standard_normal((4, 4))
-        sigma = M @ M.T + 0.5 * np.eye(4)
-        D = np.array([[0.6, -1.3, 0.4, 0.0]])
+        # The probe inverts the CDF of max_t h_t^2; paths that draw every
+        # h_t agree with it in the mean within 4 combined standard errors.
         trials = 40_000
         report = theory_probe.verify_maximal_inequality(
-            D, sigma, T=T, trials=trials,
-            rng=SeedTree(root=34).child("x", T).stream(),
+            T=T, trials=trials, rng=SeedTree(root=34).child("x", T).stream()
         )
-        f_sq = (D @ sigma @ D.T).item()
         rng = np.random.default_rng(35)
         ref = np.concatenate(
             [
-                f_sq * np.square(rng.standard_normal((2_000, T))).max(axis=1)
+                np.square(rng.standard_normal((2_000, T))).max(axis=1)
                 for _ in range(trials // 2_000)
             ]
         )
@@ -520,27 +498,18 @@ class TestMaximalInequality:
     def test_blocks_draw_as_one_fresh_draw(self):
         # Two full blocks and a short last one, all drawn into the same
         # buffer; the quantile takes eight doubles a trial.
-        D = np.array([[2.0, 0.0, 0.0]])
         T, trials = 100, 20_000
         size = theory_probe._block_size(8)
         assert 2 * size < trials < 3 * size
         report = theory_probe.verify_maximal_inequality(
-            D, np.eye(3), T=T, trials=trials, rng=np.random.default_rng(27)
+            T=T, trials=trials, rng=np.random.default_rng(27)
         )
         u = np.random.default_rng(27).random(trials)
         with np.errstate(divide="ignore"):
             z = theory_probe._normal_upper_quantile(-0.5 * np.expm1(np.log(u) / T))
-        stats = 4.0 * (z * z)
+        stats = z * z
         assert report.details["estimate"] == float(stats.mean())
         assert report.details["se"] == float(stats.std(ddof=1) / np.sqrt(trials))
-
-    @pytest.mark.parametrize("rows", [0, 2])
-    def test_refuses_a_d_without_exactly_one_row(self, rows):
-        with pytest.raises(ValueError, match="one-row D"):
-            theory_probe.verify_maximal_inequality(
-                np.ones((rows, 3)), np.eye(3), T=5, trials=10,
-                rng=np.random.default_rng(0),
-            )
 
 
 class TestBlockBudget:
@@ -610,7 +579,7 @@ class TestTrackingSiss:
 class TestScalarSandwich:
     def test_reference_values(self):
         report = theory_probe.verify_scalar_sandwich(
-            a=0.8, k_star=-0.3, eps=0.05, T=200, trials=5_000,
+            a_cl=0.5, eps=0.05, T=200, trials=5_000,
             rng=SeedTree(root=18).child("s").stream(),
         )
         assert report.details["er_appendix"] == pytest.approx(1.0 / 300.0)
@@ -619,7 +588,7 @@ class TestScalarSandwich:
 
     def test_zero_eps(self):
         report = theory_probe.verify_scalar_sandwich(
-            a=0.8, k_star=-0.3, eps=0.0, T=100, trials=1_000,
+            a_cl=0.5, eps=0.0, T=100, trials=1_000,
             rng=SeedTree(root=19).child("s").stream(),
         )
         assert report.details["estimate"] == 0.0
@@ -630,7 +599,7 @@ class TestScalarSandwich:
     def test_unstable_pair(self):
         with pytest.raises(UnstablePair):
             theory_probe.verify_scalar_sandwich(
-                a=0.8, k_star=0.3, eps=0.05, T=10, trials=10,
+                a_cl=1.1, eps=0.05, T=10, trials=10,
                 rng=np.random.default_rng(0),
             )
 
@@ -638,7 +607,7 @@ class TestScalarSandwich:
 class TestProbeCsv:
     def test_round_trip(self, tmp_path):
         report = theory_probe.verify_scalar_sandwich(
-            a=0.8, k_star=-0.3, eps=0.0, T=10, trials=100,
+            a_cl=0.5, eps=0.0, T=10, trials=100,
             rng=SeedTree(root=20).child("s").stream(),
         )
         path = tmp_path / "verify.csv"
@@ -668,7 +637,10 @@ class TestProbeDetails:
             ) == 0
             with open(out / "verify.csv", newline="", encoding="utf-8") as fh:
                 rows = list(csv.DictReader(fh))
-            entries = json.loads((out / "verify_details.json").read_text())
+            details = json.loads((out / "verify_details.json").read_text())
+            assert list(details) == ["version", "reports"]
+            assert details["version"] == RESULTS_VERSION
+            entries = details["reports"]
             assert [e["name"] for e in entries] == [r["name"] for r in rows]
             assert list(entries[0]) == [
                 "name", "trials", "failures", "delta_target", "margin",
@@ -698,7 +670,7 @@ class TestProbeDetails:
         def refuse(constant):
             raise ValueError(constant)
 
-        entries = json.loads(path.read_text(), parse_constant=refuse)
+        entries = json.loads(path.read_text(), parse_constant=refuse)["reports"]
         assert [e["name"] for e in entries] == [r.name for r in reports]
         assert entries[-1]["margin"] == "nan"
 
@@ -756,14 +728,15 @@ class TestVerifyGolden:
         )
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    # verify_details.json of `mtil verify --probe all`: every report's
-    # fields and details, so a change to a decision rule, a margin or a
-    # detail key or its order shows here even where verify.csv keeps.
+    # verify_details.json of `mtil verify --probe all`: its RESULTS_VERSION
+    # and every report's fields and details, so a change to a decision rule,
+    # a margin or a detail key or its order shows here even where
+    # verify.csv keeps.
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            (0, "692fbfb5214587c2881614258b3b06ccd9c0bbd91413cd6fa89d50bc62110a36"),
-            (3, "09585bdeebc643d1f4fb218226b11a5cb5101bc9bd13f1b2c9b8a1b9f984a352"),
+            (0, "9dccb88bca5ae77f021c60df74a05682ce9ab0a4a39ef2c2f9b07d4147639f47"),
+            (3, "ee884798de4548db54c8ba872383302841e8c2bf3138ab1a812bfba3d2bf6bd6"),
         ],
     )
     def test_verify_details_digest(self, tmp_path, seed, digest):
