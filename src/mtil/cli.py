@@ -273,6 +273,9 @@ def main(argv=None) -> int:
     except MtilError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError as exc:  # a config that validates but cannot fit
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except BrokenPipeError:
         # The reader closed stdout early (e.g. `| head`). Point stdout at
         # devnull so the flush at interpreter exit cannot raise again.

@@ -30,10 +30,6 @@ class NonFiniteData(MtilError):
     finite is not."""
 
 
-class SingularBlock(MtilError):
-    """A block least-squares normal matrix is singular beyond ridge repair."""
-
-
 class DegenerateRank(MtilError):
     """The stacked data matrix has rank below the requested representation size."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data_gen import StackedData
-from .errors import DegenerateRank, NonFiniteData, RankDeficient, SingularBlock
+from .errors import DegenerateRank, NonFiniteData, RankDeficient
 
 ALS_MAX_SWEEPS = 500
 ALS_REL_TOL = 1e-10
@@ -48,11 +48,12 @@ class PretrainResult:
     newton_steps: int
 
 
-def _solve_with_ridge_repair(M: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Solve M X = C; on singularity retry with lambda = 1e-12 tr(M)/dim.
+def _solve(M: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Solve M X = C by LU; where that fails, the minimum-norm least squares X.
 
-    M may stack matrices, shape (H, d, d) with C (H, d, m): all are solved
-    at once, and only when that fails is each repaired on its own.
+    M may stack matrices, shape (H, d, d) with C (H, d, m). Every M here is
+    symmetric PSD, so pinv(M, hermitian=True) C is the minimum-norm answer;
+    it then replaces the LU answer for the whole call.
     """
     try:
         sol = np.linalg.solve(M, C)
@@ -60,18 +61,7 @@ def _solve_with_ridge_repair(M: np.ndarray, C: np.ndarray) -> np.ndarray:
             return sol
     except np.linalg.LinAlgError:
         pass
-    if M.ndim == 3:
-        return np.stack([_solve_with_ridge_repair(Mh, Ch) for Mh, Ch in zip(M, C)])
-    lam = 1e-12 * np.trace(M) / M.shape[0]
-    if lam <= 0.0:
-        raise SingularBlock("normal matrix singular with zero trace")
-    try:
-        sol = np.linalg.solve(M + lam * np.eye(M.shape[0]), C)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlock("normal matrix singular beyond ridge repair") from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularBlock("normal matrix singular beyond ridge repair")
-    return sol
+    return np.linalg.pinv(M, hermitian=True) @ C
 
 
 def _require_finite(what: str, *grams) -> None:
@@ -127,7 +117,7 @@ def _f_step(grams: tuple, phi: np.ndarray) -> np.ndarray:
         M = phi @ Gx @ phi.T
     if not np.all(np.isfinite(M)):
         raise NonFiniteData("projected Grams Phi X'X Phi' overflow")
-    return _solve_with_ridge_repair(M, phi @ Cxu).transpose(0, 2, 1)
+    return _solve(M, phi @ Cxu).transpose(0, 2, 1)
 
 
 def _phi_step(
@@ -148,7 +138,7 @@ def _phi_step(
     if min_norm:
         sol = np.linalg.lstsq(N, b, rcond=None)[0]
     else:
-        sol = _solve_with_ridge_repair(N, b)
+        sol = _solve(N, b)
     return sol.reshape(phi.shape, order="F")
 
 
@@ -263,7 +253,6 @@ def pretrain_alternating(
             i.e. fewer than k singular values of X exceed sqrt(n * eps) s_1.
         NonFiniteData: if a source Gram, or one projected on an iterate Phi,
             has a non-finite entry.
-        SingularBlock: if a block solve is singular beyond ridge repair.
     """
     Gx, _, u_sq = grams
     n = Gx.shape[1]

@@ -720,6 +720,32 @@ class TestCli:
         assert err == "error: projected Grams Phi X'X Phi' overflow\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, size",
+        [
+            ("tasks: {h: 1000000000000000}\n", "7.11 PiB"),
+            (
+                "sweep: {t: 1000000000000000, n2: [1], trials_system: 1, "
+                "trials_noise: 1}\n",
+                "369. PiB",
+            ),
+        ],
+        ids=["config", "rollout"],
+    )
+    def test_config_too_big_for_memory_exits_2(self, tmp_path, capsys, text, size):
+        # The first allocation asks for petabytes, so it fails at once
+        # whatever the overcommit setting: one error line, no --out left.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(text)
+        rc = cli.main(
+            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: out of memory: Unable to allocate {size}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_excess_risk_is_quiet(self, tmp_path, capsys):
         # delta @ sigma_x overflows in the excess risk: the run writes its

@@ -9,17 +9,8 @@ from hypothesis import strategies as st
 
 from mtil import exp_harness, mtil_learn
 from mtil.data_gen import SeedTree, StackedData, rollout_expert
-from mtil.errors import (
-    DegenerateRank,
-    NonFiniteData,
-    RankDeficient,
-    SingularBlock,
-)
-from mtil.mtil_learn import (
-    _orthonormalize,
-    _phi_step_normal,
-    _solve_with_ridge_repair,
-)
+from mtil.errors import DegenerateRank, NonFiniteData, RankDeficient
+from mtil.mtil_learn import _orthonormalize, _phi_step_normal, _solve
 
 
 def synthetic_tasks(rng, H=3, n=10, k=2, n_u=2, rows=100, noise=0.0):
@@ -103,8 +94,11 @@ class TestPretrainAlternating:
             assert np.abs(gain_old - gain_new).max() <= 1e-12
 
     def test_never_keeps_an_iterate_above_the_best(self):
-        # Sweep 1 fits exactly; a later ridge-repaired sweep rose to a
-        # residual of 2.2% of ||U||^2, and that iterate was returned.
+        # Sweep 1 fits exactly (the objective reads -6.0e-10 in rounding).
+        # Sweep 2's Phi-step normal matrix is singular; its minimum-norm
+        # solution lowers nothing, so the run stops after 2 sweeps. A ridge
+        # retry took 4 sweeps here, to a trace ending at -9.7e-10, and once
+        # a later sweep rose to 2.2% of ||U||^2 and was returned.
         rng = np.random.default_rng(152971)
         tasks, _, _ = synthetic_tasks(
             rng, H=1, n=2, k=2, n_u=1, rows=2, noise=0.2632965
@@ -199,7 +193,7 @@ def als_problems_few_outputs(draw):
 
     The stacked F (H n_u x k) then has rank below k, so the Phi-step normal
     matrix sum_h kron(X^h'X^h, F^h'F^h) is singular, while every task has
-    rows >= n, which keeps the Phi-step on its LU-then-ridge solve.
+    rows >= n, which keeps the Phi-step on `_solve`: LU, then pinv.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     n_u = draw(st.integers(1, 2))
@@ -349,28 +343,63 @@ class TestFinetuneTarget:
         assert 0.35 <= ratio <= 0.65
 
 
-class TestRidgeRepair:
-    def test_zero_matrix_raises_singular_block(self):
-        with pytest.raises(SingularBlock, match="singular with zero trace"):
-            _solve_with_ridge_repair(np.zeros((3, 3)), np.ones((3, 1)))
+def assert_min_norm(sol, M, C):
+    """sol is lstsq's minimum-norm solution of M X = C to 1e-12 relative."""
+    ref = np.linalg.lstsq(M, C, rcond=None)[0]
+    assert np.linalg.norm(sol - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    def test_singular_psd_matrix_gets_the_ridge_solution(self):
-        # An exact zero pivot fails the LU solve; lambda = 1e-12 tr(M) / 2.
+
+@st.composite
+def singular_psd_systems(draw):
+    """(M, C): M = P diag(d) P' with P a permutation and some d exactly 0,
+    so that LU meets an exact zero pivot; C = M Y + R with an arbitrary R."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    dim = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 3))
+    zeros = draw(st.integers(1, dim))
+    rng = np.random.default_rng(seed)
+    d = np.concatenate([np.zeros(zeros), rng.uniform(0.01, 100.0, dim - zeros)])
+    P = np.eye(dim)[rng.permutation(dim)]
+    M = P @ np.diag(d) @ P.T
+    C = M @ rng.standard_normal((dim, m)) + rng.standard_normal((dim, m))
+    return M, C
+
+
+class TestSolve:
+    def test_regular_matrix_gets_the_lu_bits(self):
+        rng = np.random.default_rng(20)
+        A = rng.standard_normal((3, 4, 4))
+        M = A @ A.transpose(0, 2, 1) + np.eye(4)
+        C = rng.standard_normal((3, 4, 2))
+        np.testing.assert_array_equal(_solve(M[0], C[0]), np.linalg.solve(M[0], C[0]))
+        np.testing.assert_array_equal(_solve(M, C), np.linalg.solve(M, C))
+
+    def test_zero_matrix_gives_zero(self):
+        np.testing.assert_array_equal(
+            _solve(np.zeros((3, 3)), np.ones((3, 1))), np.zeros((3, 1))
+        )
+
+    def test_singular_psd_matrix_gets_the_min_norm_solution(self):
+        # An exact zero pivot fails the LU solve; lstsq gives [1, 0].
         M = np.diag([1.0, 0.0])
         C = np.ones((2, 1))
-        sol = _solve_with_ridge_repair(M, C)
-        ridge = np.linalg.solve(M + 0.5e-12 * np.eye(2), C)
-        assert np.all(np.isfinite(sol))
-        np.testing.assert_array_equal(sol, ridge)
+        sol = _solve(M, C)
+        np.testing.assert_array_equal(sol, [[1.0], [0.0]])
+        np.testing.assert_array_equal(sol, np.linalg.lstsq(M, C, rcond=None)[0])
 
-    def test_stacked_call_repairs_only_its_singular_block(self):
-        M = np.stack([2.0 * np.eye(2), np.diag([1.0, 0.0])])
-        C = np.ones((2, 2, 1))
-        sol = _solve_with_ridge_repair(M, C)
-        np.testing.assert_array_equal(sol[0], np.linalg.solve(M[0], C[0]))
-        np.testing.assert_array_equal(
-            sol[1], np.linalg.solve(M[1] + 0.5e-12 * np.eye(2), C[1])
-        )
+    def test_stack_with_one_singular_block_gets_min_norm_everywhere(self):
+        M = np.stack([2.0 * np.eye(2), np.diag([1.0, 0.0]), np.diag([3.0, 5.0])])
+        C = np.arange(1.0, 7.0).reshape(3, 2, 1)
+        sol = _solve(M, C)
+        for Mh, Ch, sol_h in zip(M, C, sol):
+            assert_min_norm(sol_h, Mh, Ch)
+
+    @given(singular_psd_systems())
+    def test_singular_fallback_is_min_norm_least_squares(self, system):
+        M, C = system
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(M, C)
+        assert_min_norm(_solve(M, C), M, C)
 
 
 class TestDirectOls:
