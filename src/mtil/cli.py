@@ -30,7 +30,7 @@ import sys
 if "numpy" not in sys.modules:
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .errors import MtilError, RankDeficientLift, ValidationError
+from .errors import MtilError, RankDeficient, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -205,7 +205,7 @@ def _cmd_synth(args) -> int:
     family, alphas = exp_harness.expert_family(cfg)
     try:
         ensemble = exp_harness.lift_trial(cfg, family, 0)
-    except RankDeficientLift as exc:
+    except RankDeficient as exc:
         raise ValidationError(f"--lift-dim: {exc}") from exc
     print(f"{'task':>6} {'alpha':>12} {'|K|_F':>12} {'rho_cl':>10} {'tr(Sx)':>12}")
     for h, (task, alpha) in enumerate(zip(ensemble.tasks, alphas)):

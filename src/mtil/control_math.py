@@ -15,13 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (
-    CholeskyFailure,
-    NonFiniteData,
-    NotConverged,
-    NotStabilizing,
-    UnstableMatrix,
-)
+from .errors import CholeskyFailure, NonFiniteData, NotConverged, UnstableMatrix
 
 PROFILE_MAX_TERMS = 1_000_000
 PROFILE_TAIL_TOL = 1e-10
@@ -202,7 +196,7 @@ def solve_dare(
     Raises:
         NotConverged: DARE_MAX_ITER steps reached before tolerance, or an iterate
             went non-finite (an unstabilizable pair or an infinite cost).
-        NotStabilizing: the resulting closed loop A + BK has rho >= 1.
+        UnstableMatrix: the resulting closed loop A + BK has rho >= 1.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -238,7 +232,7 @@ def solve_dare(
     K = -np.linalg.solve(BtP @ B + R, BtP @ A)
     rho_closed = spectral_radius(A + B @ K)
     if rho_closed >= 1.0:
-        raise NotStabilizing(f"closed-loop spectral radius {rho_closed} >= 1")
+        raise UnstableMatrix(f"closed-loop spectral radius {rho_closed} >= 1")
     return RiccatiSolution(P=P, K=K)
 
 

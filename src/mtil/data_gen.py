@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lti_env import ExpertTask, LinearSystem
+if TYPE_CHECKING:  # annotations only: a plant-free probe loads no plant module
+    from .lti_env import ExpertTask, LinearSystem
 
 
 def _label_hash(label: str) -> int:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""One exception type per kind of failure; a bad argument is a ValueError."""
 
 
 class MtilError(Exception):
@@ -13,37 +13,16 @@ class NotConverged(MtilError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 
 
-class NotStabilizing(MtilError):
-    """A synthesized gain fails to stabilize the closed loop."""
-
-
 class CholeskyFailure(MtilError):
     """A covariance factorization failed even after jitter escalation."""
 
 
-class RankDeficientLift(MtilError):
-    """The lifting map G is not injective (full column rank required)."""
-
-
 class NonFiniteData(MtilError):
-    """Data, its Grams, a covariance or a Lyapunov forcing that must be
-    finite is not."""
-
-
-class DegenerateRank(MtilError):
-    """The stacked data matrix has rank below the requested representation size."""
+    """Data, its Grams, a covariance or a Lyapunov forcing is not finite."""
 
 
 class RankDeficient(MtilError):
-    """A matrix required to have full rank is rank deficient."""
-
-
-class EmptyInput(MtilError):
-    """An operation received an empty collection."""
-
-
-class UnstablePair(MtilError):
-    """A scalar closed-loop pair (a_cl, a_cl + eps) is not contractive."""
+    """A matrix has lower rank than its use requires."""
 
 
 class ParseError(MtilError):
@@ -52,4 +31,3 @@ class ParseError(MtilError):
 
 class ValidationError(MtilError):
     """A configuration value is invalid; message carries the field path."""
-

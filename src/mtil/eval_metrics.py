@@ -13,7 +13,7 @@ import numpy as np
 
 from . import control_math
 from .data_gen import coupled_rollout, sample_noise
-from .errors import EmptyInput, RankDeficient
+from .errors import RankDeficient
 from .lti_env import ExpertTask, LinearSystem, TaskEnsemble
 
 
@@ -174,7 +174,7 @@ def summarize_quantiles(values, qs) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
-        raise EmptyInput("cannot summarize an empty list")
+        raise ValueError("cannot summarize an empty list")
     n = values.shape[-1]
     ordered = np.sort(values, axis=-1)
     index = (n - 1) * np.asarray(qs, dtype=float)

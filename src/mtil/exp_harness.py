@@ -19,7 +19,7 @@ import numpy as np
 
 from . import RESULTS_VERSION, __version__, control_math, lti_env, mtil_learn
 from .data_gen import SeedTree, rollout_expert
-from .errors import NotConverged, NotStabilizing, ParseError, ValidationError
+from .errors import NotConverged, ParseError, UnstableMatrix, ValidationError
 from .eval_metrics import evaluate_controller, summarize_quantiles
 
 VALID_METHODS = ("multitask", "direct")
@@ -212,17 +212,38 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return cfg
 
 
+def _repeated_key(node, path: str = "") -> str | None:
+    """The path of the first key written twice in the root mapping of a composed
+    YAML document or in a section, or None; no config value is a mapping."""
+    if node is None or node.id != "mapping":
+        return None
+    keys = set()
+    for key, value in node.value:
+        here = f"{path}.{key.value}" if path else f"{key.value}"
+        if here in keys:
+            return here
+        keys.add(here)
+        if not path and (found := _repeated_key(value, here)):
+            return found
+    return None
+
+
 def read_config(path: str) -> dict:
     """Parse a YAML config file into its raw mapping; an empty file gives {}.
 
     Raises:
         ParseError: unreadable or malformed file.
+        ValidationError: a key written twice, named by its path.
     """
     import yaml  # only `mtil run` reads a config; `mtil verify` never loads it
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            loader = yaml.SafeLoader(fh)  # safe_load's steps, nodes checked first
+            node = loader.get_single_node()
+            repeated = _repeated_key(node)
+            _require(repeated is None, repeated, "repeated key")
+            raw = None if node is None else loader.construct_document(node)
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -281,7 +302,7 @@ def expert_family(cfg: ExperimentConfig) -> tuple:
     alphas = _task_alphas(cfg)
     try:
         gains = lti_env.synthesize_expert_family(base, alphas)
-    except (NotConverged, NotStabilizing) as exc:
+    except (NotConverged, UnstableMatrix) as exc:
         where = "tasks.alphas" if cfg.A is None else "tasks.alphas, system.a/system.b"
         raise ValidationError(f"{where}: {exc}") from exc
     return lti_env.build_ensemble(base, gains), alphas

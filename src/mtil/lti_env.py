@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import control_math
-from .errors import NonFiniteData, NotConverged, NotStabilizing, RankDeficientLift
+from .errors import NonFiniteData, NotConverged, RankDeficient, UnstableMatrix
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def synthesize_expert_family(system: LinearSystem, alphas: np.ndarray) -> list:
     for alpha in np.asarray(alphas, dtype=float):
         try:
             sol = control_math.solve_dare(system.A, system.B, float(alpha) * eye, R)
-        except (NotConverged, NotStabilizing) as exc:
+        except (NotConverged, UnstableMatrix) as exc:
             raise type(exc)(f"no LQR expert at alpha = {alpha:.6g}: {exc}") from exc
         gains.append(sol.K)
     return gains
@@ -207,13 +207,13 @@ def lift_ensemble(ensemble: TaskEnsemble, G: np.ndarray) -> TaskEnsemble:
     ground truth records Phi = G+ and F^(h) equal to the original gains.
 
     Raises:
-        RankDeficientLift: if G is wide or not full column rank.
+        RankDeficient: if G is wide or not full column rank.
     """
     G = np.asarray(G, dtype=float)
     _require_tall(*G.shape)
     U, s, Vt = np.linalg.svd(G, full_matrices=False)
     if s[-1] <= 1e-10 * s[0]:
-        raise RankDeficientLift("lift map G is not injective")
+        raise RankDeficient("lift map G is not injective")
     # Not np.linalg.pinv(G): that rounds differently and changes results.csv.
     G_pinv = (Vt.T * (1.0 / s)) @ U.T
     system = ensemble.system
@@ -226,7 +226,7 @@ def lift_ensemble(ensemble: TaskEnsemble, G: np.ndarray) -> TaskEnsemble:
 def _require_tall(m: int, n_x: int) -> None:
     """An m x n_x map with m < n_x has a null space: it cannot be injective."""
     if m < n_x:
-        raise RankDeficientLift(f"lift dimension {m} is below n_x = {n_x}")
+        raise RankDeficient(f"lift dimension {m} is below n_x = {n_x}")
 
 
 def sample_lift_map(n_x: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -236,7 +236,7 @@ def sample_lift_map(n_x: int, m: int, rng: np.random.Generator) -> np.ndarray:
     refuses one that is not.
 
     Raises:
-        RankDeficientLift: if m < n_x.
+        RankDeficient: if m < n_x.
     """
     _require_tall(m, n_x)
     return rng.standard_normal((m, n_x))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data_gen import StackedData
-from .errors import DegenerateRank, NonFiniteData, RankDeficient
+from .errors import NonFiniteData, RankDeficient
 
 ALS_MAX_SWEEPS = 500
 ALS_REL_TOL = 1e-10
@@ -125,10 +125,10 @@ def _phi_step(
 ) -> np.ndarray:
     """Joint least squares in vec(Phi) given all F; Phi as it is when b = 0.
 
-    With min_norm the normal equations are solved in the minimum-norm least
-    squares sense: a source task with fewer rows than n leaves the normal
-    matrix singular, and an LU solve would then put arbitrarily large
-    null-space components into Phi.
+    With min_norm (rows < n) it is the minimum-norm least squares solution,
+    which keeps Phi out of the directions the few source rows barely
+    determine. The normal matrix is singular only when
+    H min(rows, n) min(n_u, k) < n k, but it is ill conditioned.
     """
     Gx, Cxu, _ = grams
     b = np.einsum("hua,hiu->ai", f_hats, Cxu).ravel(order="F")
@@ -248,7 +248,7 @@ def pretrain_alternating(
     change of basis absorbed into each F^h.
 
     Raises:
-        DegenerateRank: if fewer than k eigenvalues of X'X = sum_h X_h'X_h
+        RankDeficient: if fewer than k eigenvalues of X'X = sum_h X_h'X_h
             (X: the stacked source states) exceed n * eps times the largest,
             i.e. fewer than k singular values of X exceed sqrt(n * eps) s_1.
         NonFiniteData: if a source Gram, or one projected on an iterate Phi,
@@ -263,7 +263,7 @@ def pretrain_alternating(
     _require_finite("source", *grams)
     eig = np.linalg.eigvalsh(Gx.sum(axis=0))
     if np.count_nonzero(eig > n * np.finfo(float).eps * eig[-1]) < k:
-        raise DegenerateRank("stacked source states have rank below k")
+        raise RankDeficient("stacked source states have rank below k")
     min_norm = rows < n
     phi = np.linalg.qr(rng.standard_normal((k, n)).T)[0].T
     trace = [float(np.sum(u_sq))]  # the objective at all F^h = 0

@@ -31,14 +31,15 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import RESULTS_VERSION, control_math
+from . import RESULTS_VERSION
 from .data_gen import coupled_rollout, expert_recurrence, sample_noise
-from .errors import UnstablePair
-from .eval_metrics import excess_risk
-from .lti_env import ExpertTask, LinearSystem
+
+if TYPE_CHECKING:  # annotations only: a plant-free probe loads no plant module
+    from .lti_env import ExpertTask, LinearSystem
 
 
 @dataclass(frozen=True)
@@ -460,6 +461,8 @@ def verify_tracking_and_siss(
           * ER may fail on at most a delta' fraction of trials, by the rate
           rule.
     """
+    from . import control_math, eval_metrics  # here: the other probes need neither
+
     _check_inputs(trials, T, delta_prime=delta_prime)
     K_star = target_task.K
     j_gain = control_math.stability_profile(system.A + system.B @ K_star, system.basis)
@@ -471,7 +474,7 @@ def verify_tracking_and_siss(
             margin=float("nan"), passed=False,
             details={"precondition_met": False, "gain_dev": gain_dev},
         )
-    er = excess_risk(K_hat, K_star, target_task.sigma_x)
+    er = eval_metrics.excess_risk(K_hat, K_star, target_task.sigma_x)
     jb = j_gain * b_norm
     bound_hp = 4.0 * jb * jb * (1.0 + 4.0 * np.log(T / delta_prime)) * er
     max_sq = np.empty(trials)
@@ -534,12 +537,12 @@ def verify_scalar_sandwich(
     state, five vectors, rather than blocks of BLOCK_DOUBLES.
 
     Raises:
-        UnstablePair: unless 0 < a_cl and a_cl + eps < 1.
+        ValueError: unless 0 < a_cl and a_cl + eps < 1.
     """
     _check_inputs(trials, T)
     a_hat = a_cl + eps
     if not (0.0 < a_cl < 1.0 and a_hat < 1.0):
-        raise UnstablePair(f"need 0 < {a_cl} and {a_hat} < 1")
+        raise ValueError(f"need 0 < {a_cl} and {a_hat} < 1")
     sd0 = 1.0 / np.sqrt(1.0 - a_cl * a_cl)
     xs = sd0 * rng.standard_normal(trials)
     xh = xs.copy()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mtil import control_math as cm
 from mtil import eval_metrics, lti_env
 from mtil.data_gen import SeedTree, coupled_rollout
-from mtil.errors import EmptyInput, RankDeficient
+from mtil.errors import RankDeficient
 from mtil.lti_env import ExpertTask, LinearSystem, TaskEnsemble
 from test_data_gen import full_space_rollout, trial_noise
 
@@ -338,7 +338,7 @@ class TestQuantiles:
         )
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="empty"):
             eval_metrics.summarize_quantiles([], [0.5])
 
     @given(

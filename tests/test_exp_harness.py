@@ -17,7 +17,7 @@ import yaml
 
 import mtil
 from mtil import cli, control_math, exp_harness as eh, lti_env
-from mtil.errors import ParseError, ValidationError
+from mtil.errors import MtilError, ParseError, ValidationError
 
 
 def tiny_cfg(**sweep):
@@ -595,6 +595,9 @@ BAD_INPUTS = [
         "tasks.alphas, system.a/system.b: no LQR expert at alpha = 0.01: "
         "closed-loop spectral radius 2.0 >= 1",
     ),
+    # A key written twice, whose last value a YAML loader would keep.
+    (45, "sweep:\n  n1: 3\nsweep:\n  n2: [1, 2]\n", [], "sweep: repeated key"),
+    (46, "sweep: {n1: 3, n1: 40}\n", [], "sweep.n1: repeated key"),
 ]
 
 
@@ -817,6 +820,22 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --out: ")
 
+    @pytest.mark.parametrize(
+        "kind", MtilError.__subclasses__(), ids=lambda kind: kind.__name__
+    )
+    def test_every_error_kind_exits_2_with_one_line(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        def failing(*args):
+            raise kind(f"{kind.__name__} raised in the sweep")
+
+        monkeypatch.setattr("mtil.exp_harness.run_sweep", failing)
+        rc = cli.main(["run", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {kind.__name__} raised in the sweep\n"
+        assert captured.out == ""
+
     def test_verify_write_failure_exits_2(self, tmp_path, capsys):
         (tmp_path / "verify.csv").mkdir()
         rc = cli.main(["verify", "--probe", "sandwich", "--out", str(tmp_path)])
@@ -847,20 +866,23 @@ class TestCli:
 
     def test_verify_loads_no_run_only_module(self, tmp_path):
         # YAML parsing, the process pool and the sweep modules serve
-        # `mtil run` alone.
+        # `mtil run` alone; the plant modules serve only the probes that
+        # run on a plant (covariance, tracking).
         run_only = {"yaml", "concurrent.futures", "mtil.exp_harness", "mtil.mtil_learn"}
+        plant = {"mtil.lti_env", "mtil.control_math", "mtil.eval_metrics"}
         code = (
             "import sys, mtil.cli\n"
             "mtil.cli.main(['verify', '--probe', 'hanson_wright',"
             " '--out', sys.argv[1]])\n"
             f"print(sorted({run_only!r} & set(sys.modules)))\n"
+            f"print(sorted({plant!r} & set(sys.modules)))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path)],
             env=cli_env(None), check=True, capture_output=True, text=True,
             timeout=300,
         )
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
     def test_parser_and_argument_errors_load_no_numpy(self, tmp_path):
         # The parser and argument validation answer before any command

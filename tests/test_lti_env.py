@@ -13,7 +13,7 @@ from mtil.data_gen import SeedTree
 from mtil.errors import (
     CholeskyFailure,
     MtilError,
-    RankDeficientLift,
+    RankDeficient,
     UnstableMatrix,
 )
 
@@ -141,7 +141,7 @@ class TestLiftEnsemble:
     def test_rejects_rank_deficient(self):
         ens = small_ensemble()
         G = np.ones((50, 4))
-        with pytest.raises(RankDeficientLift):
+        with pytest.raises(RankDeficient):
             lti_env.lift_ensemble(ens, G)
 
     @pytest.mark.parametrize("m", [3, 1, 0])
@@ -150,12 +150,12 @@ class TestLiftEnsemble:
         # well separated from zero.
         ens = small_ensemble()
         G = np.eye(4)[:m]
-        with pytest.raises(RankDeficientLift, match=f"lift dimension {m}"):
+        with pytest.raises(RankDeficient, match=f"lift dimension {m}"):
             lti_env.lift_ensemble(ens, G)
 
     @pytest.mark.parametrize("m", [2, 0, -1])
     def test_sample_rejects_wide_map(self, m):
-        with pytest.raises(RankDeficientLift, match=f"lift dimension {m}"):
+        with pytest.raises(RankDeficient, match=f"lift dimension {m}"):
             lti_env.sample_lift_map(4, m, np.random.default_rng(0))
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mtil import exp_harness, mtil_learn
 from mtil.data_gen import SeedTree, StackedData, rollout_expert
-from mtil.errors import DegenerateRank, NonFiniteData, RankDeficient
+from mtil.errors import NonFiniteData, RankDeficient
 from mtil.mtil_learn import _orthonormalize, _phi_step_normal, _solve
 
 
@@ -114,7 +114,7 @@ class TestPretrainAlternating:
     def test_degenerate_rank(self):
         X = np.ones((20, 5))
         data = StackedData(X=X, U=np.ones((20, 1)))
-        with pytest.raises(DegenerateRank):
+        with pytest.raises(RankDeficient, match="rank below k"):
             pretrain([data], k=3, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize(
@@ -147,7 +147,7 @@ class TestPretrainAlternating:
         if above_band:
             pretrain(source, k=k, rng=np.random.default_rng(0))
         else:
-            with pytest.raises(DegenerateRank):
+            with pytest.raises(RankDeficient, match="rank below k"):
                 pretrain(source, k=k, rng=np.random.default_rng(0))
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from mtil import RESULTS_VERSION, cli, lti_env, theory_probe
 from mtil.data_gen import SeedTree, rollout_expert
-from mtil.errors import UnstablePair
 from mtil.lti_env import ExpertTask, LinearSystem
 from mtil.theory_probe import MartingaleSetup
 
@@ -597,7 +596,7 @@ class TestScalarSandwich:
         assert report.passed
 
     def test_unstable_pair(self):
-        with pytest.raises(UnstablePair):
+        with pytest.raises(ValueError, match="need 0 <"):
             theory_probe.verify_scalar_sandwich(
                 a_cl=1.1, eps=0.05, T=10, trials=10,
                 rng=np.random.default_rng(0),
