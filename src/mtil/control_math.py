@@ -19,9 +19,7 @@ from .errors import CholeskyFailure, NonFiniteData, NotConverged, UnstableMatrix
 
 PROFILE_MAX_TERMS = 1_000_000
 PROFILE_TAIL_TOL = 1e-10
-LYAPUNOV_MAX_ITER = 200
-DARE_REL_TOL = 1e-10
-DARE_MAX_ITER = 100
+DOUBLING_MAX_ITER = 100
 
 # OpenBLAS threads inside `mtil run` sweeps: the LU of the ALS Phi-step
 # gives other bits on more than one thread, and the cells are too small to
@@ -134,37 +132,56 @@ def _frobenius(M: np.ndarray) -> float:
     return norm
 
 
-def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Solve S = A S A' + Q for Schur-stable A via the doubling iteration.
+def _doubling(A: np.ndarray, G: np.ndarray, H: np.ndarray) -> tuple:
+    """Structure-preserving doubling (Chu et al. 2004). From A_0 = A and the
+    symmetric parts G_0 of G and H_0 of H, with W_j = I + G_j H_j:
+        A_{j+1} = A_j W_j^{-1} A_j,  G_{j+1} = G_j + A_j W_j^{-1} G_j A_j',
+        H_{j+1} = H_j + U_j,  U_j = A_j' H_j W_j^{-1} A_j,
+    so H_j is the Riccati iterate P <- A'P (I + GP)^{-1} A + H_0 after 2^j
+    steps (with G = 0, the sum of A'^t H_0 A^t over t < 2^j). The one
+    stopping rule: ||U_j|| <= 1e-16 max(1, ||H_{j+1}||), Frobenius norms
+    taken without overflow. Returns (H, None) there; else (H, "hit the
+    iteration cap") after DOUBLING_MAX_ITER steps, or (the last finite H,
+    "produced non-finite iterates"). A singular W_j raises LinAlgError.
+    """
+    n = A.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        H, G = 0.5 * (H + H.T), 0.5 * (G + G.T)
+        for _ in range(DOUBLING_MAX_ITER):
+            # W^{-1} A_j and W^{-1} G_j from one solve.
+            sol = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
+            WA, WG = sol[:, :n], sol[:, n:]
+            update = A.T @ H @ WA
+            H_new = H + update
+            H_new = 0.5 * (H_new + H_new.T)
+            if not np.all(np.isfinite(H_new)):
+                return H, "produced non-finite iterates"
+            H = H_new
+            if _frobenius(update) <= 1e-16 * max(1.0, _frobenius(H)):
+                return H, None
+            G = G + A @ WG @ A.T
+            G = 0.5 * (G + G.T)
+            A = A @ WA
+    return H, "hit the iteration cap"
 
-    Each step maps (S, M) -> (S + M S M', M^2), which squares the effective
-    power of A and converges in O(log(1/tol)) steps. S is symmetrized every
-    step. Norms are taken without overflow (`_frobenius`), so a large but
-    finite S converges as a small one does.
+
+def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Solve S = A S A' + Q for Schur-stable A: the Riccati equation of A'
+    with no actuation, run as `_doubling(A', 0, Q)` (each step maps
+    (S, M) -> (S + M S M', M^2)) under its stopping rule and its cap,
+    DOUBLING_MAX_ITER. Only the residual judges the S it returns.
 
     Raises:
         UnstableMatrix: if rho(A) >= 1.
         NotConverged: if the residual exceeds 1e-10 (||A||^2 ||S|| + ||Q||)
-            (Frobenius norms, spectral for A) within LYAPUNOV_MAX_ITER steps,
-            or is not finite.
+            (Frobenius norms, spectral for A), or is not finite.
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if spectral_radius(A) >= 1.0:
         raise UnstableMatrix("Lyapunov equation requires rho(A) < 1")
-    M = A.copy()
-    # An S that overflows ends in a non-finite residual, refused below.
+    S, _ = _doubling(A.T, np.zeros_like(A), Q)
     with np.errstate(over="ignore", invalid="ignore"):
-        S = 0.5 * (Q + Q.T)
-        for _ in range(LYAPUNOV_MAX_ITER):
-            update = M @ S @ M.T
-            S_new = S + update
-            S_new = 0.5 * (S_new + S_new.T)
-            if _frobenius(update) <= 1e-16 * max(1.0, _frobenius(S_new)):
-                S = S_new
-                break
-            S = S_new
-            M = M @ M
         # Rounding in A S A' scales with ||A||^2 ||S||, so the residual is
         # judged against that backward-error scale rather than ||S|| alone.
         residual = _frobenius(S - (A @ S @ A.T + Q))
@@ -181,58 +198,37 @@ def solve_dare(
     Q: np.ndarray,
     R: np.ndarray,
 ) -> RiccatiSolution:
-    """Solve the discrete algebraic Riccati equation by structure-preserving doubling.
-
-    P = A'PA - A'PB (B'PB + R)^{-1} B'PA + Q is solved by the doubling
-    iteration of Chu et al. (2004) (Anderson 1978) from A_0 = A,
-    G_0 = B R^{-1} B', H_0 = Q:
-        A_{j+1} = A_j (I + G_j H_j)^{-1} A_j
-        G_{j+1} = G_j + A_j (I + G_j H_j)^{-1} G_j A_j'
-        H_{j+1} = H_j + A_j' H_j (I + G_j H_j)^{-1} A_j,
-    where H_j is the fixed-point iterate after 2^j Riccati steps, so it
-    converges quadratically to P. It stops once the relative change of H
-    falls below DARE_REL_TOL, then forms the LQR gain K = -(B'PB + R)^{-1} B'PA.
+    """Solve P = A'PA - A'PB (B'PB + R)^{-1} B'PA + Q as `_doubling(A, G, Q)`
+    with G = B R^{-1} B', under the Lyapunov solve's stopping rule and cap,
+    and form the LQR gain K = -(B'PB + R)^{-1} B'PA. Where the doubling stops
+    short, the gain of its last finite iterate is judged first, so a pair
+    that no gain stabilizes shows as rho(A + BK) >= 1.
 
     Raises:
-        NotConverged: DARE_MAX_ITER steps reached before tolerance, or an iterate
-            went non-finite (an unstabilizable pair or an infinite cost).
-        UnstableMatrix: the resulting closed loop A + BK has rho >= 1.
+        NotConverged: a doubling step met a singular I + GH, an iterate or K
+            went non-finite, or the doubling hit its cap.
+        UnstableMatrix: the closed loop A + BK has rho >= 1.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
     R = np.asarray(R, dtype=float)
-    n = A.shape[0]
-    Ak = A
     G = B @ np.linalg.solve(R, B.T)
-    G = 0.5 * (G + G.T)
-    P = 0.5 * (Q + Q.T)
+    try:
+        P, failure = _doubling(A, G, Q)
+    except np.linalg.LinAlgError as exc:
+        raise NotConverged("DARE doubling met a singular I + GH") from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(DARE_MAX_ITER):
-            # W^{-1} A_j and W^{-1} G_j, W = I + G_j H_j, from one solve.
-            try:
-                sol = np.linalg.solve(np.eye(n) + G @ P, np.hstack([Ak, G]))
-            except np.linalg.LinAlgError as exc:
-                raise NotConverged("DARE doubling met a singular I + GH") from exc
-            WA, WG = sol[:, :n], sol[:, n:]
-            P_new = P + Ak.T @ P @ WA
-            P_new = 0.5 * (P_new + P_new.T)
-            G = G + Ak @ WG @ Ak.T
-            G = 0.5 * (G + G.T)
-            Ak = Ak @ WA
-            if not np.all(np.isfinite(P_new)):
-                raise NotConverged("DARE doubling produced non-finite iterates")
-            delta = np.linalg.norm(P_new - P, "fro")
-            P = P_new
-            if delta <= DARE_REL_TOL * max(1.0, np.linalg.norm(P, "fro")):
-                break
-        else:
-            raise NotConverged("DARE doubling hit the iteration cap")
-    BtP = B.T @ P
-    K = -np.linalg.solve(BtP @ B + R, BtP @ A)
-    rho_closed = spectral_radius(A + B @ K)
+        BtP = B.T @ P
+        K = -np.linalg.solve(BtP @ B + R, BtP @ A)
+        closed = A + B @ K
+    if not np.all(np.isfinite(closed)):
+        raise NotConverged("DARE doubling produced non-finite iterates")
+    rho_closed = spectral_radius(closed)
     if rho_closed >= 1.0:
         raise UnstableMatrix(f"closed-loop spectral radius {rho_closed} >= 1")
+    if failure is not None:
+        raise NotConverged(f"DARE doubling {failure}")
     return RiccatiSolution(P=P, K=K)
 
 

@@ -10,7 +10,8 @@ class UnstableMatrix(MtilError):
 
 
 class NotConverged(MtilError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """An iterative solver hit its iteration cap, met a singular step or
+    non-finite iterates, or gave an answer that failed its residual check."""
 
 
 class CholeskyFailure(MtilError):

@@ -42,7 +42,9 @@ class LinearSystem:
         B = np.asarray(self.B, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
-        if B.ndim != 2 or B.shape[0] != A.shape[0]:
+        if B.ndim != 2 or B.shape[1] == 0:
+            raise ValueError(f"B must be n_x x n_u with n_u >= 1, got shape {B.shape}")
+        if B.shape[0] != A.shape[0]:
             raise ValueError("B must have the same row count as A")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)

@@ -117,12 +117,27 @@ class TestLyapunov:
             assert resid <= 1e-10 * max(1.0, np.linalg.norm(S, "fro"))
             assert np.abs(S - S.T).max() <= 1e-12 * max(1.0, np.abs(S).max())
 
-    def test_truncated_solve_raises(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "solve, message",
+        [
+            (
+                lambda A: cm.solve_discrete_lyapunov(A, np.eye(1)),
+                "Lyapunov residual .* above tolerance",
+            ),
+            (
+                lambda A: cm.solve_dare(A.T, np.zeros((1, 1)), np.eye(1), np.eye(1)),
+                "DARE doubling hit the iteration cap",
+            ),
+        ],
+        ids=["lyapunov", "dare"],
+    )
+    def test_truncated_solve_raises(self, monkeypatch, solve, message):
         # One doubling step from a slowly decaying A is far from the fixed
-        # point; the backward-error check must still catch it.
-        monkeypatch.setattr(cm, "LYAPUNOV_MAX_ITER", 1)
-        with pytest.raises(NotConverged):
-            cm.solve_discrete_lyapunov(np.array([[0.999]]), np.eye(1))
+        # point: the Lyapunov backward-error check and the DARE's iteration
+        # cap must each still catch it.
+        monkeypatch.setattr(cm, "DOUBLING_MAX_ITER", 1)
+        with pytest.raises(NotConverged, match=message):
+            solve(np.array([[0.999]]))
 
     @pytest.mark.parametrize("forcing", [np.inf, np.nan])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -299,6 +314,28 @@ class TestDare:
         )
         assert sol.P[0, 0] == pytest.approx(4.0 / 3.0, rel=1e-9)
         assert sol.K[0, 0] == 0.0
+        # With B = 0 the DARE of A is the Lyapunov equation of A', and both
+        # solvers run the one doubling loop: the same bits, not just close.
+        rng = np.random.default_rng(5)
+        for n in range(1, 7):
+            for _ in range(5):
+                A = rng.standard_normal((n, n))
+                A *= rng.uniform(0.1, 0.99) / cm.spectral_radius(A)
+                M = rng.standard_normal((n, n))
+                Q = M @ M.T + np.eye(n)
+                P = cm.solve_dare(A, np.zeros((n, 1)), Q, np.eye(1)).P
+                assert np.array_equal(P, cm.solve_discrete_lyapunov(A.T, Q))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_finite_cost_converges(self):
+        # P(cQ, cR) = c P(Q, R). At c = 1e160 the Frobenius norm of P
+        # overflows; the doubling must still run to convergence (P/c near
+        # 50), not stop at its first step (P/c near 2).
+        A, B = np.array([[0.99]]), np.array([[1.0]])
+        Q, R = np.eye(1), 1e10 * np.eye(1)
+        P = cm.solve_dare(A, B, Q, R).P
+        P_big = cm.solve_dare(A, B, 1e160 * Q, 1e160 * R).P
+        np.testing.assert_allclose(P_big / 1e160, P, rtol=1e-12)
 
     def test_random_residuals(self):
         rng = np.random.default_rng(7)

@@ -566,6 +566,20 @@ BAD_INPUTS = [
         [],
         "system.b: B must have the same row count as A",
     ),
+    # A plant without inputs, and a B that is not a matrix.
+    (
+        47,
+        "system:\n  a: [[0.5, 0], [0, 0.2]]\n  b: [[], []]\n  lift_dim: null\n"
+        "tasks:\n  k: 1\n",
+        [],
+        "system.b: B must be n_x x n_u with n_u >= 1, got shape (2, 0)",
+    ),
+    (
+        48,
+        "system:\n  a: [[0.5]]\n  b: [[[1]]]\n",
+        [],
+        "system.b: B must be n_x x n_u with n_u >= 1, got shape (1, 1, 1)",
+    ),
     # A mapping where a list is expected would run as its keys.
     (
         41,
@@ -594,6 +608,16 @@ BAD_INPUTS = [
         [],
         "tasks.alphas, system.a/system.b: no LQR expert at alpha = 0.01: "
         "closed-loop spectral radius 2.0 >= 1",
+    ),
+    # A mode on the unit circle that no input reaches: the doubling hits its
+    # cap, and the gain of its last iterate leaves that mode where it is.
+    (
+        49,
+        "system:\n  a: [[1, 0], [0, 0.5]]\n  b: [[0], [1]]\n  lift_dim: null\n"
+        "tasks:\n  k: 1\n",
+        [],
+        "tasks.alphas, system.a/system.b: no LQR expert at alpha = 0.01: "
+        "closed-loop spectral radius 1.0 >= 1",
     ),
     # A key written twice, whose last value a YAML loader would keep.
     (45, "sweep:\n  n1: 3\nsweep:\n  n2: [1, 2]\n", [], "sweep: repeated key"),
