@@ -202,9 +202,9 @@ def _cmd_synth(args) -> int:
     cfg = exp_harness.ExperimentConfig(
         preset=args.preset, lift_dim=args.lift_dim, seed=args.seed
     )
-    family, alphas = exp_harness.expert_family(cfg)
+    plant, gains, alphas = exp_harness.expert_family(cfg)
     try:
-        ensemble = exp_harness.lift_trial(cfg, family, 0)
+        ensemble = exp_harness.lift_trial(cfg, plant, gains, 0)
     except RankDeficient as exc:
         raise ValidationError(f"--lift-dim: {exc}") from exc
     print(f"{'task':>6} {'alpha':>12} {'|K|_F':>12} {'rho_cl':>10} {'tr(Sx)':>12}")

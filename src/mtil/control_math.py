@@ -169,24 +169,26 @@ def solve_discrete_lyapunov(A: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Solve S = A S A' + Q for Schur-stable A: the Riccati equation of A'
     with no actuation, run as `_doubling(A', 0, Q)` (each step maps
     (S, M) -> (S + M S M', M^2)) under its stopping rule and its cap,
-    DOUBLING_MAX_ITER. Only the residual judges the S it returns.
+    DOUBLING_MAX_ITER. Only the residual judges a finite S it returns.
 
     Raises:
         UnstableMatrix: if rho(A) >= 1.
-        NotConverged: if the residual exceeds 1e-10 (||A||^2 ||S|| + ||Q||)
-            (Frobenius norms, spectral for A), or is not finite.
+        NotConverged: if an iterate went non-finite, or the residual exceeds
+            1e-10 (||A||^2 ||S|| + ||Q||) (Frobenius norms, spectral for A).
     """
     A = np.asarray(A, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if spectral_radius(A) >= 1.0:
         raise UnstableMatrix("Lyapunov equation requires rho(A) < 1")
-    S, _ = _doubling(A.T, np.zeros_like(A), Q)
+    S, failure = _doubling(A.T, np.zeros_like(A), Q)
+    if failure == "produced non-finite iterates":
+        raise NotConverged(f"Lyapunov doubling {failure}")
     with np.errstate(over="ignore", invalid="ignore"):
         # Rounding in A S A' scales with ||A||^2 ||S||, so the residual is
         # judged against that backward-error scale rather than ||S|| alone.
         residual = _frobenius(S - (A @ S @ A.T + Q))
         scale = np.linalg.norm(A, 2) ** 2 * _frobenius(S) + _frobenius(Q)
-    # Written so that a non-finite residual (from a non-finite S) is refused.
+    # Written so that a non-finite residual (from an overflow in A S A') is refused.
     if not (np.isfinite(residual) and residual <= 1e-10 * scale):
         raise NotConverged(f"Lyapunov residual {residual} above tolerance")
     return S

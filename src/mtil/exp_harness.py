@@ -295,8 +295,8 @@ def _task_alphas(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def expert_family(cfg: ExperimentConfig) -> tuple:
-    """(family, alphas): task h is the LQR expert for Q = alphas[h] I and
-    R = I, unlifted. A family without an expert for some alpha is a
+    """(plant, gains, alphas): gain h is the LQR gain of the unlifted plant for
+    Q = alphas[h] I and R = I. A missing expert for some alpha is a
     ValidationError naming tasks.alphas (and system.a/system.b if inline)."""
     base = _base_system(cfg)
     alphas = _task_alphas(cfg)
@@ -305,29 +305,30 @@ def expert_family(cfg: ExperimentConfig) -> tuple:
     except (NotConverged, UnstableMatrix) as exc:
         where = "tasks.alphas" if cfg.A is None else "tasks.alphas, system.a/system.b"
         raise ValidationError(f"{where}: {exc}") from exc
-    return lti_env.build_ensemble(base, gains), alphas
+    return base, gains, alphas
 
 
-def lift_trial(cfg: ExperimentConfig, family, system_trial: int):
-    """The family as system trial `system_trial` sees it: lifted, if cfg lifts."""
+def lift_trial(cfg: ExperimentConfig, plant, gains: list, system_trial: int):
+    """The gains' ensemble in system trial `system_trial`: lifted, if cfg lifts."""
     if cfg.lift_dim is None:
-        return family
+        return lti_env.build_ensemble(plant, gains)
     rng = SeedTree(root=cfg.seed).child("lift", system_trial).stream()
-    G = lti_env.sample_lift_map(family.system.n_x, cfg.lift_dim, rng)
-    return lti_env.lift_ensemble(family, G)
+    G = lti_env.sample_lift_map(plant.n_x, cfg.lift_dim, rng)
+    return lti_env.lift_ensemble(plant, gains, G)
 
 
 def _cells(cfg: ExperimentConfig):
     """Yield the arguments (cfg, ensemble, system trial, noise trial) of each cell.
 
-    The expert family is the same in every cell, so it is synthesized once;
-    it is lifted once per system trial. A serial sweep holds one lifted
-    ensemble at a time.
+    The gains are the same in every cell, so they are synthesized once. A
+    lifted ensemble is built once per system trial, an unlifted one once per
+    sweep. A serial sweep holds one lifted ensemble at a time.
     """
-    family, _ = expert_family(cfg)
+    plant, gains, _ = expert_family(cfg)
     for s in range(cfg.trials_system):
-        ensemble = family  # drops the last trial's lift before the next one
-        ensemble = lift_trial(cfg, family, s)
+        if s == 0 or cfg.lift_dim is not None:
+            ensemble = None  # drops the last trial's lift before the next one
+            ensemble = lift_trial(cfg, plant, gains, s)
         for j in range(cfg.trials_noise):
             yield cfg, ensemble, s, j
 

@@ -3,9 +3,9 @@
 A task ensemble bundles one linear plant, which carries the process noise
 w ~ N(0, I) and the experts' actuator-noise level, with H source expert
 controllers and one target, each carrying the stationary state covariance
-of its closed loop with its Cholesky factor. Ensembles can be lifted into a
-higher-dimensional observation space through an injective linear map, in
-which case the ground-truth factorization K = F Phi is recorded.
+of its closed loop with its Cholesky factor. A plant's gains can be lifted
+into a higher-dimensional observation space through an injective linear map,
+in which case the ground-truth factorization K = F Phi is recorded.
 """
 
 from __future__ import annotations
@@ -199,14 +199,14 @@ def build_ensemble(
     return TaskEnsemble(system, tasks[:-1], tasks[-1], truth)
 
 
-def lift_ensemble(ensemble: TaskEnsemble, G: np.ndarray) -> TaskEnsemble:
-    """Lift an ensemble into observation space through an injective map G.
+def lift_ensemble(system: LinearSystem, gains: list, G: np.ndarray) -> TaskEnsemble:
+    """The ensemble of a plant's gains (target last), lifted through injective G.
 
     The lifted plant is (G A G+, G B) and each gain becomes K G+, where G+ is
     the pseudo-inverse; its basis is the left singular vectors of G, which
     span range(G), and it keeps the plant's sigma_z. Stationary covariances
-    are recomputed for process noise w ~ N(0, I) in the lifted space. The
-    ground truth records Phi = G+ and F^(h) equal to the original gains.
+    are solved for process noise w ~ N(0, I) in the lifted space; the ground
+    truth records Phi = G+ and F^(h) equal to the given gains.
 
     Raises:
         RankDeficient: if G is wide or not full column rank.
@@ -218,11 +218,9 @@ def lift_ensemble(ensemble: TaskEnsemble, G: np.ndarray) -> TaskEnsemble:
         raise RankDeficient("lift map G is not injective")
     # Not np.linalg.pinv(G): that rounds differently and changes results.csv.
     G_pinv = (Vt.T * (1.0 / s)) @ U.T
-    system = ensemble.system
     lifted = replace(system, A=G @ system.A @ G_pinv, B=G @ system.B, basis=U)
-    original_gains = [t.K for t in ensemble.tasks]
-    truth = GroundTruthFactors(phi_star=G_pinv, f_stars=original_gains)
-    return build_ensemble(lifted, [K @ G_pinv for K in original_gains], truth)
+    truth = GroundTruthFactors(phi_star=G_pinv, f_stars=list(gains))
+    return build_ensemble(lifted, [K @ G_pinv for K in gains], truth)
 
 
 def _require_tall(m: int, n_x: int) -> None:

@@ -101,9 +101,8 @@ def test_criterion_2_noiseless_identifiability():
     tree = SeedTree(root=1)
     base = lti_env.get_preset("hong2021")
     gains = lti_env.synthesize_expert_family(base, np.logspace(-2.0, 2.0, 10))
-    ens = lti_env.build_ensemble(base, gains)
     G = lti_env.sample_lift_map(4, 50, tree.child("lift").stream())
-    lifted = lti_env.lift_ensemble(ens, G)
+    lifted = lti_env.lift_ensemble(base, gains, G)
     truth = lifted.truth
     system = replace(lifted.system, sigma_z=0.0)
     noiseless = [lti_env.make_task(system, t.K) for t in lifted.tasks]
@@ -171,8 +170,7 @@ def test_criterion_4_excess_risk_rate():
     base = lti_env.get_preset("hong2021")
     gains = lti_env.synthesize_expert_family(base, np.logspace(-2.0, 2.0, 10))
     ens = lti_env.lift_ensemble(
-        lti_env.build_ensemble(base, gains),
-        lti_env.sample_lift_map(4, 50, tree.child("lift").stream()),
+        base, gains, lti_env.sample_lift_map(4, 50, tree.child("lift").stream())
     )
     phi = ens.truth.phi_star
     tgt = ens.target

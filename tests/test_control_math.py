@@ -142,7 +142,7 @@ class TestLyapunov:
     @pytest.mark.parametrize("forcing", [np.inf, np.nan])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nonfinite_forcing_raises(self, forcing):
-        # A non-finite S leaves a NaN residual, which no tolerance accepts.
+        # A non-finite forcing makes the first doubling iterate non-finite.
         with pytest.raises(NotConverged):
             cm.solve_discrete_lyapunov(np.array([[0.5]]), np.array([[forcing]]))
 

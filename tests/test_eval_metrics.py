@@ -181,9 +181,8 @@ def lifted_gain_stacks(draw):
     A0 = rng.standard_normal((n, n))
     A0 *= 0.9 / max(cm.spectral_radius(A0), 1e-9)
     base = LinearSystem(A=A0, B=rng.standard_normal((n, n_u)))
-    family = lti_env.build_ensemble(base, [np.zeros((n_u, n))] * 2)
     G = lti_env.sample_lift_map(n, m, rng)
-    system = lti_env.lift_ensemble(family, G).system
+    system = lti_env.lift_ensemble(base, [np.zeros((n_u, n))] * 2, G).system
     scales = 10.0 ** rng.uniform(-1.0, 1.0, (c, 1, 1)) / np.sqrt(m)
     return system, scales * rng.standard_normal((c, n_u, m))
 
@@ -204,13 +203,10 @@ class TestClosedLoopRadii:
         assert np.all(np.abs(rho - full) <= 1e-10 * scale)
 
     def test_stable_verdicts_on_a_lifted_plant(self):
+        base = lti_env.get_preset("hong2021")
         ens = lti_env.lift_ensemble(
-            lti_env.build_ensemble(
-                lti_env.get_preset("hong2021"),
-                lti_env.synthesize_expert_family(
-                    lti_env.get_preset("hong2021"), [0.1, 10.0]
-                ),
-            ),
+            base,
+            lti_env.synthesize_expert_family(base, [0.1, 10.0]),
             SeedTree(root=3).child("lift").stream().standard_normal((50, 4)),
         )
         K = ens.target.K

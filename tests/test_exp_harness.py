@@ -265,8 +265,8 @@ class TestSweepReuse:
     def test_lifted_covariances_digest(self):
         cfg = eh.ExperimentConfig(seed=2)
         with control_math.pinned_blas_threads():
-            family, _ = eh.expert_family(cfg)
-            tasks = eh.lift_trial(cfg, family, 0).tasks
+            plant, gains, _ = eh.expert_family(cfg)
+            tasks = eh.lift_trial(cfg, plant, gains, 0).tasks
         digest = hashlib.sha256(b"".join(t.sigma_x.tobytes() for t in tasks))
         assert digest.hexdigest() == LIFTED_SIGMA_X_DIGEST
 
@@ -403,7 +403,7 @@ class TestSweepReuse:
 
             return wrapper
 
-        for name in ("synthesize_expert_family", "lift_ensemble"):
+        for name in ("synthesize_expert_family", "lift_ensemble", "make_task"):
             monkeypatch.setattr(lti_env, name, counted(name, getattr(lti_env, name)))
         cfg = eh.config_from_dict(
             {
@@ -417,6 +417,9 @@ class TestSweepReuse:
         calls = log.read_text(encoding="utf-8").split()
         assert calls.count("synthesize_expert_family") == 1
         assert calls.count("lift_ensemble") == lifts
+        # A lifted run solves no covariance of the unlifted plant: 10 tasks
+        # per lifted ensemble, or 10 for the one unlifted ensemble.
+        assert calls.count("make_task") == 10 * max(lifts, 1)
 
 
 class TestFewerTargetRowsThanK:
@@ -670,13 +673,15 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_lifted_forcing_overflow_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sigma_z", ["1.2e+153", "2.6e+153", "3.0e+153"])
+    def test_lifted_forcing_overflow_exits_2(self, tmp_path, capsys, sigma_z):
         # sigma_z^2 B B' is finite on the base plant, but the lifted forcing
         # overflows; make_task refuses it before the Lyapunov solve, with one
-        # error line and no RuntimeWarning.
+        # error line and no RuntimeWarning. No covariance of the unlifted
+        # plant is solved, so none of them fails first.
         cfg_path = tmp_path / "cfg.yaml"
         cfg_path.write_text(
-            "system:\n  sigma_z: 1.2e+153\n"
+            f"system:\n  sigma_z: {sigma_z}\n"
             "sweep:\n  trials_system: 1\n  trials_noise: 1\n  n2: [1]\n"
             "  methods: [direct]\n"
         )
@@ -686,6 +691,23 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: Lyapunov forcing ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unlifted_lyapunov_overflow_exits_2(self, tmp_path, capsys):
+        # The forcing is finite, but the doubling's iterates overflow: the
+        # error names that, not the NaN residual of the last finite iterate.
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            "system:\n  sigma_z: 3.0e+153\n  lift_dim: null\n"
+            "sweep:\n  trials_system: 1\n  trials_noise: 1\n  n2: [1]\n"
+        )
+        rc = cli.main(
+            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: Lyapunov doubling produced non-finite iterates\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

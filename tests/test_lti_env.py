@@ -18,11 +18,11 @@ from mtil.errors import (
 )
 
 
-def small_ensemble(H=3):
+def small_family(H=3):
+    """(plant, gains): hong2021 and H + 1 LQR gains, no covariance solved."""
     base = lti_env.get_preset("hong2021")
     alphas = np.logspace(-1, 1, H + 1)
-    gains = lti_env.synthesize_expert_family(base, alphas)
-    return lti_env.build_ensemble(base, gains)
+    return base, lti_env.synthesize_expert_family(base, alphas)
 
 
 class TestStationaryCovariance:
@@ -44,10 +44,9 @@ class TestStationaryCovariance:
             lti_env.make_task(system, np.zeros((1, 1)))
 
     def test_lifted_preset_residual(self):
-        ens = small_ensemble()
         rng = SeedTree(root=3).child("lift").stream()
         lifted = lti_env.lift_ensemble(
-            ens, lti_env.sample_lift_map(4, 50, rng)
+            *small_family(), lti_env.sample_lift_map(4, 50, rng)
         )
         for task in lifted.tasks:
             A_cl = lifted.system.A + lifted.system.B @ task.K
@@ -62,9 +61,10 @@ class TestStationaryCovariance:
 
 class TestTaskFactors:
     def test_factors_are_cholesky_of_covariances(self):
-        ens = small_ensemble()
+        base, gains = small_family()
+        ens = lti_env.build_ensemble(base, gains)
         rng = SeedTree(root=4).child("lift").stream()
-        lifted = lti_env.lift_ensemble(ens, lti_env.sample_lift_map(4, 50, rng))
+        lifted = lti_env.lift_ensemble(base, gains, lti_env.sample_lift_map(4, 50, rng))
         for task in ens.tasks + lifted.tasks:
             assert np.array_equal(task.chol_x, cm.cholesky_factor(task.sigma_x))
 
@@ -102,56 +102,54 @@ class TestSynthesizeFamily:
 
 class TestLiftEnsemble:
     def test_identity_lift_unchanged(self):
-        ens = small_ensemble()
-        lifted = lti_env.lift_ensemble(ens, np.eye(4))
-        np.testing.assert_allclose(lifted.system.A, ens.system.A, atol=1e-12)
-        np.testing.assert_allclose(lifted.system.B, ens.system.B, atol=1e-12)
+        base, gains = small_family()
+        lifted = lti_env.lift_ensemble(base, gains, np.eye(4))
+        np.testing.assert_allclose(lifted.system.A, base.A, atol=1e-12)
+        np.testing.assert_allclose(lifted.system.B, base.B, atol=1e-12)
         np.testing.assert_allclose(lifted.truth.phi_star, np.eye(4), atol=1e-12)
-        for la, ta in zip(lifted.tasks, ens.tasks):
-            np.testing.assert_allclose(la.K, ta.K, atol=1e-12)
+        for la, K in zip(lifted.tasks, gains):
+            np.testing.assert_allclose(la.K, K, atol=1e-12)
 
     def test_square_invertible_is_similarity(self):
-        ens = small_ensemble()
+        base, gains = small_family()
         G = np.random.default_rng(1).standard_normal((4, 4)) + 2 * np.eye(4)
-        lifted = lti_env.lift_ensemble(ens, G)
-        for la, ta in zip(lifted.tasks, ens.tasks):
+        lifted = lti_env.lift_ensemble(base, gains, G)
+        for la, K in zip(lifted.tasks, gains):
             rho_lift = cm.spectral_radius(lifted.system.A + lifted.system.B @ la.K)
-            rho_base = cm.spectral_radius(ens.system.A + ens.system.B @ ta.K)
+            rho_base = cm.spectral_radius(base.A + base.B @ K)
             assert rho_lift == pytest.approx(rho_base, abs=1e-10)
 
     def test_tall_lift_structure(self):
-        ens = small_ensemble()
+        base, gains = small_family()
         G = SeedTree(root=5).child("lift").stream().standard_normal((50, 4))
-        lifted = lti_env.lift_ensemble(ens, G)
-        np.testing.assert_allclose(lifted.system.A @ G, G @ ens.system.A, atol=1e-8)
+        lifted = lti_env.lift_ensemble(base, gains, G)
+        np.testing.assert_allclose(lifted.system.A @ G, G @ base.A, atol=1e-8)
         truth = lifted.truth
         for F, task in zip(truth.f_stars, lifted.tasks):
             np.testing.assert_allclose(F @ truth.phi_star, task.K, atol=1e-10)
 
     def test_lift_preserves_inputs_on_range(self):
-        ens = small_ensemble()
+        base, gains = small_family()
         G = SeedTree(root=6).child("lift").stream().standard_normal((50, 4))
-        lifted = lti_env.lift_ensemble(ens, G)
+        lifted = lti_env.lift_ensemble(base, gains, G)
         rng = np.random.default_rng(2)
-        for lt, bt in zip(lifted.tasks, ens.tasks):
+        for lt, K in zip(lifted.tasks, gains):
             for _ in range(5):
                 x = rng.standard_normal(4)
-                np.testing.assert_allclose(lt.K @ (G @ x), bt.K @ x, atol=1e-8)
+                np.testing.assert_allclose(lt.K @ (G @ x), K @ x, atol=1e-8)
 
     def test_rejects_rank_deficient(self):
-        ens = small_ensemble()
         G = np.ones((50, 4))
         with pytest.raises(RankDeficient):
-            lti_env.lift_ensemble(ens, G)
+            lti_env.lift_ensemble(*small_family(), G)
 
     @pytest.mark.parametrize("m", [3, 1, 0])
     def test_rejects_wide_map(self, m):
         # A wide map has a null space even when its m singular values are
         # well separated from zero.
-        ens = small_ensemble()
         G = np.eye(4)[:m]
         with pytest.raises(RankDeficient, match=f"lift dimension {m}"):
-            lti_env.lift_ensemble(ens, G)
+            lti_env.lift_ensemble(*small_family(), G)
 
     @pytest.mark.parametrize("m", [2, 0, -1])
     def test_sample_rejects_wide_map(self, m):
@@ -161,9 +159,8 @@ class TestLiftEnsemble:
 
 class TestSystemBasis:
     def test_lift_records_range_of_map(self):
-        ens = small_ensemble()
         G = SeedTree(root=5).child("lift").stream().standard_normal((50, 4))
-        Q = lti_env.lift_ensemble(ens, G).system.basis
+        Q = lti_env.lift_ensemble(*small_family(), G).system.basis
         assert Q.shape == (50, 4)
         np.testing.assert_allclose(Q.T @ Q, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(Q @ (Q.T @ G), G, atol=1e-12)
@@ -204,9 +201,8 @@ def plants_and_gains(draw):
     system = lti_env.LinearSystem(A=A0, B=rng.standard_normal((n, n_u)))
     if draw(st.booleans()):
         m = draw(st.integers(n, 50))
-        family = lti_env.build_ensemble(system, [np.zeros((n_u, n))] * 2)
         G = lti_env.sample_lift_map(n, m, rng)
-        system = lti_env.lift_ensemble(family, G).system
+        system = lti_env.lift_ensemble(system, [np.zeros((n_u, n))] * 2, G).system
     K = 0.1 * rng.standard_normal((n_u, system.n_x)) / np.sqrt(system.n_x)
     assume(cm.spectral_radius(system.closed_loop_on_range(K)) < 0.99)
     return replace(system, sigma_z=draw(st.floats(0.0, 2.0))), K
@@ -248,9 +244,8 @@ class TestTaskOnRange:
 
 class TestGroundTruth:
     def test_lifted_factors(self):
-        ens = small_ensemble()
         G = SeedTree(root=7).child("lift").stream().standard_normal((50, 4))
-        lifted = lti_env.lift_ensemble(ens, G)
+        lifted = lti_env.lift_ensemble(*small_family(), G)
         truth = lifted.truth
         assert truth.k == 4
         np.testing.assert_allclose(truth.phi_star, np.linalg.pinv(G), atol=1e-12)
@@ -260,7 +255,7 @@ class TestGroundTruth:
             assert resid <= 1e-10 * max(1.0, np.linalg.norm(task.K))
 
     def test_raw_ensemble_has_no_factors(self):
-        assert small_ensemble().truth is None
+        assert lti_env.build_ensemble(*small_family()).truth is None
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):

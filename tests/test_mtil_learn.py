@@ -481,9 +481,9 @@ def reduced_gradient(tasks, phi):
 def reference_cells(system_trials):
     """Source data of reference-config cells (seed 0, noise trial 0)."""
     cfg = exp_harness.ExperimentConfig()
-    family, _ = exp_harness.expert_family(cfg)
+    plant, gains, _ = exp_harness.expert_family(cfg)
     for s in system_trials:
-        ensemble = exp_harness.lift_trial(cfg, family, s)
+        ensemble = exp_harness.lift_trial(cfg, plant, gains, s)
         tree = SeedTree(root=cfg.seed).child("source", s).child("noise", 0)
         stacks = [
             rollout_expert(
